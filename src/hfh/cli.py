@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -53,7 +54,18 @@ class UsageError(Exception):
     pass
 
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+
+
 class _Parser(argparse.ArgumentParser):
+    """Reads a comma-separated number list starting with '-', such as
+    ``--k -0.7,0.5``, as a value; argparse's own matcher only accepts a
+    single negative number and would take the list for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(rf"^-{_NUMBER}(?:,[-+]?{_NUMBER})*$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -256,14 +268,11 @@ def _cmd_simulate(args):
     record = simulate.packet_speed_experiment(med, mode, args.epsilon, env, grid,
                                               args.t_final, cfl=args.cfl,
                                               n_frames=args.frames)
-    fit = simulate.measure_packet_velocity(simulate.EnvelopeFrames(
-        record.times, record.envelope_x, record.envelope_frames,
-        record.masked_cells, float(len(record.x) * record.dx)))
     rows = []
     for i, t in enumerate(record.times):
         f0 = record.envelope_frames[i]
         mass = float(np.sum(f0 ** 2))
-        rows.append([t, fit.centroids[i], mass, float(f0.max())])
+        rows.append([t, record.centroids[i], mass, float(f0.max())])
     meta = _meta(args, desc)
     _write_csv(args.out_prefix + "_frames.csv", ["t", "centroid", "mass", "peak"], rows, meta)
     if args.write_envelope:

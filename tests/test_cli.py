@@ -105,6 +105,34 @@ def test_simulate_command(tmp_path):
     assert frames[header_at] == "t,centroid,mass,peak"
 
 
+MEDIUM_2D = {
+    "cell": [1.0, 1.0],
+    "kind": "scalar",
+    "cutoff": 2,
+    "a": {"type": "cosine", "mean": 2.0,
+          "harmonics": [{"n": [1, 0], "amp": 0.4}, {"n": [0, 1], "amp": 0.3}]},
+    "b": 1.0,
+}
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--k-start", ["bands", "--k-end", "0.7,0.5", "--samples", "5", "--cutoff", "3"]),
+    ("--k", ["groupvel", "--cutoff", "3"]),
+    ("--m", ["couple", "--k", "1.0,0.5", "--supercells", "4,8", "--cutoff", "3"]),
+])
+def test_negative_vector_after_flag(flag, argv, tmp_path):
+    # "--k -0.7,0.5" must parse like "--k=-0.7,0.5", not as an unknown option
+    config = tmp_path / "medium2d.json"
+    config.write_text(json.dumps(MEDIUM_2D))
+    outs = []
+    for form, value in (("spaced", [flag, "-0.7,0.5"]), ("joined", [f"{flag}=-0.7,0.5"])):
+        out = tmp_path / f"{form}.csv"
+        code, _ = run_cli(argv + value + ["--config", str(config), "--out", str(out)])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_exit_codes(config, tmp_path):
     code, _ = run_cli(["nonsense"])
     assert code == 64

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hfh import bloch, simulate
+from hfh import bloch, medium, simulate
 from hfh.errors import ValidationError
 from hfh.simulate import GaussianEnvelope, GridSpec
 
@@ -165,3 +165,85 @@ def test_measure_velocity_guards(const_medium, const_mode):
                                      np.ones((2, 2)), 0, 8.0)
     with pytest.raises(ValidationError, match="5 frames"):
         simulate.measure_packet_velocity(frames)
+
+
+def _reference_run_fdtd_1d(med, ic, t_final, cfl=0.9, n_frames=9):
+    """The original np.roll-based complex leapfrog loop, kept as an oracle."""
+    a_stag, b_vals = simulate._medium_profiles(med, ic.x, ic.dx, ic.epsilon)
+    c_max = np.sqrt(a_stag.max() / b_vals.min())
+    dt_max = cfl * ic.dx / c_max
+    n_steps = max(int(np.ceil(t_final / dt_max)), n_frames - 1)
+    dt = t_final / n_steps
+    frame_steps = np.unique(np.round(np.linspace(0, n_steps, n_frames)).astype(int))
+
+    def flux_div(u):
+        du = (np.roll(u, -1) - u) / ic.dx
+        return (a_stag * du - np.roll(a_stag * du, 1)) / ic.dx
+
+    def half_energy(u_old, u_new):
+        ut = (u_new - u_old) / dt
+        du_old = (np.roll(u_old, -1) - u_old) / ic.dx
+        du_new = (np.roll(u_new, -1) - u_new) / ic.dx
+        kinetic = np.sum(b_vals * np.abs(ut) ** 2)
+        elastic = np.sum(a_stag * np.real(np.conj(du_new) * du_old))
+        return 0.5 * ic.dx * (kinetic + elastic)
+
+    u = ic.u0.astype(np.complex128).copy()
+    u_prev = u - dt * ic.ut0 + 0.5 * dt ** 2 * flux_div(u) / b_vals
+
+    frames = [u.copy()]
+    times = [0.0]
+    energies = []
+    e_ref = None
+    drift = 0.0
+    next_frame = 1
+    for step in range(1, n_steps + 1):
+        u_next = 2.0 * u - u_prev + dt ** 2 * flux_div(u) / b_vals
+        e = half_energy(u, u_next)
+        if e_ref is None:
+            e_ref = e
+        drift = max(drift, abs(e - e_ref) / abs(e_ref))
+        u_prev, u = u, u_next
+        if next_frame < len(frame_steps) and step == frame_steps[next_frame]:
+            frames.append(u.copy())
+            times.append(step * dt)
+            energies.append(e)
+            next_frame += 1
+    energies.insert(0, e_ref)
+
+    return simulate.SimulationRecord(ic.epsilon, ic.x, ic.dx, dt, cfl, np.asarray(times),
+                                     np.asarray(frames), np.asarray(energies), float(drift),
+                                     drift <= simulate.ENERGY_DRIFT_LIMIT, ic.group_velocity,
+                                     ic.init_correction_fraction, ic.medium_key, ic.k, ic.omega)
+
+
+@pytest.fixture(scope="module")
+def random_three_phase(cell1d):
+    rng = np.random.default_rng(2016)
+    breaks = [0.0] + sorted(rng.uniform(0.1, 0.9, size=2).tolist())
+    return medium.build_scalar_medium(medium.piecewise(breaks, rng.uniform(1.0, 4.0, 3)),
+                                      medium.piecewise(breaks, rng.uniform(1.0, 2.0, 3)),
+                                      cell1d, 8)
+
+
+@pytest.mark.parametrize("medium_name", ["two_phase_coarse", "random_three_phase"])
+@pytest.mark.parametrize("eps", [1 / 8, 1 / 16])
+def test_fdtd_matches_reference_loop(medium_name, eps, request):
+    med = request.getfixturevalue(medium_name)
+    mode = bloch.solve_at(med, [np.pi / 2], 16, 1)[0]
+    env = GaussianEnvelope(center=2.0, sigma=0.4)
+    ic = simulate.build_wavepacket_ic(mode, med, eps, env, GridSpec(6.0, 32))
+    t_final = 1.0
+    new = simulate.run_fdtd_1d(med, ic, t_final)
+    ref = _reference_run_fdtd_1d(med, ic, t_final)
+
+    assert new.dt == ref.dt
+    np.testing.assert_array_equal(new.times, ref.times)
+    field_scale = np.max(np.abs(ref.fields))
+    assert np.max(np.abs(new.fields - ref.fields)) <= 1e-10 * field_scale
+    assert np.max(np.abs(new.energies - ref.energies)) <= 1e-12 * np.max(np.abs(ref.energies))
+    assert new.energy_drift < 1e-6 and ref.energy_drift < 1e-6
+
+    speeds = [simulate.measure_packet_velocity(simulate.extract_envelope(rec, mode, eps)).speed
+              for rec in (new, ref)]
+    assert abs(speeds[0] - speeds[1]) <= 1e-10 * abs(speeds[1])
