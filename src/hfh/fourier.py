@@ -124,21 +124,6 @@ class FourierField:
             return 0.0 + 0.0j
         return complex(self.coeffs[tuple(int(idx[ax]) + self.cutoffs[ax] for ax in range(self.cell.dims))])
 
-    def gather(self, lags: np.ndarray) -> np.ndarray:
-        """Vectorized coefficient lookup for an integer lag array of shape (..., d).
-
-        Lags outside the stored block read as 0; used by operator assembly.
-        """
-        lags = np.asarray(lags, dtype=int)
-        mask = np.ones(lags.shape[:-1], dtype=bool)
-        idx = []
-        for ax in range(self.cell.dims):
-            la = lags[..., ax]
-            mask &= np.abs(la) <= self.cutoffs[ax]
-            idx.append(np.clip(la + self.cutoffs[ax], 0, 2 * self.cutoffs[ax]))
-        out = self.coeffs[tuple(idx)]
-        return np.where(mask, out, 0.0 + 0.0j)
-
     # ------------------------------------------------------------------
     # algebra
 

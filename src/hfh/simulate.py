@@ -166,8 +166,9 @@ def run_fdtd_1d(medium: ScalarWaveMedium, ic: WavePacketIC, t_final: float,
 
     Periodic boundary; the real and imaginary quadratures of the complex
     initial data evolve as two independent real fields and are recombined
-    into complex frames.  Raises on CFL violation; a run whose
-    compatible-energy drift exceeds ENERGY_DRIFT_LIMIT (1e-6) is flagged
+    into complex frames.  Raises on CFL violation and on a zero or
+    non-finite initial energy; a run whose compatible-energy drift exceeds
+    ENERGY_DRIFT_LIMIT (1e-6), or whose energy turns non-finite, is flagged
     unstable.
     """
     if ic.medium_key != medium.fingerprint:
@@ -243,6 +244,9 @@ def run_fdtd_1d(medium: ScalarWaveMedium, ic: WavePacketIC, t_final: float,
         e = kinetic + np.vdot(work, du)
         if e_ref is None:
             e_ref = e
+            if not (np.isfinite(e_ref) and e_ref != 0.0):
+                raise ValidationError(f"initial energy {e_ref:.3e} is zero or not finite; "
+                                      "the drift gate needs a finite nonzero reference")
         drift = max(drift, abs(e - e_ref) / abs(e_ref))
         du, du_next = du_next, du
         if next_frame < len(frame_steps) and step == frame_steps[next_frame]:
@@ -253,7 +257,10 @@ def run_fdtd_1d(medium: ScalarWaveMedium, ic: WavePacketIC, t_final: float,
     times = frame_steps * dt
     fields = frames[:, 0] + 1j * frames[:, 1]
 
-    stable = bool(drift <= ENERGY_DRIFT_LIMIT)
+    # max() skips a NaN drift, so non-finite energies are caught here instead:
+    # a non-finite field value never turns finite again under the update, so
+    # it shows in the last recorded energy (the last frame is the last step)
+    stable = bool(drift <= ENERGY_DRIFT_LIMIT and np.isfinite(energies).all())
     rec = SimulationRecord(ic.epsilon, ic.x, ic.dx, dt, cfl, times,
                            fields, energies, float(drift),
                            stable, ic.group_velocity, ic.init_correction_fraction,
@@ -306,12 +313,8 @@ def extract_envelope(record: SimulationRecord, mode: BlochMode, epsilon: float) 
             f0 = np.where(weight > 0, np.abs(cells.sum(axis=1) / np.maximum(weight, 1)), 0.0)
         frames.append(f0)
     centers = (np.arange(n_cells) + 0.5) * lam_cell
-    env = EnvelopeFrames(record.times, centers, np.asarray(frames), masked,
-                         float(len(x) * record.dx))
-    record.envelope_x = env.x
-    record.envelope_frames = env.frames
-    record.masked_cells = masked
-    return env
+    return EnvelopeFrames(record.times, centers, np.asarray(frames), masked,
+                          float(len(x) * record.dx))
 
 
 @dataclass(frozen=True)
@@ -352,6 +355,9 @@ def packet_speed_experiment(medium: ScalarWaveMedium, mode: BlochMode, epsilon: 
     record = run_fdtd_1d(medium, ic, t_final, cfl=cfl, n_frames=n_frames)
     env = extract_envelope(record, mode, epsilon)
     fit = measure_packet_velocity(env)
+    record.envelope_x = env.x
+    record.envelope_frames = env.frames
+    record.masked_cells = env.masked_cells
     record.centroids = fit.centroids
     record.measured_speed = fit.speed
     record.fit_residual = fit.residual

@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfh import bloch, medium
 from hfh.errors import NumericalError, UnsupportedScaleError, ValidationError
-from hfh.fourier import Cell
+from hfh.fourier import Cell, FourierField
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +49,22 @@ def bloch_fd_eigs(potential_vals_fn, mass, k, n_grid):
     H[0, -1] = off * np.exp(-1j * k)
     H[-1, 0] = off * np.exp(+1j * k)
     return np.linalg.eigvalsh(H)
+
+
+def gather_oracle(f, lags):
+    """Coefficient lookup per integer lag (shape (..., d)); lags outside the table read as 0.
+
+    A masked lookup per lag, independent of the padded table and the cached
+    flat index that ``bloch._lag_block`` uses.
+    """
+    lags = np.asarray(lags, dtype=int)
+    mask = np.ones(lags.shape[:-1], dtype=bool)
+    idx = []
+    for ax in range(f.cell.dims):
+        la = lags[..., ax]
+        mask &= np.abs(la) <= f.cutoffs[ax]
+        idx.append(np.clip(la + f.cutoffs[ax], 0, 2 * f.cutoffs[ax]))
+    return np.where(mask, f.coeffs[tuple(idx)], 0.0 + 0.0j)
 
 
 def mathieu_fd_oracle(k, bands):
@@ -99,6 +118,19 @@ def test_hermiticity_2d_matrix_medium():
     med = medium.build_scalar_medium(a, 1.0, cell, 3)
     op = bloch.assemble_wave_operator(med, [0.7, -0.4], 3)
     assert op.hermiticity_defect() < 1e-12
+
+
+@pytest.mark.parametrize("field_cutoffs", [(1,), (4,), (7,), (1, 1), (4, 4), (7, 7), (1, 7)])
+def test_lag_block_matches_gather(field_cutoffs, rng):
+    # operator cutoff 2 reaches lags up to 4: field cutoffs below, at and above it
+    cutoff = 2
+    cell = Cell((1.0, 1.3)[:len(field_cutoffs)])
+    shape = tuple(2 * c + 1 for c in field_cutoffs)
+    f = FourierField(cell, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    basis = bloch._basis_indices(cell.dims, cutoff)
+    lags = basis[:, None, :] - basis[None, :, :]
+    assert np.array_equal(bloch._lag_block(f, cutoff), gather_oracle(f, lags))
+    assert not bloch._lag_index(cell.dims, cutoff).flags.writeable
 
 
 def test_truncation_warning_recorded(two_phase):
@@ -259,9 +291,81 @@ def test_vector_3d_assembly_allowed_solve_refused():
         bloch.solve_bands(op, 2)
 
 
+def test_nan_residual_raises(const_medium, monkeypatch):
+    op = bloch.assemble_wave_operator(const_medium, [0.5], 2)
+    evals = np.linalg.eigvalsh(op.A)[:2]
+    nan_vectors = np.full((op.size, 2), np.nan + 0j)
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: (evals, nan_vectors))
+    with pytest.raises(NumericalError, match="residual"):
+        bloch.solve_bands(op, 1)
+
+
 def test_solver_guards(const_medium):
     op = bloch.assemble_wave_operator(const_medium, [0.5], 2)
     with pytest.raises(ValidationError):
         bloch.solve_bands(op, 99)
     with pytest.raises(ValidationError):
         bloch.assemble_wave_operator(const_medium, [0.1, 0.2], 2)  # wrong k dimension
+
+
+# ---------------------------------------------------------------------------
+# partial eigensolve against the full dense spectrum
+
+_amp = st.floats(0.05, 0.3)
+_phase = st.floats(0.0, 2 * np.pi)
+_kcomp = st.floats(0.3, 2.8) | st.floats(-2.8, -0.3)  # away from k = 0, where omega -> 0
+
+
+def _random_operator(family, draw):
+    def harmonics(*modes):
+        return [(n, draw(_amp), draw(_phase)) for n in modes]
+
+    if family == "scalar-1d":
+        cell, cutoff = Cell((1.0,)), 6
+        med = medium.build_scalar_medium(medium.cosine(1.0, harmonics((1,), (2,))),
+                                         medium.cosine(1.2, harmonics((1,))), cell, 3)
+    elif family == "scalar-2d":
+        cell, cutoff = Cell((1.0, 1.3)), 2
+        med = medium.build_scalar_medium(medium.cosine(2.0, harmonics((1, 0), (0, 1), (1, 1))),
+                                         medium.cosine(1.5, harmonics((1, -1))), cell, 2)
+    elif family == "vector-2d":
+        cell, cutoff = Cell((1.0, 1.0)), 2
+        a_terms = {(i, j, i, j): medium.cosine(1.5, harmonics((1, 0), (0, 1)))
+                   for i in range(2) for j in range(2)}
+        a_terms[(0, 0, 1, 1)] = medium.cosine(0.2, harmonics((1, 1)))
+        med = medium.build_vector_medium(2, a_terms, [[1.0, 0.1], [0.1, 1.0]], cell, 2)
+    elif family == "schrodinger-1d":
+        cell, cutoff = Cell((1.0,)), 6
+        med = medium.build_schrodinger_blocks(0.5, 1.0, medium.cosine(0.0, harmonics((1,), (2,))),
+                                              None, cell, 3)
+    else:  # schrodinger-2d, with a divergence-free magnetic potential
+        cell, cutoff = Cell((1.0, 1.0)), 2
+        med = medium.build_schrodinger_blocks(1.0, 1.0, medium.cosine(0.0, harmonics((1, 0))),
+                                              [medium.cosine(0.0, harmonics((0, 1))), 0.0],
+                                              cell, 2)
+    k = [draw(_kcomp) for _ in range(cell.dims)]
+    return bloch.assemble_operator(med, k, cutoff)
+
+
+@pytest.mark.parametrize("bands", [1, 2, "size"])
+@pytest.mark.parametrize("family", ["scalar-1d", "scalar-2d", "vector-2d",
+                                    "schrodinger-1d", "schrodinger-2d"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@given(data=st.data())
+def test_partial_solve_matches_full_eigh(family, bands, data):
+    op = _random_operator(family, data.draw)
+    n_bands = op.size if bands == "size" else bands
+    full = scipy.linalg.eigh(op.A, op.B, eigvals_only=True)  # the dense oracle
+    ref = full if op.B is None else np.sqrt(np.clip(full, 0.0, None))
+    modes = bloch.solve_bands(op, n_bands)
+    assert len(modes) == n_bands
+    rho = bloch._spectral_radius_bound(op, full[:min(n_bands, op.size - 1) + 1])
+    assert rho <= np.max(np.abs(full)) * (1 + 1e-12)  # so the gate is never looser
+    gate = max(bloch.RESIDUAL_TOL, 1e-13 * rho)
+    for idx, mode in enumerate(modes):
+        scale = max(abs(ref[idx]), 1.0)
+        assert abs(mode.omega - ref[idx]) <= 1e-10 * scale
+        others = np.abs(ref - ref[idx])
+        others[idx] = np.inf
+        assert abs(mode.gap - others.min()) <= 2e-10 * (scale + others.min())
+        assert mode.residual <= gate

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -158,6 +161,26 @@ def test_extract_envelope_carrier_mismatch(two_phase_coarse, coarse_mode):
     wrong = bloch.solve_at(two_phase_coarse, [np.pi / 2], 16, 2)[1]
     with pytest.raises(ValidationError, match="carrier"):
         simulate.extract_envelope(rec, wrong, 1 / 8)
+
+
+def test_extract_envelope_leaves_record_unchanged(two_phase_coarse, coarse_mode):
+    env = GaussianEnvelope(center=2.0, sigma=0.4)
+    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(8.0, 32))
+    rec = simulate.run_fdtd_1d(two_phase_coarse, ic, 0.5, cfl=0.9, n_frames=3)
+    before = pickle.dumps(rec)
+    frames = simulate.extract_envelope(rec, coarse_mode, 1 / 8)
+    assert pickle.dumps(rec) == before
+    assert rec.envelope_frames is None and frames.frames.shape == (3, 64)
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_zero_or_nonfinite_initial_energy_rejected(two_phase_coarse, coarse_mode, value):
+    # a zero reference energy made the drift 0/0, which the gate read as stable
+    env = GaussianEnvelope(center=2.0, sigma=0.4)
+    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(8.0, 32))
+    blank = dataclasses.replace(ic, u0=np.full_like(ic.u0, value), ut0=np.zeros_like(ic.ut0))
+    with pytest.raises(ValidationError, match="initial energy"):
+        simulate.run_fdtd_1d(two_phase_coarse, blank, 0.5, cfl=0.9, n_frames=3)
 
 
 def test_measure_velocity_guards(const_medium, const_mode):
