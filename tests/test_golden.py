@@ -1,0 +1,204 @@
+"""Golden CLI artifacts: a fixed set of configs keeps writing the same numbers.
+
+Each case runs one CLI command on a config defined here and compares every
+file it writes with the copy under ``tests/golden/``.  Comment and header
+lines, JSON keys and strings must match byte for byte; every number must
+match within 1e-12 * max(|x|, 1) of the stored value x.  The set covers the
+three equation families (1D and anisotropic 2D scalar, 2D vector, 1D and
+magnetic 2D Schrodinger) through ``bands``, ``groupvel`` and ``effective``,
+plus ``couple`` in 1D and 2D, one ``ergodic modulated_dd`` spec and one
+short ``simulate``.
+
+A change meant to keep results leaves these files alone.  Rewrite them only
+for a change meant to move numbers, and say so in the change log:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from hfh import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+REL_TOL = 1e-12
+
+
+def _cos(mean, *harmonics):
+    return {"type": "cosine", "mean": mean,
+            "harmonics": [{"n": list(n), "amp": amp, "phase": phase}
+                          for n, amp, phase in harmonics]}
+
+
+CONFIGS = {
+    "scalar1d": {
+        "cell": [1.0], "kind": "scalar", "cutoff": 8,
+        "a": {"type": "piecewise", "breaks": [0.0, 0.5], "values": [1.0, 4.0]},
+        "b": _cos(1.2, ((1,), 0.3, 0.4)),
+    },
+    "scalar2d": {
+        "cell": [1.0, 1.3], "kind": "scalar", "cutoff": 2,
+        "a": {"type": "matrix", "entries": [
+            [_cos(2.0, ((1, 0), 0.4, 0.3), ((1, 1), 0.2, 1.1)), _cos(0.3, ((0, 1), 0.1, 0.0))],
+            [_cos(0.3, ((0, 1), 0.1, 0.0)), _cos(1.5, ((0, 1), 0.3, 2.0))]]},
+        "b": _cos(1.0, ((1, -1), 0.2, 0.7)),
+    },
+    "vector2d": {
+        "cell": [1.0, 1.0], "kind": "vector", "n": 2, "cutoff": 2,
+        "a": {"type": "tensor4", "terms": [
+            {"ijkl": [0, 0, 0, 0], "field": _cos(2.0, ((1, 0), 0.4, 0.0))},
+            {"ijkl": [0, 1, 0, 1], "field": 1.0},
+            {"ijkl": [1, 0, 1, 0], "field": _cos(1.0, ((0, 1), 0.2, 0.5))},
+            {"ijkl": [1, 1, 1, 1], "field": 2.0},
+            {"ijkl": [0, 0, 1, 1], "field": 0.3},
+            {"ijkl": [0, 1, 1, 0], "field": _cos(0.2, ((1, 1), 0.05, 0.0))}]},
+        "b": {"type": "matrix", "entries": [[1.0, 0.15], [0.15, _cos(1.1, ((1, 0), 0.2, 0.0))]]},
+    },
+    "schrodinger1d": {
+        "cell": [1.0], "kind": "schrodinger", "cutoff": 8, "mass": 0.5, "charge": 1.0,
+        "potential": _cos(0.0, ((1,), 2.0, 0.0), ((2,), 0.7, 1.3)),
+    },
+    "schrodinger2d": {
+        "cell": [1.0, 1.0], "kind": "schrodinger", "cutoff": 2, "mass": 0.7, "charge": 1.0,
+        "potential": _cos(0.2, ((1, 0), 0.8, 0.0), ((0, 1), 0.5, 0.9), ((1, 1), 0.3, 0.0)),
+        "magnetic": [_cos(0.3, ((0, 1), 0.4, 0.2)), _cos(-0.2, ((1, 0), 0.25, 1.0))],
+    },
+}
+
+ERGODIC_SPEC = {
+    "op": "modulated_dd", "cell": [1.0, 1.2],
+    "f": {"terms": [{"n": [0, 0], "re": 0.5}, {"n": [1, -2], "re": 0.3, "im": -0.2},
+                    {"n": [-3, 1], "re": -0.7, "im": 0.4}, {"n": [2, 2], "im": 0.9}]},
+    "lambda": [0.9, -1.7],
+    "boxes": [[4.0, 3.0], [8.0, 6.0], [16.0, 12.0], [32.0, 24.0]],
+}
+
+# per medium: band sweep start and end, the mode's k, the operator cutoff
+_MODE_POINTS = {
+    "scalar1d": ("0.9", "2.6", "1.2", "8"),
+    "scalar2d": ("0.3,0.2", "1.9,1.4", "0.9,0.4", "3"),
+    "vector2d": ("0.3,0.2", "1.6,1.1", "0.9,0.4", "3"),
+    "schrodinger1d": ("0.4", "2.8", "1.3", "8"),
+    "schrodinger2d": ("0.2,0.3", "1.5,2.2", "0.8,0.5", "3"),
+}
+
+# (name, config name or None for the ergodic spec, argv with an {out} placeholder,
+#  suffixes of the files written)
+CASES = []
+for _name, (_k0, _k1, _k, _cut) in _MODE_POINTS.items():
+    CASES += [
+        (f"{_name}_bands", _name, ["bands", "--k-start=" + _k0, "--k-end=" + _k1,
+                                   "--samples", "4", "--cutoff", _cut, "--out", "{out}.csv"],
+         (".csv",)),
+        (f"{_name}_groupvel", _name, ["groupvel", "--k=" + _k, "--cutoff", _cut,
+                                      "--out", "{out}.csv"], (".csv",)),
+        (f"{_name}_effective", _name, ["effective", "--k=" + _k, "--cutoff", _cut,
+                                       "--out-prefix", "{out}"], (".csv", ".json")),
+    ]
+CASES += [
+    ("scalar1d_couple", "scalar1d", ["couple", "--k=1.2", "--m=-0.5", "--bands", "1,2",
+                                     "--supercells", "4,8,16", "--cutoff", "8",
+                                     "--out", "{out}.csv"], (".csv",)),
+    ("scalar2d_couple", "scalar2d", ["couple", "--k=0.9,0.4", "--m=-0.6,1.1",
+                                     "--supercells", "2,4,8", "--cutoff", "3",
+                                     "--out", "{out}.csv"], (".csv",)),
+    ("ergodic_dd", None, ["ergodic", "--out", "{out}.csv"], (".csv",)),
+    ("scalar1d_simulate", "scalar1d", ["simulate", "--k=1.5707963267948966", "--cutoff", "8",
+                                       "--epsilon", "0.125", "--sigma", "0.5", "--center", "2",
+                                       "--length", "5", "--points-per-cell", "16",
+                                       "--t-final", "0.5", "--frames", "5",
+                                       "--out-prefix", "{out}"],
+     ("_frames.csv", "_run.json")),
+]
+
+
+def _run(case, workdir: Path) -> dict:
+    """Run one case in ``workdir``; return {file name: text} of what it wrote."""
+    name, config, argv, suffixes = case
+    if config is None:
+        spec = workdir / "spec.json"
+        spec.write_text(json.dumps(ERGODIC_SPEC), encoding="utf-8")
+        argv = argv[:1] + ["--spec", str(spec)] + argv[1:]
+    else:
+        cfg = workdir / f"{config}.json"
+        cfg.write_text(json.dumps(CONFIGS[config]), encoding="utf-8")
+        argv = argv[:1] + ["--config", str(cfg)] + argv[1:]
+    argv = [a.replace("{out}", str(workdir / name)) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, f"{name}: exit {code}"
+    return {name + s: (workdir / (name + s)).read_text(encoding="utf-8") for s in suffixes}
+
+
+def _close(got: float, want: float) -> bool:
+    if math.isnan(want):
+        return math.isnan(got)
+    if math.isinf(want):
+        return got == want
+    return abs(got - want) <= REL_TOL * max(abs(want), 1.0)
+
+
+def _compare_csv(got: str, want: str, where: str):
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines), f"{where}: line count"
+    header_seen = False
+    for n, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if w.startswith("#") or not header_seen:
+            header_seen |= not w.startswith("#")
+            assert g == w, f"{where}:{n + 1}: {g!r} != {w!r}"
+            continue
+        gf, wf = g.split(","), w.split(",")
+        assert len(gf) == len(wf), f"{where}:{n + 1}: field count"
+        for gv, wv in zip(gf, wf):
+            try:
+                want_num = float(wv)
+            except ValueError:
+                assert gv == wv, f"{where}:{n + 1}: {gv!r} != {wv!r}"
+                continue
+            assert _close(float(gv), want_num), f"{where}:{n + 1}: {gv} != {wv}"
+
+
+def _compare_json(got, want, where: str):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), f"{where}: keys"
+        for key in want:
+            _compare_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: length"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _compare_json(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, (int, float)) and _close(float(got), want), f"{where}: {got} != {want}"
+    else:
+        assert got == want and type(got) is type(want), f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_golden_artifact(case, tmp_path):
+    for fname, text in _run(case, tmp_path).items():
+        want = (GOLDEN / fname).read_text(encoding="utf-8")
+        if fname.endswith(".json"):
+            _compare_json(json.loads(text), json.loads(want), fname)
+        else:
+            _compare_csv(text, want, fname)
+
+
+def _regenerate():
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            for fname, text in _run(case, Path(tmp)).items():
+                (GOLDEN / fname).write_text(text, encoding="utf-8", newline="\n")
+                print(f"wrote {GOLDEN / fname}")
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())
