@@ -7,16 +7,15 @@ from .bands import DispersionTable, group_velocity_fd, sweep_path
 from .bloch import (BlochMode, BlochOperator, assemble_operator, assemble_schrodinger_operator,
                     assemble_vector_operator, assemble_wave_operator, check_nondegenerate,
                     solve_at, solve_bands)
-from .effective import (CouplingReport, EffectiveCoefficients, EnvelopeEquation, SpacetimeMatrix,
-                        are_equivalent, build_spacetime_matrix, coupling_coefficients,
-                        effective_coefficients, effective_coefficients_scalar,
-                        effective_coefficients_schrodinger, effective_coefficients_vector,
-                        envelope_equation)
+from .effective import (CouplingReport, EffectiveCoefficients, EnvelopeEquation, are_equivalent,
+                        coupling_coefficients, effective_coefficients,
+                        effective_coefficients_scalar, effective_coefficients_schrodinger,
+                        effective_coefficients_vector, envelope_equation)
 from .ergodic import (PeriodicSignal1D, WindowAverageResult, avg_derivative_product,
                       avg_modulated_1d, avg_modulated_dd, avg_product_periodic)
 from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import Cell, FourierField
-from .medium import (ScalarWaveMedium, SchrodingerBlocks, VectorWaveMedium,
+from .medium import (ScalarWaveMedium, SchrodingerBlocks, Symbol, VectorWaveMedium,
                      build_scalar_medium, build_schrodinger_blocks, build_vector_medium,
                      maxwell_tensor_from_permeability, medium_from_descriptor, sample_on_grid)
 from .simulate import (EnvelopeFrames, GaussianEnvelope, GridSpec, SimulationRecord, WavePacketIC,

@@ -84,6 +84,8 @@ def group_velocity_fd(medium, k, band: int, cutoff: int, step: float | None = No
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if step is None:
         step = 1e-4 * TWO_PI / min(cell.lengths)
+    elif not (np.isfinite(step) and step > 0):
+        raise ValidationError(f"step must be finite and positive, got {step}")
     _omega_at(medium, k, band, cutoff, gap_tol, "center")
     v = np.empty(cell.dims)
     for ax in range(cell.dims):

@@ -2,12 +2,16 @@
 
 Basis: cell-periodic plane waves e^{2*pi*i n.(xi/lambda)} enumerated in
 lexicographic order of the multi-index n (components slowest axis first,
-each running -cutoff..cutoff).  Stiffness entries for the wave families are
+each running -cutoff..cutoff).  One assembler, :func:`assemble_operator`,
+reads the medium's constitutive symbol (:class:`hfh.medium.Symbol`).  Its
+spatial entries give the stiffness
 
     A[n, n'] = (k + 2*pi*n/lambda) . a_hat[n - n'] . (k + 2*pi*n'/lambda)
 
-and the mass matrix is B[n, n'] = b_hat[n - n'], both Hermitian by
-construction.
+and, for the wave families, its time entries the mass matrix
+B[n, n'] = b_hat[n - n'], both Hermitian by construction.  The schrodinger
+family's first- and zeroth-order terms join A, which becomes H(k).  The
+three ``assemble_*_operator`` functions check the medium type and call it.
 
 Carrier conventions for the stored cell-periodic amplitudes:
 
@@ -31,7 +35,7 @@ import scipy.linalg
 
 from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import TWO_PI, Cell, FourierField
-from .medium import ScalarWaveMedium, SchrodingerBlocks, VectorWaveMedium
+from .medium import MEDIUM_TYPES, ScalarWaveMedium, SchrodingerBlocks, VectorWaveMedium
 
 RESIDUAL_TOL = 1e-9
 EIG_CLAMP = -1e-10
@@ -140,6 +144,8 @@ def _as_k(cell: Cell, k) -> np.ndarray:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape != (cell.dims,):
         raise ValidationError(f"k must have {cell.dims} component(s)")
+    if not np.all(np.isfinite(k)):
+        raise ValidationError(f"k must be finite, got {k}")
     return k
 
 
@@ -152,116 +158,105 @@ def _truncation_notes(medium_cutoff: int, cutoff: int) -> tuple:
     return ()
 
 
-def _mirror_hermitian(m: np.ndarray) -> np.ndarray:
-    """Make the float matrix exactly Hermitian by mirroring the upper triangle.
+def _mirror_hermitian(m: np.ndarray) -> None:
+    """Make the float matrix exactly Hermitian in place by mirroring its upper triangle.
 
     The exact Galerkin matrix is Hermitian entry-for-entry; evaluating each
     entry once and mirroring removes the ~1e-12 asymmetry that float
     non-associativity would otherwise leave at large cutoffs.  Entry values in
-    the upper triangle are untouched.
+    the upper triangle are untouched; the diagonal loses its imaginary part.
     """
-    upper = np.triu(m, 1)
-    return upper + upper.conj().T + np.diag(np.real(np.diag(m)))
+    np.copyto(m, m.conj().T, where=np.tri(len(m), k=-1, dtype=bool))
+    np.fill_diagonal(m.imag, 0.0)
 
 
-def assemble_wave_operator(medium: ScalarWaveMedium, k, cutoff: int) -> BlochOperator:
-    """Galerkin Bloch pencil for the scalar wave family at wavevector k."""
-    if not isinstance(medium, ScalarWaveMedium):
-        raise ValidationError("assemble_wave_operator expects a scalar wave medium")
+def _sandwich(kg: np.ndarray, j: int, block: np.ndarray, l: int) -> np.ndarray:
+    """(k+G)_j block (k+G')_l for spatial slots j, l >= 1, in one temporary."""
+    out = kg[:, None, j - 1] * block
+    out *= kg[None, :, l - 1]
+    return out
+
+
+def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
+    """Galerkin Bloch operator of any medium, read off its constitutive symbol.
+
+    A C entry with spatial slots j, l >= 1 adds (k+G)_j f_hat[n - n'] (k+G')_l
+    to the (i, k) component block of A (in one pass with its transposed
+    entry C_ilkj when the two share one field); the wave families' time entries
+    C_i0k0 = -b_ik give B = -C_hat.  The schrodinger family has no B: its
+    first-order terms (M_l / i)_hat (k+G')_l and its c_hat join A, which is
+    then divided by beta0 = (mean M_0) / i, so A is the Hamiltonian H(k).
+    """
+    if not isinstance(medium, MEDIUM_TYPES):
+        raise ValidationError(f"unknown medium type {type(medium).__name__}")
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
     cell = medium.cell
+    wave = medium.family != "schrodinger"
+    if not wave and cell.dims > 2:
+        raise UnsupportedScaleError("schrodinger solves support d <= 2")
     k = _as_k(cell, k)
+    sym = medium.symbol
+    if not wave:
+        beta0 = medium.beta0
+        if beta0 == 0.0:
+            raise ValidationError("b_block time component has no imaginary part; omega cannot be isolated")
     basis = _basis_indices(cell.dims, cutoff)
     kg = _k_plus_g(cell, basis, k)
-    A = np.zeros((len(basis), len(basis)), dtype=np.complex128)
-    for (i, j) in medium.a.indices():
-        if i > j:
-            continue
-        block = _lag_block(medium.a[(i, j)], cutoff)
-        term = kg[:, None, i] * block * kg[None, :, j]
-        A += term if i == j else term + kg[:, None, j] * block * kg[None, :, i]
-    B = _lag_block(medium.b, cutoff)
+    nb = len(basis)
+    A = np.zeros((sym.n_comp * nb,) * 2, dtype=np.complex128)
+    B = np.zeros(A.shape, dtype=np.complex128) if wave else None
+    uses = {}  # id(field) -> (field, its C entries): one lag block per distinct field
+    for idx, f in sym.C.items():
+        uses.setdefault(id(f), (f, []))[1].append(idx)
+    for f, entries in uses.values():
+        block = _lag_block(f, cutoff)
+        for (i, j, kk, l) in entries:
+            part = (slice(i * nb, (i + 1) * nb), slice(kk * nb, (kk + 1) * nb))
+            if wave and not (j or l):
+                B[part] -= block
+            elif not (j and l):
+                raise ValidationError(f"C entry {(i, j, kk, l)} has no term in the Bloch operator")
+            elif j == l or sym.C.get((i, l, kk, j)) is not f:
+                A[part] += _sandwich(kg, j, block, l)
+            elif j < l:  # the transposed entry C_ilkj shares f: add both terms in one pass
+                term = _sandwich(kg, j, block, l)
+                term += _sandwich(kg, l, block, j)
+                A[part] += term
+    if not wave:
+        for l, f in sym.M.items():
+            if l:
+                A += _lag_block(FourierField(cell, f.coeffs / 1j), cutoff) * kg[None, :, l - 1]
+        for f in sym.c.values():
+            A += _lag_block(f, cutoff)
+        A /= beta0
+    _mirror_hermitian(A)
+    if wave:
+        _mirror_hermitian(B)
     notes = _truncation_notes(medium.cutoff, cutoff)
-    return BlochOperator("scalar-wave", k, cell, basis, 1, _mirror_hermitian(A),
-                         _mirror_hermitian(B), cutoff, medium.fingerprint, notes)
+    return BlochOperator(medium.family, k, cell, basis, sym.n_comp, A, B, cutoff,
+                         medium.fingerprint, notes)
+
+
+def assemble_wave_operator(medium: ScalarWaveMedium, k, cutoff: int) -> BlochOperator:
+    """Galerkin Bloch pencil A v = omega^2 B v for the scalar wave family at wavevector k."""
+    if not isinstance(medium, ScalarWaveMedium):
+        raise ValidationError("assemble_wave_operator expects a scalar wave medium")
+    return assemble_operator(medium, k, cutoff)
 
 
 def assemble_vector_operator(medium: VectorWaveMedium, k, cutoff: int) -> BlochOperator:
     """Block Galerkin pencil for the n-component vector wave family (component-major)."""
     if not isinstance(medium, VectorWaveMedium):
         raise ValidationError("assemble_vector_operator expects a vector wave medium")
-    if cutoff < 1:
-        raise ValidationError("cutoff must be at least 1")
-    cell = medium.cell
-    k = _as_k(cell, k)
-    n = medium.n_comp
-    basis = _basis_indices(cell.dims, cutoff)
-    kg = _k_plus_g(cell, basis, k)
-    nb = len(basis)
-    A = np.zeros((n * nb, n * nb), dtype=np.complex128)
-    B = np.zeros_like(A)
-    for (i, j, kk, l) in medium.a.indices():
-        block = _lag_block(medium.a[(i, j, kk, l)], cutoff)
-        A[i * nb:(i + 1) * nb, kk * nb:(kk + 1) * nb] += kg[:, None, j] * block * kg[None, :, l]
-    for (i, kk) in medium.b.indices():
-        B[i * nb:(i + 1) * nb, kk * nb:(kk + 1) * nb] += _lag_block(medium.b[(i, kk)], cutoff)
-    notes = _truncation_notes(medium.cutoff, cutoff)
-    return BlochOperator("vector-wave", k, cell, basis, n, _mirror_hermitian(A),
-                         _mirror_hermitian(B), cutoff, medium.fingerprint, notes)
+    return assemble_operator(medium, k, cutoff)
 
 
 def assemble_schrodinger_operator(blocks: SchrodingerBlocks, k, cutoff: int) -> BlochOperator:
-    """Hermitian Bloch Hamiltonian H(k) of the reduced first-order system.
-
-    Substituting the carrier into the cell equation gives H(k) W = omega W with
-    kinetic term from the spatial a-block, magnetic term from Im(b_block)
-    acting on the shifted gradient, potential from the c-block, and the time
-    component of b isolating omega.
-    """
+    """Hermitian Bloch Hamiltonian H(k) of the reduced first-order system."""
     if not isinstance(blocks, SchrodingerBlocks):
         raise ValidationError("assemble_schrodinger_operator expects SchrodingerBlocks")
-    if cutoff < 1:
-        raise ValidationError("cutoff must be at least 1")
-    cell = blocks.cell
-    if cell.dims > 2:
-        raise UnsupportedScaleError("schrodinger solves support d <= 2")
-    k = _as_k(cell, k)
-    beta0 = blocks.beta0
-    if beta0 == 0.0:
-        raise ValidationError("b_block time component has no imaginary part; omega cannot be isolated")
-    basis = _basis_indices(cell.dims, cutoff)
-    kg = _k_plus_g(cell, basis, k)
-    nb = len(basis)
-    H = np.zeros((nb, nb), dtype=np.complex128)
-    d = cell.dims
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if (i, j) not in blocks.a_block.comps:
-                continue
-            block = _lag_block(blocks.a_block[(i, j)], cutoff)
-            H += -kg[:, None, i - 1] * block * kg[None, :, j - 1]
-    for j in range(1, d + 1):
-        bj = blocks.b_block[(j,)]
-        beta_j = bj - bj.conjugate()  # 2i Im(b_j), a real field beta times i
-        beta = FourierField(cell, beta_j.coeffs / 1j)
-        H += -_lag_block(beta, cutoff) * kg[None, :, j - 1]
-    H += -_lag_block(blocks.c_block, cutoff)
-    H /= -beta0
-    notes = _truncation_notes(blocks.cutoff, cutoff)
-    return BlochOperator("schrodinger", k, cell, basis, 1, _mirror_hermitian(H), None,
-                         cutoff, blocks.fingerprint, notes)
-
-
-def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
-    """Dispatch assembly on the medium type."""
-    if isinstance(medium, ScalarWaveMedium):
-        return assemble_wave_operator(medium, k, cutoff)
-    if isinstance(medium, VectorWaveMedium):
-        return assemble_vector_operator(medium, k, cutoff)
-    if isinstance(medium, SchrodingerBlocks):
-        return assemble_schrodinger_operator(medium, k, cutoff)
-    raise ValidationError(f"unknown medium type {type(medium).__name__}")
+    return assemble_operator(blocks, k, cutoff)
 
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:

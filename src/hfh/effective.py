@@ -4,6 +4,13 @@ All cell integrals are evaluated spectrally (Parseval sums over Fourier
 coefficients), so the carrier exponentials cancel identically and the
 supercell-to-cell collapse for self-coupling is exact, not approximate.
 
+One kernel, :func:`_transport`, reads the medium's constitutive symbol
+(:class:`hfh.medium.Symbol`) and forms the first-order solvability
+integrand slot by slot for every family.  The transport coefficients take
+its cell means, and the coupling averages take its integrand fields on
+supercells.  The ``effective_coefficients_*`` functions check the medium
+type and call :func:`effective_coefficients`.
+
 Carrier conventions follow :mod:`hfh.bloch`: wave families use
 U0 = V0 e^{-i(k.xi - omega xi0)} (so the time slot gives d_0 = -2i*omega
 under b-weighted normalization) and the schrodinger family uses
@@ -12,6 +19,7 @@ U0 = W e^{+i(k.xi - omega xi0)} (so d_0 = -i under unit normalization).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,66 +27,12 @@ import numpy as np
 from .bloch import BlochMode, check_nondegenerate
 from .errors import NumericalError, ValidationError
 from .fourier import TWO_PI, FourierField, product_mean, window_factor
-from .medium import ScalarWaveMedium, SchrodingerBlocks, VectorWaveMedium
+from .medium import MEDIUM_TYPES, ScalarWaveMedium, SchrodingerBlocks, VectorWaveMedium
 
 RESONANCE_TOL = 1e-9
 OMEGA_FLOOR = 1e-8
 D0_FLOOR = 1e-10
 ZERO_FLOOR = 1e-14
-
-
-# ---------------------------------------------------------------------------
-# spacetime coefficient matrix
-
-
-class SpacetimeMatrix:
-    """The (d+1)-indexed coefficient matrix C of the first-order-in-X form.
-
-    Scalar case: C = diag(-b, a); vector case: C_i0k0 = -b_ik, spatial block
-    a_ijkl, mixed entries zero; schrodinger case: the a-block itself.  Entries
-    share the medium's Fourier tables (no resampling); time-row/column zeros
-    are represented structurally.
-    """
-
-    def __init__(self, medium):
-        self.medium = medium
-        self.family = medium.family
-        self.cell = medium.cell
-        self._zero = FourierField.zeros(medium.cell, 0)
-        if isinstance(medium, ScalarWaveMedium):
-            self.n_comp = 1
-        elif isinstance(medium, VectorWaveMedium):
-            self.n_comp = medium.n_comp
-        elif isinstance(medium, SchrodingerBlocks):
-            self.n_comp = 1
-        else:
-            raise ValidationError(f"unknown medium type {type(medium).__name__}")
-
-    def scalar_entry(self, i: int, j: int) -> FourierField:
-        """C_ij for the scalar and schrodinger families, i, j in 0..d."""
-        if isinstance(self.medium, ScalarWaveMedium):
-            if i == 0 and j == 0:
-                return -1.0 * self.medium.b
-            if i == 0 or j == 0:
-                return self._zero
-            return self.medium.a[(i - 1, j - 1)]
-        if isinstance(self.medium, SchrodingerBlocks):
-            return self.medium.a_block[(i, j)]
-        raise ValidationError("scalar_entry applies to scalar/schrodinger media")
-
-    def vector_entry(self, i: int, j: int, k: int, l: int) -> FourierField:
-        """C_ijkl for the vector family: i, k components (0-based), j, l in 0..d."""
-        if not isinstance(self.medium, VectorWaveMedium):
-            raise ValidationError("vector_entry applies to vector media")
-        if j == 0 and l == 0:
-            return -1.0 * self.medium.b[(i, k)]
-        if j == 0 or l == 0:
-            return self._zero
-        return self.medium.a[(i, j - 1, k, l - 1)]
-
-
-def build_spacetime_matrix(medium) -> SpacetimeMatrix:
-    return SpacetimeMatrix(medium)
 
 
 # ---------------------------------------------------------------------------
@@ -122,112 +76,91 @@ def _finalize(mode: BlochMode, d: np.ndarray) -> EffectiveCoefficients:
     return EffectiveCoefficients(mode.family, mode.k.copy(), mode.omega, mode.band, d, v)
 
 
-def effective_coefficients_scalar(mode: BlochMode, medium: ScalarWaveMedium) -> EffectiveCoefficients:
-    """Unit-cell transport coefficients of the scalar wave envelope equation.
+def _transport(symbol, left: BlochMode, right: BlochMode, sign: int, pair) -> list:
+    """Slot sums of the first-order solvability integrand of ``symbol``, slots 0..d.
 
-    d_j = sum_i (1/|cell|) int U0^* (2 C_ij dU0/dxi_i + (dC_ij/dxi_i) U0)
-    with the carriers cancelled analytically, leaving exact Fourier sums.
+    With V_k the amplitudes of ``right``, conj(V_i) those of ``left`` and
+    <f, g> = pair(f, g), each entry C_ipkq adds <d_p C, conj(V_i) V_k> (p >= 1)
+    and <C, conj(V_i) D_p V_k> to slot q, and <C, conj(V_i) D_q V_k> to slot p;
+    each M_l adds <M_l, |V|^2> to slot l.  D_j = d/dxi_j + i sign k_j and the
+    time slot D_0 = -sign i omega is a scalar factor (sign -1 for the wave
+    carriers, +1 for the schrodinger carrier; k, omega those of ``right``).
+    Each product conj(V_i) D_p V_k is formed once, and a diagonal entry
+    (p = q) adds its one product doubled.
     """
-    if mode.family != "scalar-wave" or not isinstance(medium, ScalarWaveMedium):
-        raise ValidationError("effective_coefficients_scalar expects a scalar-wave mode and medium")
-    if mode.medium_key != medium.fingerprint:
-        raise ValidationError("mode was solved on a different medium")
-    _require_usable(mode, wave=True)
-    C = build_spacetime_matrix(medium)
-    dim = medium.cell.dims
-    V = mode.amplitude_field(0)
-    Vc = V.conjugate()
-    VV = Vc * V
-    DV = [V.gauge_derivative(ax, -mode.k[ax]) for ax in range(dim)]
-    d = np.zeros(dim + 1, dtype=np.complex128)
-    d[0] = 2j * mode.omega * product_mean(C.scalar_entry(0, 0), VV)
-    for j in range(1, dim + 1):
-        acc = 0.0 + 0.0j
-        for i in range(1, dim + 1):
-            c_ij = C.scalar_entry(i, j)
-            acc += 2.0 * product_mean(c_ij, Vc * DV[i - 1])
-            acc += product_mean(c_ij.derivative(i - 1), VV)
-        d[j] = acc
-    return _finalize(mode, d)
+    Vc = [left.amplitude_field(i).conjugate() for i in range(left.components)]
+    V = [right.amplitude_field(k) for k in range(right.components)]
+    d0 = -sign * 1j * right.omega
+    products = {}
 
+    def product(i, k, p):  # conj(V_i) D_p V_k, without the scalar D_0
+        if (i, k, p) not in products:
+            g = V[k].gauge_derivative(p - 1, sign * right.k[p - 1]) if p else V[k]
+            products[(i, k, p)] = Vc[i] * g
+        return products[(i, k, p)]
 
-def effective_coefficients_vector(mode: BlochMode, medium: VectorWaveMedium) -> EffectiveCoefficients:
-    """Transport coefficients for the n-component system (all slots l = 0..d).
+    def term(f, i, k, p, times=1):  # times * pair(f, conj(V_i) D_p V_k)
+        scale = times if p else times * d0
+        t = pair(f, product(i, k, p))
+        return t if scale == 1 else scale * t
 
-    d_l = (1/|cell|) int sum_j sum_ik [ (dC_ijkl/dxi_j) U0^k U0^i* +
-    (C_ijkl + C_ilkj) (dU0^k/dxi_j) U0^i* ]; the l = 0 slot is kept because
-    the envelope velocity is the ratio d_l / d_0.
-    """
-    if mode.family != "vector-wave" or not isinstance(medium, VectorWaveMedium):
-        raise ValidationError("effective_coefficients_vector expects a vector-wave mode and medium")
-    if mode.medium_key != medium.fingerprint:
-        raise ValidationError("mode was solved on a different medium")
-    _require_usable(mode, wave=True)
-    C = build_spacetime_matrix(medium)
-    dim = medium.cell.dims
-    n = medium.n_comp
-    V = [mode.amplitude_field(c) for c in range(n)]
-    Vc = [f.conjugate() for f in V]
-    DV = [[V[c].gauge_derivative(ax, -mode.k[ax]) for ax in range(dim)] for c in range(n)]
-    d = np.zeros(dim + 1, dtype=np.complex128)
-    for i in range(n):
-        for kk in range(n):
-            cross = Vc[i] * V[kk]
-            d[0] += 2j * mode.omega * product_mean(C.vector_entry(i, 0, kk, 0), cross)
-            for l in range(1, dim + 1):
-                for j in range(1, dim + 1):
-                    c_ijkl = C.vector_entry(i, j, kk, l)
-                    c_ilkj = C.vector_entry(i, l, kk, j)
-                    d[l] += product_mean(c_ijkl.derivative(j - 1), cross)
-                    d[l] += product_mean(c_ijkl + c_ilkj, Vc[i] * DV[kk][j - 1])
-    return _finalize(mode, d)
+    out = [None] * (left.cell.dims + 1)
 
+    def add(slot, t):
+        out[slot] = t if out[slot] is None else out[slot] + t
 
-def effective_coefficients_schrodinger(mode: BlochMode, blocks: SchrodingerBlocks) -> EffectiveCoefficients:
-    """Transport coefficients for the constitutive family, with the coupling-field term.
-
-    The reduced formula carries an extra term from the complex coupling field
-    b: d_j picks up (1/|cell|) int (b_j - b_j^*) |U0|^2 beyond the C-terms.
-    (Re-deriving the first-order solvability condition gives the b_j - b_j^*
-    combination; with it, d_0 = -i under unit normalization and the ratio
-    identity against the dispersion gradient holds.)
-    """
-    if mode.family != "schrodinger" or not isinstance(blocks, SchrodingerBlocks):
-        raise ValidationError("effective_coefficients_schrodinger expects a schrodinger mode and blocks")
-    if mode.medium_key != blocks.fingerprint:
-        raise ValidationError("mode was solved on different blocks")
-    _require_usable(mode, wave=False)
-    C = build_spacetime_matrix(blocks)
-    dim = blocks.cell.dims
-    W = mode.amplitude_field(0)
-    Wc = W.conjugate()
-    WW = Wc * W
-    DW = [W.gauge_derivative(ax, +mode.k[ax]) for ax in range(dim)]
-    d = np.zeros(dim + 1, dtype=np.complex128)
-    for j in range(dim + 1):
-        acc = 0.0 + 0.0j
-        c_0j = C.scalar_entry(0, j)
-        if np.any(c_0j.coeffs):
-            acc += 2.0 * (-1j * mode.omega) * product_mean(c_0j, WW)
-        for i in range(1, dim + 1):
-            c_ij = C.scalar_entry(i, j)
-            acc += 2.0 * product_mean(c_ij, Wc * DW[i - 1])
-            acc += product_mean(c_ij.derivative(i - 1), WW)
-        b_j = blocks.b_block[(j,)]
-        acc += product_mean(b_j - b_j.conjugate(), WW)
-        d[j] = acc
-    return _finalize(mode, d)
+    for (i, p, k, q), f in symbol.C.items():
+        if p:
+            add(q, pair(f.derivative(p - 1), product(i, k, 0)))
+        if p == q:
+            add(q, term(f, i, k, p, times=2))
+        else:
+            add(q, term(f, i, k, p))
+            add(p, term(f, i, k, q))
+    for l, f in symbol.M.items():
+        add(l, pair(f, product(0, 0, 0)))
+    return out
 
 
 def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
-    """Dispatch on the medium family."""
-    if isinstance(medium, ScalarWaveMedium):
-        return effective_coefficients_scalar(mode, medium)
-    if isinstance(medium, VectorWaveMedium):
-        return effective_coefficients_vector(mode, medium)
-    if isinstance(medium, SchrodingerBlocks):
-        return effective_coefficients_schrodinger(mode, medium)
-    raise ValidationError(f"unknown medium type {type(medium).__name__}")
+    """Unit-cell transport coefficients d_0..d_d of any family, from its symbol.
+
+    The carriers cancel analytically, so each d_l is an exact Fourier sum:
+    the slot-l sum of :func:`_transport` with pair = cell mean of the
+    product.  Under the stored normalization d_0 = -2i*omega for the wave
+    families and -i for the schrodinger family.
+    """
+    if not isinstance(medium, MEDIUM_TYPES):
+        raise ValidationError(f"unknown medium type {type(medium).__name__}")
+    if mode.family != medium.family:
+        raise ValidationError(f"a {mode.family} mode needs a {mode.family} medium, not {medium.family}")
+    if mode.medium_key != medium.fingerprint:
+        raise ValidationError("mode was solved on a different medium")
+    wave = medium.family != "schrodinger"
+    _require_usable(mode, wave)
+    d = np.array(_transport(medium.symbol, mode, mode, -1 if wave else 1, product_mean))
+    return _finalize(mode, d)
+
+
+def effective_coefficients_scalar(mode: BlochMode, medium: ScalarWaveMedium) -> EffectiveCoefficients:
+    """Transport coefficients of the scalar wave envelope equation."""
+    if not isinstance(medium, ScalarWaveMedium):
+        raise ValidationError("effective_coefficients_scalar expects a scalar-wave mode and medium")
+    return effective_coefficients(mode, medium)
+
+
+def effective_coefficients_vector(mode: BlochMode, medium: VectorWaveMedium) -> EffectiveCoefficients:
+    """Transport coefficients of the n-component wave system."""
+    if not isinstance(medium, VectorWaveMedium):
+        raise ValidationError("effective_coefficients_vector expects a vector-wave mode and medium")
+    return effective_coefficients(mode, medium)
+
+
+def effective_coefficients_schrodinger(mode: BlochMode, blocks: SchrodingerBlocks) -> EffectiveCoefficients:
+    """Transport coefficients of the schrodinger family, with the coupling-field term M."""
+    if not isinstance(blocks, SchrodingerBlocks):
+        raise ValidationError("effective_coefficients_schrodinger expects a schrodinger mode and blocks")
+    return effective_coefficients(mode, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +253,11 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWave
         raise ValidationError("supercell counts must be positive integers")
     if time_window is None:
         time_window = TWO_PI / max(mode1.omega, mode2.omega, 1.0)
+    elif not (np.isfinite(time_window) and time_window > 0):
+        raise ValidationError(f"time window must be finite and positive, got {time_window}")
 
     cell = medium.cell
-    dim = cell.dims
-    C = build_spacetime_matrix(medium)
     modes = {1: mode1, 2: mode2}
-    fields = {}
-    for idx, m in modes.items():
-        V = m.amplitude_field(0)
-        fields[idx] = (V, V.conjugate(),
-                       [V.gauge_derivative(ax, -m.k[ax]) for ax in range(dim)])
-
     resonant = (abs(mode1.omega - mode2.omega) <= RESONANCE_TOL
                 and _wavevector_resonant(mode1.k - mode2.k, cell))
 
@@ -342,19 +269,9 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWave
     for p in (1, 2):
         for l in (1, 2):
             mp, ml = modes[p], modes[l]
-            Vl, _, DVl = fields[l]
-            _, Vpc, _ = fields[p]
             domega = ml.omega - mp.omega
             dk = ml.k - mp.k
-            cross = Vpc * Vl
-            g_fields = [2j * ml.omega * (C.scalar_entry(0, 0) * cross)]
-            for j in range(1, dim + 1):
-                acc = None
-                for i in range(1, dim + 1):
-                    c_ij = C.scalar_entry(i, j)
-                    t = 2.0 * (c_ij * (Vpc * DVl[i - 1])) + (c_ij.derivative(i - 1) * cross)
-                    acc = t if acc is None else acc + t
-                g_fields.append(acc)
+            g_fields = _transport(medium.symbol, mp, ml, -1, operator.mul)
             for j, G in enumerate(g_fields):
                 vals = np.array([_supercell_average(G, domega, dk, time_window, n) for n in counts])
                 lim = _structural_limit(G, domega, dk)

@@ -4,7 +4,9 @@ Media are stored as truncated Fourier series (see :mod:`hfh.fourier`), so
 piecewise-constant phases keep analytic coefficients and all downstream
 operator assembly is exact convolution.  A medium *is* its truncated series:
 every consumer (Bloch assembly, cell integrals, time stepping) reads the same
-coefficient tables.
+coefficient tables.  Bloch assembly and the transport integrals read them
+through one :class:`Symbol` per medium, so the three families share one
+assembler and one transport formula.
 
 Field specs accepted by the builders (and by the JSON descriptor):
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +175,24 @@ def _digest(kind: str, cell: Cell, parts) -> str:
 
 
 @dataclass(frozen=True)
+class Symbol:
+    """Constitutive symbol P(K) = -K.C.K - M.K - c of a medium at K = (-omega, k + G).
+
+    ``C[(i, j, k, l)]`` couples components i and k through spacetime slots
+    j and l, where slot 0 is time and slot j >= 1 is spatial axis j - 1.
+    ``M[l]`` is the first-order term b_l - conj(b_l) of slot l, and
+    ``c[(i, k)]`` the zeroth-order term.  Absent entries are zero.  Entries
+    are the medium's own Fourier fields, except the -b time entries of the
+    wave families.
+    """
+
+    n_comp: int
+    C: dict
+    M: dict = field(default_factory=dict)
+    c: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class ScalarWaveMedium:
     """Scalar wave equation div(a grad u) = b u_tt with matrix a and scalar b."""
 
@@ -184,6 +205,13 @@ class ScalarWaveMedium:
     @property
     def family(self) -> str:
         return "scalar-wave"
+
+    @cached_property
+    def symbol(self) -> Symbol:
+        """C_0000 = -b and C_0,j+1,0,l+1 = a_jl."""
+        C = {(0, 0, 0, 0): -self.b}
+        C.update({(0, j + 1, 0, l + 1): self.a[(j, l)] for (j, l) in self.a.indices()})
+        return Symbol(1, C)
 
 
 @dataclass(frozen=True)
@@ -200,6 +228,14 @@ class VectorWaveMedium:
     @property
     def family(self) -> str:
         return "vector-wave"
+
+    @cached_property
+    def symbol(self) -> Symbol:
+        """C_i0k0 = -b_ik and C_i,j+1,k,l+1 = a_ijkl."""
+        C = {(i, 0, k, 0): -self.b[(i, k)] for (i, k) in self.b.indices()}
+        C.update({(i, j + 1, k, l + 1): self.a[(i, j, k, l)]
+                  for (i, j, k, l) in self.a.indices()})
+        return Symbol(self.n_comp, C)
 
 
 @dataclass(frozen=True)
@@ -227,8 +263,18 @@ class SchrodingerBlocks:
 
     @property
     def beta0(self) -> float:
-        """2*Im(b_0): coefficient of the time derivative in the reduced Bloch equation."""
-        return 2.0 * float(np.imag(self.b_block[(0,)].mean()))
+        """(mean M_0)/i = 2*Im(b_0): coefficient of omega in the reduced Bloch equation."""
+        return float((self.symbol.M[0].mean() / 1j).real)
+
+    @cached_property
+    def symbol(self) -> Symbol:
+        """C = a_block, M_l = b_l - conj(b_l) for l = 0..d, and c = c_block."""
+        C = {(0, j, 0, l): self.a_block[(j, l)] for (j, l) in self.a_block.indices()}
+        b = [self.b_block[(l,)] for l in range(self.cell.dims + 1)]
+        return Symbol(1, C, {l: f - f.conjugate() for l, f in enumerate(b)}, {(0, 0): self.c_block})
+
+
+MEDIUM_TYPES = (ScalarWaveMedium, VectorWaveMedium, SchrodingerBlocks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hfh import medium
+from hfh import checks, medium
 from hfh.fourier import Cell
 
 
@@ -16,22 +16,21 @@ def const_medium(cell1d):
 
 
 @pytest.fixture(scope="session")
-def two_phase(cell1d):
+def two_phase():
     # a: 1 on [0, 0.5), 4 on [0.5, 1); b = 1
-    return medium.build_scalar_medium(medium.piecewise([0.0, 0.5], [1.0, 4.0]), 1.0, cell1d, 16)
+    return checks._two_phase_medium(16)
 
 
 @pytest.fixture(scope="session")
-def two_phase_coarse(cell1d):
+def two_phase_coarse():
     # same phases, lower band limit; used for the fine-grid time-domain runs
-    return medium.build_scalar_medium(medium.piecewise([0.0, 0.5], [1.0, 4.0]), 1.0, cell1d, 8)
+    return checks._two_phase_medium(8)
 
 
 @pytest.fixture(scope="session")
-def mathieu_blocks(cell1d):
+def mathieu_blocks():
     # V(x) = 2 cos(2 pi x), m = 1/2, e = 1, no magnetic potential
-    return medium.build_schrodinger_blocks(0.5, 1.0, medium.cosine(0.0, [((1,), 2.0)]),
-                                           None, cell1d, 16)
+    return checks._mathieu_blocks(16)
 
 
 @pytest.fixture(scope="session")

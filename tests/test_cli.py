@@ -158,6 +158,28 @@ def test_exit_codes(config, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["groupvel", "--k", "nan", "--out", "{out}"],
+    ["effective", "--k", "inf", "--out-prefix", "{out}"],
+    ["bands", "--k-start", "0.1", "--k-end", "nan", "--out", "{out}"],
+    ["groupvel", "--k", "1.0", "--step", "0", "--out", "{out}"],
+    ["groupvel", "--k", "1.0", "--step", "nan", "--out", "{out}"],
+    ["couple", "--k", "1.2", "--m", "0.5", "--time-window", "0", "--out", "{out}"],
+    ["couple", "--k", "1.2", "--m", "0.5", "--time-window", "-3", "--out", "{out}"],
+    ["couple", "--k", "1.2", "--m", "0.5", "--time-window", "nan", "--out", "{out}"],
+], ids=["k-nan", "k-inf", "k-end-nan", "step-0", "step-nan", "window-0", "window-neg",
+        "window-nan"])
+def test_bad_numbers_rejected(argv, config, tmp_path):
+    # a non-finite k, FD step or time window is a validation error: exit 1, no artifact
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli([a.replace("{out}", str(out)) for a in argv] + ["--config", config])
+    assert code == 1
+    assert err.getvalue().startswith("error: ")
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_outputs_are_deterministic(config, tmp_path):
     args = ["bands", "--config", config, "--k-start", "0.1", "--k-end", "3.0",
             "--samples", "20", "--band", "1"]
