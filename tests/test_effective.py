@@ -6,18 +6,22 @@ from hfh.errors import NumericalError, ValidationError
 from hfh.fourier import Cell
 
 
-def test_medium_symbol(two_phase, vector_medium, mathieu_blocks):
+def test_spacetime_matrix_scalar_blocks(two_phase):
     C = two_phase.symbol.C
     assert np.array_equal(C[(0, 0, 0, 0)].coeffs, -two_phase.b.coeffs)
     assert C[(0, 1, 0, 1)] is two_phase.a[(0, 0)]  # shared Fourier data
     assert (0, 0, 0, 1) not in C and (0, 1, 0, 0) not in C  # no mixed time-space entry
 
+
+def test_spacetime_matrix_vector_blocks(vector_medium):
     C = vector_medium.symbol.C
     assert C[(0, 0, 0, 0)].mean() == -1.0  # -b_11
     assert C[(0, 0, 1, 0)].mean() == -0.15
     assert not any((j == 0) != (l == 0) for (_, j, _, l) in C)  # no mixed slot
     assert C[(0, 1, 1, 1)] is vector_medium.a[(0, 0, 1, 0)]
 
+
+def test_medium_symbol(mathieu_blocks):
     sym = mathieu_blocks.symbol
     assert sym.M[0].mean() == -1j
     assert sym.c[(0, 0)] is mathieu_blocks.c_block
