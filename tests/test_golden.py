@@ -6,13 +6,16 @@ lines, JSON keys and strings must match byte for byte; every number must
 match within 1e-12 * max(|x|, 1) of the stored value x.  The set covers the
 three equation families (1D and anisotropic 2D scalar, 2D vector, 1D and
 magnetic 2D Schrodinger) through ``bands``, ``groupvel`` and ``effective``,
-plus ``couple`` in 1D and 2D, one ``ergodic modulated_dd`` spec and one
+plus ``couple`` in 1D and 2D (one 2D pair resonant, its wavevectors one
+reciprocal step apart on one axis and equal on the other), one ``ergodic``
+spec each for ``modulated_dd``, ``modulated_1d`` and ``product``, and one
 short ``simulate``.
 
 A change meant to keep results leaves these files alone.  Rewrite them only
-for a change meant to move numbers, and say so in the change log:
+for a change meant to move numbers, and say so in the change log; name cases
+to write only those (a new case is written this way):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
 import contextlib
@@ -69,14 +72,40 @@ CONFIGS = {
         "potential": _cos(0.2, ((1, 0), 0.8, 0.0), ((0, 1), 0.5, 0.9), ((1, 1), 0.3, 0.0)),
         "magnetic": [_cos(0.3, ((0, 1), 0.4, 0.2)), _cos(-0.2, ((1, 0), 0.25, 1.0))],
     },
+    # smooth enough that band 1 at k and at k + (2 pi, 0) agree to ~1e-13 at cutoff 6
+    "resonant2d": {
+        "cell": [1.0, 1.3], "kind": "scalar", "cutoff": 1,
+        "a": {"type": "matrix", "entries": [[_cos(2.0, ((1, 0), 0.3, 0.3)), 0.2],
+                                            [0.2, _cos(1.5, ((0, 1), 0.2, 2.0))]]},
+        "b": _cos(1.0, ((1, 0), 0.1, 0.7)),
+    },
 }
 
-ERGODIC_SPEC = {
-    "op": "modulated_dd", "cell": [1.0, 1.2],
-    "f": {"terms": [{"n": [0, 0], "re": 0.5}, {"n": [1, -2], "re": 0.3, "im": -0.2},
-                    {"n": [-3, 1], "re": -0.7, "im": 0.4}, {"n": [2, 2], "im": 0.9}]},
-    "lambda": [0.9, -1.7],
-    "boxes": [[4.0, 3.0], [8.0, 6.0], [16.0, 12.0], [32.0, 24.0]],
+ERGODIC_SPECS = {
+    "ergodic_dd": {
+        "op": "modulated_dd", "cell": [1.0, 1.2],
+        "f": {"terms": [{"n": [0, 0], "re": 0.5}, {"n": [1, -2], "re": 0.3, "im": -0.2},
+                        {"n": [-3, 1], "re": -0.7, "im": 0.4}, {"n": [2, 2], "im": 0.9}]},
+        "lambda": [0.9, -1.7],
+        "boxes": [[4.0, 3.0], [8.0, 6.0], [16.0, 12.0], [32.0, 24.0]],
+    },
+    # b = -2 pi: resonant, and harmonic 1 meets b at exactly q = 0
+    "ergodic_1d": {
+        "op": "modulated_1d", "b": -6.283185307179586, "windows": [3.7, 7.9, 15.3, 31.1],
+        "f": {"period": 1.0, "harmonics": [
+            {"n": 0, "re": 0.4}, {"n": 1, "re": 0.3, "im": -0.1}, {"n": -1, "re": 0.3, "im": 0.1},
+            {"n": 2, "im": 0.25}, {"n": -3, "re": -0.6, "im": 0.2}]},
+    },
+    # T1/T2 = 2/3: harmonics 2 of f and -3 of g meet at exactly q = 0
+    "ergodic_product": {
+        "op": "product", "windows": [2.9, 6.1, 12.7, 25.3],
+        "f": {"period": 1.0, "harmonics": [
+            {"n": 1, "re": 0.5}, {"n": -1, "re": 0.5}, {"n": 2, "re": 0.2, "im": 0.3},
+            {"n": -2, "re": 0.2, "im": -0.3}]},
+        "g": {"period": 1.5, "harmonics": [
+            {"n": 0, "re": 0.4}, {"n": 3, "re": -0.35, "im": 0.1}, {"n": -3, "re": -0.35, "im": -0.1},
+            {"n": 1, "im": 0.7}]},
+    },
 }
 
 # per medium: band sweep start and end, the mode's k, the operator cutoff
@@ -88,7 +117,7 @@ _MODE_POINTS = {
     "schrodinger2d": ("0.2,0.3", "1.5,2.2", "0.8,0.5", "3"),
 }
 
-# (name, config name or None for the ergodic spec, argv with an {out} placeholder,
+# (name, name in CONFIGS or ERGODIC_SPECS, argv with an {out} placeholder,
 #  suffixes of the files written)
 CASES = []
 for _name, (_k0, _k1, _k, _cut) in _MODE_POINTS.items():
@@ -108,7 +137,12 @@ CASES += [
     ("scalar2d_couple", "scalar2d", ["couple", "--k=0.9,0.4", "--m=-0.6,1.1",
                                      "--supercells", "2,4,8", "--cutoff", "3",
                                      "--out", "{out}.csv"], (".csv",)),
-    ("ergodic_dd", None, ["ergodic", "--out", "{out}.csv"], (".csv",)),
+    ("resonant2d_couple", "resonant2d", ["couple", "--k=0.9,0.4", "--m=7.183185307179587,0.4",
+                                         "--supercells", "2,4,8", "--cutoff", "6",
+                                         "--out", "{out}.csv"], (".csv",)),
+    ("ergodic_dd", "ergodic_dd", ["ergodic", "--out", "{out}.csv"], (".csv",)),
+    ("ergodic_1d", "ergodic_1d", ["ergodic", "--out", "{out}.csv"], (".csv",)),
+    ("ergodic_product", "ergodic_product", ["ergodic", "--out", "{out}.csv"], (".csv",)),
     ("scalar1d_simulate", "scalar1d", ["simulate", "--k=1.5707963267948966", "--cutoff", "8",
                                        "--epsilon", "0.125", "--sigma", "0.5", "--center", "2",
                                        "--length", "5", "--points-per-cell", "16",
@@ -121,9 +155,9 @@ CASES += [
 def _run(case, workdir: Path) -> dict:
     """Run one case in ``workdir``; return {file name: text} of what it wrote."""
     name, config, argv, suffixes = case
-    if config is None:
+    if config in ERGODIC_SPECS:
         spec = workdir / "spec.json"
-        spec.write_text(json.dumps(ERGODIC_SPEC), encoding="utf-8")
+        spec.write_text(json.dumps(ERGODIC_SPECS[config]), encoding="utf-8")
         argv = argv[:1] + ["--spec", str(spec)] + argv[1:]
     else:
         cfg = workdir / f"{config}.json"
@@ -189,16 +223,21 @@ def test_golden_artifact(case, tmp_path):
             _compare_csv(text, want, fname)
 
 
-def _regenerate():
+def _regenerate(names):
     import tempfile
 
+    unknown = set(names) - {c[0] for c in CASES}
+    if unknown:
+        raise SystemExit(f"unknown cases: {sorted(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
+            if names and case[0] not in names:
+                continue
             for fname, text in _run(case, Path(tmp)).items():
                 (GOLDEN / fname).write_text(text, encoding="utf-8", newline="\n")
                 print(f"wrote {GOLDEN / fname}")
 
 
 if __name__ == "__main__":
-    sys.exit(_regenerate())
+    sys.exit(_regenerate(sys.argv[1:]))
