@@ -78,7 +78,9 @@ def group_velocity_fd(medium, k, band: int, cutoff: int, step: float | None = No
 
     Uses steps h and h/2 per axis and requires the two estimates to agree to
     ``rich_tol`` (Richardson consistency); the h/2 estimate is returned.
-    Degeneracy at any stencil point is an error naming the point.
+    Degeneracy at any stencil point is an error naming the point.  Only
+    about 10 significant digits are stable: the eigenvalue roundoff (about
+    eps times the spectral radius) is divided by 2h.
     """
     cell = medium.cell
     k = np.atleast_1d(np.asarray(k, dtype=float))

@@ -202,13 +202,13 @@ def _cmd_couple(args):
             rows.append([n, j, p, l, val.real, val.imag, abs(val)])
     meta = _meta(args, desc)
     meta["resonant"] = report.resonant
-    meta["equivalent"] = report.equivalent
+    meta["equivalent"] = report.resonant  # resonant pairs are exactly the equivalent carriers
     meta["time_window"] = _fmt(report.time_window)
     _write_csv(args.out, ["n", "j", "p", "l", "re_avg", "im_avg", "abs_avg"], rows, meta)
     cross = report.max_cross_limit()
     cross_slopes = [report.slopes[key] for key in report.slopes if key[1] != key[2]]
     slope = max(cross_slopes) if cross_slopes else float("-inf")
-    print(f"wrote {args.out}; resonant={report.resonant} equivalent={report.equivalent} "
+    print(f"wrote {args.out}; resonant={report.resonant} equivalent={report.resonant} "
           f"max|cross limit|={_fmt(cross)} worst cross slope={_fmt(slope)}")
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bloch import BlochMode, check_nondegenerate
 from .errors import NumericalError, ValidationError
-from .fourier import TWO_PI, FourierField, product_mean, window_factor
+from .fourier import TWO_PI, FourierField, box_average, product_mean, window_factor
 from .medium import MEDIUM_TYPES, ScalarWaveMedium, SchrodingerBlocks, VectorWaveMedium
 
 RESONANCE_TOL = 1e-9
@@ -205,7 +205,6 @@ class CouplingReport:
     omega2: float
     band2: int
     resonant: bool
-    equivalent: bool
     supercells: tuple
     time_window: float
     averages: dict
@@ -261,10 +260,7 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWave
     resonant = (abs(mode1.omega - mode2.omega) <= RESONANCE_TOL
                 and _wavevector_resonant(mode1.k - mode2.k, cell))
 
-    averages = {}
-    limits = {}
-    slopes = {}
-    decay_constants = {}
+    averages, limits, slopes, decay_constants = {}, {}, {}, {}
     ns = np.asarray(counts, dtype=float)
     for p in (1, 2):
         for l in (1, 2):
@@ -273,53 +269,43 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWave
             dk = ml.k - mp.k
             g_fields = _transport(medium.symbol, mp, ml, -1, operator.mul)
             for j, G in enumerate(g_fields):
-                vals = np.array([_supercell_average(G, domega, dk, time_window, n) for n in counts])
-                lim = _structural_limit(G, domega, dk)
-                slope, c_const = _fit_decay(ns, vals - lim)
-                averages[(j, p, l)] = vals
-                limits[(j, p, l)] = lim
-                slopes[(j, p, l)] = slope
-                decay_constants[(j, p, l)] = c_const
+                key = (j, p, l)
+                averages[key] = _supercell_average(G, domega, dk, time_window, ns)
+                limits[key] = _structural_limit(G, domega, dk)
+                slopes[key], decay_constants[key] = _fit_decay(ns, averages[key] - limits[key])
 
     return CouplingReport(mode1.k.copy(), mode1.omega, mode1.band,
                           mode2.k.copy(), mode2.omega, mode2.band,
-                          resonant, resonant, counts, float(time_window),
+                          resonant, counts, float(time_window),
                           averages, limits, slopes, decay_constants)
 
 
 def _supercell_average(G: FourierField, domega: float, dk: np.ndarray,
-                       t0: float, n: int) -> complex:
-    """Closed-form average of G(xi') e^{-i dk.xi'} e^{+i domega xi0} over Q_n."""
-    cell = G.cell
-    tf = window_factor(domega, t0 * n)
-    total = G.coeffs.copy()
-    for ax in range(cell.dims):
-        lam = cell.lengths[ax]
+                       t0: float, ns: np.ndarray) -> np.ndarray:
+    """Closed-form averages of G(xi') e^{-i dk.xi'} e^{+i domega xi0} over Q_n, n in ``ns``.
+
+    An axis with dk == 0 spans whole periods, so its factor is the exact
+    Kronecker delta of m = 0.
+    """
+    factors = []
+    for ax, lam in enumerate(G.cell.lengths):
         ms = G.index_grid(ax)
         if dk[ax] == 0.0:
-            fac = (ms == 0).astype(np.complex128)  # integer periods: exact Kronecker
+            fac = np.broadcast_to(ms == 0, (len(ns), len(ms))).astype(np.complex128)
         else:
-            fac = np.array([window_factor(TWO_PI * m / lam - dk[ax], n * lam) for m in ms])
-        shape = [1] * cell.dims
-        shape[ax] = -1
-        total = total * fac.reshape(shape)
-    return complex(tf * total.sum())
+            fac = window_factor(TWO_PI * ms / lam - dk[ax], (ns * lam)[:, np.newaxis])
+        factors.append(fac)
+    return window_factor(domega, t0 * ns) * box_average(G.coeffs, factors)
 
 
 def _structural_limit(G: FourierField, domega: float, dk: np.ndarray) -> complex:
     """Q -> infinity limit of the factorized average: resonant terms survive."""
     if abs(domega) > RESONANCE_TOL:
         return 0.0 + 0.0j
-    cell = G.cell
-    total = G.coeffs.copy()
-    for ax in range(cell.dims):
-        frac = dk[ax] * cell.lengths[ax] / TWO_PI
-        ms = G.index_grid(ax)
-        fac = (np.abs(frac - ms) <= RESONANCE_TOL).astype(np.complex128)
-        shape = [1] * cell.dims
-        shape[ax] = -1
-        total = total * fac.reshape(shape)
-    return complex(total.sum())
+    fracs = dk * G.cell.diag / TWO_PI
+    factors = [(np.abs(frac - G.index_grid(ax)) <= RESONANCE_TOL)[np.newaxis].astype(np.complex128)
+               for ax, frac in enumerate(fracs)]
+    return complex(box_average(G.coeffs, factors)[0])
 
 
 # ---------------------------------------------------------------------------

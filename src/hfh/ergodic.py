@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .fourier import TWO_PI, FourierField, window_factor
+from .fourier import TWO_PI, FourierField, box_average, window_factor
 
 RESONANCE_TOL = 1e-9
 RATIONAL_DENOMINATOR_BOUND = 10 ** 6
@@ -32,10 +32,12 @@ class PeriodicSignal1D:
     harmonics: dict  # int -> complex
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValidationError("period must be positive")
-        object.__setattr__(self, "harmonics",
-                           {int(n): complex(c) for n, c in self.harmonics.items() if c != 0})
+        if not (np.isfinite(self.period) and self.period > 0):
+            raise ValidationError(f"period must be positive and finite, got {self.period}")
+        harmonics = {int(n): complex(c) for n, c in self.harmonics.items() if c != 0}
+        if not all(np.isfinite(c) for c in harmonics.values()):
+            raise ValidationError("harmonic coefficients must be finite")
+        object.__setattr__(self, "harmonics", harmonics)
 
     @classmethod
     def constant(cls, value, period=1.0):
@@ -59,8 +61,10 @@ class PeriodicSignal1D:
         })
 
     def frequencies(self):
-        """(angular frequency, coefficient) pairs."""
-        return [(TWO_PI * n / self.period, c) for n, c in sorted(self.harmonics.items())]
+        """Angular frequencies and coefficients as two arrays, by harmonic number."""
+        ns = sorted(self.harmonics)
+        return (TWO_PI * np.array(ns, dtype=float) / self.period,
+                np.array([self.harmonics[n] for n in ns], dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -85,28 +89,29 @@ class WindowAverageResult:
         return np.abs(np.asarray(self.values) - self.analytic_limit)
 
 
-def _check_windows(windows) -> tuple:
-    win = tuple(float(a) for a in windows)
-    if not win or any(a <= 0 for a in win):
-        raise ValidationError("windows must be positive")
-    if any(b <= a for a, b in zip(win, win[1:])):
+def _check_windows(windows) -> np.ndarray:
+    try:
+        win = np.array([float(a) for a in windows])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"windows must be a list of numbers: {exc}") from exc
+    if not len(win) or not np.all(np.isfinite(win) & (win > 0)):
+        raise ValidationError("windows must be positive and finite")
+    if np.any(win[1:] <= win[:-1]):
         raise ValidationError("windows must be strictly increasing")
     return win
 
 
 def _result(windows, values, limit, resonant, cert_constant, note=""):
     values = tuple(complex(v) for v in values)
-    return WindowAverageResult(tuple(windows), values, complex(limit), float(cert_constant),
-                               resonant, note)
+    return WindowAverageResult(tuple(float(a) for a in windows), values, complex(limit),
+                               float(cert_constant), resonant, note)
 
 
-def _certified_constant(freq_coeff_pairs) -> float:
-    """Sum of 2|c|/|q| over non-resonant angular frequencies q."""
-    total = 0.0
-    for q, c in freq_coeff_pairs:
-        if abs(q) > RESONANCE_TOL:
-            total += 2.0 * abs(c) / abs(q)
-    return total
+def _certified_constant(q, c) -> float:
+    """Sum of 2|c|/|q| over the nonzero terms whose angular frequency q is non-resonant."""
+    q = np.abs(q)
+    keep = (q > RESONANCE_TOL) & (c != 0)
+    return float(np.sum(2.0 * np.abs(c[keep]) / q[keep]))
 
 
 def avg_modulated_1d(f: PeriodicSignal1D, b: float, windows) -> WindowAverageResult:
@@ -116,16 +121,15 @@ def avg_modulated_1d(f: PeriodicSignal1D, b: float, windows) -> WindowAverageRes
     case it equals the single-period average of f e^{i b x}.
     """
     win = _check_windows(windows)
-    values = []
-    for a in win:
-        values.append(sum(c * window_factor(nu + b, a) for nu, c in f.frequencies()))
+    b = float(b)
+    if not np.isfinite(b):
+        raise ValidationError(f"b must be finite, got {b}")
+    nu, c = f.frequencies()
+    values = box_average(c, [window_factor(nu + b, win[:, np.newaxis])])
     ratio = f.period * b / TWO_PI
     resonant = abs(ratio - round(ratio)) <= RESONANCE_TOL
-    limit = 0.0 + 0.0j
-    if resonant:
-        limit = f.harmonics.get(int(round(-ratio)), 0.0 + 0.0j)
-    cert = _certified_constant((nu + b, c) for nu, c in f.frequencies())
-    return _result(win, values, limit, resonant, cert,
+    limit = f.harmonics.get(int(round(-ratio)), 0.0 + 0.0j) if resonant else 0.0 + 0.0j
+    return _result(win, values, limit, resonant, _certified_constant(nu + b, c),
                    note=f"Tb/2pi = {ratio:.12g} ({'resonant' if resonant else 'non-resonant'})")
 
 
@@ -156,10 +160,10 @@ def avg_product_periodic(f: PeriodicSignal1D, g: PeriodicSignal1D, windows) -> W
     if abs(f.mean()) > 0:
         raise ValidationError("avg_product_periodic requires f to have zero mean")
     win = _check_windows(windows)
-    pairs = [(nu1 + nu2, c1 * c2) for nu1, c1 in f.frequencies() for nu2, c2 in g.frequencies()]
-    values = []
-    for a in win:
-        values.append(sum(c * window_factor(nu, a) for nu, c in pairs))
+    (nu1, c1), (nu2, c2) = f.frequencies(), g.frequencies()
+    nu = np.add.outer(nu1, nu2).ravel()
+    c = np.multiply.outer(c1, c2).ravel()
+    values = box_average(c, [window_factor(nu, win[:, np.newaxis])])
     frac = _rational_ratio(f.period, g.period)
     limit = 0.0 + 0.0j
     resonant = frac is not None
@@ -172,7 +176,7 @@ def avg_product_periodic(f: PeriodicSignal1D, g: PeriodicSignal1D, windows) -> W
         note = f"T1/T2 = {p}/{q} (rational); limit over common period {q * f.period:.12g}"
     else:
         note = "T1/T2 classified irrational (continued-fraction test)"
-    return _result(win, values, limit, resonant, _certified_constant(pairs), note)
+    return _result(win, values, limit, resonant, _certified_constant(nu, c), note)
 
 
 def avg_derivative_product(f: PeriodicSignal1D, g: PeriodicSignal1D, windows) -> WindowAverageResult:
@@ -195,44 +199,34 @@ def avg_modulated_dd(f: FourierField, lam, boxes) -> WindowAverageResult:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (cell.dims,):
         raise ValidationError(f"lambda must have {cell.dims} component(s)")
+    if not np.all(np.isfinite(lam)):
+        raise ValidationError(f"lambda must be finite, got {lam}")
+    if not np.all(np.isfinite(f.coeffs)):
+        raise ValidationError("f must have finite coefficients")
     sizes = []
     for box in boxes:
         b = np.full(cell.dims, float(box)) if np.isscalar(box) else np.asarray(box, dtype=float)
-        if b.shape != (cell.dims,) or np.any(b <= 0):
-            raise ValidationError("each box must give a positive size per axis")
+        if b.shape != (cell.dims,) or not np.all(np.isfinite(b) & (b > 0)):
+            raise ValidationError("each box must give a positive, finite size per axis")
         sizes.append(b)
     if not sizes:
         raise ValidationError("at least one box is required")
-    for prev, nxt in zip(sizes, sizes[1:]):
-        if not np.all(nxt > prev):
-            raise ValidationError("boxes must grow in every axis")
+    sizes = np.array(sizes)
+    if not np.all(sizes[1:] > sizes[:-1]):
+        raise ValidationError("boxes must grow in every axis")
 
-    values = []
-    for b in sizes:
-        total = f.coeffs.copy()
-        for ax in range(cell.dims):
-            t = cell.lengths[ax]
-            fac = np.array([window_factor(TWO_PI * m / t + lam[ax], b[ax]) for m in f.index_grid(ax)])
-            shape = [1] * cell.dims
-            shape[ax] = -1
-            total = total * fac.reshape(shape)
-        values.append(complex(total.sum()))
+    # angular frequency of each harmonic along each axis, and its window factors
+    qs = [TWO_PI * f.index_grid(ax) / cell.lengths[ax] + lam[ax] for ax in range(cell.dims)]
+    values = box_average(f.coeffs, [window_factor(q, sizes[:, ax, np.newaxis])
+                                    for ax, q in enumerate(qs)])
 
     fracs = cell.diag * lam / TWO_PI
     resonant = bool(np.all(np.abs(fracs - np.round(fracs)) <= RESONANCE_TOL))
-    limit = 0.0 + 0.0j
-    if resonant:
-        limit = f.coeff([-int(round(v)) for v in fracs])
-    cert = 0.0
-    for m in np.ndindex(*f.coeffs.shape):
-        c = f.coeffs[m]
-        if c == 0:
-            continue
-        qs = [TWO_PI * (m[ax] - f.cutoffs[ax]) / cell.lengths[ax] + lam[ax]
-              for ax in range(cell.dims)]
-        q_nonres = [abs(q) for q in qs if abs(q) > RESONANCE_TOL]
-        if q_nonres:
-            cert += 2.0 * abs(c) / max(q_nonres)
-    widths = tuple(float(np.min(b)) for b in sizes)  # decay is against the slowest-growing axis
+    limit = f.coeff([-int(round(v)) for v in fracs]) if resonant else 0.0 + 0.0j
+    # each term decays like 1/a along its fastest non-resonant axis
+    nonres = np.broadcast_arrays(*np.ix_(*[np.where(np.abs(q) > RESONANCE_TOL, np.abs(q), 0.0)
+                                           for q in qs]))
+    cert = _certified_constant(np.max(nonres, axis=0), f.coeffs)
+    widths = sizes.min(axis=1)  # decay is against the slowest-growing axis
     return _result(widths, values, limit, resonant, cert,
                    note=f"T(.)lambda/2pi = {np.array2string(fracs, precision=12)}")

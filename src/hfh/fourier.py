@@ -230,14 +230,30 @@ def product_mean(f: FourierField, g: FourierField) -> complex:
     return complex(np.sum(fs * grev))
 
 
-def window_factor(q: float, length: float) -> complex:
+def window_factor(q, length):
     """Mean of exp(i*q*x) over [0, length]: (e^{i q L} - 1) / (i q L), with q=0 -> 1.
 
-    Small |q*L| is handled by a series so near-resonant windows lose no accuracy.
+    Broadcasts over arrays; a scalar q and length give a scalar.  Small |q*L|
+    is handled by a series so near-resonant windows lose no accuracy.
     """
-    ql = q * length
-    if ql == 0.0:
-        return 1.0 + 0.0j
-    if abs(ql) < 1e-8:
-        return 1.0 + 1j * ql / 2.0 - ql * ql / 6.0
-    return (np.exp(1j * ql) - 1.0) / (1j * ql)
+    ql = np.multiply(q, length, dtype=float)
+    small = np.abs(ql) < 1e-8
+    arg = 1j * np.where(small, 1.0, ql)
+    out = np.where(small, 1.0 + 1j * ql / 2.0 - ql * ql / 6.0, (np.exp(arg) - 1.0) / arg)
+    out = np.where(ql == 0.0, 1.0 + 0.0j, out)
+    return out if out.ndim else complex(out)
+
+
+def box_average(coeffs: np.ndarray, factors) -> np.ndarray:
+    """Sum over m of coeffs[m] * prod_ax factors[ax][w, m_ax], for every window w at once.
+
+    ``factors[ax]`` has shape (n_windows, coeffs.shape[ax]): the average of
+    each harmonic along that axis over window w.  The products are taken in
+    axis order and each window's sum is one reduction over the whole table.
+    """
+    total = coeffs[np.newaxis]
+    for ax, fac in enumerate(factors):
+        shape = [1] * total.ndim
+        shape[0], shape[ax + 1] = fac.shape
+        total = total * np.reshape(fac, shape)
+    return total.reshape(total.shape[0], -1).sum(axis=1)

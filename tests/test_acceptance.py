@@ -91,7 +91,8 @@ def test_criterion_3(two_phase):
     base = bloch.solve_at(two_phase, [0.5 * np.pi], 96, 1)[0]
     shifted = bloch.solve_at(two_phase, [0.5 * np.pi + 2 * np.pi], 96, 1)[0]
     rep = effective.coupling_coefficients(base, shifted, two_phase, [4, 8])
-    assert rep.resonant and rep.equivalent
+    assert rep.resonant
+    assert effective.are_equivalent(base, shifted) == rep.resonant
 
 
 @criterion(4, "supercell collapse of self-coupling", 10.0)

@@ -180,6 +180,42 @@ def test_bad_numbers_rejected(argv, config, tmp_path):
     assert not list(tmp_path.glob("out*"))
 
 
+_SIGNAL = {"period": 1.0, "harmonics": [{"n": 1, "re": 0.5}, {"n": -1, "re": 0.5}]}
+_FIELD = {"terms": [{"n": [0, 0], "re": 0.5}, {"n": [1, -1], "re": 0.3}]}
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("spec", [
+    {"op": "modulated_1d", "f": _SIGNAL, "b": 1.0, "windows": [4.0, _NAN]},
+    {"op": "modulated_1d", "f": _SIGNAL, "b": 1.0, "windows": [4.0, _INF]},
+    {"op": "modulated_1d", "f": _SIGNAL, "b": _NAN, "windows": [4.0, 8.0]},
+    {"op": "modulated_1d", "f": _SIGNAL, "b": -_INF, "windows": [4.0, 8.0]},
+    {"op": "modulated_1d", "f": dict(_SIGNAL, period=_NAN), "b": 1.0, "windows": [4.0, 8.0]},
+    {"op": "product", "f": _SIGNAL, "g": dict(_SIGNAL, period=_INF), "windows": [4.0, 8.0]},
+    {"op": "product", "f": _SIGNAL, "g": _SIGNAL, "windows": [_NAN]},
+    {"op": "product", "f": _SIGNAL, "g": _SIGNAL},
+    {"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD, "lambda": [0.5, _NAN],
+     "boxes": [4.0, 8.0]},
+    {"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD, "lambda": [0.5, 0.7],
+     "boxes": [[4.0, 4.0], [8.0, _INF]]},
+    {"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD, "lambda": [0.5, 0.7],
+     "boxes": [_NAN]},
+], ids=["window-nan", "window-inf", "b-nan", "b-inf", "period-nan", "period-inf",
+        "product-window-nan", "windows-missing", "lambda-nan", "box-inf", "box-nan"])
+def test_bad_ergodic_numbers_rejected(spec, tmp_path):
+    # a non-finite window, box, lambda, b or period, or no windows at all, is a validation
+    # error: exit 1, no artifact
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(["ergodic", "--spec", str(spec_path), "--out", str(out)])
+    assert code == 1
+    assert err.getvalue().startswith("error: ")
+    assert not out.exists()
+
+
 def test_outputs_are_deterministic(config, tmp_path):
     args = ["bands", "--config", config, "--k-start", "0.1", "--k-end", "3.0",
             "--samples", "20", "--band", "1"]
