@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from hfh import cli
+from hfh.medium import medium_from_descriptor
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-12
@@ -221,6 +222,23 @@ def test_golden_artifact(case, tmp_path):
             _compare_json(json.loads(text), json.loads(want), fname)
         else:
             _compare_csv(text, want, fname)
+
+
+# the digest hashes every coefficient table byte for byte, so these pin the
+# media themselves, not only the artifacts computed from them
+FINGERPRINTS = {
+    "scalar1d": "605e62257af6e51b",
+    "scalar2d": "07a32505c01bbddd",
+    "vector2d": "c67df319d31ea4b2",
+    "schrodinger1d": "a9519adad433d848",
+    "schrodinger2d": "e059c54dd2de5a86",
+    "resonant2d": "90986c0e2051e0a3",
+}
+
+
+def test_medium_fingerprints():
+    got = {name: medium_from_descriptor(desc).fingerprint for name, desc in CONFIGS.items()}
+    assert got == FINGERPRINTS
 
 
 def _regenerate(names):
