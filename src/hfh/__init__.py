@@ -17,7 +17,7 @@ from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import Cell, FourierField
 from .medium import (ScalarWaveMedium, SchrodingerBlocks, Symbol, VectorWaveMedium,
                      build_scalar_medium, build_schrodinger_blocks, build_vector_medium,
-                     maxwell_tensor_from_permeability, medium_from_descriptor, sample_on_grid)
+                     maxwell_tensor_from_permeability, medium_from_descriptor)
 from .simulate import (EnvelopeFrames, GaussianEnvelope, GridSpec, SimulationRecord, WavePacketIC,
                        build_wavepacket_ic, extract_envelope, measure_packet_velocity,
                        packet_speed_experiment, run_fdtd_1d)

@@ -119,6 +119,14 @@ def _parse_k(text, dims, flag):
     return np.asarray(parts)
 
 
+def _load_medium(args, *k_flags):
+    """Load ``--config``, build its medium, and parse each named k option in its dimension."""
+    desc = _load_config(args.config)
+    med = medium.medium_from_descriptor(desc)
+    ks = [_parse_k(getattr(args, flag[2:].replace("-", "_")), med.cell.dims, flag) for flag in k_flags]
+    return desc, med, ks
+
+
 def _meta(args, desc) -> dict:
     return {"tool": f"hfh {__version__}", "config": _config_digest(desc), "command": args.command}
 
@@ -128,13 +136,9 @@ def _meta(args, desc) -> dict:
 
 
 def _cmd_bands(args):
-    desc = _load_config(args.config)
-    med = medium.medium_from_descriptor(desc)
-    dims = med.cell.dims
-    k0 = _parse_k(args.k_start, dims, "--k-start")
-    k1 = _parse_k(args.k_end, dims, "--k-end")
+    desc, med, (k0, k1) = _load_medium(args, "--k-start", "--k-end")
     table = bands.sweep_path(med, k0, k1, args.samples, args.band, args.cutoff)
-    header = [f"k_{i + 1}" for i in range(dims)] + ["omega", "band", "gap"]
+    header = [f"k_{i + 1}" for i in range(med.cell.dims)] + ["omega", "band", "gap"]
     meta = _meta(args, desc)
     meta["lipschitz"] = _fmt(table.lipschitz)
     _write_csv(args.out, header, bands.table_rows(table), meta)
@@ -143,9 +147,7 @@ def _cmd_bands(args):
 
 
 def _cmd_groupvel(args):
-    desc = _load_config(args.config)
-    med = medium.medium_from_descriptor(desc)
-    k = _parse_k(args.k, med.cell.dims, "--k")
+    desc, med, (k,) = _load_medium(args, "--k")
     v = bands.group_velocity_fd(med, k, args.band, args.cutoff, step=args.step)
     rows = [[j + 1, v[j]] for j in range(len(v))]
     _write_csv(args.out, ["j", "v"], rows, _meta(args, desc))
@@ -154,9 +156,7 @@ def _cmd_groupvel(args):
 
 
 def _cmd_effective(args):
-    desc = _load_config(args.config)
-    med = medium.medium_from_descriptor(desc)
-    k = _parse_k(args.k, med.cell.dims, "--k")
+    desc, med, (k,) = _load_medium(args, "--k")
     mode = bloch.solve_at(med, k, args.cutoff, args.band)[args.band - 1]
     co = effective.effective_coefficients(mode, med)
     pde = effective.envelope_equation(co)
@@ -183,11 +183,7 @@ def _cmd_effective(args):
 
 
 def _cmd_couple(args):
-    desc = _load_config(args.config)
-    med = medium.medium_from_descriptor(desc)
-    dims = med.cell.dims
-    k = _parse_k(args.k, dims, "--k")
-    m = _parse_k(args.m, dims, "--m")
+    desc, med, (k, m) = _load_medium(args, "--k", "--m")
     try:
         b1, b2 = (int(v) for v in args.bands.split(","))
         counts = [int(v) for v in args.supercells.split(",")]
@@ -257,8 +253,7 @@ def _cmd_ergodic(args):
 
 
 def _cmd_simulate(args):
-    desc = _load_config(args.config)
-    med = medium.medium_from_descriptor(desc)
+    desc, med, _ = _load_medium(args)
     if med.cell.dims != 1 or med.family != "scalar-wave":
         raise ValidationError("simulate supports the 1D scalar wave family")
     k = _parse_k(args.k, 1, "--k")

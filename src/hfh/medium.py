@@ -6,7 +6,9 @@ operator assembly is exact convolution.  A medium *is* its truncated series:
 every consumer (Bloch assembly, cell integrals, time stepping) reads the same
 coefficient tables.  Bloch assembly and the transport integrals read them
 through one :class:`Symbol` per medium, so the three families share one
-assembler and one transport formula.
+assembler and one transport formula.  Matrix and tensor coefficients are
+plain dicts keyed by index tuple, in sorted key order; an absent entry is
+zero.
 
 Field specs accepted by the builders (and by the JSON descriptor):
 
@@ -78,17 +80,14 @@ def _piecewise_coefficients(cell: Cell, cutoff: int, breaks, values) -> FourierF
         raise ValidationError("piecewise breaks must start at 0.0")
     if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])) or breaks[-1] >= lam:
         raise ValidationError("piecewise breaks must be strictly increasing inside the cell")
-    edges = breaks + [lam]
-    out = FourierField.zeros(cell, cutoff)
-    ns = out.index_grid(0)
-    for v, (s, e) in zip(values, zip(edges[:-1], edges[1:])):
-        for pos, n in enumerate(ns):
-            if n == 0:
-                out.coeffs[pos] += v * (e - s) / lam
-            else:
-                q = TWO_PI * n / lam
-                out.coeffs[pos] += v * (np.exp(-1j * q * s) - np.exp(-1j * q * e)) / (1j * q * lam)
-    return out
+    # one row per piece [s, e): its indicator integral against e^{-i q x} / lam
+    s, e = np.array(breaks)[:, None], np.array(breaks[1:] + [lam])[:, None]
+    v = np.array(values)[:, None]
+    n = FourierField.zeros(cell, cutoff).index_grid(0)
+    q = TWO_PI * np.where(n == 0, 1, n) / lam  # the n = 0 column takes the mean branch
+    rows = np.where(n == 0, v * (e - s) / lam,
+                    v * (np.exp(-1j * q * s) - np.exp(-1j * q * e)) / (1j * q * lam))
+    return FourierField(cell, sum(rows, np.zeros(len(n), dtype=np.complex128)))  # pieces in order
 
 
 def build_field(spec, cell: Cell, cutoff) -> FourierField:
@@ -128,38 +127,6 @@ def build_field(spec, cell: Cell, cutoff) -> FourierField:
     raise ValidationError(f"unknown field spec type {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# component containers
-
-
-class ComponentField:
-    """Matrix/tensor-valued cell-periodic field: one Fourier table per component.
-
-    Components that are identically zero may be omitted; lookups return a
-    shared zero field so assembly code never branches.
-    """
-
-    def __init__(self, cell: Cell, shape: tuple, comps: dict):
-        self.cell = cell
-        self.shape = tuple(int(s) for s in shape)
-        self.comps = {}
-        for idx, f in comps.items():
-            idx = tuple(int(i) for i in np.atleast_1d(idx))
-            if len(idx) != len(self.shape) or any(not 0 <= i < s for i, s in zip(idx, self.shape)):
-                raise ValidationError(f"component index {idx} outside shape {self.shape}")
-            self.comps[idx] = f
-        self._zero = FourierField.zeros(cell, 0)
-
-    def __getitem__(self, idx) -> FourierField:
-        return self.comps.get(tuple(np.atleast_1d(idx)) if not isinstance(idx, tuple) else idx, self._zero)
-
-    def indices(self):
-        return sorted(self.comps)
-
-    def max_cutoff(self) -> int:
-        return max((max(f.cutoffs) for f in self.comps.values()), default=0)
-
-
 def _digest(kind: str, cell: Cell, parts) -> str:
     h = hashlib.sha256()
     h.update(kind.encode())
@@ -197,7 +164,7 @@ class ScalarWaveMedium:
     """Scalar wave equation div(a grad u) = b u_tt with matrix a and scalar b."""
 
     cell: Cell
-    a: ComponentField  # shape (d, d), symmetric
+    a: dict  # {(i, j): field}, d x d, symmetric
     b: FourierField
     cutoff: int
     fingerprint: str = field(default="", compare=False)
@@ -210,7 +177,7 @@ class ScalarWaveMedium:
     def symbol(self) -> Symbol:
         """C_0000 = -b and C_0,j+1,0,l+1 = a_jl."""
         C = {(0, 0, 0, 0): -self.b}
-        C.update({(0, j + 1, 0, l + 1): self.a[(j, l)] for (j, l) in self.a.indices()})
+        C.update({(0, j + 1, 0, l + 1): f for (j, l), f in self.a.items()})
         return Symbol(1, C)
 
 
@@ -220,8 +187,8 @@ class VectorWaveMedium:
 
     cell: Cell
     n_comp: int
-    a: ComponentField  # shape (n, d, n, d)
-    b: ComponentField  # shape (n, n), symmetric positive definite
+    a: dict  # {(i, j, k, l): field}, i, k < n and j, l < d
+    b: dict  # {(i, k): field}, n x n, symmetric positive definite
     cutoff: int
     fingerprint: str = field(default="", compare=False)
 
@@ -232,9 +199,8 @@ class VectorWaveMedium:
     @cached_property
     def symbol(self) -> Symbol:
         """C_i0k0 = -b_ik and C_i,j+1,k,l+1 = a_ijkl."""
-        C = {(i, 0, k, 0): -self.b[(i, k)] for (i, k) in self.b.indices()}
-        C.update({(i, j + 1, k, l + 1): self.a[(i, j, k, l)]
-                  for (i, j, k, l) in self.a.indices()})
+        C = {(i, 0, k, 0): -f for (i, k), f in self.b.items()}
+        C.update({(i, j + 1, k, l + 1): f for (i, j, k, l), f in self.a.items()})
         return Symbol(self.n_comp, C)
 
 
@@ -249,8 +215,8 @@ class SchrodingerBlocks:
     cell: Cell
     mass: float
     charge: float
-    a_block: ComponentField  # shape (d+1, d+1), real symmetric
-    b_block: ComponentField  # shape (d+1,), complex, divergence free in xi'
+    a_block: dict  # {(j, l): field}, (d+1) x (d+1), real symmetric
+    b_block: tuple  # d+1 complex fields, divergence free in xi'
     c_block: FourierField  # real scalar
     potential: FourierField
     magnetic: tuple
@@ -269,9 +235,9 @@ class SchrodingerBlocks:
     @cached_property
     def symbol(self) -> Symbol:
         """C = a_block, M_l = b_l - conj(b_l) for l = 0..d, and c = c_block."""
-        C = {(0, j, 0, l): self.a_block[(j, l)] for (j, l) in self.a_block.indices()}
-        b = [self.b_block[(l,)] for l in range(self.cell.dims + 1)]
-        return Symbol(1, C, {l: f - f.conjugate() for l, f in enumerate(b)}, {(0, 0): self.c_block})
+        C = {(0, j, 0, l): f for (j, l), f in self.a_block.items()}
+        M = {l: f - f.conjugate() for l, f in enumerate(self.b_block)}
+        return Symbol(1, C, M, {(0, 0): self.c_block})
 
 
 MEDIUM_TYPES = (ScalarWaveMedium, VectorWaveMedium, SchrodingerBlocks)
@@ -287,33 +253,51 @@ def _require_real(f: FourierField, name: str):
         raise ValidationError(f"{name} must be real-valued; conjugate-symmetry defect {err:.3e}")
 
 
-def _sampling_resolution(cutoff: int) -> int:
-    return 4 * (2 * cutoff + 1)
-
-
-def _sample_real(f: FourierField, res: int) -> np.ndarray:
-    return np.real(f.sample_grid((res,) * f.cell.dims))
-
-
-def _check_scalar_positive(f: FourierField, cutoff: int, name: str):
-    vals = _sample_real(f, _sampling_resolution(cutoff))
-    if vals.min() <= POSITIVITY_TOL:
-        raise ValidationError(f"{name} must be strictly positive; min sampled value {vals.min():.3e}")
-
-
-def _check_matrix_spd(m: ComponentField, dim: int, cutoff: int, name: str):
-    res = _sampling_resolution(cutoff)
-    grids = np.stack([[_sample_real(m[(i, j)], res) for j in range(dim)] for i in range(dim)])
-    # grids shape (dim, dim, *res) -> (..., dim, dim)
-    mats = np.moveaxis(grids, (0, 1), (-2, -1))
-    eigs = np.linalg.eigvalsh(mats)
-    if eigs.min() <= POSITIVITY_TOL:
-        raise ValidationError(f"{name} must be positive definite; min sampled eigenvalue {eigs.min():.3e}")
+def _check_positive_definite(entries: dict, n: int, cell: Cell, cutoff: int, what: str):
+    """Sample the symmetric part of the n x n field {(i, j): f} on a grid of
+    4*(2*cutoff+1) points per axis; its least eigenvalue must be positive."""
+    res = (4 * (2 * cutoff + 1),) * cell.dims
+    mats = np.zeros(res + (n, n))
+    for (i, j), f in entries.items():
+        mats[..., i, j] = np.real(f.sample_grid(res))
+    least = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2))).min()
+    if least <= POSITIVITY_TOL:
+        raise ValidationError(f"{what}; min sampled eigenvalue {least:.3e}")
 
 
 def _check_exact_equal(f: FourierField, g: FourierField, what: str):
     if f.cutoffs != g.cutoffs or not np.array_equal(f.coeffs, g.coeffs):
         raise ValidationError(what)
+
+
+def _matrix_field(spec, n: int, cell: Cell, cutoff: int, name: str) -> dict:
+    """Real symmetric positive-definite n x n field as {(i, j): field}, keys sorted.
+
+    ``spec`` is a nested list, an {(i, j): spec} table, or one field spec
+    meaning spec * I.  Each off-diagonal entry needs its partner with exactly
+    equal coefficients, and both slots then hold one field object: assembly
+    recognizes transposed entries by identity.
+    """
+    if isinstance(spec, (list, tuple)):
+        spec = {(i, j): s for i, row in enumerate(spec) for j, s in enumerate(row)}
+    elif not isinstance(spec, dict) or "type" in spec:
+        diag = build_field(spec, cell, cutoff)
+        spec = {(i, i): diag for i in range(n)}
+    entries = {}
+    for (i, j), s in spec.items():
+        i, j = int(i), int(j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValidationError(f"{name}[{i}][{j}] lies outside the {n} x {n} matrix")
+        entries[(i, j)] = build_field(s, cell, cutoff)
+    for (i, j), f in entries.items():
+        if (j, i) not in entries:
+            raise ValidationError(f"matrix {name} is missing the symmetric partner of ({i},{j})")
+        _check_exact_equal(f, entries[(j, i)],
+                           f"matrix {name} must be symmetric: {name}[{i}][{j}] != {name}[{j}][{i}]")
+        _require_real(f, f"{name}[{i}][{j}]")
+    matrix = {(i, j): entries[(min(i, j), max(i, j))] for (i, j) in sorted(entries)}
+    _check_positive_definite(matrix, n, cell, cutoff, f"{name} must be positive definite")
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -330,167 +314,70 @@ def build_scalar_medium(a, b, cell: Cell, cutoff: int) -> ScalarWaveMedium:
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
-    d = cell.dims
-    comps = {}
-    if isinstance(a, (list, tuple)) or (isinstance(a, dict) and "type" not in a):
-        entries = {}
-        if isinstance(a, dict):
-            for (i, j), spec in a.items():
-                entries[(int(i), int(j))] = build_field(spec, cell, cutoff)
-        else:
-            for i, row in enumerate(a):
-                for j, spec in enumerate(row):
-                    entries[(i, j)] = build_field(spec, cell, cutoff)
-        for (i, j), f in entries.items():
-            if i > j:
-                continue
-            other = entries.get((j, i))
-            if i != j:
-                if other is None:
-                    raise ValidationError(f"matrix a is missing the symmetric partner of ({i},{j})")
-                _check_exact_equal(f, other, f"matrix a must be symmetric: a[{i}][{j}] != a[{j}][{i}]")
-            comps[(i, j)] = f
-            comps[(j, i)] = f
-    else:
-        diag = build_field(a, cell, cutoff)
-        for i in range(d):
-            comps[(i, i)] = diag
-    a_field = ComponentField(cell, (d, d), comps)
+    a_field = _matrix_field(a, cell.dims, cell, cutoff, "a")
     b_field = build_field(b, cell, cutoff)
-    for idx in a_field.indices():
-        _require_real(a_field[idx], f"a[{idx}]")
     _require_real(b_field, "b")
-    _check_matrix_spd(a_field, d, cutoff, "a")
-    _check_scalar_positive(b_field, cutoff, "b")
-    fp = _digest("scalar", cell, [(i, a_field[i]) for i in a_field.indices()] + [("b", b_field)])
+    _check_positive_definite({(0, 0): b_field}, 1, cell, cutoff, "b must be strictly positive")
+    fp = _digest("scalar", cell, list(a_field.items()) + [("b", b_field)])
     return ScalarWaveMedium(cell, a_field, b_field, cutoff, fp)
 
 
-def build_vector_medium(n_comp: int, a, b, cell: Cell, cutoff: int,
-                        check_ellipticity: bool = True) -> VectorWaveMedium:
+def build_vector_medium(n_comp: int, a, b, cell: Cell, cutoff: int) -> VectorWaveMedium:
     """Build an n-component vector wave medium.
 
     ``a`` maps (i, j, k, l) -> field spec (0-based; i, k component indices,
     j, l spatial).  Missing major-symmetric partners are filled from
     a_ijkl = a_klij; explicit conflicting entries are rejected.  ``b`` is an
-    (i, k) table, nested list, or a single spec meaning b * I.
+    (i, k) table, nested list, or a single spec meaning b * I.  The
+    (n*d) x (n*d) matrix a[(i,j),(k,l)] must be positive definite on the
+    sampling grid (a sufficient, Gram ellipticity check).
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
     if not 1 <= n_comp <= 3:
         raise ValidationError("vector media support at most 3 components")
     d = cell.dims
-    entries = {}
+    a_field = {}
     for idx, spec in a.items():
         i, j, k, l = (int(v) for v in idx)
-        entries[(i, j, k, l)] = build_field(spec, cell, cutoff)
-    comps = {}
-    for (i, j, k, l), f in entries.items():
-        major = (k, l, i, j)
-        if major in entries:
-            _check_exact_equal(f, entries[major],
+        if not (0 <= i < n_comp and 0 <= k < n_comp and 0 <= j < d and 0 <= l < d):
+            raise ValidationError(f"component index {(i, j, k, l)} outside shape {(n_comp, d, n_comp, d)}")
+        f = build_field(spec, cell, cutoff)
+        if (k, l, i, j) in a_field:
+            _check_exact_equal(f, a_field[(k, l, i, j)],
                                f"tensor a must satisfy a_ijkl = a_klij at {(i, j, k, l)}")
-        comps[(i, j, k, l)] = f
-        comps[major] = f
-    a_field = ComponentField(cell, (n_comp, d, n_comp, d), comps)
-
-    b_entries = {}
-    if isinstance(b, dict) and "type" not in b:
-        for (i, k), spec in b.items():
-            b_entries[(int(i), int(k))] = build_field(spec, cell, cutoff)
-    elif isinstance(b, (list, tuple)):
-        for i, row in enumerate(b):
-            for k, spec in enumerate(row):
-                b_entries[(i, k)] = build_field(spec, cell, cutoff)
-    else:
-        diag = build_field(b, cell, cutoff)
-        b_entries = {(i, i): diag for i in range(n_comp)}
-    for (i, k), f in list(b_entries.items()):
-        other = b_entries.get((k, i))
-        if i != k:
-            if other is None:
-                raise ValidationError(f"matrix b is missing the symmetric partner of ({i},{k})")
-            _check_exact_equal(f, other, f"matrix b must be symmetric: b[{i}][{k}] != b[{k}][{i}]")
-    b_field = ComponentField(cell, (n_comp, n_comp), b_entries)
-
-    for idx in a_field.indices():
-        _require_real(a_field[idx], f"a[{idx}]")
-    for idx in b_field.indices():
-        _require_real(b_field[idx], f"b[{idx}]")
-    _check_matrix_spd(b_field, n_comp, cutoff, "b")
-    if check_ellipticity:
-        # Sufficient (Gram) ellipticity check: the (n*d) x (n*d) matrix
-        # A[(i,j),(k,l)] must be positive definite on the sampling grid.
-        res = _sampling_resolution(cutoff)
-        nd = n_comp * d
-        mats = np.zeros((res,) * d + (nd, nd))
-        for (i, j, k, l) in a_field.indices():
-            mats[..., i * d + j, k * d + l] = _sample_real(a_field[(i, j, k, l)], res)
-        eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-        if eigs.min() <= POSITIVITY_TOL:
-            raise ValidationError(
-                f"tensor a fails the ellipticity check; min sampled eigenvalue {eigs.min():.3e}"
-            )
-    fp = _digest("vector", cell,
-                 [(i, a_field[i]) for i in a_field.indices()] +
-                 [(i, b_field[i]) for i in b_field.indices()])
+        a_field[(i, j, k, l)] = a_field[(k, l, i, j)] = f
+        _require_real(f, f"a[{(i, j, k, l)}]")
+    a_field = dict(sorted(a_field.items()))
+    b_field = _matrix_field(b, n_comp, cell, cutoff, "b")
+    _check_positive_definite({(i * d + j, k * d + l): f for (i, j, k, l), f in a_field.items()},
+                             n_comp * d, cell, cutoff, "tensor a fails the ellipticity check")
+    fp = _digest("vector", cell, list(a_field.items()) + list(b_field.items()))
     return VectorWaveMedium(cell, n_comp, a_field, b_field, cutoff, fp)
 
 
-_LEVI_CIVITA = np.zeros((3, 3, 3))
-for _p in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    _LEVI_CIVITA[_p] = 1.0
-for _p in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
-    _LEVI_CIVITA[_p] = -1.0
+# the nonzero Levi-Civita entries e_ijp
+_LEVI_CIVITA = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
+                (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
 
 
-def maxwell_tensor_from_permeability(mu_inverse, cell: Cell, cutoff: int) -> ComponentField:
-    """Rank-4 stiffness for the Maxwell system from an inverse-permeability matrix.
+def maxwell_tensor_from_permeability(mu_inverse, cell: Cell, cutoff: int) -> dict:
+    """Rank-4 stiffness {(i, j, k, l): field} for the Maxwell system from an inverse-permeability matrix.
 
     a_ijkl = -e_ijp e_klq (mu^-1)_pq componentwise in Fourier space, where e is
-    the Levi-Civita tensor; the construction satisfies a_ijkl = a_klij exactly.
-    The output is construction-only (the curl-curl form is not elliptic), so no
-    ellipticity is claimed or checked here.
+    the Levi-Civita tensor.  (i, j) fixes p and (k, l) fixes q, so each entry
+    is one term, and a_ijkl = a_klij holds exactly because mu^-1 must be
+    exactly symmetric.  Identically zero entries are left out.  The output is
+    construction-only (the curl-curl form is not elliptic), so no ellipticity
+    is claimed or checked here.
     """
     if cell.dims != 3:
         raise ValidationError("the Maxwell map needs a 3D cell (n = d = 3)")
-    entries = {}
-    if isinstance(mu_inverse, dict) and "type" not in mu_inverse:
-        for (p, q), spec in mu_inverse.items():
-            entries[(int(p), int(q))] = build_field(spec, cell, cutoff)
-    elif isinstance(mu_inverse, (list, tuple)):
-        for p, row in enumerate(mu_inverse):
-            for q, spec in enumerate(row):
-                entries[(p, q)] = build_field(spec, cell, cutoff)
-    else:
-        diag = build_field(mu_inverse, cell, cutoff)
-        entries = {(p, p): diag for p in range(3)}
-    for (p, q), f in entries.items():
-        _require_real(f, f"mu_inverse[{p}][{q}]")
-        if p < q:
-            other = entries.get((q, p))
-            if other is None:
-                raise ValidationError(f"mu_inverse is missing the symmetric partner of ({p},{q})")
-            _check_exact_equal(f, other, f"mu_inverse must be symmetric at ({p},{q})")
-    mu_field = ComponentField(cell, (3, 3), entries)
-    _check_matrix_spd(mu_field, 3, cutoff, "mu_inverse")
-
-    comps = {}
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    acc = None
-                    for p in range(3):
-                        for q in range(3):
-                            w = -_LEVI_CIVITA[i, j, p] * _LEVI_CIVITA[k, l, q]
-                            if w == 0.0 or (p, q) not in mu_field.comps:
-                                continue
-                            term = w * mu_field[(p, q)]
-                            acc = term if acc is None else acc + term
-                    if acc is not None and np.any(acc.coeffs):
-                        comps[(i, j, k, l)] = acc
-    return ComponentField(cell, (3, 3, 3, 3), comps)
+    mu = _matrix_field(mu_inverse, 3, cell, cutoff, "mu_inverse")
+    levi = sorted(_LEVI_CIVITA.items())
+    return {(i, j, k, l): (-s * t) * mu[(p, q)]
+            for (i, j, p), s in levi for (k, l, q), t in levi
+            if (p, q) in mu and np.any(mu[(p, q)].coeffs)}
 
 
 def build_schrodinger_blocks(mass: float, charge: float, potential, magnetic,
@@ -523,12 +410,9 @@ def build_schrodinger_blocks(mass: float, charge: float, potential, magnetic,
         if resid > DIVERGENCE_TOL:
             raise ValidationError(f"magnetic potential must be divergence free; residual {resid:.3e}")
 
-    a_comps = {(i, i): FourierField.constant(cell, -1.0 / (2.0 * mass)) for i in range(1, d + 1)}
-    a_block = ComponentField(cell, (d + 1, d + 1), a_comps)
-    b_comps = {(0,): FourierField.constant(cell, -0.5j)}
-    for j in range(d):
-        b_comps[(j + 1,)] = (1j * charge / (2.0 * mass)) * phi[j]
-    b_block = ComponentField(cell, (d + 1,), b_comps)
+    a_block = {(i, i): FourierField.constant(cell, -1.0 / (2.0 * mass)) for i in range(1, d + 1)}
+    b_block = (FourierField.constant(cell, -0.5j),) + tuple(
+        (1j * charge / (2.0 * mass)) * f for f in phi)
     c_block = (-charge) * v_field
 
     fp = _digest("schrodinger", cell,
@@ -540,24 +424,7 @@ def build_schrodinger_blocks(mass: float, charge: float, potential, magnetic,
 
 
 # ---------------------------------------------------------------------------
-# sampling and descriptors
-
-
-def sample_on_grid(f, resolution) -> np.ndarray:
-    """Synthesize a field (scalar or component-valued) on a uniform cell grid."""
-    if isinstance(f, FourierField):
-        return f.sample_grid(resolution)
-    if isinstance(f, ComponentField):
-        first = None
-        out = None
-        for idx in np.ndindex(*f.shape):
-            vals = f[idx].sample_grid(resolution)
-            if out is None:
-                first = vals.shape
-                out = np.zeros(f.shape + first, dtype=np.complex128)
-            out[idx] = vals
-        return out
-    raise ValidationError(f"cannot sample object of type {type(f).__name__}")
+# descriptors
 
 
 def medium_from_descriptor(desc: dict):
@@ -573,17 +440,14 @@ def medium_from_descriptor(desc: dict):
     cutoff = int(need("cutoff"))
     try:
         if kind == "scalar":
-            return build_scalar_medium(_matrix_or_field(need("a"), "a"), need("b"), cell, cutoff)
+            return build_scalar_medium(_matrix_or_field(need("a")), need("b"), cell, cutoff)
         if kind == "vector":
             n_comp = int(need("n"))
             a_spec = need("a")
             if not (isinstance(a_spec, dict) and a_spec.get("type") == "tensor4"):
                 raise ValidationError('a: vector media need {"type": "tensor4", "terms": [...]}')
-            terms = {}
-            for t, term in enumerate(a_spec["terms"]):
-                ijkl = tuple(int(v) for v in term["ijkl"])
-                terms[ijkl] = term["field"]
-            return build_vector_medium(n_comp, terms, _matrix_or_field(need("b"), "b"), cell, cutoff)
+            terms = {tuple(int(v) for v in term["ijkl"]): term["field"] for term in a_spec["terms"]}
+            return build_vector_medium(n_comp, terms, _matrix_or_field(need("b")), cell, cutoff)
         if kind == "schrodinger":
             return build_schrodinger_blocks(float(need("mass")), float(need("charge")),
                                             need("potential"), desc.get("magnetic"),
@@ -593,7 +457,7 @@ def medium_from_descriptor(desc: dict):
     raise ValidationError(f"kind: unknown medium kind {kind!r}")
 
 
-def _matrix_or_field(spec, name):
+def _matrix_or_field(spec):
     if isinstance(spec, dict) and spec.get("type") == "matrix":
         return spec["entries"]
     if isinstance(spec, dict) and spec.get("type") == "isotropic":

@@ -201,9 +201,8 @@ def test_criterion_7(two_phase, vector_medium, mathieu_blocks, rng):
 
     # Maxwell tensor major symmetry, exact
     tensor = medium.maxwell_tensor_from_permeability(1.0, Cell((1.0, 1.0, 1.0)), 1)
-    for idx in tensor.indices():
-        i, j, k, l = idx
-        assert np.array_equal(tensor[idx].coeffs, tensor[(k, l, i, j)].coeffs)
+    for (i, j, k, l), f in tensor.items():
+        assert np.array_equal(f.coeffs, tensor[(k, l, i, j)].coeffs)
 
     # phase-convention invariance of the transport ratios, 100 random phases
     ratios = co.d[1:] / co.d[0]

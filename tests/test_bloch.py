@@ -282,8 +282,7 @@ def test_vector_3d_assembly_allowed_solve_refused():
     from hfh.fourier import FourierField
     cell = Cell((1.0, 1.0, 1.0))
     tensor = medium.maxwell_tensor_from_permeability(1.0, cell, 1)
-    identity = medium.ComponentField(cell, (3, 3),
-                                     {(i, i): FourierField.constant(cell, 1.0) for i in range(3)})
+    identity = {(i, i): FourierField.constant(cell, 1.0) for i in range(3)}
     vmed = medium.VectorWaveMedium(cell, 3, tensor, identity, 1, "maxwell-demo")
     op = bloch.assemble_vector_operator(vmed, [0.2, 0.1, 0.0], 1)
     assert op.hermiticity_defect() < 1e-12

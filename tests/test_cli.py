@@ -180,6 +180,20 @@ def test_bad_numbers_rejected(argv, config, tmp_path):
     assert not list(tmp_path.glob("out*"))
 
 
+def test_ragged_matrix_rejected(tmp_path):
+    # a lower-only off-diagonal entry is an error, not a diagonal matrix
+    ragged = dict(MEDIUM, cell=[1.0, 1.0], cutoff=2, a={"type": "matrix", "entries": [[1.0], [0.3, 1.0]]})
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(ragged))
+    out = tmp_path / "out.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(["groupvel", "--config", str(path), "--k", "0.5,0.2", "--out", str(out)])
+    assert code == 1
+    assert err.getvalue().startswith("error: ")
+    assert not out.exists()
+
+
 _SIGNAL = {"period": 1.0, "harmonics": [{"n": 1, "re": 0.5}, {"n": -1, "re": 0.5}]}
 _FIELD = {"terms": [{"n": [0, 0], "re": 0.5}, {"n": [1, -1], "re": 0.3}]}
 _NAN, _INF = float("nan"), float("inf")

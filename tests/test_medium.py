@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hfh import medium
 from hfh.errors import ValidationError
-from hfh.fourier import Cell
+from hfh.fourier import TWO_PI, Cell, FourierField
 
 
 def test_constant_medium_single_coefficient(cell1d):
@@ -51,6 +53,32 @@ def test_piecewise_sampling_matches_phases(cell1d):
     assert errs[1] < errs[0]
 
 
+def _piecewise_loop(cell, cutoff, breaks, values):
+    """Reference: the per-piece, per-harmonic loop the array expression replaced."""
+    lam = cell.lengths[0]
+    edges = breaks + [lam]
+    out = FourierField.zeros(cell, cutoff)
+    for v, s, e in zip(values, edges[:-1], edges[1:]):
+        for pos, n in enumerate(out.index_grid(0)):
+            if n == 0:
+                out.coeffs[pos] += v * (e - s) / lam
+            else:
+                q = TWO_PI * n / lam
+                out.coeffs[pos] += v * (np.exp(-1j * q * s) - np.exp(-1j * q * e)) / (1j * q * lam)
+    return out.coeffs
+
+
+def test_piecewise_matches_loop(rng):
+    cell = Cell((1.7,))
+    for _ in range(100):
+        pieces = int(rng.integers(1, 6))
+        breaks = [0.0] + sorted(float(x) for x in rng.uniform(0.0, 1.7, pieces - 1))
+        values = [float(v) for v in rng.uniform(0.5, 4.0, pieces)]
+        cutoff = int(rng.integers(1, 20))
+        got = medium.build_field(medium.piecewise(breaks, values), cell, cutoff).coeffs
+        assert np.array_equal(got, _piecewise_loop(cell, cutoff, breaks, values))
+
+
 def test_matrix_asymmetry_rejected():
     cell = Cell((1.0, 1.0))
     with pytest.raises(ValidationError, match="symmetric"):
@@ -61,6 +89,7 @@ def test_matrix_a_accepted_and_spd_checked():
     cell = Cell((1.0, 1.0))
     med = medium.build_scalar_medium([[2.0, 0.3], [0.3, 1.0]], 1.0, cell, 2)
     assert med.a[(0, 1)].coeff((0, 0)) == 0.3
+    assert med.a[(0, 1)] is med.a[(1, 0)]  # one field, so assembly pairs the transposed entries
     with pytest.raises(ValidationError, match="positive"):
         medium.build_scalar_medium([[1.0, 2.0], [2.0, 1.0]], 1.0, cell, 2)
 
@@ -82,7 +111,7 @@ def test_maxwell_tensor_identity_values():
     cell = Cell((1.0, 1.0, 1.0))
     t = medium.maxwell_tensor_from_permeability(1.0, cell, 1)
     assert t[(0, 1, 0, 1)].mean() == -1.0  # e_123 e_123 = 1
-    assert np.all(t[(0, 0, 1, 1)].coeffs == 0)  # e_11p = 0
+    assert (0, 0, 1, 1) not in t  # e_11p = 0
     assert t[(0, 1, 1, 0)].mean() == 1.0
 
 
@@ -96,11 +125,32 @@ def test_maxwell_tensor_major_symmetry_exact(rng):
             mu[(p, q)] = spec
             mu[(q, p)] = spec
     t = medium.maxwell_tensor_from_permeability(mu, cell, 1)
-    for idx in t.indices():
-        i, j, k, l = idx
-        a = t[idx].coeffs
+    for (i, j, k, l), f in t.items():
+        a = f.coeffs
         b = t[(k, l, i, j)].coeffs
         assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_maxwell_tensor_matches_loop(rng):
+    # reference: the sum over all (p, q) of -e_ijp e_klq mu_pq, zero sums left out
+    cell = Cell((1.0, 1.0, 1.0))
+    levi = np.zeros((3, 3, 3))
+    for perm in itertools.permutations(range(3)):
+        levi[perm] = np.linalg.det(np.eye(3)[list(perm)])
+    mu = {(p, p): medium.cosine(2.0, [((1, 0, 0), 0.1 * rng.uniform(0.5, 1.0))]) for p in range(3)}
+    mu[(0, 1)] = mu[(1, 0)] = medium.cosine(0.1, [((0, 1, 1), 0.05)])
+    mu[(1, 2)] = mu[(2, 1)] = 0.2
+    mu[(0, 2)] = mu[(2, 0)] = 0.0
+    fields = {pq: medium.build_field(spec, cell, 1) for pq, spec in mu.items()}
+    want = {}
+    for i, j, k, l, p, q in np.ndindex(3, 3, 3, 3, 3, 3):
+        w = -levi[i, j, p] * levi[k, l, q]
+        if w and np.any(fields[(p, q)].coeffs):
+            want[(i, j, k, l)] = want.get((i, j, k, l), 0) + w * fields[(p, q)].coeffs
+    t = medium.maxwell_tensor_from_permeability(mu, cell, 1)
+    assert list(t) == list(want)  # same entries, in the same order
+    assert all(type(v) is int for key in t for v in key)
+    assert all(np.array_equal(t[key].coeffs, want[key]) for key in want)
 
 
 def test_maxwell_requires_symmetric_input():
@@ -110,13 +160,56 @@ def test_maxwell_requires_symmetric_input():
         medium.maxwell_tensor_from_permeability(mu, cell, 1)
 
 
+def _diag_plus(n, extra):
+    return {**{(i, i): 1.0 for i in range(n)}, **extra}
+
+
+def _scalar_a(a):
+    return medium.build_scalar_medium(a, 1.0, Cell((1.0, 1.0)), 2)
+
+
+def _scalar_a_json(entries):
+    return medium.medium_from_descriptor({"cell": [1.0, 1.0], "kind": "scalar", "cutoff": 2,
+                                          "a": {"type": "matrix", "entries": entries}, "b": 1.0})
+
+
+def _vector_b(b):
+    return medium.build_vector_medium(2, {(0, 0, 0, 0): 1.0, (1, 0, 1, 0): 1.0}, b, Cell((1.0,)), 1)
+
+
+def _mu_inverse(mu):
+    return medium.maxwell_tensor_from_permeability(mu, Cell((1.0, 1.0, 1.0)), 1)
+
+
+@pytest.mark.parametrize("build, spec", [
+    (_scalar_a, _diag_plus(2, {(0, 1): 0.3})),
+    (_scalar_a, _diag_plus(2, {(1, 0): 0.3})),
+    (_scalar_a, _diag_plus(3, {})),
+    (_scalar_a_json, [[1.0, 0.3]]),
+    (_scalar_a_json, [[1.0], [0.3, 1.0]]),
+    (_scalar_a_json, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    (_vector_b, _diag_plus(2, {(0, 1): 0.1})),
+    (_vector_b, _diag_plus(2, {(1, 0): 0.1})),
+    (_vector_b, _diag_plus(3, {})),
+    (_mu_inverse, _diag_plus(3, {(0, 2): 0.1})),
+    (_mu_inverse, _diag_plus(3, {(2, 0): 0.1})),
+    (_mu_inverse, _diag_plus(4, {})),
+], ids=[f"{name}-{case}" for name in ("a", "a-json", "b", "mu-inverse")
+        for case in ("upper-only", "lower-only", "out-of-range")])
+def test_matrix_partner_required(build, spec):
+    # an off-diagonal entry without its transposed partner, or an entry outside
+    # the n x n matrix, is rejected, never dropped
+    with pytest.raises(ValidationError, match="symmetric partner|outside"):
+        build(spec)
+
+
 def test_schrodinger_blocks_structure(cell1d):
     blocks = medium.build_schrodinger_blocks(0.5, 2.0, medium.cosine(0.0, [((1,), 1.0)]),
                                              [0.3], cell1d, 4)
-    assert blocks.a_block[(0, 0)].mean() == 0.0
+    assert (0, 0) not in blocks.a_block
     assert blocks.a_block[(1, 1)].mean() == -1.0  # -1/(2m) with m = 1/2
-    assert blocks.b_block[(0,)].mean() == -0.5j
-    assert blocks.b_block[(1,)].mean() == 1j * 2.0 * 0.3 / 1.0  # i e Phi / (2m)
+    assert blocks.b_block[0].mean() == -0.5j
+    assert blocks.b_block[1].mean() == 1j * 2.0 * 0.3 / 1.0  # i e Phi / (2m)
     assert blocks.c_block.coeff((1,)) == -2.0 * 0.5  # -e * V_hat
     assert blocks.beta0 == -1.0
 
@@ -133,19 +226,12 @@ def test_schrodinger_divergence_free_2d_field():
     # Phi = (sin-free combo varying along y, 0) has zero divergence
     phi_x = medium.cosine(0.0, [((0, 1), 0.4)])
     blocks = medium.build_schrodinger_blocks(1.0, 1.0, 0.0, [phi_x, 0.0], cell, 3)
-    div = blocks.b_block[(1,)].derivative(0) + blocks.b_block[(2,)].derivative(1)
+    div = blocks.b_block[1].derivative(0) + blocks.b_block[2].derivative(1)
     assert np.max(np.abs(div.coeffs)) < 1e-12
     # swapping the dependence breaks it
     with pytest.raises(ValidationError, match="divergence"):
         medium.build_schrodinger_blocks(1.0, 1.0, 0.0,
                                         [medium.cosine(0.0, [((1, 0), 0.4)]), 0.0], cell, 3)
-
-
-def test_sample_on_grid_component_field(two_phase):
-    vals = medium.sample_on_grid(two_phase.a, 64)
-    assert vals.shape == (1, 1, 64)
-    direct = two_phase.a[(0, 0)].sample_grid(64)
-    assert np.allclose(vals[0, 0], direct)
 
 
 def test_descriptor_roundtrip_scalar(two_phase):
