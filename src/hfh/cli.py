@@ -37,6 +37,7 @@ Exit codes: 0 success, 1 validation/config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -219,25 +220,34 @@ def _signal_from_json(obj, where):
     return ergodic.PeriodicSignal1D(period, harmonics)
 
 
+def _need(obj, key, where):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValidationError(f"{where}: missing required key {key!r}")
+    return obj[key]
+
+
 def _cmd_ergodic(args):
     spec = _load_config(args.spec)
+    if not isinstance(spec, dict):
+        raise ValidationError(f"spec: expected a JSON object, got {type(spec).__name__}")
     op = spec.get("op")
     windows = spec.get("windows")
     if op in ("modulated_1d", "product", "derivative_product"):
-        f = _signal_from_json(spec["f"], "f")
+        f = _signal_from_json(_need(spec, "f", "spec"), "f")
         if op == "modulated_1d":
-            result = ergodic.avg_modulated_1d(f, float(spec["b"]), windows)
+            result = ergodic.avg_modulated_1d(f, float(_need(spec, "b", "spec")), windows)
         else:
-            g = _signal_from_json(spec["g"], "g")
+            g = _signal_from_json(_need(spec, "g", "spec"), "g")
             fn = ergodic.avg_product_periodic if op == "product" else ergodic.avg_derivative_product
             result = fn(f, g, windows)
     elif op == "modulated_dd":
-        cell = Cell(tuple(spec["cell"]))
-        terms = {tuple(int(v) for v in t["n"]): complex(t.get("re", 0.0), t.get("im", 0.0))
-                 for t in spec["f"]["terms"]}
+        cell = Cell(tuple(_need(spec, "cell", "spec")))
+        terms = {tuple(int(v) for v in _need(t, "n", f"f.terms[{i}]")):
+                 complex(t.get("re", 0.0), t.get("im", 0.0))
+                 for i, t in enumerate(_need(_need(spec, "f", "spec"), "terms", "f"))}
         cutoff = max((max(abs(v) for v in n) for n in terms), default=1) or 1
         f = FourierField.from_terms(cell, cutoff, terms)
-        result = ergodic.avg_modulated_dd(f, spec["lambda"], spec["boxes"])
+        result = ergodic.avg_modulated_dd(f, _need(spec, "lambda", "spec"), _need(spec, "boxes", "spec"))
     else:
         raise ValidationError(f"op: unknown ergodic op {op!r}")
     rows = [[w, v.real, v.imag, e]
@@ -306,7 +316,9 @@ def _cmd_check(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused by every later ``main``."""
     parser = _Parser(prog="hfh", description="Bloch bands, homogenized transport, and coupling diagnostics")
     parser.add_argument("--version", action="version", version=f"hfh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

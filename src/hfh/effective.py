@@ -1,15 +1,19 @@
 """Homogenized transport coefficients, cross-wave coupling, and the envelope PDE.
 
-All cell integrals are evaluated spectrally (Parseval sums over Fourier
-coefficients), so the carrier exponentials cancel identically and the
-supercell-to-cell collapse for self-coupling is exact, not approximate.
+All cell integrals are evaluated spectrally, so the carrier exponentials
+cancel identically and the supercell-to-cell collapse for self-coupling is
+exact, not approximate.
 
 One kernel, :func:`_transport`, reads the medium's constitutive symbol
 (:class:`hfh.medium.Symbol`) and forms the first-order solvability
-integrand slot by slot for every family.  The transport coefficients take
-its cell means, and the coupling averages take its integrand fields on
-supercells.  The ``effective_coefficients_*`` functions check the medium
-type and call :func:`effective_coefficients`.
+integrand slot by slot for every family.  It evaluates every factor on one
+FFT grid whose axes are at least w_V + w_V' + w_C - 2 points wide (the
+table widths of the two amplitudes and the widest symbol field), so the
+triple products wrap no harmonic and its coefficient tables are exact up
+to roundoff.  The transport coefficients take their zero harmonics, and the
+coupling averages take the whole tables on supercells.  The
+``effective_coefficients_*`` functions check the medium type and call
+:func:`effective_coefficients`.
 
 Carrier conventions follow :mod:`hfh.bloch`: wave families use
 U0 = V0 e^{-i(k.xi - omega xi0)} (so the time slot gives d_0 = -2i*omega
@@ -19,14 +23,14 @@ U0 = W e^{+i(k.xi - omega xi0)} (so d_0 = -i under unit normalization).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import BlochMode, check_nondegenerate
 from .errors import NumericalError, ValidationError
-from .fourier import TWO_PI, FourierField, box_average, product_mean, window_factor
+from .fourier import TWO_PI, FourierField, box_average, from_grid, to_grid, window_factor
+from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
 from .medium import MEDIUM_TYPES, ScalarWaveMedium, SchrodingerBlocks, VectorWaveMedium
 
 RESONANCE_TOL = 1e-9
@@ -76,59 +80,86 @@ def _finalize(mode: BlochMode, d: np.ndarray) -> EffectiveCoefficients:
     return EffectiveCoefficients(mode.family, mode.k.copy(), mode.omega, mode.band, d, v)
 
 
-def _transport(symbol, left: BlochMode, right: BlochMode, sign: int, pair) -> list:
-    """Slot sums of the first-order solvability integrand of ``symbol``, slots 0..d.
+def _transport(symbol, modes, pairs, sign: int) -> list:
+    """Slot tables 0..d of the first-order solvability integrand of ``symbol``, per mode pair.
 
-    With V_k the amplitudes of ``right``, conj(V_i) those of ``left`` and
-    <f, g> = pair(f, g), each entry C_ipkq adds <d_p C, conj(V_i) V_k> (p >= 1)
-    and <C, conj(V_i) D_p V_k> to slot q, and <C, conj(V_i) D_q V_k> to slot p;
-    each M_l adds <M_l, |V|^2> to slot l.  D_j = d/dxi_j + i sign k_j and the
-    time slot D_0 = -sign i omega is a scalar factor (sign -1 for the wave
-    carriers, +1 for the schrodinger carrier; k, omega those of ``right``).
-    Each product conj(V_i) D_p V_k is formed once, and a diagonal entry
-    (p = q) adds its one product doubled.
+    For each (l, r) in ``pairs``, with V_k the amplitudes of modes[r] and
+    conj(V_i) those of modes[l], each entry C_ipkq adds d_p C conj(V_i) V_k
+    (p >= 1) and C conj(V_i) D_p V_k to slot q, and C conj(V_i) D_q V_k to
+    slot p; each M_l adds M_l |V|^2 to slot l.  D_j = d/dxi_j + i sign k_j
+    and the time slot D_0 = -sign i omega is a scalar factor (sign -1 for the
+    wave carriers, +1 for the schrodinger carrier; k, omega those of
+    modes[r]).  A diagonal entry (p = q) adds its one term doubled.
+
+    Every amplitude, its gauge derivatives, and every distinct symbol field
+    and needed field derivative is put on one grid once (:func:`to_grid`,
+    sized for a product of three factors).  Each slot integrand is formed
+    pointwise there, and one batched FFT gives every table, cropped to the
+    widest term of its slot: the tables are exact up to roundoff.
     """
-    Vc = [left.amplitude_field(i).conjugate() for i in range(left.components)]
-    V = [right.amplitude_field(k) for k in range(right.components)]
-    d0 = -sign * 1j * right.omega
-    products = {}
-
-    def product(i, k, p):  # conj(V_i) D_p V_k, without the scalar D_0
-        if (i, k, p) not in products:
-            g = V[k].gauge_derivative(p - 1, sign * right.k[p - 1]) if p else V[k]
-            products[(i, k, p)] = Vc[i] * g
-        return products[(i, k, p)]
-
-    def term(f, i, k, p, times=1):  # times * pair(f, conj(V_i) D_p V_k)
-        scale = times if p else times * d0
-        t = pair(f, product(i, k, p))
-        return t if scale == 1 else scale * t
-
-    out = [None] * (left.cell.dims + 1)
-
-    def add(slot, t):
-        out[slot] = t if out[slot] is None else out[slot] + t
-
+    dims = modes[0].cell.dims
+    fields = {id(f): f for f in [*symbol.C.values(), *symbol.M.values()]}
+    tables, amp, fld = [], {}, {}  # amp[mode, k, p] and fld[id(f), p]: positions in tables
+    for m, mode in enumerate(modes):
+        for k in range(mode.components):
+            V = mode.amplitude_field(k)
+            for p in range(dims + 1):
+                amp[m, k, p] = len(tables)
+                tables.append(V.gauge_derivative(p - 1, sign * mode.k[p - 1]).coeffs if p else V.coeffs)
+    for key, f in fields.items():
+        fld[key, 0] = len(tables)
+        tables.append(f.coeffs)
     for (i, p, k, q), f in symbol.C.items():
-        if p:
-            add(q, pair(f.derivative(p - 1), product(i, k, 0)))
-        if p == q:
-            add(q, term(f, i, k, p, times=2))
-        else:
-            add(q, term(f, i, k, p))
-            add(p, term(f, i, k, q))
-    for l, f in symbol.M.items():
-        add(l, pair(f, product(0, 0, 0)))
-    return out
+        if p and (id(f), p) not in fld:
+            fld[id(f), p] = len(tables)
+            tables.append(f.derivative(p - 1).coeffs)
+    mode_w = np.max([mode.v0.shape[1:] for mode in modes], axis=0)
+    field_w = np.max([f.coeffs.shape for f in fields.values()], axis=0)
+    grid = to_grid(tables, [mode_w, mode_w, field_w])
+    mode_cut = [(np.array(mode.v0.shape[1:]) - 1) // 2 for mode in modes]
+
+    slots, cutoffs = [], []
+    for l, r in pairs:
+        d0 = -sign * 1j * modes[r].omega
+        out = np.zeros((dims + 1,) + grid.shape[1:], dtype=np.complex128)
+        cut = [mode_cut[l] + mode_cut[r]] * (dims + 1)  # grows to the widest term of each slot
+        products = {}
+
+        def product(i, k, p):  # conj(V_i) D_p V_k, without the scalar D_0
+            if (i, k, p) not in products:
+                products[i, k, p] = np.conj(grid[amp[l, i, 0]]) * grid[amp[r, k, p]]
+            return products[i, k, p]
+
+        def add(slot, f, p, values, scale=1):  # scale * (field f, or d_p f) * values
+            out[slot] += scale * (grid[fld[id(f), p]] * values)
+            cut[slot] = np.maximum(cut[slot], mode_cut[l] + mode_cut[r] + f.cutoffs)
+
+        for (i, p, k, q), f in symbol.C.items():
+            if p:
+                add(q, f, p, product(i, k, 0))
+            if p == q:
+                add(q, f, 0, product(i, k, p), 2 if p else 2 * d0)
+            else:
+                add(q, f, 0, product(i, k, p), 1 if p else d0)
+                add(p, f, 0, product(i, k, q), 1 if q else d0)
+        for slot, f in symbol.M.items():
+            add(slot, f, 0, product(0, 0, 0))
+        slots.append(out)
+        cutoffs += [tuple(int(c) for c in c_slot) for c_slot in cut]
+
+    coeffs = from_grid(np.concatenate(slots), cutoffs)
+    cell = modes[0].cell
+    return [[FourierField(cell, t) for t in coeffs[n:n + dims + 1]]
+            for n in range(0, len(coeffs), dims + 1)]
 
 
 def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
     """Unit-cell transport coefficients d_0..d_d of any family, from its symbol.
 
-    The carriers cancel analytically, so each d_l is an exact Fourier sum:
-    the slot-l sum of :func:`_transport` with pair = cell mean of the
-    product.  Under the stored normalization d_0 = -2i*omega for the wave
-    families and -i for the schrodinger family.
+    The carriers cancel analytically, so each d_l is the zero harmonic of
+    the slot-l table of :func:`_transport`, exact up to roundoff.  Under the
+    stored normalization d_0 = -2i*omega for the wave families and -i for
+    the schrodinger family.
     """
     if not isinstance(medium, MEDIUM_TYPES):
         raise ValidationError(f"unknown medium type {type(medium).__name__}")
@@ -138,7 +169,8 @@ def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
         raise ValidationError("mode was solved on a different medium")
     wave = medium.family != "schrodinger"
     _require_usable(mode, wave)
-    d = np.array(_transport(medium.symbol, mode, mode, -1 if wave else 1, product_mean))
+    (tables,) = _transport(medium.symbol, [mode], [(0, 0)], -1 if wave else 1)
+    d = np.array([table.mean() for table in tables])
     return _finalize(mode, d)
 
 
@@ -256,23 +288,21 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWave
         raise ValidationError(f"time window must be finite and positive, got {time_window}")
 
     cell = medium.cell
-    modes = {1: mode1, 2: mode2}
+    modes = (mode1, mode2)
     resonant = (abs(mode1.omega - mode2.omega) <= RESONANCE_TOL
                 and _wavevector_resonant(mode1.k - mode2.k, cell))
 
     averages, limits, slopes, decay_constants = {}, {}, {}, {}
     ns = np.asarray(counts, dtype=float)
-    for p in (1, 2):
-        for l in (1, 2):
-            mp, ml = modes[p], modes[l]
-            domega = ml.omega - mp.omega
-            dk = ml.k - mp.k
-            g_fields = _transport(medium.symbol, mp, ml, -1, operator.mul)
-            for j, G in enumerate(g_fields):
-                key = (j, p, l)
-                averages[key] = _supercell_average(G, domega, dk, time_window, ns)
-                limits[key] = _structural_limit(G, domega, dk)
-                slopes[key], decay_constants[key] = _fit_decay(ns, averages[key] - limits[key])
+    pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
+    for (p, l), g_fields in zip(pairs, _transport(medium.symbol, modes, pairs, -1)):
+        domega = modes[l].omega - modes[p].omega
+        dk = modes[l].k - modes[p].k
+        for j, G in enumerate(g_fields):
+            key = (j, p + 1, l + 1)
+            averages[key] = _supercell_average(G, domega, dk, time_window, ns)
+            limits[key] = _structural_limit(G, domega, dk)
+            slopes[key], decay_constants[key] = _fit_decay(ns, averages[key] - limits[key])
 
     return CouplingReport(mode1.k.copy(), mode1.omega, mode1.band,
                           mode2.k.copy(), mode2.omega, mode2.band,

@@ -5,9 +5,11 @@ coefficients c[n], n in Z^d, representing
 
     f(xi) = sum_n c[n] * exp(2*pi*i * n . (xi / lambda))
 
-on the cell [0, lambda_1] x ... x [0, lambda_d].  Products are exact
-convolutions and cell averages are exact coefficient sums, so no
-quadrature error enters any cell integral built from these fields.
+on the cell [0, lambda_1] x ... x [0, lambda_d].  Products are formed on
+a uniform grid wide enough to hold their whole linear convolution
+(:func:`to_grid`, :func:`from_grid`), so they are exact up to roundoff, and
+cell averages are exact coefficient sums: no quadrature or aliasing error
+enters any cell integral built from these fields.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import ValidationError
 
@@ -154,8 +155,9 @@ class FourierField:
 
     def __mul__(self, other):
         if isinstance(other, FourierField):
-            out = signal.convolve(self.coeffs, other.coeffs, mode="full", method="auto")
-            return FourierField(self.cell, out)
+            values = to_grid([self.coeffs, other.coeffs], [self.coeffs.shape, other.coeffs.shape])
+            cut = tuple(a + b for a, b in zip(self.cutoffs, other.cutoffs))
+            return FourierField(self.cell, from_grid(values[:1] * values[1:], [cut])[0])
         return FourierField(self.cell, self.coeffs * other)
 
     def __rmul__(self, other):
@@ -219,6 +221,56 @@ class FourierField:
         x = np.asarray(x, dtype=float)
         phases = np.exp(2j * np.pi * np.outer(x, self.index_grid(0)) / self.cell.lengths[0])
         return phases @ self.coeffs
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the FFT handles without a prime-size detour."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _centered(cutoffs, grid) -> tuple:
+    """Slices of a centred grid (harmonic 0 at index N // 2) holding harmonics -c..c per axis."""
+    return tuple(slice(n // 2 - c, n // 2 + c + 1) for c, n in zip(cutoffs, grid))
+
+
+def to_grid(tables, widths) -> np.ndarray:
+    """Values of a stack of coefficient tables on one uniform grid of the cell.
+
+    ``widths`` are the shapes of the factors of the product to be formed on
+    the grid.  Each axis gets at least sum(w[ax]) - (len(widths) - 1) points,
+    the width of the factors' linear convolution, rounded up to an FFT-friendly
+    length; a pointwise product of the returned values therefore wraps no
+    harmonic, and :func:`from_grid` gives its coefficients exactly up to
+    roundoff.  Tables are odd-sized and may differ in shape; the result has
+    shape (len(tables),) + grid, with one batched inverse FFT.
+    """
+    grid = tuple(_fft_length(sum(axis) - len(widths) + 1) for axis in zip(*widths))
+    spec = np.zeros((len(tables),) + grid, dtype=np.complex128)
+    for dest, table in zip(spec, tables):
+        dest[_centered([(s - 1) // 2 for s in table.shape], grid)] = table
+    axes = tuple(range(1, spec.ndim))
+    return np.fft.ifftn(np.fft.ifftshift(spec, axes=axes), axes=axes, norm="forward")
+
+
+def from_grid(values, cutoffs) -> list:
+    """Coefficient tables of a stack of grid values; table t is cropped to ``cutoffs[t]``.
+
+    One batched forward FFT; ``values`` has shape (stack,) + grid as from
+    :func:`to_grid`, and no cutoff may exceed what the grid resolves.
+    """
+    grid = values.shape[1:]
+    if any(2 * c + 1 > n for cut in cutoffs for c, n in zip(cut, grid)):
+        raise ValidationError(f"a grid of shape {grid} cannot hold cutoffs {list(cutoffs)}")
+    axes = tuple(range(1, values.ndim))
+    spec = np.fft.fftshift(np.fft.fftn(values, axes=axes, norm="forward"), axes=axes)
+    return [table[_centered(cut, grid)] for table, cut in zip(spec, cutoffs)]
 
 
 def product_mean(f: FourierField, g: FourierField) -> complex:

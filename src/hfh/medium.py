@@ -284,8 +284,10 @@ def _matrix_field(spec, n: int, cell: Cell, cutoff: int, name: str) -> dict:
         diag = build_field(spec, cell, cutoff)
         spec = {(i, i): diag for i in range(n)}
     entries = {}
-    for (i, j), s in spec.items():
-        i, j = int(i), int(j)
+    for key, s in spec.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ValidationError(f"{name}: {key!r} is not an (i, j) entry; a field spec needs a 'type'")
+        i, j = int(key[0]), int(key[1])
         if not (0 <= i < n and 0 <= j < n):
             raise ValidationError(f"{name}[{i}][{j}] lies outside the {n} x {n} matrix")
         entries[(i, j)] = build_field(s, cell, cutoff)

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,3 +244,119 @@ def test_outputs_are_deterministic(config, tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_matrix_spec_without_type_rejected(tmp_path):
+    # a dict with no "type" whose keys are not (i, j) pairs names the coefficient
+    path = tmp_path / "untyped.json"
+    path.write_text(json.dumps(dict(MEDIUM, a={"value": 1.0})))
+    out = tmp_path / "out.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(["groupvel", "--config", str(path), "--k", "0.5", "--out", str(out)])
+    assert code == 1
+    assert err.getvalue().startswith("error: a: ")
+    assert not out.exists()
+
+
+_WINDOWS = [4.0, 8.0]
+
+
+@pytest.mark.parametrize("spec, key", [
+    ([1.0, 2.0], "JSON object"),
+    ({"op": "modulated_1d", "b": 1.0, "windows": _WINDOWS}, "'f'"),
+    ({"op": "product", "f": _SIGNAL, "windows": _WINDOWS}, "'g'"),
+    ({"op": "modulated_1d", "f": _SIGNAL, "windows": _WINDOWS}, "'b'"),
+    ({"op": "modulated_dd", "f": _FIELD, "lambda": [0.5, 0.7], "boxes": _WINDOWS}, "'cell'"),
+    ({"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD, "boxes": _WINDOWS}, "'lambda'"),
+    ({"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD, "lambda": [0.5, 0.7]}, "'boxes'"),
+    ({"op": "modulated_dd", "cell": [1.0, 1.0], "f": {}, "lambda": [0.5, 0.7], "boxes": _WINDOWS},
+     "'terms'"),
+    ({"op": "modulated_dd", "cell": [1.0, 1.0], "f": {"terms": [{"n": [0, 0], "re": 1.0}, {"re": 0.5}]},
+      "lambda": [0.5, 0.7], "boxes": _WINDOWS}, "f.terms[1]: missing required key 'n'"),
+], ids=["not-object", "no-f", "no-g", "no-b", "no-cell", "no-lambda", "no-boxes", "no-terms",
+        "no-term-n"])
+def test_incomplete_ergodic_spec_rejected(spec, key, tmp_path):
+    # a spec that is not an object or lacks a required key is a validation error naming it
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(["ergodic", "--spec", str(spec_path), "--out", str(out)])
+    assert code == 1
+    assert err.getvalue().startswith("error: ")
+    assert key in err.getvalue()
+    assert not out.exists()
+
+
+def _fresh_interpreter(script, *args, cwd):
+    """Run ``script`` in a new Python process that imports hfh from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+_MAIN = "import sys\nfrom hfh import cli\nsys.exit(cli.main(sys.argv[1:]))"
+
+
+def _session_commands(config, spec):
+    return [
+        ["bands", "--config", config, "--k-start", "0.1", "--k-end", "3.0", "--samples", "6",
+         "--cutoff", "6", "--out", "bands.csv"],
+        ["couple", "--config", config, "--k", "1.2", "--m", "0.5", "--cutoff", "6",
+         "--supercells", "4,8", "--out", "couple.csv"],
+        ["effective", "--config", config, "--k", "1.2", "--cutoff", "6", "--out-prefix", "eff"],
+        ["ergodic", "--spec", spec, "--out", "ergodic.csv"],
+    ]
+
+
+def test_one_process_matches_fresh_interpreters(tmp_path, monkeypatch):
+    # the parser is built once per process: commands run one after another in one process,
+    # with a usage error among them, write the same bytes as each command run alone
+    config = tmp_path / "medium.json"
+    config.write_text(json.dumps(dict(MEDIUM, cutoff=6)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"op": "product", "f": _SIGNAL, "g": _SIGNAL, "windows": _WINDOWS}))
+    commands = _session_commands(str(config), str(spec))
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    monkeypatch.chdir(together)
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes = [run_cli(argv)[0] for argv in commands[:1] + [["bands", "--bogus"]] + commands[1:]]
+    assert codes == [0, 64, 0, 0, 0]
+    for argv in commands:
+        proc = _fresh_interpreter(_MAIN, *argv, cwd=alone)
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in alone.iterdir())
+    assert names == sorted(p.name for p in together.iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert (together / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+_HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+
+
+def test_commands_import_no_heavy_scipy(tmp_path):
+    # field products use numpy's FFT: no command pulls in scipy.signal and what it imports
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps(dict(MEDIUM, cutoff=8)))
+    config = tmp_path / "medium.json"
+    config.write_text(json.dumps(dict(MEDIUM, cutoff=6)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD,
+                                "lambda": [0.5, 0.7], "boxes": _WINDOWS}))
+    commands = _session_commands(str(config), str(spec))[1:] + [
+        ["simulate", "--config", str(coarse), "--k", "1.5707963267948966", "--epsilon", "0.125",
+         "--sigma", "0.4", "--center", "2.0", "--length", "8.0", "--points-per-cell", "16",
+         "--t-final", "0.5", "--frames", "5", "--out-prefix", "sim"]]
+    script = ("import json, sys\nimport hfh.cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert hfh.cli.main(argv) == 0, argv\n"
+              f"print(json.dumps(sorted(m for m in {_HEAVY!r} if m in sys.modules)))")
+    proc = _fresh_interpreter(script, json.dumps(commands), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "sim_run.json").is_file() and (tmp_path / "eff.json").is_file()
