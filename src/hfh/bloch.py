@@ -13,6 +13,14 @@ B[n, n'] = b_hat[n - n'], both Hermitian by construction.  The schrodinger
 family's first- and zeroth-order terms join A, which becomes H(k).  The
 three ``assemble_*_operator`` functions check the medium type and call it.
 
+Only A depends on k.  A medium keeps the rest for one operator cutoff in its
+instance dict, built on first use: the basis and G = 2*pi*n/lambda, one
+read-only lag block per distinct symbol field, and for the wave families B,
+its lower Cholesky factor and the HEEVX workspace.  A wave solve runs the
+rest of LAPACK's xHEGVX on the factor (HEGST, HEEVX, TRSM), which gives the
+bits ``scipy.linalg.eigh(A, B)`` gives; the schrodinger family solves with
+``scipy.linalg.eigh``.
+
 Carrier conventions for the stored cell-periodic amplitudes:
 
 * wave families: U0 = V0(xi') e^{-i(k.xi' - omega*xi0)}, omega >= 0.  The
@@ -32,6 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import TWO_PI, Cell, FourierField
@@ -59,6 +68,8 @@ class BlochOperator:
     cutoff: int
     medium_key: str
     notes: tuple = field(default=())
+    factor: np.ndarray | None = None  # lower Cholesky factor of B
+    lwork: int | None = None  # HEEVX workspace
 
     @property
     def size(self) -> int:
@@ -136,10 +147,6 @@ def _lag_block(f: FourierField, cutoff: int) -> np.ndarray:
     return table.ravel().take(_lag_index(f.cell.dims, cutoff))
 
 
-def _k_plus_g(cell: Cell, basis: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return k[None, :] + TWO_PI * basis / cell.diag[None, :]
-
-
 def _as_k(cell: Cell, k) -> np.ndarray:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape != (cell.dims,):
@@ -171,10 +178,79 @@ def _mirror_hermitian(m: np.ndarray) -> None:
 
 
 def _sandwich(kg: np.ndarray, j: int, block: np.ndarray, l: int) -> np.ndarray:
-    """(k+G)_j block (k+G')_l for spatial slots j, l >= 1, in one temporary."""
-    out = kg[:, None, j - 1] * block
-    out *= kg[None, :, l - 1]
+    """(k+G)_j block (k+G')_l in one temporary; slot 0 gives a factor 1."""
+    out = kg[:, None, j - 1] * block if j else block.copy()
+    if l:
+        out *= kg[None, :, l - 1]
     return out
+
+
+@dataclass(frozen=True)
+class _Galerkin:
+    """The k-independent parts of a medium's Bloch operators at one cutoff, all arrays read-only.
+
+    ``terms`` holds (part, j, l, paired, lag block) per term of A in assembly
+    order: it adds :func:`_sandwich` of the block to ``A[part]``, and so for
+    the transposed slots if ``paired``.  ``factor`` is B's lower Cholesky
+    factor (None if B is not positive definite).
+    """
+
+    cutoff: int
+    basis: np.ndarray
+    G: np.ndarray  # 2*pi*n/lambda
+    terms: tuple
+    B: np.ndarray | None
+    factor: np.ndarray | None
+    lwork: int | None  # optimal HEEVX workspace
+
+
+def _galerkin(medium, cutoff: int) -> _Galerkin:
+    """The medium's k-independent Galerkin parts, built on first use and again when the cutoff changes.
+
+    They live in the medium's instance dict, as ``symbol`` does, so they last
+    as long as the medium; one cutoff is kept.
+    """
+    cache = medium.__dict__.get("_galerkin")
+    if cache is not None and cache.cutoff == cutoff:
+        return cache
+    cell, sym = medium.cell, medium.symbol
+    wave = medium.family != "schrodinger"
+    basis = _basis_indices(cell.dims, cutoff)
+    nb = len(basis)
+    B = np.zeros((sym.n_comp * nb,) * 2, dtype=np.complex128) if wave else None
+    uses = {}  # id(field) -> (field, its C entries): one lag block per distinct field
+    for idx, f in sym.C.items():
+        uses.setdefault(id(f), (f, []))[1].append(idx)
+    terms = []
+    for f, entries in uses.values():
+        block = _lag_block(f, cutoff)
+        for (i, j, kk, l) in entries:
+            part = (slice(i * nb, (i + 1) * nb), slice(kk * nb, (kk + 1) * nb))
+            if wave and not (j or l):
+                B[part] -= block
+            elif not (j and l):
+                raise ValidationError(f"C entry {(i, j, kk, l)} has no term in the Bloch operator")
+            elif j == l or sym.C.get((i, l, kk, j)) is not f:
+                terms.append((part, j, l, False, block))
+            elif j < l:  # the transposed entry C_ilkj shares f: add both terms in one pass
+                terms.append((part, j, l, True, block))
+    # the schrodinger family's (M_l / i)_hat (k+G')_l and c_hat (one component)
+    terms += [(slice(None), 0, l, False, _lag_block(FourierField(cell, f.coeffs / 1j), cutoff))
+              for l, f in sym.M.items() if l]
+    terms += [(slice(None), 0, 0, False, _lag_block(f, cutoff)) for f in sym.c.values()]
+    factor = lwork = None
+    if wave:
+        _mirror_hermitian(B)
+        L, info = lapack.zpotrf(B, lower=1)
+        factor = None if info else L
+        lwork = int(lapack.zheevx_lwork(len(B), lower=1)[0].real)
+    G = TWO_PI * basis / cell.diag[None, :]
+    for arr in [basis, G, B, factor] + [t[-1] for t in terms]:
+        if arr is not None:
+            arr.flags.writeable = False
+    cache = _Galerkin(cutoff, basis, G, tuple(terms), B, factor, lwork)
+    medium.__dict__["_galerkin"] = cache
+    return cache
 
 
 def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
@@ -186,6 +262,7 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     C_i0k0 = -b_ik give B = -C_hat.  The schrodinger family has no B: its
     first-order terms (M_l / i)_hat (k+G')_l and its c_hat join A, which is
     then divided by beta0 = (mean M_0) / i, so A is the Hamiltonian H(k).
+    Only A depends on k; the rest comes from the medium's cache.
     """
     if not isinstance(medium, MEDIUM_TYPES):
         raise ValidationError(f"unknown medium type {type(medium).__name__}")
@@ -196,46 +273,25 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     if not wave and cell.dims > 2:
         raise UnsupportedScaleError("schrodinger solves support d <= 2")
     k = _as_k(cell, k)
-    sym = medium.symbol
     if not wave:
         beta0 = medium.beta0
         if beta0 == 0.0:
             raise ValidationError("b_block time component has no imaginary part; omega cannot be isolated")
-    basis = _basis_indices(cell.dims, cutoff)
-    kg = _k_plus_g(cell, basis, k)
-    nb = len(basis)
-    A = np.zeros((sym.n_comp * nb,) * 2, dtype=np.complex128)
-    B = np.zeros(A.shape, dtype=np.complex128) if wave else None
-    uses = {}  # id(field) -> (field, its C entries): one lag block per distinct field
-    for idx, f in sym.C.items():
-        uses.setdefault(id(f), (f, []))[1].append(idx)
-    for f, entries in uses.values():
-        block = _lag_block(f, cutoff)
-        for (i, j, kk, l) in entries:
-            part = (slice(i * nb, (i + 1) * nb), slice(kk * nb, (kk + 1) * nb))
-            if wave and not (j or l):
-                B[part] -= block
-            elif not (j and l):
-                raise ValidationError(f"C entry {(i, j, kk, l)} has no term in the Bloch operator")
-            elif j == l or sym.C.get((i, l, kk, j)) is not f:
-                A[part] += _sandwich(kg, j, block, l)
-            elif j < l:  # the transposed entry C_ilkj shares f: add both terms in one pass
-                term = _sandwich(kg, j, block, l)
-                term += _sandwich(kg, l, block, j)
-                A[part] += term
+    g = _galerkin(medium, cutoff)
+    kg = k[None, :] + g.G
+    n_comp = medium.symbol.n_comp
+    A = np.zeros((n_comp * len(g.basis),) * 2, dtype=np.complex128)
+    for part, j, l, paired, block in g.terms:
+        term = _sandwich(kg, j, block, l)
+        if paired:
+            term += _sandwich(kg, l, block, j)
+        A[part] += term
     if not wave:
-        for l, f in sym.M.items():
-            if l:
-                A += _lag_block(FourierField(cell, f.coeffs / 1j), cutoff) * kg[None, :, l - 1]
-        for f in sym.c.values():
-            A += _lag_block(f, cutoff)
         A /= beta0
     _mirror_hermitian(A)
-    if wave:
-        _mirror_hermitian(B)
     notes = _truncation_notes(medium.cutoff, cutoff)
-    return BlochOperator(medium.family, k, cell, basis, sym.n_comp, A, B, cutoff,
-                         medium.fingerprint, notes)
+    return BlochOperator(medium.family, k, cell, g.basis, n_comp, A, g.B, cutoff,
+                         medium.fingerprint, notes, g.factor, g.lwork)
 
 
 def assemble_wave_operator(medium: ScalarWaveMedium, k, cutoff: int) -> BlochOperator:
@@ -282,6 +338,28 @@ def _spectral_radius_bound(op: BlochOperator, evals: np.ndarray) -> float:
     return max(float(np.max(np.abs(evals))), float(np.max(np.abs(diag))))
 
 
+def _solve_pencil(op: BlochOperator, subset) -> tuple:
+    """Eigenpairs subset[0]..subset[1] of A v = mu B v by LAPACK xHEGVX's steps, POTRF + HEGST + HEEVX + TRSM.
+
+    B's factor comes with the operator (a medium factors B once per cutoff).
+    With HEEVX's optimal workspace the result is bit for bit that of
+    ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.
+    """
+    L, info = (op.factor, 0) if op.factor is not None else lapack.zpotrf(op.B, lower=1)
+    if info:
+        raise scipy.linalg.LinAlgError(
+            f"The leading minor of order {info} of B is not positive definite. The factorization "
+            "of B could not be completed and no eigenvalues or eigenvectors were computed.")
+    C, _ = lapack.zhegst(op.A, L, lower=1)
+    lwork = op.lwork or int(lapack.zheevx_lwork(op.size, lower=1)[0].real)
+    w, Z, m, _, info = lapack.zheevx(C, range="I", lower=1, il=subset[0] + 1, iu=subset[1] + 1,
+                                     abstol=0.0, lwork=lwork, overwrite_a=1)
+    if info:
+        raise scipy.linalg.LinAlgError(f"{info} eigenvectors failed to converge.")
+    return w[:m], scipy.linalg.solve_triangular(L, Z[:, :m], lower=True, trans="C",
+                                                overwrite_b=True, check_finite=False)
+
+
 def solve_bands(op: BlochOperator, n_bands: int) -> list:
     """Solve the assembled pencil and return the lowest n_bands normalized modes.
 
@@ -304,7 +382,7 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
         if op.B is None:
             evals, evecs = scipy.linalg.eigh(op.A, subset_by_index=subset)
         else:
-            evals, evecs = scipy.linalg.eigh(op.A, op.B, subset_by_index=subset)
+            evals, evecs = _solve_pencil(op, subset)
     except scipy.linalg.LinAlgError as exc:
         diag = ""
         if op.B is not None:

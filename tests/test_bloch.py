@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfh import bloch, medium
+from hfh import bloch, checks, cli, medium
 from hfh.errors import NumericalError, UnsupportedScaleError, ValidationError
 from hfh.fourier import Cell, FourierField
 
@@ -73,6 +74,53 @@ def mathieu_fd_oracle(k, bands):
     coarse = bloch_fd_eigs(pot, 0.5, k, 512)[:bands]
     fine = bloch_fd_eigs(pot, 0.5, k, 1024)[:bands]
     return (4.0 * fine - coarse) / 3.0
+
+
+def oracle_assemble(med, k, cutoff):
+    """A and B as assembled before the k-independent parts were cached: every
+    lag block and B rebuilt per call, in the same term order."""
+    cell, sym = med.cell, med.symbol
+    wave = med.family != "schrodinger"
+    k = np.asarray(k, dtype=float)
+    basis = bloch._basis_indices(cell.dims, cutoff)
+    kg = k[None, :] + 2 * np.pi * basis / cell.diag[None, :]
+    nb = len(basis)
+    A = np.zeros((sym.n_comp * nb,) * 2, dtype=np.complex128)
+    B = np.zeros(A.shape, dtype=np.complex128) if wave else None
+    uses = {}
+    for idx, f in sym.C.items():
+        uses.setdefault(id(f), (f, []))[1].append(idx)
+    for f, entries in uses.values():
+        block = bloch._lag_block(f, cutoff)
+        for (i, j, kk, l) in entries:
+            part = (slice(i * nb, (i + 1) * nb), slice(kk * nb, (kk + 1) * nb))
+            if wave and not (j or l):
+                B[part] -= block
+            elif j == l or sym.C.get((i, l, kk, j)) is not f:
+                A[part] += bloch._sandwich(kg, j, block, l)
+            elif j < l:
+                term = bloch._sandwich(kg, j, block, l)
+                term += bloch._sandwich(kg, l, block, j)
+                A[part] += term
+    if not wave:
+        for l, f in sym.M.items():
+            if l:
+                A += bloch._lag_block(FourierField(cell, f.coeffs / 1j), cutoff) * kg[None, :, l - 1]
+        for f in sym.c.values():
+            A += bloch._lag_block(f, cutoff)
+        A /= med.beta0
+    bloch._mirror_hermitian(A)
+    if wave:
+        bloch._mirror_hermitian(B)
+    return A, B
+
+
+def oracle_solve(op, n_bands):
+    """``solve_bands`` with the generalized problem handed to ``scipy.linalg.eigh`` whole."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bloch, "_solve_pencil",
+                      lambda op, subset: scipy.linalg.eigh(op.A, op.B, subset_by_index=subset))
+        return bloch.solve_bands(op, n_bands)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +339,38 @@ def test_vector_3d_assembly_allowed_solve_refused():
 
 
 def test_nan_residual_raises(const_medium, monkeypatch):
+    # the wave path's eigensolve is LAPACK's HEEVX on the reduced pencil
     op = bloch.assemble_wave_operator(const_medium, [0.5], 2)
+    evals = np.zeros(op.size)
+    evals[:2] = np.linalg.eigvalsh(op.A)[:2]
+    nan_vectors = np.full((op.size, 2), np.nan + 0j, order="F")
+    monkeypatch.setattr(scipy.linalg.lapack, "zheevx",
+                        lambda *args, **kwargs: (evals, nan_vectors, 2, np.zeros(op.size, int), 0))
+    with pytest.raises(NumericalError, match="residual"):
+        bloch.solve_bands(op, 1)
+
+
+def test_nan_residual_raises_schrodinger(mathieu_blocks, monkeypatch):
+    op = bloch.assemble_schrodinger_operator(mathieu_blocks, [0.5], 16)
     evals = np.linalg.eigvalsh(op.A)[:2]
     nan_vectors = np.full((op.size, 2), np.nan + 0j)
     monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: (evals, nan_vectors))
     with pytest.raises(NumericalError, match="residual"):
         bloch.solve_bands(op, 1)
+
+
+def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
+    # built directly, so the builder's positivity check never runs; B = -I
+    neg = medium.ScalarWaveMedium(cell1d, {(0, 0): FourierField.constant(cell1d, 1.0)},
+                                  FourierField.constant(cell1d, -1.0), 1, "negative-b")
+    with pytest.raises(NumericalError, match=r"cond\(B\)"):
+        bloch.solve_at(neg, [0.5], 2, 1)
+    config = tmp_path / "medium.json"
+    config.write_text('{"cell": [1.0], "kind": "scalar", "cutoff": 1, "a": 1.0, "b": 1.0}')
+    monkeypatch.setattr(medium, "medium_from_descriptor", lambda desc: neg)
+    assert cli.main(["groupvel", "--config", str(config), "--k", "0.5", "--band", "1",
+                     "--cutoff", "2", "--out", str(tmp_path / "gv.csv")]) == 2
+    assert not (tmp_path / "gv.csv").exists()
 
 
 def test_solver_guards(const_medium):
@@ -315,7 +389,8 @@ _phase = st.floats(0.0, 2 * np.pi)
 _kcomp = st.floats(0.3, 2.8) | st.floats(-2.8, -0.3)  # away from k = 0, where omega -> 0
 
 
-def _random_operator(family, draw):
+def _random_medium(family, draw):
+    """A random medium of the family and the operator cutoff to solve it at."""
     def harmonics(*modes):
         return [(n, draw(_amp), draw(_phase)) for n in modes]
 
@@ -327,6 +402,11 @@ def _random_operator(family, draw):
         cell, cutoff = Cell((1.0, 1.3)), 2
         med = medium.build_scalar_medium(medium.cosine(2.0, harmonics((1, 0), (0, 1), (1, 1))),
                                          medium.cosine(1.5, harmonics((1, -1))), cell, 2)
+    elif family == "scalar-2d-aniso":
+        cell, cutoff = Cell((1.0, 1.3)), 2
+        off = medium.cosine(0.3, harmonics((1, 1)))
+        a = [[medium.cosine(2.0, harmonics((1, 0))), off], [off, medium.cosine(1.5, harmonics((0, 1)))]]
+        med = medium.build_scalar_medium(a, medium.cosine(1.2, harmonics((1, -1))), cell, 2)
     elif family == "vector-2d":
         cell, cutoff = Cell((1.0, 1.0)), 2
         a_terms = {(i, j, i, j): medium.cosine(1.5, harmonics((1, 0), (0, 1)))
@@ -337,12 +417,18 @@ def _random_operator(family, draw):
         cell, cutoff = Cell((1.0,)), 6
         med = medium.build_schrodinger_blocks(0.5, 1.0, medium.cosine(0.0, harmonics((1,), (2,))),
                                               None, cell, 3)
-    else:  # schrodinger-2d, with a divergence-free magnetic potential
+    else:  # schrodinger-2d, with a divergence-free magnetic potential; -mean: potentials of nonzero mean
         cell, cutoff = Cell((1.0, 1.0)), 2
-        med = medium.build_schrodinger_blocks(1.0, 1.0, medium.cosine(0.0, harmonics((1, 0))),
-                                              [medium.cosine(0.0, harmonics((0, 1))), 0.0],
+        mean = draw(st.floats(0.2, 0.8)) if family.endswith("-mean") else 0.0
+        med = medium.build_schrodinger_blocks(1.0, 1.0, medium.cosine(mean, harmonics((1, 0))),
+                                              [medium.cosine(mean, harmonics((0, 1))), 0.0],
                                               cell, 2)
-    k = [draw(_kcomp) for _ in range(cell.dims)]
+    return med, cutoff
+
+
+def _random_operator(family, draw):
+    med, cutoff = _random_medium(family, draw)
+    k = [draw(_kcomp) for _ in range(med.cell.dims)]
     return bloch.assemble_operator(med, k, cutoff)
 
 
@@ -368,3 +454,67 @@ def test_partial_solve_matches_full_eigh(family, bands, data):
         others[idx] = np.inf
         assert abs(mode.gap - others.min()) <= 2e-10 * (scale + others.min())
         assert mode.residual <= gate
+
+
+# ---------------------------------------------------------------------------
+# cached Galerkin parts against the per-k assembly and the whole-pencil eigh
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NumericalError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("bands", [1, 3, "size"])
+@pytest.mark.parametrize("family", ["scalar-1d", "scalar-2d", "scalar-2d-aniso", "vector-2d",
+                                    "schrodinger-1d", "schrodinger-2d", "schrodinger-2d-mean"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_cached_parts_bit_identical(family, bands, data):
+    med, cutoff = _random_medium(family, data.draw)
+    ks = [[data.draw(st.just(0.0) | st.floats(-3.0, 3.0)) for _ in range(med.cell.dims)]
+          for _ in range(2)]
+    for k in ks + [[0.0] * med.cell.dims]:  # several k on one medium, k = 0 included
+        op = bloch.assemble_operator(med, k, cutoff)
+        A, B = oracle_assemble(med, k, cutoff)
+        assert np.array_equal(op.A, A)
+        assert (op.B is None and B is None) or np.array_equal(op.B, B)
+        n_bands = op.size if bands == "size" else bands
+        ref = dataclasses.replace(op, A=A, B=B, factor=None, lwork=None)
+        got, want = _outcome(lambda: bloch.solve_bands(op, n_bands)), _outcome(lambda: oracle_solve(ref, n_bands))
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        assert len(got) == len(want) == n_bands
+        for m1, m2 in zip(got, want):
+            assert m1.omega == m2.omega and m1.gap == m2.gap and m1.residual == m2.residual
+            assert np.array_equal(m1.v0, m2.v0)
+
+
+def test_cutoff_switch_rebuilds_same_bits():
+    med = checks._two_phase_medium(3)  # a fresh medium, so its cache starts empty
+    first = bloch.assemble_operator(med, [0.7], 4)
+    modes = bloch.solve_bands(first, 2)
+    bloch.assemble_operator(med, [0.7], 9)
+    again = bloch.assemble_operator(med, [0.7], 4)
+    assert again.B is not first.B  # the cache was replaced and rebuilt
+    for x, y in [(first.A, again.A), (first.B, again.B), (first.factor, again.factor)]:
+        assert np.array_equal(x, y)
+    for m1, m2 in zip(modes, bloch.solve_bands(again, 2)):
+        assert m1.omega == m2.omega and np.array_equal(m1.v0, m2.v0)
+    assert med.__dict__["_galerkin"].cutoff == 4
+
+
+def test_cached_parts_read_only(vector_medium, cell1d):
+    blocks = medium.build_schrodinger_blocks(0.5, 1.0, medium.cosine(0.0, [((1,), 2.0)]), [0.7],
+                                             cell1d, 4)
+    for med in (vector_medium, blocks):
+        op = bloch.assemble_operator(med, [0.3], 8)
+        cache = med.__dict__["_galerkin"]
+        parts = [cache.basis, cache.G] + [t[-1] for t in cache.terms]
+        parts += [a for a in (cache.B, cache.factor) if a is not None]
+        assert len(parts) > 3 and not any(a.flags.writeable for a in parts)
+        assert op.basis is cache.basis and op.B is cache.B and op.factor is cache.factor
+    with pytest.raises(ValueError):
+        bloch.assemble_operator(vector_medium, [0.3], 8).B[0, 0] = 2.0
