@@ -80,8 +80,8 @@ def _finalize(mode: BlochMode, d: np.ndarray) -> EffectiveCoefficients:
     return EffectiveCoefficients(mode.family, mode.k.copy(), mode.omega, mode.band, d, v)
 
 
-def _transport(symbol, modes, pairs, sign: int) -> list:
-    """Slot tables 0..d of the first-order solvability integrand of ``symbol``, per mode pair.
+def _integrands(symbol, modes, pairs, sign: int) -> tuple:
+    """Slots 0..d of the first-order solvability integrand of ``symbol`` on a grid, per mode pair.
 
     For each (l, r) in ``pairs``, with V_k the amplitudes of modes[r] and
     conj(V_i) those of modes[l], each entry C_ipkq adds d_p C conj(V_i) V_k
@@ -94,8 +94,9 @@ def _transport(symbol, modes, pairs, sign: int) -> list:
     Every amplitude, its gauge derivatives, and every distinct symbol field
     and needed field derivative is put on one grid once (:func:`to_grid`,
     sized for a product of three factors).  Each slot integrand is formed
-    pointwise there, and one batched FFT gives every table, cropped to the
-    widest term of its slot: the tables are exact up to roundoff.
+    pointwise there.  Returns the integrands' grid values, shape
+    (len(pairs), d + 1) + grid, and per pair and slot the cutoff of its widest
+    term, so that :func:`from_grid` gives the tables exactly up to roundoff.
     """
     dims = modes[0].cell.dims
     fields = {id(f): f for f in [*symbol.C.values(), *symbol.M.values()]}
@@ -146,20 +147,24 @@ def _transport(symbol, modes, pairs, sign: int) -> list:
             add(slot, f, 0, product(0, 0, 0))
         slots.append(out)
         cutoffs += [tuple(int(c) for c in c_slot) for c_slot in cut]
+    return np.stack(slots), cutoffs
 
-    coeffs = from_grid(np.concatenate(slots), cutoffs)
-    cell = modes[0].cell
-    return [[FourierField(cell, t) for t in coeffs[n:n + dims + 1]]
-            for n in range(0, len(coeffs), dims + 1)]
+
+def _transport(symbol, modes, pairs, sign: int) -> list:
+    """Slot tables 0..d of :func:`_integrands` per mode pair, from one batched FFT."""
+    values, cutoffs = _integrands(symbol, modes, pairs, sign)
+    tables = from_grid(values.reshape((-1,) + values.shape[2:]), cutoffs)
+    n = values.shape[1]
+    return [[FourierField(modes[0].cell, t) for t in tables[i:i + n]] for i in range(0, len(tables), n)]
 
 
 def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
     """Unit-cell transport coefficients d_0..d_d of any family, from its symbol.
 
     The carriers cancel analytically, so each d_l is the zero harmonic of
-    the slot-l table of :func:`_transport`, exact up to roundoff.  Under the
-    stored normalization d_0 = -2i*omega for the wave families and -i for
-    the schrodinger family.
+    the slot-l integrand of :func:`_integrands`: the mean of its grid values,
+    exact up to roundoff.  Under the stored normalization d_0 = -2i*omega for
+    the wave families and -i for the schrodinger family.
     """
     if not isinstance(medium, MEDIUM_TYPES):
         raise ValidationError(f"unknown medium type {type(medium).__name__}")
@@ -169,8 +174,8 @@ def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
         raise ValidationError("mode was solved on a different medium")
     wave = medium.family != "schrodinger"
     _require_usable(mode, wave)
-    (tables,) = _transport(medium.symbol, [mode], [(0, 0)], -1 if wave else 1)
-    d = np.array([table.mean() for table in tables])
+    (values,), _ = _integrands(medium.symbol, [mode], [(0, 0)], -1 if wave else 1)
+    d = values.reshape(len(values), -1).mean(axis=1)
     return _finalize(mode, d)
 
 
