@@ -6,6 +6,8 @@ suite exercises one invariant per module so a broken install fails loudly.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from . import bands, bloch, effective, ergodic, medium, simulate
@@ -208,11 +210,14 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(write=print) -> bool:
-    """Run every check; returns True iff all pass."""
+def run_all(write=print, log=None) -> bool:
+    """Run every check; returns True iff all pass.  ``log``, if given, gets each check's wall time."""
     all_ok = True
     for name, fn in ALL_CHECKS:
+        start = time.perf_counter()
         ok, detail = fn()
         all_ok &= ok
         write(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+        if log is not None:
+            log(f"{name}: {time.perf_counter() - start:.3f} s")
     return all_ok

@@ -12,6 +12,7 @@ which the leapfrog update conserves to roundoff, so the drift gate is sharp.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,10 @@ def build_wavepacket_ic(mode: BlochMode, medium: ScalarWaveMedium, epsilon: floa
             f"grid too coarse: need at least {MIN_POINTS_PER_CELL} points per epsilon-cell "
             f"(spacing <= eps*lambda/{MIN_POINTS_PER_CELL})"
         )
+    needed = 2 * max(mode.cutoff, medium.cutoff) + 1
+    if grid.points_per_cell < needed:
+        warnings.warn(f"{grid.points_per_cell} points per epsilon-cell under-resolve a cutoff-"
+                      f"{needed // 2} carrier, which needs {needed}; the scheme's speed error grows")
     k = float(mode.k[0])
     phase_turns = k / epsilon * grid.length / (2.0 * np.pi)
     if abs(phase_turns - round(phase_turns)) > 1e-9:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfh import cli
+from hfh import checks, cli
 
 MEDIUM = {
     "cell": [1.0],
@@ -360,3 +361,19 @@ def test_commands_import_no_heavy_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert (tmp_path / "sim_run.json").is_file() and (tmp_path / "eff.json").is_file()
+
+
+def test_check_stdout_unchanged_times_on_stderr():
+    # stdout carries the check lines alone; each check's wall time goes to stderr
+    lines = []
+    assert checks.run_all(write=lines.append)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["check"]) == 0
+    names = [name for name, _ in checks.ALL_CHECKS]
+    assert out.getvalue().splitlines() == lines
+    assert [line[5:].split(": ")[0] for line in lines] == names
+    assert all(line.startswith("ok   ") for line in lines)
+    timing = [line.rsplit(": ", 1) for line in err.getvalue().splitlines()]
+    assert [name for name, _ in timing] == names
+    assert all(re.fullmatch(r"\d+\.\d{3} s", seconds) for _, seconds in timing)

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ def test_ic_validation(const_medium, const_mode):
     with pytest.raises(ValidationError, match="4 sigma"):
         simulate.build_wavepacket_ic(const_mode, const_medium, 1 / 16,
                                      GaussianEnvelope(center=1.0, sigma=0.5), GridSpec(6.0))
+
+
+def test_underresolved_grid_warns(two_phase_coarse, coarse_mode):
+    # a cutoff-16 carrier needs 2 * 16 + 1 = 33 samples per epsilon-cell
+    env = GaussianEnvelope(center=3.0, sigma=0.5)
+    with pytest.warns(UserWarning, match="needs 33"):
+        simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 16, env, GridSpec(6.0, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 16, env, GridSpec(6.0, 33))
 
 
 def test_carrier_periodicity_validation(const_medium):
