@@ -286,6 +286,7 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
         if paired:
             term += _sandwich(kg, l, block, j)
         A[part] += term
+        del term  # the mirror below then holds the only temporary
     if not wave:
         A /= beta0
     _mirror_hermitian(A)
