@@ -68,8 +68,8 @@ class BlochOperator:
     cutoff: int
     medium_key: str
     notes: tuple = field(default=())
-    factor: np.ndarray | None = None  # lower Cholesky factor of B
-    lwork: int | None = None  # HEEVX workspace
+    factor: np.ndarray | None = None  # B's lower Cholesky factor (None: the solve factors B)
+    lwork: int | None = None  # optimal HEEVX workspace (None: the wrapper's default)
 
     @property
     def size(self) -> int:
@@ -352,9 +352,8 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
             f"The leading minor of order {info} of B is not positive definite. The factorization "
             "of B could not be completed and no eigenvalues or eigenvectors were computed.")
     C, _ = lapack.zhegst(op.A, L, lower=1)
-    lwork = op.lwork or int(lapack.zheevx_lwork(op.size, lower=1)[0].real)
     w, Z, m, _, info = lapack.zheevx(C, range="I", lower=1, il=subset[0] + 1, iu=subset[1] + 1,
-                                     abstol=0.0, lwork=lwork, overwrite_a=1)
+                                     abstol=0.0, lwork=op.lwork, overwrite_a=1)
     if info:
         raise scipy.linalg.LinAlgError(f"{info} eigenvectors failed to converge.")
     return w[:m], scipy.linalg.solve_triangular(L, Z[:, :m], lower=True, trans="C",
