@@ -360,7 +360,7 @@ def test_nan_residual_raises_schrodinger(mathieu_blocks, monkeypatch):
 
 
 def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
-    # built directly, so the builder's positivity check never runs; B = -I
+    # built directly, so build_scalar_medium's positivity check never runs; B = -I
     neg = medium.ScalarWaveMedium(cell1d, {(0, 0): FourierField.constant(cell1d, 1.0)},
                                   FourierField.constant(cell1d, -1.0), 1, "negative-b")
     with pytest.raises(NumericalError, match=r"cond\(B\)"):
