@@ -15,10 +15,11 @@ three ``assemble_*_operator`` functions check the medium type and call it.
 
 Only A depends on k.  A medium keeps the rest for one operator cutoff in its
 instance dict, built on first use: the basis and G = 2*pi*n/lambda, one
-read-only lag block per distinct symbol field, and for the wave families B,
-its lower Cholesky factor and the HEEVX workspace.  A wave solve runs the
-rest of LAPACK's xHEGVX on the factor (HEGST, HEEVX, TRSM), which gives the
-bits ``scipy.linalg.eigh(A, B)`` gives; the schrodinger family solves with
+read-only lag block per distinct symbol field, and for the wave families B
+and its lower Cholesky factor (not for 3D vector media, which are assembly
+only).  A wave solve runs the rest of LAPACK's xHEGVX on the factor (HEGST,
+HEEVX with its queried optimal workspace, TRSM), which gives the bits
+``scipy.linalg.eigh(A, B)`` gives; the schrodinger family solves with
 ``scipy.linalg.eigh``.
 
 Carrier conventions for the stored cell-periodic amplitudes:
@@ -67,9 +68,8 @@ class BlochOperator:
     B: np.ndarray | None
     cutoff: int
     medium_key: str
+    factor: tuple | None  # lapack.zpotrf(B, lower=1) as (L, info); None if nothing is solved with B
     notes: tuple = field(default=())
-    factor: np.ndarray | None = None  # B's lower Cholesky factor (None: the solve factors B)
-    lwork: int | None = None  # optimal HEEVX workspace (None: the wrapper's default)
 
     @property
     def size(self) -> int:
@@ -165,6 +165,11 @@ def _truncation_notes(medium_cutoff: int, cutoff: int) -> tuple:
     return ()
 
 
+def _assembly_only(family: str, cell: Cell) -> bool:
+    """3D vector media are assembled but never solved."""
+    return family == "vector-wave" and cell.dims > 2
+
+
 def _mirror_hermitian(m: np.ndarray) -> None:
     """Make the float matrix exactly Hermitian in place by mirroring its upper triangle.
 
@@ -191,8 +196,9 @@ class _Galerkin:
 
     ``terms`` holds (part, j, l, paired, lag block) per term of A in assembly
     order: it adds :func:`_sandwich` of the block to ``A[part]``, and so for
-    the transposed slots if ``paired``.  ``factor`` is B's lower Cholesky
-    factor (None if B is not positive definite).
+    the transposed slots if ``paired``.  ``factor`` is what
+    ``lapack.zpotrf(B, lower=1)`` returns, (L, info); info > 0 means B is
+    not positive definite.
     """
 
     cutoff: int
@@ -200,8 +206,7 @@ class _Galerkin:
     G: np.ndarray  # 2*pi*n/lambda
     terms: tuple
     B: np.ndarray | None
-    factor: np.ndarray | None
-    lwork: int | None  # optimal HEEVX workspace
+    factor: tuple | None
 
 
 def _galerkin(medium, cutoff: int) -> _Galerkin:
@@ -238,17 +243,17 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     terms += [(slice(None), 0, l, False, _lag_block(FourierField(cell, f.coeffs / 1j), cutoff))
               for l, f in sym.M.items() if l]
     terms += [(slice(None), 0, 0, False, _lag_block(f, cutoff)) for f in sym.c.values()]
-    factor = lwork = None
+    factor = None
     if wave:
         _mirror_hermitian(B)
-        L, info = lapack.zpotrf(B, lower=1)
-        factor = None if info else L
-        lwork = int(lapack.zheevx_lwork(len(B), lower=1)[0].real)
+        if not _assembly_only(medium.family, cell):
+            factor = lapack.zpotrf(B, lower=1)
+            factor[0].flags.writeable = False
     G = TWO_PI * basis / cell.diag[None, :]
-    for arr in [basis, G, B, factor] + [t[-1] for t in terms]:
+    for arr in [basis, G, B] + [t[-1] for t in terms]:
         if arr is not None:
             arr.flags.writeable = False
-    cache = _Galerkin(cutoff, basis, G, tuple(terms), B, factor, lwork)
+    cache = _Galerkin(cutoff, basis, G, tuple(terms), B, factor)
     medium.__dict__["_galerkin"] = cache
     return cache
 
@@ -292,7 +297,7 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     _mirror_hermitian(A)
     notes = _truncation_notes(medium.cutoff, cutoff)
     return BlochOperator(medium.family, k, cell, g.basis, n_comp, A, g.B, cutoff,
-                         medium.fingerprint, notes, g.factor, g.lwork)
+                         medium.fingerprint, g.factor, notes)
 
 
 def assemble_wave_operator(medium: ScalarWaveMedium, k, cutoff: int) -> BlochOperator:
@@ -346,14 +351,15 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     With HEEVX's optimal workspace the result is bit for bit that of
     ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.
     """
-    L, info = (op.factor, 0) if op.factor is not None else lapack.zpotrf(op.B, lower=1)
+    L, info = op.factor
     if info:
         raise scipy.linalg.LinAlgError(
             f"The leading minor of order {info} of B is not positive definite. The factorization "
             "of B could not be completed and no eigenvalues or eigenvectors were computed.")
     C, _ = lapack.zhegst(op.A, L, lower=1)
+    lwork = int(lapack.zheevx_lwork(len(C), lower=1)[0].real)
     w, Z, m, _, info = lapack.zheevx(C, range="I", lower=1, il=subset[0] + 1, iu=subset[1] + 1,
-                                     abstol=0.0, lwork=op.lwork, overwrite_a=1)
+                                     abstol=0.0, lwork=lwork, overwrite_a=1)
     if info:
         raise scipy.linalg.LinAlgError(f"{info} eigenvectors failed to converge.")
     return w[:m], scipy.linalg.solve_triangular(L, Z[:, :m], lower=True, trans="C",
@@ -375,7 +381,7 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     if n_bands < 1 or n_bands > op.size:
         raise ValidationError(f"n_bands must be in 1..{op.size}")
     wave = op.family in ("scalar-wave", "vector-wave")
-    if op.family == "vector-wave" and op.cell.dims > 2:
+    if _assembly_only(op.family, op.cell):
         raise UnsupportedScaleError("3D vector eigensolves are out of scope (assembly only)")
     subset = [0, min(n_bands, op.size - 1)]
     try:
