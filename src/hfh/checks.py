@@ -6,6 +6,7 @@ suite exercises one invariant per module so a broken install fails loudly.
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -210,14 +211,13 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(write=print, log=None) -> bool:
-    """Run every check; returns True iff all pass.  ``log``, if given, gets each check's wall time."""
+def run_all(write=print) -> bool:
+    """Run every check; returns True iff all pass.  Each check's wall time goes to stderr."""
     all_ok = True
     for name, fn in ALL_CHECKS:
         start = time.perf_counter()
         ok, detail = fn()
         all_ok &= ok
         write(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-        if log is not None:
-            log(f"{name}: {time.perf_counter() - start:.3f} s")
+        print(f"{name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return all_ok
