@@ -4,13 +4,10 @@ for waves in periodic media (scalar, vector, and Schrodinger-type families)."""
 __version__ = "0.1.0"
 
 from .bands import DispersionTable, group_velocity_fd, sweep_path
-from .bloch import (BlochMode, BlochOperator, assemble_operator, assemble_schrodinger_operator,
-                    assemble_vector_operator, assemble_wave_operator, check_nondegenerate,
-                    solve_at, solve_bands)
-from .effective import (CouplingReport, EffectiveCoefficients, EnvelopeEquation, are_equivalent,
-                        coupling_coefficients, effective_coefficients,
-                        effective_coefficients_scalar, effective_coefficients_schrodinger,
-                        effective_coefficients_vector, envelope_equation)
+from .bloch import (BlochMode, BlochOperator, assemble_operator, check_nondegenerate, solve_at,
+                    solve_bands)
+from .effective import (CouplingReport, EffectiveCoefficients, are_equivalent, coupling_coefficients,
+                        effective_coefficients)
 from .ergodic import (PeriodicSignal1D, WindowAverageResult, avg_derivative_product,
                       avg_modulated_1d, avg_modulated_dd, avg_product_periodic)
 from .errors import NumericalError, UnsupportedScaleError, ValidationError

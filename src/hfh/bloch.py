@@ -10,8 +10,7 @@ spatial entries give the stiffness
 
 and, for the wave families, its time entries the mass matrix
 B[n, n'] = b_hat[n - n'], both Hermitian by construction.  The schrodinger
-family's first- and zeroth-order terms join A, which becomes H(k).  The
-three ``assemble_*_operator`` functions check the medium type and call it.
+family's first- and zeroth-order terms join A, which becomes H(k).
 
 Only A depends on k.  A medium keeps the rest for one operator cutoff in its
 instance dict, built on first use: the basis and G = 2*pi*n/lambda, one
@@ -45,7 +44,7 @@ from scipy.linalg import lapack
 
 from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import TWO_PI, Cell, FourierField
-from .medium import MEDIUM_TYPES, ScalarWaveMedium, SchrodingerBlocks, VectorWaveMedium
+from .medium import MEDIUM_TYPES
 
 RESIDUAL_TOL = 1e-9
 EIG_CLAMP = -1e-10
@@ -298,27 +297,6 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     notes = _truncation_notes(medium.cutoff, cutoff)
     return BlochOperator(medium.family, k, cell, g.basis, n_comp, A, g.B, cutoff,
                          medium.fingerprint, g.factor, notes)
-
-
-def assemble_wave_operator(medium: ScalarWaveMedium, k, cutoff: int) -> BlochOperator:
-    """Galerkin Bloch pencil A v = omega^2 B v for the scalar wave family at wavevector k."""
-    if not isinstance(medium, ScalarWaveMedium):
-        raise ValidationError("assemble_wave_operator expects a scalar wave medium")
-    return assemble_operator(medium, k, cutoff)
-
-
-def assemble_vector_operator(medium: VectorWaveMedium, k, cutoff: int) -> BlochOperator:
-    """Block Galerkin pencil for the n-component vector wave family (component-major)."""
-    if not isinstance(medium, VectorWaveMedium):
-        raise ValidationError("assemble_vector_operator expects a vector wave medium")
-    return assemble_operator(medium, k, cutoff)
-
-
-def assemble_schrodinger_operator(blocks: SchrodingerBlocks, k, cutoff: int) -> BlochOperator:
-    """Hermitian Bloch Hamiltonian H(k) of the reduced first-order system."""
-    if not isinstance(blocks, SchrodingerBlocks):
-        raise ValidationError("assemble_schrodinger_operator expects SchrodingerBlocks")
-    return assemble_operator(blocks, k, cutoff)
 
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:

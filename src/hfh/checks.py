@@ -63,11 +63,11 @@ def check_hermiticity():
     rng = np.random.default_rng(_RNG_SEED)
     worst = 0.0
     med1 = _random_wave_medium(rng, Cell((1.0,)), cutoff=8)
-    worst = max(worst, bloch.assemble_wave_operator(med1, [0.7], 8).hermiticity_defect())
+    worst = max(worst, bloch.assemble_operator(med1, [0.7], 8).hermiticity_defect())
     med2 = _random_wave_medium(rng, Cell((1.0, 1.3)), cutoff=4)
-    worst = max(worst, bloch.assemble_wave_operator(med2, [0.7, -0.4], 4).hermiticity_defect())
+    worst = max(worst, bloch.assemble_operator(med2, [0.7, -0.4], 4).hermiticity_defect())
     blocks = _mathieu_blocks(8)
-    worst = max(worst, bloch.assemble_schrodinger_operator(blocks, [0.9], 8).hermiticity_defect())
+    worst = max(worst, bloch.assemble_operator(blocks, [0.9], 8).hermiticity_defect())
     return worst < 1e-12, f"max Hermiticity defect {worst:.3e}"
 
 
@@ -98,11 +98,11 @@ def check_time_reversal():
 def check_d0_normalization():
     med = _two_phase_medium()
     mode = bloch.solve_at(med, [np.pi / 2], 16, 1)[0]
-    co = effective.effective_coefficients_scalar(mode, med)
+    co = effective.effective_coefficients(mode, med)
     err = abs(co.d[0] + 2j * mode.omega)
     blocks = _mathieu_blocks()
     smode = bloch.solve_at(blocks, [np.pi / 2], 16, 1)[0]
-    sco = effective.effective_coefficients_schrodinger(smode, blocks)
+    sco = effective.effective_coefficients(smode, blocks)
     err = max(err, abs(sco.d[0] + 1j))
     return err < 1e-9, f"max |d_0 - convention| = {err:.3e}"
 
@@ -110,12 +110,12 @@ def check_d0_normalization():
 def check_transport_identity():
     med = _two_phase_medium()
     mode = bloch.solve_at(med, [np.pi / 2], 16, 1)[0]
-    v = effective.effective_coefficients_scalar(mode, med).v[0]
+    v = effective.effective_coefficients(mode, med).v[0]
     v_fd = bands.group_velocity_fd(med, [np.pi / 2], 1, 16)[0]
     err = abs(v - v_fd)
     blocks = _mathieu_blocks()
     smode = bloch.solve_at(blocks, [np.pi / 2], 16, 1)[0]
-    sv = effective.effective_coefficients_schrodinger(smode, blocks).v[0]
+    sv = effective.effective_coefficients(smode, blocks).v[0]
     sv_fd = bands.group_velocity_fd(blocks, [np.pi / 2], 1, 16)[0]
     err = max(err, abs(sv - sv_fd))
     return err < 1e-6, f"max |v - grad g| = {err:.3e}"
@@ -137,7 +137,7 @@ def check_maxwell_symmetry():
 def check_phase_invariance():
     med = _two_phase_medium()
     mode = bloch.solve_at(med, [np.pi / 2], 16, 1)[0]
-    base = effective.effective_coefficients_scalar(mode, med)
+    base = effective.effective_coefficients(mode, med)
     ratios = base.d[1:] / base.d[0]
     rng = np.random.default_rng(_RNG_SEED)
     worst = 0.0
@@ -146,7 +146,7 @@ def check_phase_invariance():
         rotated = bloch.BlochMode(mode.family, mode.k, mode.omega, mode.band,
                                   mode.v0 * phase, mode.cutoff, mode.cell,
                                   mode.gap, mode.residual, mode.medium_key)
-        co = effective.effective_coefficients_scalar(rotated, med)
+        co = effective.effective_coefficients(rotated, med)
         worst = max(worst, float(np.max(np.abs(co.d[1:] / co.d[0] - ratios))))
     return worst < 1e-12, f"max ratio change under unit phase {worst:.3e}"
 
@@ -154,7 +154,7 @@ def check_phase_invariance():
 def check_supercell_collapse():
     med = _two_phase_medium()
     mode = bloch.solve_at(med, [np.pi / 2], 16, 1)[0]
-    co = effective.effective_coefficients_scalar(mode, med)
+    co = effective.effective_coefficients(mode, med)
     report = effective.coupling_coefficients(mode, mode, med, [4, 8, 16])
     worst = 0.0
     for j in range(2):

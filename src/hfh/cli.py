@@ -160,14 +160,14 @@ def _cmd_effective(args):
     desc, med, (k,) = _load_medium(args, "--k")
     mode = bloch.solve_at(med, k, args.cutoff, args.band)[args.band - 1]
     co = effective.effective_coefficients(mode, med)
-    pde = effective.envelope_equation(co)
     rows = []
     for j in range(len(co.d)):
         ratio = co.d[j] / co.d[0]
         rows.append([j, co.d[j].real, co.d[j].imag, ratio.real])
-    _write_csv(args.out_prefix + ".csv", ["j", "re_d", "im_d", "v"], rows, _meta(args, desc))
+    meta = _meta(args, desc)
+    _write_csv(args.out_prefix + ".csv", ["j", "re_d", "im_d", "v"], rows, meta)
     _write_json(args.out_prefix + ".json", {
-        "meta": _meta(args, desc),
+        "meta": meta,
         "family": co.family,
         "k": [float(x) for x in co.k],
         "band": co.band,
@@ -175,7 +175,7 @@ def _cmd_effective(args):
         "d_re": [float(x.real) for x in co.d],
         "d_im": [float(x.imag) for x in co.d],
         "group_velocity": [float(x) for x in co.v],
-        "packet_speed": pde.packet_speed,
+        "packet_speed": co.packet_speed,
         "imag_defect": co.imag_defect,
     })
     print(f"wrote {args.out_prefix}.csv and .json; "
@@ -270,41 +270,41 @@ def _cmd_simulate(args):
     mode = bloch.solve_at(med, k, args.cutoff, args.band)[args.band - 1]
     env = simulate.GaussianEnvelope(args.center, args.sigma)
     grid = simulate.GridSpec(args.length, args.points_per_cell)
-    record = simulate.packet_speed_experiment(med, mode, args.epsilon, env, grid,
-                                              args.t_final, cfl=args.cfl,
-                                              n_frames=args.frames)
+    record, frames, fit = simulate.packet_speed_experiment(med, mode, args.epsilon, env, grid,
+                                                           args.t_final, cfl=args.cfl,
+                                                           n_frames=args.frames)
+    ic = record.ic
+    rel_err = abs(fit.speed - ic.group_velocity) / abs(ic.group_velocity)
     rows = []
-    for i, t in enumerate(record.times):
-        f0 = record.envelope_frames[i]
-        mass = float(np.sum(f0 ** 2))
-        rows.append([t, record.centroids[i], mass, float(f0.max())])
+    for t, f0, centroid in zip(record.times, frames.frames, fit.centroids):
+        rows.append([t, centroid, float(np.sum(f0 ** 2)), float(f0.max())])
     meta = _meta(args, desc)
     _write_csv(args.out_prefix + "_frames.csv", ["t", "centroid", "mass", "peak"], rows, meta)
     if args.write_envelope:
-        for i, t in enumerate(record.times):
-            env_rows = [[x, f] for x, f in zip(record.envelope_x, record.envelope_frames[i])]
+        for i, f0 in enumerate(frames.frames):
+            env_rows = [[x, f] for x, f in zip(frames.x, f0)]
             _write_csv(f"{args.out_prefix}_envelope_{i}.csv", ["x", "abs_f0"], env_rows, meta)
     _write_json(args.out_prefix + "_run.json", {
-        "meta": _meta(args, desc),
-        "epsilon": float(record.epsilon),
-        "grid_points": int(len(record.x)),
-        "dx": float(record.dx),
+        "meta": meta,
+        "epsilon": float(ic.epsilon),
+        "grid_points": int(len(ic.x)),
+        "dx": float(ic.dx),
         "dt": float(record.dt),
         "cfl": float(record.cfl),
         "frames": int(len(record.times)),
         "energy_drift": float(record.energy_drift),
         "stable": bool(record.stable),
-        "masked_cells": int(record.masked_cells),
-        "predicted_speed": float(record.predicted_speed),
-        "measured_speed": float(record.measured_speed),
-        "relative_error": float(record.relative_error),
-        "centroid_fit_residual": float(record.fit_residual),
+        "masked_cells": int(frames.masked_cells),
+        "predicted_speed": float(ic.group_velocity),
+        "measured_speed": float(fit.speed),
+        "relative_error": float(rel_err),
+        "centroid_fit_residual": float(fit.residual),
         "initialization": "transport-corrected du/dt (carrier term plus -v_g h' V0 carrier)",
-        "init_correction_fraction": float(record.init_correction_fraction),
+        "init_correction_fraction": float(ic.init_correction_fraction),
     })
     print(f"wrote {args.out_prefix}_frames.csv and _run.json; "
-          f"measured={_fmt(record.measured_speed)} predicted={_fmt(record.predicted_speed)} "
-          f"rel_err={_fmt(record.relative_error)}")
+          f"measured={_fmt(fit.speed)} predicted={_fmt(ic.group_velocity)} "
+          f"rel_err={_fmt(rel_err)}")
     return 0
 
 

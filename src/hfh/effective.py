@@ -1,4 +1,4 @@
-"""Homogenized transport coefficients, cross-wave coupling, and the envelope PDE.
+"""Homogenized transport coefficients, packet speed, and cross-wave coupling.
 
 All cell integrals are evaluated spectrally, so the carrier exponentials
 cancel identically and the supercell-to-cell collapse for self-coupling is
@@ -11,9 +11,7 @@ FFT grid whose axes are at least w_V + w_V' + w_C - 2 points wide (the
 table widths of the two amplitudes and the widest symbol field), so the
 triple products wrap no harmonic and its coefficient tables are exact up
 to roundoff.  The transport coefficients take their zero harmonics, and the
-coupling averages take the whole tables on supercells.  The
-``effective_coefficients_*`` functions check the medium type and call
-:func:`effective_coefficients`.
+coupling averages take the whole tables on supercells.
 
 Carrier conventions follow :mod:`hfh.bloch`: wave families use
 U0 = V0 e^{-i(k.xi - omega xi0)} (so the time slot gives d_0 = -2i*omega
@@ -31,7 +29,7 @@ from .bloch import BlochMode, check_nondegenerate
 from .errors import NumericalError, ValidationError
 from .fourier import TWO_PI, FourierField, box_average, from_grid, to_grid, window_factor
 from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
-from .medium import MEDIUM_TYPES, ScalarWaveMedium, SchrodingerBlocks, VectorWaveMedium
+from .medium import MEDIUM_TYPES, ScalarWaveMedium
 
 RESONANCE_TOL = 1e-9
 OMEGA_FLOOR = 1e-8
@@ -53,6 +51,14 @@ class EffectiveCoefficients:
     band: int
     d: np.ndarray  # complex, length dims+1
     v: np.ndarray  # real, length dims: Re(d_j / d_0)
+
+    @property
+    def packet_speed(self) -> float:
+        """Speed of the envelope f in d_0 f_t + sum_j d_j f_j = 0: signed v in 1D, |v| otherwise."""
+        speed = float(self.v[0]) if len(self.v) == 1 else float(np.linalg.norm(self.v))
+        if speed == 0.0:
+            raise NumericalError("zero group velocity; no transport direction")
+        return speed
 
     @property
     def imag_defect(self) -> float:
@@ -177,27 +183,6 @@ def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
     (values,), _ = _integrands(medium.symbol, [mode], [(0, 0)], -1 if wave else 1)
     d = values.reshape(len(values), -1).mean(axis=1)
     return _finalize(mode, d)
-
-
-def effective_coefficients_scalar(mode: BlochMode, medium: ScalarWaveMedium) -> EffectiveCoefficients:
-    """Transport coefficients of the scalar wave envelope equation."""
-    if not isinstance(medium, ScalarWaveMedium):
-        raise ValidationError("effective_coefficients_scalar expects a scalar-wave mode and medium")
-    return effective_coefficients(mode, medium)
-
-
-def effective_coefficients_vector(mode: BlochMode, medium: VectorWaveMedium) -> EffectiveCoefficients:
-    """Transport coefficients of the n-component wave system."""
-    if not isinstance(medium, VectorWaveMedium):
-        raise ValidationError("effective_coefficients_vector expects a vector-wave mode and medium")
-    return effective_coefficients(mode, medium)
-
-
-def effective_coefficients_schrodinger(mode: BlochMode, blocks: SchrodingerBlocks) -> EffectiveCoefficients:
-    """Transport coefficients of the schrodinger family, with the coupling-field term M."""
-    if not isinstance(blocks, SchrodingerBlocks):
-        raise ValidationError("effective_coefficients_schrodinger expects a schrodinger mode and blocks")
-    return effective_coefficients(mode, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -341,42 +326,3 @@ def _structural_limit(G: FourierField, domega: float, dk: np.ndarray) -> complex
     factors = [(np.abs(frac - G.index_grid(ax)) <= RESONANCE_TOL)[np.newaxis].astype(np.complex128)
                for ax, frac in enumerate(fracs)]
     return complex(box_average(G.coeffs, factors)[0])
-
-
-# ---------------------------------------------------------------------------
-# envelope PDE
-
-
-@dataclass(frozen=True)
-class EnvelopeEquation:
-    """First-order transport PDE df/dt + v . grad f = 0 for the modulation.
-
-    Solutions are travelling profiles h(w . x - t) for any w with
-    w . v = 1; the packet moves at speed |v| along v/|v| (signed v in 1D).
-    """
-
-    family: str
-    k: np.ndarray
-    omega: float
-    band: int
-    group_velocity: np.ndarray
-    packet_speed: float
-    characteristic_direction: np.ndarray
-    travelling_vector: np.ndarray
-
-
-def envelope_equation(coeffs: EffectiveCoefficients) -> EnvelopeEquation:
-    """Normalize the transport coefficients into the envelope PDE descriptor."""
-    if abs(coeffs.d[0]) < D0_FLOOR:
-        raise NumericalError("|d_0| is near zero; the envelope equation is not defined")
-    v = coeffs.v
-    speed = float(np.linalg.norm(v))
-    if speed == 0.0:
-        raise NumericalError("zero group velocity; no transport direction")
-    direction = v / speed
-    if len(v) == 1:
-        speed = float(v[0])
-        direction = np.array([1.0 if v[0] >= 0 else -1.0])
-    w = v / float(np.dot(v, v))
-    return EnvelopeEquation(coeffs.family, coeffs.k.copy(), coeffs.omega, coeffs.band,
-                            v.copy(), speed, direction, w)

@@ -42,10 +42,6 @@ class Cell:
         return len(self.lengths)
 
     @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
-    @property
     def diag(self) -> np.ndarray:
         """Side lengths as a vector (the diagonal of the cell)."""
         return np.asarray(self.lengths)
@@ -133,10 +129,6 @@ class FourierField:
         if any(p < 0 for p, _ in pad):
             raise ValidationError("cannot pad to a smaller cutoff")
         return np.pad(self.coeffs, pad)
-
-    def with_cutoff(self, cutoff) -> "FourierField":
-        cut = _as_cutoffs(self.cell, cutoff)
-        return FourierField(self.cell, self._padded(cut))
 
     def __add__(self, other):
         if not isinstance(other, FourierField):

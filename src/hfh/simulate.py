@@ -13,12 +13,13 @@ which the leapfrog update conserves to roundoff, so the drift gate is sharp.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import BlochMode, check_nondegenerate
-from .effective import effective_coefficients_scalar
+from .effective import effective_coefficients
+from .effective import effective_coefficients as effective_coefficients_scalar  # noqa: F401  (bench/tracing.py)
 from .errors import NumericalError, ValidationError
 from .medium import ScalarWaveMedium
 
@@ -55,7 +56,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class WavePacketIC:
-    """Initial data u(x, 0), du/dt(x, 0) for a modulated Bloch packet.
+    """Initial data u(x, 0), du/dt(x, 0) for a packet on the Bloch carrier ``mode``.
 
     The time derivative carries the first-order transport correction
     -v_g h'(x) V0 e^{-ikx/eps} beyond the carrier term i omega/eps u; without
@@ -63,26 +64,21 @@ class WavePacketIC:
     """
 
     epsilon: float
-    k: float
-    omega: float
-    band: int
+    mode: BlochMode
     envelope: GaussianEnvelope
     x: np.ndarray
     dx: float
     u0: np.ndarray
     ut0: np.ndarray
-    group_velocity: float
-    medium_key: str
+    group_velocity: float  # the predicted packet speed
     init_correction_fraction: float = 0.0  # |v_g h' V0| relative to the carrier term
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationRecord:
-    """Frames and diagnostics of one fine-grid run."""
+    """Frames and energy diagnostics of one fine-grid run from ``ic``."""
 
-    epsilon: float
-    x: np.ndarray
-    dx: float
+    ic: WavePacketIC
     dt: float
     cfl: float
     times: np.ndarray
@@ -90,20 +86,11 @@ class SimulationRecord:
     energies: np.ndarray
     energy_drift: float
     stable: bool
-    predicted_speed: float
-    init_correction_fraction: float = 0.0
-    medium_key: str = ""
-    carrier_k: float = float("nan")
-    carrier_omega: float = float("nan")
-    envelope_x: np.ndarray | None = None
-    envelope_frames: np.ndarray | None = None
-    masked_cells: int = 0
-    centroids: np.ndarray | None = None  # envelope centroid per frame
-    measured_speed: float = float("nan")
-    fit_residual: float = float("nan")
-    relative_error: float = float("nan")
 
-    notes: list = field(default_factory=list)
+    @property
+    def x(self) -> np.ndarray:
+        """Grid points of the run (``ic.x``)."""
+        return self.ic.x
 
 
 def _medium_profiles(medium: ScalarWaveMedium, x: np.ndarray, dx: float, epsilon: float):
@@ -155,14 +142,13 @@ def build_wavepacket_ic(mode: BlochMode, medium: ScalarWaveMedium, epsilon: floa
     v0 = mode.amplitude_field(0).sample_points_1d(x / epsilon)
     carrier = np.exp(-1j * k * x / epsilon)
     h = envelope.values(x)
-    vg = float(effective_coefficients_scalar(mode, medium).v[0])
+    vg = float(effective_coefficients(mode, medium).v[0])
     u0 = h * v0 * carrier
     carrier_term = 1j * mode.omega / epsilon * u0
     correction = -vg * envelope.slope(x) * v0 * carrier
     ut0 = carrier_term + correction
     frac = float(np.linalg.norm(correction) / np.linalg.norm(carrier_term))
-    return WavePacketIC(float(epsilon), k, mode.omega, mode.band, envelope,
-                        x, dx, u0, ut0, vg, medium.fingerprint, frac)
+    return WavePacketIC(float(epsilon), mode, envelope, x, dx, u0, ut0, vg, frac)
 
 
 def run_fdtd_1d(medium: ScalarWaveMedium, ic: WavePacketIC, t_final: float,
@@ -176,7 +162,7 @@ def run_fdtd_1d(medium: ScalarWaveMedium, ic: WavePacketIC, t_final: float,
     ENERGY_DRIFT_LIMIT (1e-6), or whose energy turns non-finite, is flagged
     unstable.
     """
-    if ic.medium_key != medium.fingerprint:
+    if ic.mode.medium_key != medium.fingerprint:
         raise ValidationError("initial condition was built on a different medium")
     if cfl <= 0 or cfl > 0.9:
         raise ValidationError("cfl must lie in (0, 0.9]")
@@ -266,13 +252,7 @@ def run_fdtd_1d(medium: ScalarWaveMedium, ic: WavePacketIC, t_final: float,
     # a non-finite field value never turns finite again under the update, so
     # it shows in the last recorded energy (the last frame is the last step)
     stable = bool(drift <= ENERGY_DRIFT_LIMIT and np.isfinite(energies).all())
-    rec = SimulationRecord(ic.epsilon, ic.x, ic.dx, dt, cfl, times,
-                           fields, energies, float(drift),
-                           stable, ic.group_velocity, ic.init_correction_fraction,
-                           ic.medium_key, ic.k, ic.omega)
-    if not stable:
-        rec.notes.append(f"unstable: energy drift {drift:.3e} exceeds {ENERGY_DRIFT_LIMIT}")
-    return rec
+    return SimulationRecord(ic, dt, cfl, times, fields, energies, float(drift), stable)
 
 
 @dataclass(frozen=True)
@@ -286,24 +266,18 @@ class EnvelopeFrames:
     domain_length: float
 
 
-def extract_envelope(record: SimulationRecord, mode: BlochMode, epsilon: float) -> EnvelopeFrames:
-    """Demodulate by the conjugate carrier, divide by V0 away from its nodes,
-    and average over each epsilon-cell to remove residual cell oscillation."""
-    if abs(epsilon - record.epsilon) > 0:
-        raise ValidationError("epsilon does not match the recorded run")
+def extract_envelope(record: SimulationRecord) -> EnvelopeFrames:
+    """Demodulate by the conjugate of the run's carrier, divide by V0 away from
+    its nodes, and average over each epsilon-cell to remove residual cell
+    oscillation."""
+    ic = record.ic
+    mode, epsilon, x = ic.mode, ic.epsilon, ic.x
     k = float(mode.k[0])
-    if record.medium_key and (mode.medium_key != record.medium_key
-                              or abs(k - record.carrier_k) > 0
-                              or abs(mode.omega - record.carrier_omega) > 0):
-        raise ValidationError("mode does not match the carrier of the recorded run")
-    x = record.x
     lam_cell = epsilon * mode.cell.lengths[0]
-    ppc = int(round(lam_cell / record.dx))
+    ppc = int(round(lam_cell / ic.dx))
     n_cells = len(x) // ppc
     v0 = mode.amplitude_field(0).sample_points_1d(x / epsilon)
     good = np.abs(v0) > MASK_LEVEL * np.abs(v0).max()
-    if not good.any():
-        raise ValidationError("carrier amplitude is masked everywhere; wrong mode for this record")
     carrier_conj = np.exp(+1j * k * x / epsilon)
 
     good_cells = good.reshape(n_cells, ppc)
@@ -318,8 +292,7 @@ def extract_envelope(record: SimulationRecord, mode: BlochMode, epsilon: float) 
             f0 = np.where(weight > 0, np.abs(cells.sum(axis=1) / np.maximum(weight, 1)), 0.0)
         frames.append(f0)
     centers = (np.arange(n_cells) + 0.5) * lam_cell
-    return EnvelopeFrames(record.times, centers, np.asarray(frames), masked,
-                          float(len(x) * record.dx))
+    return EnvelopeFrames(record.times, centers, np.asarray(frames), masked, float(len(x) * ic.dx))
 
 
 @dataclass(frozen=True)
@@ -328,8 +301,7 @@ class SpeedFit:
 
     speed: float
     residual: float  # rms deviation of the centroid from the fitted line
-    times: np.ndarray
-    centroids: np.ndarray
+    centroids: np.ndarray  # per frame of the fitted EnvelopeFrames
 
 
 def measure_packet_velocity(env: EnvelopeFrames) -> SpeedFit:
@@ -349,22 +321,18 @@ def measure_packet_velocity(env: EnvelopeFrames) -> SpeedFit:
     coeffs = np.polyfit(env.times, centroids, 1)
     fit = np.polyval(coeffs, env.times)
     residual = float(np.sqrt(np.mean((centroids - fit) ** 2)))
-    return SpeedFit(float(coeffs[0]), residual, env.times, centroids)
+    return SpeedFit(float(coeffs[0]), residual, centroids)
 
 
 def packet_speed_experiment(medium: ScalarWaveMedium, mode: BlochMode, epsilon: float,
                             envelope: GaussianEnvelope, grid: GridSpec, t_final: float,
-                            cfl: float = 0.9, n_frames: int = 9) -> SimulationRecord:
-    """Full loop: build IC, evolve, demodulate, measure speed against the prediction."""
+                            cfl: float = 0.9, n_frames: int = 9) -> tuple:
+    """Full loop: build the IC, evolve, demodulate and fit the envelope speed.
+
+    Returns (record, frames, fit); the prediction it tests is
+    ``record.ic.group_velocity``.
+    """
     ic = build_wavepacket_ic(mode, medium, epsilon, envelope, grid)
     record = run_fdtd_1d(medium, ic, t_final, cfl=cfl, n_frames=n_frames)
-    env = extract_envelope(record, mode, epsilon)
-    fit = measure_packet_velocity(env)
-    record.envelope_x = env.x
-    record.envelope_frames = env.frames
-    record.masked_cells = env.masked_cells
-    record.centroids = fit.centroids
-    record.measured_speed = fit.speed
-    record.fit_residual = fit.residual
-    record.relative_error = abs(fit.speed - record.predicted_speed) / abs(record.predicted_speed)
-    return record
+    frames = extract_envelope(record)
+    return record, frames, measure_packet_velocity(frames)

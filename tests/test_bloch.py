@@ -128,7 +128,7 @@ def oracle_solve(op, n_bands):
 
 def test_constant_medium_operator_diagonal(const_medium):
     k = np.pi / 2
-    op = bloch.assemble_wave_operator(const_medium, [k], 1)
+    op = bloch.assemble_operator(const_medium, [k], 1)
     expected = np.array([(k - 2 * np.pi) ** 2, k ** 2, (k + 2 * np.pi) ** 2])
     assert np.allclose(np.diag(op.A).real, expected, atol=1e-13)
     assert np.max(np.abs(op.A - np.diag(np.diag(op.A)))) == 0.0
@@ -139,7 +139,7 @@ def test_two_phase_offdiagonal_entry_vs_quadrature(two_phase):
     k = 0.8
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # cutoff 8 < medium cutoff 16, deliberately
-        op = bloch.assemble_wave_operator(two_phase, [k], 8)
+        op = bloch.assemble_operator(two_phase, [k], 8)
     oracle = quadrature_wave_matrix(two_phase, k, 8)
     assert np.max(np.abs(op.A - oracle)) < 1e-10
     # spec spot value: the (n=0, n'=1) entry is k(k+2 pi) * conj(3i/pi)
@@ -154,7 +154,7 @@ def test_hermiticity_random_media(rng):
                      for n in (1, 2, 3)]
         med = medium.build_scalar_medium(medium.cosine(1.0, harmonics),
                                          medium.cosine(1.1, harmonics), Cell((1.0,)), 6)
-        op = bloch.assemble_wave_operator(med, [rng.uniform(-3, 3)], 8)
+        op = bloch.assemble_operator(med, [rng.uniform(-3, 3)], 8)
         worst = max(worst, op.hermiticity_defect())
     assert worst < 1e-12
 
@@ -164,7 +164,7 @@ def test_hermiticity_2d_matrix_medium():
     a = [[medium.cosine(2.0, [((1, 0), 0.3)]), medium.cosine(0.2, [((0, 1), 0.05)])],
          [medium.cosine(0.2, [((0, 1), 0.05)]), medium.cosine(1.5, [((1, 1), 0.2)])]]
     med = medium.build_scalar_medium(a, 1.0, cell, 3)
-    op = bloch.assemble_wave_operator(med, [0.7, -0.4], 3)
+    op = bloch.assemble_operator(med, [0.7, -0.4], 3)
     assert op.hermiticity_defect() < 1e-12
 
 
@@ -184,7 +184,7 @@ def test_lag_block_matches_gather(field_cutoffs, rng):
 def test_truncation_warning_recorded(two_phase):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        op = bloch.assemble_wave_operator(two_phase, [0.5], 8)
+        op = bloch.assemble_operator(two_phase, [0.5], 8)
     assert any("cutoff" in str(w.message) for w in caught)
     assert op.notes
 
@@ -217,7 +217,7 @@ def test_two_phase_band_gap_and_cutoff_convergence(two_phase):
 
 
 def test_mode_invariants(two_phase):
-    op = bloch.assemble_wave_operator(two_phase, [1.1], 16)
+    op = bloch.assemble_operator(two_phase, [1.1], 16)
     modes = bloch.solve_bands(op, 3)
     for mode in modes:
         assert mode.residual < 1e-9
@@ -245,7 +245,7 @@ def test_stored_amplitude_solves_cell_problem(two_phase):
     # residual of the conjugated pencil A(-k) v0 = omega^2 B v0 directly
     k = 1.1
     mode = bloch.solve_at(two_phase, [k], 16, 1)[0]
-    opm = bloch.assemble_wave_operator(two_phase, [-k], 16)
+    opm = bloch.assemble_operator(two_phase, [-k], 16)
     v = mode.v0[0]
     r = opm.A @ v - mode.omega ** 2 * (opm.B @ v)
     assert np.linalg.norm(r) / np.linalg.norm(v) < 1e-9
@@ -257,7 +257,7 @@ def test_stored_amplitude_solves_cell_problem(two_phase):
 def test_free_particle_operator_and_bands(cell1d):
     free = medium.build_schrodinger_blocks(0.5, 1.0, 0.0, None, cell1d, 1)
     k = np.pi / 2
-    op = bloch.assemble_schrodinger_operator(free, [k], 1)
+    op = bloch.assemble_operator(free, [k], 1)
     expected = np.array([(k - 2 * np.pi) ** 2, k ** 2, (k + 2 * np.pi) ** 2])
     assert np.allclose(np.diag(op.A).real, expected, atol=1e-13)
     assert op.B is None
@@ -280,8 +280,8 @@ def test_constant_magnetic_gauge_equivalence(cell1d):
     with_phi = medium.build_schrodinger_blocks(mass, e, pot, [phi], cell1d, 8)
     without = medium.build_schrodinger_blocks(mass, e, pot, None, cell1d, 8)
     k = 0.9
-    H1 = bloch.assemble_schrodinger_operator(with_phi, [k], 8).A
-    H2 = bloch.assemble_schrodinger_operator(without, [k - e * phi], 8).A
+    H1 = bloch.assemble_operator(with_phi, [k], 8).A
+    H2 = bloch.assemble_operator(without, [k - e * phi], 8).A
     shift = e ** 2 * phi ** 2 / (2 * mass)
     assert np.max(np.abs(H1 - (H2 - shift * np.eye(len(H1))))) < 1e-11
     w1 = [m.omega for m in bloch.solve_at(with_phi, [k], 8, 3)]
@@ -294,7 +294,7 @@ def test_schrodinger_hermiticity_with_2d_magnetic():
     blocks = medium.build_schrodinger_blocks(1.0, 1.0, medium.cosine(0.0, [((1, 0), 1.0)]),
                                              [medium.cosine(0.0, [((0, 1), 0.4)]), 0.0],
                                              cell, 3)
-    op = bloch.assemble_schrodinger_operator(blocks, [0.4, -0.7], 3)
+    op = bloch.assemble_operator(blocks, [0.4, -0.7], 3)
     assert op.hermiticity_defect() < 1e-12
 
 
@@ -305,8 +305,8 @@ def test_vector_decoupled_equals_scalar(const_medium, cell1d):
     a_terms = {(0, 0, 0, 0): 1.0, (1, 0, 1, 0): 1.0}
     vmed = medium.build_vector_medium(2, a_terms, 1.0, cell1d, 1)
     k = np.pi / 2
-    vop = bloch.assemble_vector_operator(vmed, [k], 1)
-    sop = bloch.assemble_wave_operator(const_medium, [k], 1)
+    vop = bloch.assemble_operator(vmed, [k], 1)
+    sop = bloch.assemble_operator(const_medium, [k], 1)
     nb = len(sop.basis)
     assert np.allclose(vop.A[:nb, :nb], sop.A)
     assert np.allclose(vop.A[nb:, nb:], sop.A)
@@ -322,7 +322,7 @@ def test_vector_asymmetric_b_rejected(cell1d):
 
 
 def test_vector_hermiticity(vector_medium):
-    op = bloch.assemble_vector_operator(vector_medium, [0.9], 8)
+    op = bloch.assemble_operator(vector_medium, [0.9], 8)
     assert op.hermiticity_defect() < 1e-12
 
 
@@ -332,7 +332,7 @@ def test_vector_3d_assembly_allowed_solve_refused():
     tensor = medium.maxwell_tensor_from_permeability(1.0, cell, 1)
     identity = {(i, i): FourierField.constant(cell, 1.0) for i in range(3)}
     vmed = medium.VectorWaveMedium(cell, 3, tensor, identity, 1, "maxwell-demo")
-    op = bloch.assemble_vector_operator(vmed, [0.2, 0.1, 0.0], 1)
+    op = bloch.assemble_operator(vmed, [0.2, 0.1, 0.0], 1)
     assert op.hermiticity_defect() < 1e-12
     assert op.factor is None  # assembly only, so B is never factored
     with pytest.raises(UnsupportedScaleError):
@@ -341,7 +341,7 @@ def test_vector_3d_assembly_allowed_solve_refused():
 
 def test_nan_residual_raises(const_medium, monkeypatch):
     # the wave path's eigensolve is LAPACK's HEEVX on the reduced pencil
-    op = bloch.assemble_wave_operator(const_medium, [0.5], 2)
+    op = bloch.assemble_operator(const_medium, [0.5], 2)
     evals = np.zeros(op.size)
     evals[:2] = np.linalg.eigvalsh(op.A)[:2]
     nan_vectors = np.full((op.size, 2), np.nan + 0j, order="F")
@@ -352,7 +352,7 @@ def test_nan_residual_raises(const_medium, monkeypatch):
 
 
 def test_nan_residual_raises_schrodinger(mathieu_blocks, monkeypatch):
-    op = bloch.assemble_schrodinger_operator(mathieu_blocks, [0.5], 16)
+    op = bloch.assemble_operator(mathieu_blocks, [0.5], 16)
     evals = np.linalg.eigvalsh(op.A)[:2]
     nan_vectors = np.full((op.size, 2), np.nan + 0j)
     monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: (evals, nan_vectors))
@@ -375,11 +375,11 @@ def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
 
 
 def test_solver_guards(const_medium):
-    op = bloch.assemble_wave_operator(const_medium, [0.5], 2)
+    op = bloch.assemble_operator(const_medium, [0.5], 2)
     with pytest.raises(ValidationError):
         bloch.solve_bands(op, 99)
     with pytest.raises(ValidationError):
-        bloch.assemble_wave_operator(const_medium, [0.1, 0.2], 2)  # wrong k dimension
+        bloch.assemble_operator(const_medium, [0.1, 0.2], 2)  # wrong k dimension
 
 
 # ---------------------------------------------------------------------------

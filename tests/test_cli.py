@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from hfh import checks, cli
 
+ROOT = Path(__file__).resolve().parents[1]
 MEDIUM = {
     "cell": [1.0],
     "kind": "scalar",
@@ -377,3 +379,44 @@ def test_check_stdout_unchanged_times_on_stderr():
     timing = [line.rsplit(": ", 1) for line in err.getvalue().splitlines()]
     assert [name for name, _ in timing] == names
     assert all(re.fullmatch(r"\d+\.\d{3} s", seconds) for _, seconds in timing)
+
+
+def _bench_tracing():
+    """``bench/tracing.py``, imported by path (``bench`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracing_reaches_every_alias(tmp_path):
+    # the benchmark's tracer wraps hfh functions under the names in its ALIASES list and
+    # refuses to install when one is missing, so renaming one of them breaks `--trace 1`
+    tracing = _bench_tracing()
+    originals = {path: tracing._resolve(path) for path in tracing.ALIASES + ("hfh.cli.main",)}
+    config = tmp_path / "coarse.json"
+    config.write_text(json.dumps(dict(MEDIUM, cutoff=8)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        assert run_cli(["effective", "--config", str(config), "--k", "1.2", "--cutoff", "8",
+                        "--out-prefix", str(tmp_path / "eff")])[0] == 0
+        assert run_cli(["simulate", "--config", str(config), "--k", "1.5707963267948966",
+                        "--cutoff", "8", "--epsilon", "0.125", "--sigma", "0.5", "--center", "2",
+                        "--length", "5", "--points-per-cell", "17", "--t-final", "0.5",
+                        "--frames", "5", "--out-prefix", str(tmp_path / "sim")])[0] == 0
+        metrics = tracer.metrics(since)
+    finally:
+        tracer.uninstall()
+    assert {"effective.coeffs", "simulate.fdtd"} <= set(metrics["self_s"])
+    assert metrics["fdtd_points"]
+    assert all(tracing._resolve(path) is fn for path, fn in originals.items())
+
+
+def test_readme_quick_start_runs():
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(block, namespace)
+    assert abs(namespace["co"].v[0] - namespace["v_fd"][0]) < 1e-6

@@ -11,7 +11,7 @@ def cross_keys(report):
 
 def test_self_coupling_collapses_to_cell_integral(two_phase):
     mode = bloch.solve_at(two_phase, [np.pi / 2], 16, 1)[0]
-    co = effective.effective_coefficients_scalar(mode, two_phase)
+    co = effective.effective_coefficients(mode, two_phase)
     report = effective.coupling_coefficients(mode, mode, two_phase, [4, 8, 16, 32])
     assert report.resonant
     assert effective.are_equivalent(mode, mode) == report.resonant
