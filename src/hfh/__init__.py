@@ -8,8 +8,8 @@ from .bloch import (BlochMode, BlochOperator, assemble_operator, check_nondegene
                     solve_bands)
 from .effective import (CouplingReport, EffectiveCoefficients, are_equivalent, coupling_coefficients,
                         effective_coefficients)
-from .ergodic import (PeriodicSignal1D, WindowAverageResult, avg_derivative_product,
-                      avg_modulated_1d, avg_modulated_dd, avg_product_periodic)
+from .ergodic import (WindowAverageResult, avg_derivative_product, avg_modulated_1d,
+                      avg_modulated_dd, avg_product_periodic)
 from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import Cell, FourierField
 from .medium import (ScalarWaveMedium, SchrodingerBlocks, Symbol, VectorWaveMedium,

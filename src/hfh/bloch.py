@@ -35,7 +35,7 @@ Carrier conventions for the stored cell-periodic amplitudes:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,7 +68,6 @@ class BlochOperator:
     cutoff: int
     medium_key: str
     factor: tuple | None  # lapack.zpotrf(B, lower=1) as (L, info); None if nothing is solved with B
-    notes: tuple = field(default=())
 
     @property
     def size(self) -> int:
@@ -153,15 +152,6 @@ def _as_k(cell: Cell, k) -> np.ndarray:
     if not np.all(np.isfinite(k)):
         raise ValidationError(f"k must be finite, got {k}")
     return k
-
-
-def _truncation_notes(medium_cutoff: int, cutoff: int) -> tuple:
-    if medium_cutoff > cutoff:
-        msg = (f"operator cutoff {cutoff} below medium cutoff {medium_cutoff}; "
-               "medium content beyond the operator lags is truncated")
-        warnings.warn(msg)
-        return (msg,)
-    return ()
 
 
 def _assembly_only(family: str, cell: Cell) -> bool:
@@ -294,9 +284,11 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     if not wave:
         A /= beta0
     _mirror_hermitian(A)
-    notes = _truncation_notes(medium.cutoff, cutoff)
+    if medium.cutoff > cutoff:
+        warnings.warn(f"operator cutoff {cutoff} below medium cutoff {medium.cutoff}; "
+                      "medium content beyond the operator lags is truncated")
     return BlochOperator(medium.family, k, cell, g.basis, n_comp, A, g.B, cutoff,
-                         medium.fingerprint, g.factor, notes)
+                         medium.fingerprint, g.factor)
 
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:

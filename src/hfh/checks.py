@@ -170,13 +170,12 @@ def check_supercell_collapse():
 
 
 def check_ergodic_lemmas():
-    f = ergodic.PeriodicSignal1D(1.0, {-1: 1.0})
+    cell = Cell((1.0,))
+    f = FourierField.from_terms(cell, 1, {-1: 1.0})
     res = ergodic.avg_modulated_1d(f, 2 * np.pi, [10.0, 20.0, 40.0])
     exact = max(abs(v - 1.0) for v in res.values)  # integer windows hit the limit exactly
-    g = ergodic.PeriodicSignal1D.constant(1.0)
-    res2 = ergodic.avg_modulated_1d(g, 1.0, [10.0, 20.0, 40.0, 80.0])
-    nu, c = g.frequencies()
-    held_out = abs(np.sum(c * ergodic.window_factor(nu + 1.0, 160.0)))
+    res2 = ergodic.avg_modulated_1d(FourierField.constant(cell, 1.0), 1.0, [10.0, 20.0, 40.0, 80.0])
+    held_out = abs(ergodic.window_factor(1.0, 160.0))  # the constant's only harmonic
     bound_ok = held_out <= res2.decay_constant / 160.0 + 1e-15
     ok = exact < 1e-12 and res2.analytic_limit == 0 and bound_ok
     return ok, f"resonant exactness {exact:.3e}; held-out bound holds: {bound_ok}"

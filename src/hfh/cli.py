@@ -217,7 +217,7 @@ def _signal_from_json(obj, where):
                      for t in obj["harmonics"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: bad signal spec: {exc}") from exc
-    return ergodic.PeriodicSignal1D(period, harmonics)
+    return FourierField.from_terms(Cell((period,)), max(map(abs, harmonics), default=0), harmonics)
 
 
 def _need(obj, key, where):
@@ -269,7 +269,10 @@ def _cmd_simulate(args):
     k = _parse_k(args.k, 1, "--k")
     mode = bloch.solve_at(med, k, args.cutoff, args.band)[args.band - 1]
     env = simulate.GaussianEnvelope(args.center, args.sigma)
-    grid = simulate.GridSpec(args.length, args.points_per_cell)
+    points = args.points_per_cell
+    if points is None:  # enough samples per cell for every retained harmonic
+        points = max(simulate.MIN_POINTS_PER_CELL, 2 * max(args.cutoff, med.cutoff) + 1)
+    grid = simulate.GridSpec(args.length, points)
     record, frames, fit = simulate.packet_speed_experiment(med, mode, args.epsilon, env, grid,
                                                            args.t_final, cfl=args.cfl,
                                                            n_frames=args.frames)
@@ -316,80 +319,52 @@ def _cmd_check(args):
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED = object()  # default of a flag that must be given
+_MODE = {"--band": (int, 1), "--cutoff": (int, 16)}
+
+# name -> (help, handler, {flag: (type, default)}); a bool flag is a switch
+COMMANDS = {
+    "bands": ("sweep one band along a straight k path", _cmd_bands, {
+        "--config": (str, _REQUIRED), "--k-start": (str, _REQUIRED), "--k-end": (str, _REQUIRED),
+        "--samples": (int, 50), **_MODE, "--out": (str, _REQUIRED)}),
+    "groupvel": ("finite-difference group velocity at one k", _cmd_groupvel, {
+        "--config": (str, _REQUIRED), "--k": (str, _REQUIRED), **_MODE,
+        "--step": (float, None), "--out": (str, _REQUIRED)}),
+    "effective": ("homogenized transport coefficients at one mode", _cmd_effective, {
+        "--config": (str, _REQUIRED), "--k": (str, _REQUIRED), **_MODE,
+        "--out-prefix": (str, "effective")}),
+    "couple": ("supercell coupling averages for a mode pair", _cmd_couple, {
+        "--config": (str, _REQUIRED), "--k": (str, _REQUIRED), "--m": (str, _REQUIRED),
+        "--bands": (str, "1,1"), "--supercells": (str, "4,8,16,32"), "--time-window": (float, None),
+        "--cutoff": (int, 16), "--out": (str, _REQUIRED)}),
+    "ergodic": ("finite-window averages of periodic signals", _cmd_ergodic, {
+        "--spec": (str, _REQUIRED), "--out": (str, _REQUIRED)}),
+    "simulate": ("fine-grid envelope transport validation", _cmd_simulate, {
+        "--config": (str, _REQUIRED), "--k": (str, _REQUIRED), **_MODE,
+        "--epsilon": (float, 1 / 32), "--sigma": (float, 0.5), "--center": (float, 2.5),
+        "--length": (float, 8.0), "--points-per-cell": (int, None), "--t-final": (float, 4.0),
+        "--cfl": (float, 0.9), "--frames": (int, 9), "--write-envelope": (bool, False),
+        "--out-prefix": (str, "simulate")}),
+    "check": ("run the built-in invariant suite", _cmd_check, {}),
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on the first call and reused by every later ``main``."""
     parser = _Parser(prog="hfh", description="Bloch bands, homogenized transport, and coupling diagnostics")
     parser.add_argument("--version", action="version", version=f"hfh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bands", help="sweep one band along a straight k path")
-    p.add_argument("--config", required=True)
-    p.add_argument("--k-start", required=True)
-    p.add_argument("--k-end", required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--band", type=int, default=1)
-    p.add_argument("--cutoff", type=int, default=16)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("groupvel", help="finite-difference group velocity at one k")
-    p.add_argument("--config", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--band", type=int, default=1)
-    p.add_argument("--cutoff", type=int, default=16)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("effective", help="homogenized transport coefficients at one mode")
-    p.add_argument("--config", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--band", type=int, default=1)
-    p.add_argument("--cutoff", type=int, default=16)
-    p.add_argument("--out-prefix", default="effective")
-
-    p = sub.add_parser("couple", help="supercell coupling averages for a mode pair")
-    p.add_argument("--config", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--bands", default="1,1")
-    p.add_argument("--supercells", default="4,8,16,32")
-    p.add_argument("--time-window", type=float, default=None)
-    p.add_argument("--cutoff", type=int, default=16)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("ergodic", help="finite-window averages of periodic signals")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("simulate", help="fine-grid envelope transport validation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--band", type=int, default=1)
-    p.add_argument("--cutoff", type=int, default=16)
-    p.add_argument("--epsilon", type=float, default=1 / 32)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--center", type=float, default=2.5)
-    p.add_argument("--length", type=float, default=8.0)
-    p.add_argument("--points-per-cell", type=int, default=16)
-    p.add_argument("--t-final", type=float, default=4.0)
-    p.add_argument("--cfl", type=float, default=0.9)
-    p.add_argument("--frames", type=int, default=9)
-    p.add_argument("--write-envelope", action="store_true")
-    p.add_argument("--out-prefix", default="simulate")
-
-    sub.add_parser("check", help="run the built-in invariant suite")
+    for name, (help_text, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, (kind, default) in flags.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+            elif default is _REQUIRED:
+                p.add_argument(flag, type=kind, required=True)
+            else:
+                p.add_argument(flag, type=kind, default=default)
     return parser
-
-
-_HANDLERS = {
-    "bands": _cmd_bands,
-    "groupvel": _cmd_groupvel,
-    "effective": _cmd_effective,
-    "couple": _cmd_couple,
-    "ergodic": _cmd_ergodic,
-    "simulate": _cmd_simulate,
-    "check": _cmd_check,
-}
 
 
 def main(argv=None) -> int:
@@ -401,7 +376,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 64
     try:
-        return _HANDLERS[args.command](args)
+        return COMMANDS[args.command][1](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

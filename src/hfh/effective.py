@@ -27,11 +27,11 @@ import numpy as np
 
 from .bloch import BlochMode, check_nondegenerate
 from .errors import NumericalError, ValidationError
-from .fourier import TWO_PI, FourierField, box_average, from_grid, to_grid, window_factor
+from .fourier import (RESONANCE_TOL, TWO_PI, FourierField, box_average, from_grid, resonant_point,
+                      to_grid, window_factor)
 from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
 from .medium import MEDIUM_TYPES, ScalarWaveMedium
 
-RESONANCE_TOL = 1e-9
 OMEGA_FLOOR = 1e-8
 D0_FLOOR = 1e-10
 ZERO_FLOOR = 1e-14
@@ -189,11 +189,6 @@ def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
 # equivalence and coupling
 
 
-def _wavevector_resonant(dk: np.ndarray, cell) -> bool:
-    frac = dk * cell.diag / TWO_PI
-    return bool(np.all(np.abs(frac - np.round(frac)) <= RESONANCE_TOL))
-
-
 def are_equivalent(mode1: BlochMode, mode2: BlochMode) -> bool:
     """True iff the two carriers are the same Bloch wave up to a scalar.
 
@@ -203,9 +198,8 @@ def are_equivalent(mode1: BlochMode, mode2: BlochMode) -> bool:
     """
     if mode1.medium_key != mode2.medium_key or mode1.cell != mode2.cell:
         raise ValidationError("modes come from different media")
-    if abs(mode1.omega - mode2.omega) > RESONANCE_TOL:
-        return False
-    return _wavevector_resonant(mode1.k - mode2.k, mode1.cell)
+    return (abs(mode1.omega - mode2.omega) <= RESONANCE_TOL
+            and resonant_point(mode1.k - mode2.k, mode1.cell) is not None)
 
 
 @dataclass(frozen=True)
@@ -220,12 +214,6 @@ class CouplingReport:
     fitted C in |average(Q_n) - limit| <= C / n.
     """
 
-    k1: np.ndarray
-    omega1: float
-    band1: int
-    k2: np.ndarray
-    omega2: float
-    band2: int
     resonant: bool
     supercells: tuple
     time_window: float
@@ -277,10 +265,7 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWave
     elif not (np.isfinite(time_window) and time_window > 0):
         raise ValidationError(f"time window must be finite and positive, got {time_window}")
 
-    cell = medium.cell
     modes = (mode1, mode2)
-    resonant = (abs(mode1.omega - mode2.omega) <= RESONANCE_TOL
-                and _wavevector_resonant(mode1.k - mode2.k, cell))
 
     averages, limits, slopes, decay_constants = {}, {}, {}, {}
     ns = np.asarray(counts, dtype=float)
@@ -294,9 +279,7 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWave
             limits[key] = _structural_limit(G, domega, dk)
             slopes[key], decay_constants[key] = _fit_decay(ns, averages[key] - limits[key])
 
-    return CouplingReport(mode1.k.copy(), mode1.omega, mode1.band,
-                          mode2.k.copy(), mode2.omega, mode2.band,
-                          resonant, counts, float(time_window),
+    return CouplingReport(are_equivalent(mode1, mode2), counts, float(time_window),
                           averages, limits, slopes, decay_constants)
 
 
@@ -319,10 +302,8 @@ def _supercell_average(G: FourierField, domega: float, dk: np.ndarray,
 
 
 def _structural_limit(G: FourierField, domega: float, dk: np.ndarray) -> complex:
-    """Q -> infinity limit of the factorized average: resonant terms survive."""
-    if abs(domega) > RESONANCE_TOL:
+    """Q -> infinity limit of the factorized average: the harmonic that cancels the carrier, if any."""
+    n = resonant_point(dk, G.cell)
+    if abs(domega) > RESONANCE_TOL or n is None:
         return 0.0 + 0.0j
-    fracs = dk * G.cell.diag / TWO_PI
-    factors = [(np.abs(frac - G.index_grid(ax)) <= RESONANCE_TOL)[np.newaxis].astype(np.complex128)
-               for ax, frac in enumerate(fracs)]
-    return complex(box_average(G.coeffs, factors)[0])
+    return G.coeff(n)

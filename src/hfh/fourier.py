@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ValidationError
 
 TWO_PI = 2.0 * np.pi
+RESONANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,19 @@ class Cell:
         """Side lengths as a vector (the diagonal of the cell)."""
         return np.asarray(self.lengths)
 
-    def reciprocal(self) -> np.ndarray:
-        """Reciprocal lattice steps 2*pi / lambda_i per axis."""
-        return TWO_PI / self.diag
+
+def resonant_point(lam, cell: Cell):
+    """The integer point n within RESONANCE_TOL of lam (.) lambda / (2 pi) on every axis, or None.
+
+    A product e^{i lam . xi} times a cell-periodic series averages, over
+    growing boxes, to the harmonic that cancels the carrier: its index is
+    -n, and with no such n the average tends to 0.
+    """
+    frac = np.asarray(lam, dtype=float) * cell.diag / TWO_PI
+    n = np.round(frac)
+    if np.all(np.abs(frac - n) <= RESONANCE_TOL):
+        return tuple(int(v) for v in n)
+    return None
 
 
 def _as_cutoffs(cell: Cell, cutoff) -> tuple:

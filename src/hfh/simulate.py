@@ -36,8 +36,10 @@ class GaussianEnvelope:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValidationError("envelope sigma must be positive")
+        if not np.isfinite(self.center):
+            raise ValidationError(f"envelope center must be finite, got {self.center}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValidationError(f"envelope sigma must be positive and finite, got {self.sigma}")
 
     def values(self, x):
         return np.exp(-((x - self.center) ** 2) / (2.0 * self.sigma ** 2))
@@ -114,6 +116,8 @@ def build_wavepacket_ic(mode: BlochMode, medium: ScalarWaveMedium, epsilon: floa
         raise ValidationError("wave packet needs a non-degenerate carrier mode")
     if not 0 < epsilon <= 0.125:
         raise ValidationError("epsilon must satisfy 0 < epsilon <= 1/8")
+    if not (np.isfinite(grid.length) and grid.length > 0):
+        raise ValidationError(f"domain length must be positive and finite, got {grid.length}")
     lam = medium.cell.lengths[0]
     cell_len = epsilon * lam
     n_cells = grid.length / cell_len
@@ -157,15 +161,17 @@ def run_fdtd_1d(medium: ScalarWaveMedium, ic: WavePacketIC, t_final: float,
 
     Periodic boundary; the real and imaginary quadratures of the complex
     initial data evolve as two independent real fields and are recombined
-    into complex frames.  Raises on CFL violation and on a zero or
-    non-finite initial energy; a run whose compatible-energy drift exceeds
-    ENERGY_DRIFT_LIMIT (1e-6), or whose energy turns non-finite, is flagged
-    unstable.
+    into complex frames.  Raises on CFL violation, on a t_final that is not
+    positive and finite, and on a zero or non-finite initial energy; a run
+    whose compatible-energy drift exceeds ENERGY_DRIFT_LIMIT (1e-6), or whose
+    energy turns non-finite, is flagged unstable.
     """
     if ic.mode.medium_key != medium.fingerprint:
         raise ValidationError("initial condition was built on a different medium")
-    if cfl <= 0 or cfl > 0.9:
-        raise ValidationError("cfl must lie in (0, 0.9]")
+    if not 0 < cfl <= 0.9:
+        raise ValidationError(f"not 0 < cfl <= 0.9: cfl = {cfl}")
+    if not (np.isfinite(t_final) and t_final > 0):
+        raise ValidationError(f"t_final must be positive and finite, got {t_final}")
     if n_frames < 2:
         raise ValidationError("need at least 2 frames")
     end_lo = ic.envelope.center + ic.group_velocity * t_final - 4 * ic.envelope.sigma

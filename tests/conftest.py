@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from hfh import checks, medium
-from hfh.fourier import Cell
+from hfh.fourier import Cell, FourierField
+
+COS = {1: 0.5, -1: 0.5}  # cos(2 pi x / T)
+SIN = {1: -0.5j, -1: 0.5j}  # sin(2 pi x / T)
+
+
+def signal(period, harmonics):
+    """1D field of period ``period`` with the {n: c} coefficients of e^{2 pi i n x / period}."""
+    return FourierField.from_terms(Cell((period,)), max(map(abs, harmonics), default=0), harmonics)
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import COS, SIN, signal
 from hfh import bands, bloch, checks, cli, effective, ergodic, medium, simulate
-from hfh.ergodic import PeriodicSignal1D
 from hfh.fourier import Cell, FourierField
 
 
@@ -113,21 +113,22 @@ SQ2 = np.sqrt(2.0)
 
 
 def _fixtures_1d():
-    one = PeriodicSignal1D.constant(1.0)
-    cexp = PeriodicSignal1D(1.0, {-1: 1.0})
-    cos1 = PeriodicSignal1D.cosine(1.0)
-    sin1 = PeriodicSignal1D.sine(1.0)
+    one = signal(1.0, {0: 1.0})
+    cexp = signal(1.0, {-1: 1.0})
+    cos1 = signal(1.0, COS)
+    sin1 = signal(1.0, SIN)
+    half = 0.5 * np.exp(1j * np.pi / 3)
     return [
         ("mod resonant zero-overlap", lambda w: ergodic.avg_modulated_1d(one, 2 * np.pi, w), [5.0, 12.0]),
         ("mod resonant full-overlap", lambda w: ergodic.avg_modulated_1d(cexp, 2 * np.pi, w), [7.0, 31.0]),
         ("mod non-resonant", lambda w: ergodic.avg_modulated_1d(one, 1.0, w), None),
         ("mod incommensurate", lambda w: ergodic.avg_modulated_1d(cos1, SQ2 * np.pi, w), None),
         ("mod rational non-integer", lambda w: ergodic.avg_modulated_1d(cos1, 3 * np.pi, w), [4.0, 10.0]),
-        ("prod incommensurate", lambda w: ergodic.avg_product_periodic(cos1, PeriodicSignal1D.cosine(SQ2), w), None),
+        ("prod incommensurate", lambda w: ergodic.avg_product_periodic(cos1, signal(SQ2, COS), w), None),
         ("prod resonant self", lambda w: ergodic.avg_product_periodic(cos1, cos1, w), [4.0, 9.0]),
-        ("prod rational orthogonal", lambda w: ergodic.avg_product_periodic(cos1, PeriodicSignal1D.cosine(2.0), w), [6.0, 14.0]),
-        ("prod rational phased", lambda w: ergodic.avg_product_periodic(cos1, PeriodicSignal1D.cosine(1.0, phase=np.pi / 3), w), [5.0, 11.0]),
-        ("deriv incommensurate", lambda w: ergodic.avg_derivative_product(sin1, PeriodicSignal1D.cosine(SQ2), w), None),
+        ("prod rational orthogonal", lambda w: ergodic.avg_product_periodic(cos1, signal(2.0, COS), w), [6.0, 14.0]),
+        ("prod rational phased", lambda w: ergodic.avg_product_periodic(cos1, signal(1.0, {1: half, -1: np.conj(half)}), w), [5.0, 11.0]),
+        ("deriv incommensurate", lambda w: ergodic.avg_derivative_product(sin1, signal(SQ2, COS), w), None),
         ("deriv resonant orthogonal", lambda w: ergodic.avg_derivative_product(sin1, sin1, w), [3.0, 8.0]),
     ]
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import signal
 from hfh import effective, ergodic
-from hfh.ergodic import PeriodicSignal1D
 from hfh.fourier import TWO_PI, Cell, FourierField, box_average, window_factor
 
 REL = 1e-13
@@ -216,27 +216,31 @@ def test_modulated_dd_matches_oracle(f, data):
 @_settings
 @given(data=st.data())
 def test_modulated_1d_and_product_match_oracle(data):
-    def signal(period):
+    def drawn_signal(period):
         ns = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=7, unique=True))
-        return PeriodicSignal1D(period, {n: complex(data.draw(st.floats(-1, 1)), data.draw(st.floats(-1, 1)))
-                                         for n in ns})
+        return signal(period, {n: complex(data.draw(st.floats(-1, 1)), data.draw(st.floats(-1, 1)))
+                               for n in ns})
+
+    def frequencies(f):
+        return TWO_PI * f.index_grid(0) / f.cell.lengths[0], f.coeffs
 
     windows = [3.1, 6.7, 14.2, 29.9]
-    f = signal(data.draw(st.floats(0.5, 2.0)))
-    b = -_offset(data.draw, TWO_PI / f.period, data.draw(st.integers(-5, 5)), windows[0])
+    f = drawn_signal(data.draw(st.floats(0.5, 2.0)))
+    b = -_offset(data.draw, TWO_PI / f.cell.lengths[0], data.draw(st.integers(-5, 5)), windows[0])
     res = ergodic.avg_modulated_1d(f, b, windows)
-    pairs = [(q + b, c) for q, c in zip(*f.frequencies())]
+    pairs = [(q + b, c) for q, c in zip(*frequencies(f))]
     values, cert = _oracle_harmonic_sums(pairs, windows)
     scale = sum(abs(c) for _, c in pairs)
     _assert_close(res.values, values, scale)
     _assert_close(res.decay_constant, cert, cert)
 
-    zero_mean = PeriodicSignal1D(f.period, {n: c for n, c in f.harmonics.items() if n})
-    g = signal(data.draw(st.sampled_from((f.period, 1.5 * f.period))) if data.draw(st.booleans())
-               else data.draw(st.floats(0.5, 2.0)))
+    period = f.cell.lengths[0]
+    zero_mean = FourierField(f.cell, np.where(f.index_grid(0) == 0, 0.0, f.coeffs))
+    g = drawn_signal(data.draw(st.sampled_from((period, 1.5 * period))) if data.draw(st.booleans())
+                     else data.draw(st.floats(0.5, 2.0)))
     res = ergodic.avg_product_periodic(zero_mean, g, windows)
-    pairs = [(q1 + q2, c1 * c2) for q1, c1 in zip(*zero_mean.frequencies())
-             for q2, c2 in zip(*g.frequencies())]
+    pairs = [(q1 + q2, c1 * c2) for q1, c1 in zip(*frequencies(zero_mean))
+             for q2, c2 in zip(*frequencies(g))]
     values, cert = _oracle_harmonic_sums(pairs, windows)
     scale = sum(abs(c) for _, c in pairs)
     _assert_close(res.values, values, scale)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,17 @@ def test_ergodic_command(tmp_path):
     assert rows[0] == "window,re_avg,im_avg,abs_err_vs_limit"
 
 
+def test_ergodic_repeated_harmonic_last_wins(tmp_path):
+    # a signal spec that repeats n keeps its last coefficient, not the sum
+    spec = {"op": "modulated_1d", "b": 2 * np.pi, "windows": [10.0, 20.0],
+            "f": {"period": 1.0, "harmonics": [{"n": -1, "re": 5.0}, {"n": -1, "re": 1.0}]}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "erg.csv"
+    assert run_cli(["ergodic", "--spec", str(spec_path), "--out", str(out)])[0] == 0
+    assert "# limit_re=1\n" in out.read_text()
+
+
 def test_simulate_command(tmp_path):
     coarse = dict(MEDIUM, cutoff=8)
     config = tmp_path / "coarse.json"
@@ -174,10 +186,22 @@ def test_exit_codes(config, tmp_path):
     ["couple", "--k", "1.2", "--m", "0.5", "--time-window", "0", "--out", "{out}"],
     ["couple", "--k", "1.2", "--m", "0.5", "--time-window", "-3", "--out", "{out}"],
     ["couple", "--k", "1.2", "--m", "0.5", "--time-window", "nan", "--out", "{out}"],
+    ["simulate", "--k", "1.5707963267948966", "--length", "nan", "--out-prefix", "{out}"],
+    ["simulate", "--k", "1.5707963267948966", "--length", "inf", "--out-prefix", "{out}"],
+    ["simulate", "--k", "1.5707963267948966", "--t-final", "nan", "--out-prefix", "{out}"],
+    ["simulate", "--k", "1.5707963267948966", "--t-final", "0", "--out-prefix", "{out}"],
+    ["simulate", "--k", "1.5707963267948966", "--t-final", "0.5", "--cfl", "nan",
+     "--out-prefix", "{out}"],
+    ["simulate", "--k", "1.5707963267948966", "--t-final", "0.5", "--sigma", "nan",
+     "--out-prefix", "{out}"],
+    ["simulate", "--k", "1.5707963267948966", "--t-final", "0.5", "--center", "nan",
+     "--out-prefix", "{out}"],
 ], ids=["k-nan", "k-inf", "k-end-nan", "step-0", "step-nan", "window-0", "window-neg",
-        "window-nan"])
+        "window-nan", "length-nan", "length-inf", "t-final-nan", "t-final-0", "cfl-nan",
+        "sigma-nan", "center-nan"])
 def test_bad_numbers_rejected(argv, config, tmp_path):
-    # a non-finite k, FD step or time window is a validation error: exit 1, no artifact
+    # a non-finite k, FD step, time window or simulate parameter, or a zero t_final, is a
+    # validation error: exit 1, no artifact
     out = tmp_path / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -185,6 +209,54 @@ def test_bad_numbers_rejected(argv, config, tmp_path):
     assert code == 1
     assert err.getvalue().startswith("error: ")
     assert not list(tmp_path.glob("out*"))
+
+
+# the argv each subcommand requires, and every other option's parsed default
+_REQUIRED_ARGV = {
+    "bands": ["--config", "c.json", "--k-start", "0", "--k-end", "1", "--out", "o.csv"],
+    "groupvel": ["--config", "c.json", "--k", "1", "--out", "o.csv"],
+    "effective": ["--config", "c.json", "--k", "1"],
+    "couple": ["--config", "c.json", "--k", "1", "--m", "2", "--out", "o.csv"],
+    "ergodic": ["--spec", "s.json", "--out", "o.csv"],
+    "simulate": ["--config", "c.json", "--k", "1"],
+    "check": [],
+}
+_DEFAULTS = {
+    "bands": {"samples": 50, "band": 1, "cutoff": 16},
+    "groupvel": {"band": 1, "cutoff": 16, "step": None},
+    "effective": {"band": 1, "cutoff": 16, "out_prefix": "effective"},
+    "couple": {"bands": "1,1", "supercells": "4,8,16,32", "time_window": None, "cutoff": 16},
+    "ergodic": {},
+    "simulate": {"band": 1, "cutoff": 16, "epsilon": 1 / 32, "sigma": 0.5, "center": 2.5,
+                 "length": 8.0, "points_per_cell": None, "t_final": 4.0, "cfl": 0.9, "frames": 9,
+                 "write_envelope": False, "out_prefix": "simulate"},
+    "check": {},
+}
+
+
+@pytest.mark.parametrize("name", list(_DEFAULTS))
+def test_parsed_defaults(name):
+    assert set(_DEFAULTS) == set(cli.COMMANDS)
+    argv = _REQUIRED_ARGV[name]
+    args = vars(cli._build_parser().parse_args([name] + argv))
+    given = {flag[2:].replace("-", "_"): value for flag, value in zip(argv[::2], argv[1::2])}
+    assert args == dict(_DEFAULTS[name], command=name, **given)
+
+
+def test_simulate_default_grid_resolves_the_carrier(tmp_path):
+    # without --points-per-cell the grid has 2 * cutoff + 1 points per epsilon-cell, the
+    # least that resolves every retained harmonic, so the under-resolution warning stays off
+    config = tmp_path / "coarse.json"
+    config.write_text(json.dumps(dict(MEDIUM, cutoff=8)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(["simulate", "--config", str(config), "--k", "1.5707963267948966",
+                           "--cutoff", "8", "--epsilon", "0.125", "--sigma", "0.5", "--center", "2",
+                           "--length", "5", "--t-final", "0.5", "--frames", "5",
+                           "--out-prefix", str(tmp_path / "sim")])
+    assert code == 0
+    assert not [w for w in caught if "under-resolve" in str(w.message)]
+    assert json.loads((tmp_path / "sim_run.json").read_text())["grid_points"] == 40 * 17
 
 
 def test_ragged_matrix_rejected(tmp_path):
@@ -221,11 +293,17 @@ _NAN, _INF = float("nan"), float("inf")
      "boxes": [[4.0, 4.0], [8.0, _INF]]},
     {"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD, "lambda": [0.5, 0.7],
      "boxes": [_NAN]},
+    {"op": "modulated_1d", "f": dict(_SIGNAL, harmonics=[{"n": 1, "re": _NAN}]), "b": 1.0,
+     "windows": [4.0, 8.0]},
+    {"op": "product", "f": _SIGNAL, "g": dict(_SIGNAL, harmonics=[{"n": -2, "im": _INF}]),
+     "windows": [4.0, 8.0]},
+    {"op": "modulated_1d", "f": _SIGNAL, "b": 1.0},
 ], ids=["window-nan", "window-inf", "b-nan", "b-inf", "period-nan", "period-inf",
-        "product-window-nan", "windows-missing", "lambda-nan", "box-inf", "box-nan"])
+        "product-window-nan", "windows-missing", "lambda-nan", "box-inf", "box-nan",
+        "harmonic-nan", "product-harmonic-inf", "modulated-windows-missing"])
 def test_bad_ergodic_numbers_rejected(spec, tmp_path):
-    # a non-finite window, box, lambda, b or period, or no windows at all, is a validation
-    # error: exit 1, no artifact
+    # a non-finite window, box, lambda, b, period or harmonic, or no windows at all, is a
+    # validation error: exit 1, no artifact
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out = tmp_path / "out.csv"

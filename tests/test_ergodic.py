@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import COS, SIN, signal
 from hfh import ergodic
-from hfh.ergodic import PeriodicSignal1D, avg_derivative_product, avg_modulated_1d, \
-    avg_modulated_dd, avg_product_periodic
+from hfh.ergodic import avg_derivative_product, avg_modulated_1d, avg_modulated_dd, \
+    avg_product_periodic
 from hfh.errors import ValidationError
 from hfh.fourier import Cell, FourierField
 
 WINDOWS = [7.3, 13.7, 29.1, 61.7]
+HALF = 0.5 * np.exp(1j * np.pi / 3)  # cos(2 pi x + pi / 3) = HALF e^{2 pi i x} + conj
 
 
 def assert_bound_with_held_out(result, recompute):
@@ -36,7 +38,7 @@ def redo_derivative(f, g):
 # modulated averages (single periodic signal times e^{ibx})
 
 def test_modulated_resonant_zero_overlap():
-    f = PeriodicSignal1D.constant(1.0)
+    f = signal(1.0, {0: 1.0})
     res = avg_modulated_1d(f, 2 * np.pi, WINDOWS)
     assert res.resonant and res.analytic_limit == 0
     assert_bound_with_held_out(res, redo_modulated(f, 2 * np.pi))
@@ -46,7 +48,7 @@ def test_modulated_resonant_zero_overlap():
 
 
 def test_modulated_resonant_full_overlap():
-    f = PeriodicSignal1D(1.0, {-1: 1.0})
+    f = signal(1.0, {-1: 1.0})
     res = avg_modulated_1d(f, 2 * np.pi, WINDOWS + [100.0])
     assert res.resonant and abs(res.analytic_limit - 1.0) < 1e-15
     assert abs(res.values[-1] - 1.0) < 1e-9
@@ -55,7 +57,7 @@ def test_modulated_resonant_full_overlap():
 
 
 def test_modulated_nonresonant_decay():
-    f = PeriodicSignal1D.constant(1.0)
+    f = signal(1.0, {0: 1.0})
     res = avg_modulated_1d(f, 1.0, WINDOWS)
     assert not res.resonant and res.analytic_limit == 0
     # closed form |e^{ia} - 1| / a <= 2/a
@@ -66,7 +68,7 @@ def test_modulated_nonresonant_decay():
 
 
 def test_modulated_quadrature_oracle():
-    f = PeriodicSignal1D.cosine(1.0)
+    f = signal(1.0, COS)
     b = np.sqrt(2.0) * np.pi
     a = 9.4
     res = avg_modulated_1d(f, b, [a])
@@ -79,15 +81,15 @@ def test_modulated_quadrature_oracle():
 # products of two periodic signals
 
 def test_product_incommensurate():
-    f = PeriodicSignal1D.cosine(1.0)
-    g = PeriodicSignal1D.cosine(np.sqrt(2.0))
+    f = signal(1.0, COS)
+    g = signal(np.sqrt(2.0), COS)
     res = avg_product_periodic(f, g, WINDOWS)
     assert not res.resonant and res.analytic_limit == 0
     assert_bound_with_held_out(res, redo_product(f, g))
 
 
 def test_product_resonant_self():
-    f = PeriodicSignal1D.cosine(1.0)
+    f = signal(1.0, COS)
     res = avg_product_periodic(f, f, WINDOWS)
     assert res.resonant and abs(res.analytic_limit - 0.5) < 1e-15
     exact = avg_product_periodic(f, f, [4.0, 9.0])
@@ -95,8 +97,8 @@ def test_product_resonant_self():
 
 
 def test_product_rational_orthogonal():
-    f = PeriodicSignal1D.cosine(1.0)
-    g = PeriodicSignal1D.cosine(2.0)  # cos(pi x)
+    f = signal(1.0, COS)
+    g = signal(2.0, COS)  # cos(pi x)
     res = avg_product_periodic(f, g, WINDOWS)
     assert res.resonant and res.analytic_limit == 0
     exact = avg_product_periodic(f, g, [6.0, 14.0])  # multiples of the common period 2
@@ -104,16 +106,16 @@ def test_product_rational_orthogonal():
 
 
 def test_product_rational_with_phase():
-    f = PeriodicSignal1D.cosine(1.0)
-    g = PeriodicSignal1D.cosine(1.0, phase=np.pi / 3)
+    f = signal(1.0, COS)
+    g = signal(1.0, {1: HALF, -1: np.conj(HALF)})
     res = avg_product_periodic(f, g, WINDOWS)
     assert abs(res.analytic_limit - 0.5 * np.cos(np.pi / 3)) < 1e-15
 
 
 def test_product_zero_mean_precondition():
-    f = PeriodicSignal1D(1.0, {0: 0.5, 1: 1.0, -1: 1.0})
+    f = signal(1.0, {0: 0.5, 1: 1.0, -1: 1.0})
     with pytest.raises(ValidationError, match="zero mean"):
-        avg_product_periodic(f, PeriodicSignal1D.cosine(1.0), WINDOWS)
+        avg_product_periodic(f, signal(1.0, COS), WINDOWS)
 
 
 def test_rationality_classifier():
@@ -126,31 +128,31 @@ def test_rationality_classifier():
 # derivative products
 
 def test_derivative_product_incommensurate():
-    f = PeriodicSignal1D.sine(1.0)
-    g = PeriodicSignal1D.cosine(np.sqrt(2.0))
+    f = signal(1.0, SIN)
+    g = signal(np.sqrt(2.0), COS)
     res = avg_derivative_product(f, g, WINDOWS)
     assert res.analytic_limit == 0
     assert_bound_with_held_out(res, redo_derivative(f, g))
 
 
 def test_derivative_product_constant_is_zero():
-    f = PeriodicSignal1D.constant(3.0)
-    res = avg_derivative_product(f, PeriodicSignal1D.cosine(1.0), WINDOWS)
+    f = signal(1.0, {0: 3.0})
+    res = avg_derivative_product(f, signal(1.0, COS), WINDOWS)
     assert all(v == 0 for v in res.values)
     assert res.analytic_limit == 0
 
 
 def test_derivative_product_orthogonal():
-    f = PeriodicSignal1D.sine(1.0)
+    f = signal(1.0, SIN)
     res = avg_derivative_product(f, f, WINDOWS)
     assert abs(res.analytic_limit) < 1e-15  # mean of 2 pi cos sin over a period
 
 
 def test_derivative_consistency_with_product():
-    f = PeriodicSignal1D.sine(1.0)
-    g = PeriodicSignal1D.cosine(np.sqrt(3.0))
+    f = signal(1.0, SIN)
+    g = signal(np.sqrt(3.0), COS)
     lhs = avg_derivative_product(f, g, WINDOWS)
-    rhs = avg_product_periodic(f.derivative(), g, WINDOWS)
+    rhs = avg_product_periodic(f.derivative(0), g, WINDOWS)
     assert np.max(np.abs(np.asarray(lhs.values) - np.asarray(rhs.values))) < 1e-12
 
 
@@ -198,7 +200,7 @@ def test_dd_anisotropic_boxes_and_validation():
 
 
 def test_windows_validation():
-    f = PeriodicSignal1D.constant(1.0)
+    f = signal(1.0, {0: 1.0})
     with pytest.raises(ValidationError):
         avg_modulated_1d(f, 1.0, [5.0, 4.0])
     with pytest.raises(ValidationError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hfh.errors import ValidationError
-from hfh.fourier import Cell, FourierField, product_mean, window_factor
+from hfh.fourier import Cell, FourierField, product_mean, resonant_point, window_factor
 
 
 def random_real_field(cell, cutoff, rng, scale=1.0):
@@ -109,6 +109,16 @@ def test_window_factor_limits():
     x = np.linspace(0, 7.3, 200001)
     quad = np.trapezoid(np.exp(2.1j * x), x) / 7.3
     assert abs(window_factor(2.1, 7.3) - quad) < 1e-8
+
+
+def test_resonant_point():
+    # lam (.) cell / 2 pi must be an integer point within 1e-9 on every axis
+    cell = Cell((1.0, 2.0))
+    assert resonant_point([2 * np.pi, -np.pi], cell) == (1, -1)
+    assert resonant_point([0.0, 0.0], cell) == (0, 0)
+    assert resonant_point([2 * np.pi + 1e-12, 0.0], cell) == (1, 0)
+    assert resonant_point([2 * np.pi + 1e-6, 0.0], cell) is None
+    assert resonant_point([2 * np.pi, 0.5], cell) is None
 
 
 def test_cell_validation():

@@ -54,6 +54,12 @@ def test_ic_validation(const_medium, const_mode):
     with pytest.raises(ValidationError, match="4 sigma"):
         simulate.build_wavepacket_ic(const_mode, const_medium, 1 / 16,
                                      GaussianEnvelope(center=1.0, sigma=0.5), GridSpec(6.0))
+    for length in (np.nan, np.inf, -6.0):
+        with pytest.raises(ValidationError, match="domain length"):
+            simulate.build_wavepacket_ic(const_mode, const_medium, 1 / 16, env, GridSpec(length))
+    for center, sigma in ((np.nan, 0.5), (3.0, np.nan), (3.0, np.inf), (3.0, 0.0)):
+        with pytest.raises(ValidationError, match="envelope"):
+            GaussianEnvelope(center, sigma)
 
 
 def test_underresolved_grid_warns(two_phase_coarse, coarse_mode):
@@ -129,6 +135,11 @@ def test_cfl_validation(two_phase_coarse, coarse_mode):
         simulate.run_fdtd_1d(two_phase_coarse, ic, 1.0, cfl=1.2)
     with pytest.raises(ValidationError, match="boundary"):
         simulate.run_fdtd_1d(two_phase_coarse, ic, 50.0)
+    for t_final in (0.0, np.nan):
+        with pytest.raises(ValidationError, match="t_final"):
+            simulate.run_fdtd_1d(two_phase_coarse, ic, t_final)
+    with pytest.raises(ValidationError, match="cfl"):
+        simulate.run_fdtd_1d(two_phase_coarse, ic, 1.0, cfl=np.nan)
 
 
 def test_measured_speed_matches_prediction(two_phase_coarse, coarse_mode):
