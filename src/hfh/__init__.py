@@ -8,12 +8,10 @@ from .bloch import (BlochMode, BlochOperator, assemble_operator, check_nondegene
                     solve_bands)
 from .effective import (CouplingReport, EffectiveCoefficients, are_equivalent, coupling_coefficients,
                         effective_coefficients)
-from .ergodic import (WindowAverageResult, avg_derivative_product, avg_modulated_1d,
-                      avg_modulated_dd, avg_product_periodic)
+from .ergodic import WindowAverageResult, avg_derivative_product, avg_modulated_dd, avg_product_periodic
 from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import Cell, FourierField
-from .medium import (ScalarWaveMedium, SchrodingerBlocks, Symbol, VectorWaveMedium,
-                     build_scalar_medium, build_schrodinger_blocks, build_vector_medium,
+from .medium import (Medium, build_scalar_medium, build_schrodinger_blocks, build_vector_medium,
                      maxwell_tensor_from_permeability, medium_from_descriptor)
 from .simulate import (EnvelopeFrames, GaussianEnvelope, GridSpec, SimulationRecord, WavePacketIC,
                        build_wavepacket_ic, extract_envelope, measure_packet_velocity,

@@ -3,7 +3,7 @@
 Basis: cell-periodic plane waves e^{2*pi*i n.(xi/lambda)} enumerated in
 lexicographic order of the multi-index n (components slowest axis first,
 each running -cutoff..cutoff).  One assembler, :func:`assemble_operator`,
-reads the medium's constitutive symbol (:class:`hfh.medium.Symbol`).  Its
+reads the medium's constitutive symbol (:class:`hfh.medium.Medium`).  Its
 spatial entries give the stiffness
 
     A[n, n'] = (k + 2*pi*n/lambda) . a_hat[n - n'] . (k + 2*pi*n'/lambda)
@@ -44,7 +44,7 @@ from scipy.linalg import lapack
 
 from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import TWO_PI, Cell, FourierField
-from .medium import MEDIUM_TYPES
+from .medium import Medium
 
 RESIDUAL_TOL = 1e-9
 EIG_CLAMP = -1e-10
@@ -201,19 +201,19 @@ class _Galerkin:
 def _galerkin(medium, cutoff: int) -> _Galerkin:
     """The medium's k-independent Galerkin parts, built on first use and again when the cutoff changes.
 
-    They live in the medium's instance dict, as ``symbol`` does, so they last
-    as long as the medium; one cutoff is kept.
+    They live in the medium's instance dict, so they last as long as the
+    medium; one cutoff is kept.
     """
     cache = medium.__dict__.get("_galerkin")
     if cache is not None and cache.cutoff == cutoff:
         return cache
-    cell, sym = medium.cell, medium.symbol
+    cell = medium.cell
     wave = medium.family != "schrodinger"
     basis = _basis_indices(cell.dims, cutoff)
     nb = len(basis)
-    B = np.zeros((sym.n_comp * nb,) * 2, dtype=np.complex128) if wave else None
+    B = np.zeros((medium.n_comp * nb,) * 2, dtype=np.complex128) if wave else None
     uses = {}  # id(field) -> (field, its C entries): one lag block per distinct field
-    for idx, f in sym.C.items():
+    for idx, f in medium.C.items():
         uses.setdefault(id(f), (f, []))[1].append(idx)
     terms = []
     for f, entries in uses.values():
@@ -224,14 +224,14 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
                 B[part] -= block
             elif not (j and l):
                 raise ValidationError(f"C entry {(i, j, kk, l)} has no term in the Bloch operator")
-            elif j == l or sym.C.get((i, l, kk, j)) is not f:
+            elif j == l or medium.C.get((i, l, kk, j)) is not f:
                 terms.append((part, j, l, False, block))
             elif j < l:  # the transposed entry C_ilkj shares f: add both terms in one pass
                 terms.append((part, j, l, True, block))
     # the schrodinger family's (M_l / i)_hat (k+G')_l and c_hat (one component)
     terms += [(slice(None), 0, l, False, _lag_block(FourierField(cell, f.coeffs / 1j), cutoff))
-              for l, f in sym.M.items() if l]
-    terms += [(slice(None), 0, 0, False, _lag_block(f, cutoff)) for f in sym.c.values()]
+              for l, f in medium.M.items() if l]
+    terms += [(slice(None), 0, 0, False, _lag_block(f, cutoff)) for f in medium.c.values()]
     factor = None
     if wave:
         _mirror_hermitian(B)
@@ -258,7 +258,7 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     then divided by beta0 = (mean M_0) / i, so A is the Hamiltonian H(k).
     Only A depends on k; the rest comes from the medium's cache.
     """
-    if not isinstance(medium, MEDIUM_TYPES):
+    if not isinstance(medium, Medium):
         raise ValidationError(f"unknown medium type {type(medium).__name__}")
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
@@ -268,13 +268,12 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
         raise UnsupportedScaleError("schrodinger solves support d <= 2")
     k = _as_k(cell, k)
     if not wave:
-        beta0 = medium.beta0
+        beta0 = float((medium.M[0].mean() / 1j).real)
         if beta0 == 0.0:
-            raise ValidationError("b_block time component has no imaginary part; omega cannot be isolated")
+            raise ValidationError("M_0 has a zero mean; omega cannot be isolated")
     g = _galerkin(medium, cutoff)
     kg = k[None, :] + g.G
-    n_comp = medium.symbol.n_comp
-    A = np.zeros((n_comp * len(g.basis),) * 2, dtype=np.complex128)
+    A = np.zeros((medium.n_comp * len(g.basis),) * 2, dtype=np.complex128)
     for part, j, l, paired, block in g.terms:
         term = _sandwich(kg, j, block, l)
         if paired:
@@ -287,7 +286,7 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     if medium.cutoff > cutoff:
         warnings.warn(f"operator cutoff {cutoff} below medium cutoff {medium.cutoff}; "
                       "medium content beyond the operator lags is truncated")
-    return BlochOperator(medium.family, k, cell, g.basis, n_comp, A, g.B, cutoff,
+    return BlochOperator(medium.family, k, cell, g.basis, medium.n_comp, A, g.B, cutoff,
                          medium.fingerprint, g.factor)
 
 

@@ -54,7 +54,7 @@ def check_medium_roundtrip():
 
 def check_two_phase_coefficients():
     med = _two_phase_medium()
-    a = med.a[(0, 0)]
+    a = med.C[(0, 1, 0, 1)]
     err = max(abs(a.coeff([0]) - 2.5), abs(a.coeff([1]) - 3j / np.pi))
     return err < 1e-14, f"closed-form coefficient error {err:.3e}"
 
@@ -172,9 +172,9 @@ def check_supercell_collapse():
 def check_ergodic_lemmas():
     cell = Cell((1.0,))
     f = FourierField.from_terms(cell, 1, {-1: 1.0})
-    res = ergodic.avg_modulated_1d(f, 2 * np.pi, [10.0, 20.0, 40.0])
+    res = ergodic.avg_modulated_dd(f, [2 * np.pi], [10.0, 20.0, 40.0])
     exact = max(abs(v - 1.0) for v in res.values)  # integer windows hit the limit exactly
-    res2 = ergodic.avg_modulated_1d(FourierField.constant(cell, 1.0), 1.0, [10.0, 20.0, 40.0, 80.0])
+    res2 = ergodic.avg_modulated_dd(FourierField.constant(cell, 1.0), [1.0], [10.0, 20.0, 40.0, 80.0])
     held_out = abs(ergodic.window_factor(1.0, 160.0))  # the constant's only harmonic
     bound_ok = held_out <= res2.decay_constant / 160.0 + 1e-15
     ok = exact < 1e-12 and res2.analytic_limit == 0 and bound_ok

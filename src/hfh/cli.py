@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bands, bloch, checks, effective, ergodic, medium, simulate
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, reading
 from .fourier import Cell, FourierField
 
 
@@ -220,10 +220,12 @@ def _signal_from_json(obj, where):
     return FourierField.from_terms(Cell((period,)), max(map(abs, harmonics), default=0), harmonics)
 
 
-def _need(obj, key, where):
+def _need(obj, key, where, convert=lambda v: v):
+    """``convert(obj[key])``; a missing key or a value ``convert`` rejects is a ValidationError naming it."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"{where}: missing required key {key!r}")
-    return obj[key]
+    with reading(key):
+        return convert(obj[key])
 
 
 def _cmd_ergodic(args):
@@ -235,19 +237,21 @@ def _cmd_ergodic(args):
     if op in ("modulated_1d", "product", "derivative_product"):
         f = _signal_from_json(_need(spec, "f", "spec"), "f")
         if op == "modulated_1d":
-            result = ergodic.avg_modulated_1d(f, float(_need(spec, "b", "spec")), windows)
+            result = ergodic.avg_modulated_dd(f, [_need(spec, "b", "spec", float)], windows)
         else:
             g = _signal_from_json(_need(spec, "g", "spec"), "g")
             fn = ergodic.avg_product_periodic if op == "product" else ergodic.avg_derivative_product
             result = fn(f, g, windows)
     elif op == "modulated_dd":
-        cell = Cell(tuple(_need(spec, "cell", "spec")))
-        terms = {tuple(int(v) for v in _need(t, "n", f"f.terms[{i}]")):
-                 complex(t.get("re", 0.0), t.get("im", 0.0))
-                 for i, t in enumerate(_need(_need(spec, "f", "spec"), "terms", "f"))}
+        cell = _need(spec, "cell", "spec", lambda v: Cell(tuple(v)))
+        with reading("f"):
+            terms = {tuple(int(v) for v in _need(t, "n", f"f.terms[{i}]")):
+                     complex(t.get("re", 0.0), t.get("im", 0.0))
+                     for i, t in enumerate(_need(_need(spec, "f", "spec"), "terms", "f"))}
         cutoff = max((max(abs(v) for v in n) for n in terms), default=1) or 1
         f = FourierField.from_terms(cell, cutoff, terms)
-        result = ergodic.avg_modulated_dd(f, _need(spec, "lambda", "spec"), _need(spec, "boxes", "spec"))
+        lam = _need(spec, "lambda", "spec", lambda v: np.asarray(v, dtype=float))
+        result = ergodic.avg_modulated_dd(f, lam, _need(spec, "boxes", "spec"))
     else:
         raise ValidationError(f"op: unknown ergodic op {op!r}")
     rows = [[w, v.real, v.imag, e]
@@ -342,7 +346,7 @@ COMMANDS = {
     "simulate": ("fine-grid envelope transport validation", _cmd_simulate, {
         "--config": (str, _REQUIRED), "--k": (str, _REQUIRED), **_MODE,
         "--epsilon": (float, 1 / 32), "--sigma": (float, 0.5), "--center": (float, 2.5),
-        "--length": (float, 8.0), "--points-per-cell": (int, None), "--t-final": (float, 4.0),
+        "--length": (float, 8.0), "--points-per-cell": (int, None), "--t-final": (float, None),
         "--cfl": (float, 0.9), "--frames": (int, 9), "--write-envelope": (bool, False),
         "--out-prefix": (str, "simulate")}),
     "check": ("run the built-in invariant suite", _cmd_check, {}),

@@ -5,7 +5,7 @@ cancel identically and the supercell-to-cell collapse for self-coupling is
 exact, not approximate.
 
 One kernel, :func:`_transport`, reads the medium's constitutive symbol
-(:class:`hfh.medium.Symbol`) and forms the first-order solvability
+(:class:`hfh.medium.Medium`) and forms the first-order solvability
 integrand slot by slot for every family.  It evaluates every factor on one
 FFT grid whose axes are at least w_V + w_V' + w_C - 2 points wide (the
 table widths of the two amplitudes and the widest symbol field), so the
@@ -30,7 +30,7 @@ from .errors import NumericalError, ValidationError
 from .fourier import (RESONANCE_TOL, TWO_PI, FourierField, box_average, from_grid, resonant_point,
                       to_grid, window_factor)
 from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
-from .medium import MEDIUM_TYPES, ScalarWaveMedium
+from .medium import Medium
 
 OMEGA_FLOOR = 1e-8
 D0_FLOOR = 1e-10
@@ -86,8 +86,8 @@ def _finalize(mode: BlochMode, d: np.ndarray) -> EffectiveCoefficients:
     return EffectiveCoefficients(mode.family, mode.k.copy(), mode.omega, mode.band, d, v)
 
 
-def _integrands(symbol, modes, pairs, sign: int) -> tuple:
-    """Slots 0..d of the first-order solvability integrand of ``symbol`` on a grid, per mode pair.
+def _integrands(medium: Medium, modes, pairs, sign: int) -> tuple:
+    """Slots 0..d of the first-order solvability integrand of ``medium``'s symbol on a grid, per mode pair.
 
     For each (l, r) in ``pairs``, with V_k the amplitudes of modes[r] and
     conj(V_i) those of modes[l], each entry C_ipkq adds d_p C conj(V_i) V_k
@@ -105,7 +105,7 @@ def _integrands(symbol, modes, pairs, sign: int) -> tuple:
     term, so that :func:`from_grid` gives the tables exactly up to roundoff.
     """
     dims = modes[0].cell.dims
-    fields = {id(f): f for f in [*symbol.C.values(), *symbol.M.values()]}
+    fields = {id(f): f for f in [*medium.C.values(), *medium.M.values()]}
     tables, amp, fld = [], {}, {}  # amp[mode, k, p] and fld[id(f), p]: positions in tables
     for m, mode in enumerate(modes):
         for k in range(mode.components):
@@ -116,7 +116,7 @@ def _integrands(symbol, modes, pairs, sign: int) -> tuple:
     for key, f in fields.items():
         fld[key, 0] = len(tables)
         tables.append(f.coeffs)
-    for (i, p, k, q), f in symbol.C.items():
+    for (i, p, k, q), f in medium.C.items():
         if p and (id(f), p) not in fld:
             fld[id(f), p] = len(tables)
             tables.append(f.derivative(p - 1).coeffs)
@@ -141,7 +141,7 @@ def _integrands(symbol, modes, pairs, sign: int) -> tuple:
             out[slot] += scale * (grid[fld[id(f), p]] * values)
             cut[slot] = np.maximum(cut[slot], mode_cut[l] + mode_cut[r] + f.cutoffs)
 
-        for (i, p, k, q), f in symbol.C.items():
+        for (i, p, k, q), f in medium.C.items():
             if p:
                 add(q, f, p, product(i, k, 0))
             if p == q:
@@ -149,16 +149,16 @@ def _integrands(symbol, modes, pairs, sign: int) -> tuple:
             else:
                 add(q, f, 0, product(i, k, p), 1 if p else d0)
                 add(p, f, 0, product(i, k, q), 1 if q else d0)
-        for slot, f in symbol.M.items():
+        for slot, f in medium.M.items():
             add(slot, f, 0, product(0, 0, 0))
         slots.append(out)
         cutoffs += [tuple(int(c) for c in c_slot) for c_slot in cut]
     return np.stack(slots), cutoffs
 
 
-def _transport(symbol, modes, pairs, sign: int) -> list:
+def _transport(medium: Medium, modes, pairs, sign: int) -> list:
     """Slot tables 0..d of :func:`_integrands` per mode pair, from one batched FFT."""
-    values, cutoffs = _integrands(symbol, modes, pairs, sign)
+    values, cutoffs = _integrands(medium, modes, pairs, sign)
     tables = from_grid(values.reshape((-1,) + values.shape[2:]), cutoffs)
     n = values.shape[1]
     return [[FourierField(modes[0].cell, t) for t in tables[i:i + n]] for i in range(0, len(tables), n)]
@@ -172,7 +172,7 @@ def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
     exact up to roundoff.  Under the stored normalization d_0 = -2i*omega for
     the wave families and -i for the schrodinger family.
     """
-    if not isinstance(medium, MEDIUM_TYPES):
+    if not isinstance(medium, Medium):
         raise ValidationError(f"unknown medium type {type(medium).__name__}")
     if mode.family != medium.family:
         raise ValidationError(f"a {mode.family} mode needs a {mode.family} medium, not {medium.family}")
@@ -180,7 +180,7 @@ def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
         raise ValidationError("mode was solved on a different medium")
     wave = medium.family != "schrodinger"
     _require_usable(mode, wave)
-    (values,), _ = _integrands(medium.symbol, [mode], [(0, 0)], -1 if wave else 1)
+    (values,), _ = _integrands(medium, [mode], [(0, 0)], -1 if wave else 1)
     d = values.reshape(len(values), -1).mean(axis=1)
     return _finalize(mode, d)
 
@@ -240,7 +240,7 @@ def _fit_decay(ns: np.ndarray, residuals: np.ndarray) -> tuple:
     return slope, c_const
 
 
-def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWaveMedium,
+def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: Medium,
                           supercell_counts, time_window: float | None = None) -> CouplingReport:
     """Supercell averages d_jp^(l)(Q_n) for a scalar-wave mode pair.
 
@@ -250,13 +250,10 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWave
     sum; self terms (p == l) collapse to the unit-cell integral exactly for
     every n.
     """
-    if not isinstance(medium, ScalarWaveMedium):
+    if any(m.family != "scalar-wave" for m in (medium, mode1, mode2)):
         raise ValidationError("coupling is computed for the scalar wave family only")
-    for m in (mode1, mode2):
-        if m.family != "scalar-wave":
-            raise ValidationError("coupling is computed for the scalar wave family only")
-        if m.medium_key != medium.fingerprint:
-            raise ValidationError("modes come from different media")
+    if any(m.medium_key != medium.fingerprint for m in (mode1, mode2)):
+        raise ValidationError("modes come from different media")
     counts = tuple(int(n) for n in supercell_counts)
     if not counts or any(n < 1 for n in counts):
         raise ValidationError("supercell counts must be positive integers")
@@ -270,7 +267,7 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: ScalarWave
     averages, limits, slopes, decay_constants = {}, {}, {}, {}
     ns = np.asarray(counts, dtype=float)
     pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
-    for (p, l), g_fields in zip(pairs, _transport(medium.symbol, modes, pairs, -1)):
+    for (p, l), g_fields in zip(pairs, _transport(medium, modes, pairs, -1)):
         domega = modes[l].omega - modes[p].omega
         dk = modes[l].k - modes[p].k
         for j, G in enumerate(g_fields):

@@ -105,11 +105,6 @@ def avg_modulated_dd(f: FourierField, lam, boxes) -> WindowAverageResult:
                                complex(limit), cert, n is not None)
 
 
-def avg_modulated_1d(f: FourierField, b: float, windows) -> WindowAverageResult:
-    """Averages (1/a) int_0^a f(x) e^{i b x} dx of a 1D f: :func:`avg_modulated_dd` with lambda = [b]."""
-    return avg_modulated_dd(f, [b], windows)
-
-
 def _rational_ratio(t1: float, t2: float):
     """Continued-fraction rationality test for t1/t2 with a denominator bound.
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`reading`, which names a bad input."""
+
+import contextlib
 
 
 class ValidationError(ValueError):
@@ -11,3 +13,14 @@ class NumericalError(RuntimeError):
 
 class UnsupportedScaleError(ValidationError):
     """The request is structurally valid but outside the supported problem sizes."""
+
+
+@contextlib.contextmanager
+def reading(key: str):
+    """Re-raise a TypeError or ValueError as a ValidationError naming ``key``; others pass through."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key}: bad value: {exc}") from exc

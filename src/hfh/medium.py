@@ -2,13 +2,13 @@
 
 Media are stored as truncated Fourier series (see :mod:`hfh.fourier`), so
 piecewise-constant phases keep analytic coefficients and all downstream
-operator assembly is exact convolution.  A medium *is* its truncated series:
-every consumer (Bloch assembly, cell integrals, time stepping) reads the same
-coefficient tables.  Bloch assembly and the transport integrals read them
-through one :class:`Symbol` per medium, so the three families share one
-assembler and one transport formula.  Matrix and tensor coefficients are
-plain dicts keyed by index tuple, in sorted key order; an absent entry is
-zero.
+operator assembly is exact convolution.  One :class:`Medium` serves all
+three families: it *is* its constitutive symbol, whose entries are the
+truncated series, so every consumer (Bloch assembly, cell integrals, time
+stepping) reads the same coefficient tables, and the families share one
+assembler and one transport formula.  The family is a label that picks the
+carrier convention.  Matrix and tensor coefficients are plain dicts keyed by
+index tuple, in sorted key order; an absent entry is zero.
 
 Field specs accepted by the builders (and by the JSON descriptor):
 
@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, reading
 from .fourier import TWO_PI, Cell, FourierField
 
 CONJ_SYMMETRY_TOL = 1e-12
@@ -90,41 +89,45 @@ def _piecewise_coefficients(cell: Cell, cutoff: int, breaks, values) -> FourierF
     return FourierField(cell, sum(rows, np.zeros(len(n), dtype=np.complex128)))  # pieces in order
 
 
-def build_field(spec, cell: Cell, cutoff) -> FourierField:
-    """Realize a field spec as a truncated Fourier series on the given cell."""
-    if isinstance(spec, FourierField):
-        if spec.cell != cell:
-            raise ValidationError("field was built on a different cell")
-        return spec
-    if isinstance(spec, (int, float, complex)):
-        return FourierField.constant(cell, spec)
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValidationError(f"unrecognized field spec: {spec!r}")
-    kind = spec["type"]
-    if kind == "constant":
-        return FourierField.constant(cell, complex(spec["value"]))
-    if kind == "piecewise":
-        return _piecewise_coefficients(cell, cutoff, spec["breaks"], spec["values"])
-    if kind == "cosine":
-        out = FourierField.zeros(cell, cutoff)
-        out.coeffs[out._center()] = spec.get("mean", 0.0)
-        for h in spec["harmonics"]:
-            n = tuple(int(v) for v in np.atleast_1d(h["n"]))
-            amp, phase = float(h["amp"]), float(h.get("phase", 0.0))
-            half = 0.5 * amp * np.exp(1j * phase)
-            for sign, c in ((1, half), (-1, np.conj(half))):
-                idx = tuple(sign * v + out.cutoffs[ax] for ax, v in enumerate(n))
-                if any(i < 0 or i >= s for i, s in zip(idx, out.coeffs.shape)):
-                    raise ValidationError(f"cosine harmonic {n} exceeds cutoff {cutoff}")
-                out.coeffs[idx] += c
-        return out
-    if kind == "fourier":
-        table = {}
-        for t in spec["terms"]:
-            n = tuple(int(v) for v in np.atleast_1d(t["n"]))
-            table[n] = table.get(n, 0.0) + complex(t.get("re", 0.0), t.get("im", 0.0))
-        return FourierField.from_terms(cell, cutoff, table)
-    raise ValidationError(f"unknown field spec type {kind!r}")
+def build_field(spec, cell: Cell, cutoff, name: str = "field") -> FourierField:
+    """Realize a field spec as a truncated Fourier series on the given cell.
+
+    A malformed value in the spec raises ValidationError naming ``name``.
+    """
+    with reading(name):
+        if isinstance(spec, FourierField):
+            if spec.cell != cell:
+                raise ValidationError("field was built on a different cell")
+            return spec
+        if isinstance(spec, (int, float, complex)):
+            return FourierField.constant(cell, spec)
+        if not isinstance(spec, dict) or "type" not in spec:
+            raise ValidationError(f"unrecognized field spec: {spec!r}")
+        kind = spec["type"]
+        if kind == "constant":
+            return FourierField.constant(cell, complex(spec["value"]))
+        if kind == "piecewise":
+            return _piecewise_coefficients(cell, cutoff, spec["breaks"], spec["values"])
+        if kind == "cosine":
+            out = FourierField.zeros(cell, cutoff)
+            out.coeffs[out._center()] = spec.get("mean", 0.0)
+            for h in spec["harmonics"]:
+                n = tuple(int(v) for v in np.atleast_1d(h["n"]))
+                amp, phase = float(h["amp"]), float(h.get("phase", 0.0))
+                half = 0.5 * amp * np.exp(1j * phase)
+                for sign, c in ((1, half), (-1, np.conj(half))):
+                    idx = tuple(sign * v + out.cutoffs[ax] for ax, v in enumerate(n))
+                    if any(i < 0 or i >= s for i, s in zip(idx, out.coeffs.shape)):
+                        raise ValidationError(f"cosine harmonic {n} exceeds cutoff {cutoff}")
+                    out.coeffs[idx] += c
+            return out
+        if kind == "fourier":
+            table = {}
+            for t in spec["terms"]:
+                n = tuple(int(v) for v in np.atleast_1d(t["n"]))
+                table[n] = table.get(n, 0.0) + complex(t.get("re", 0.0), t.get("im", 0.0))
+            return FourierField.from_terms(cell, cutoff, table)
+        raise ValidationError(f"unknown field spec type {kind!r}")
 
 
 def _digest(kind: str, cell: Cell, parts) -> str:
@@ -142,105 +145,31 @@ def _digest(kind: str, cell: Cell, parts) -> str:
 
 
 @dataclass(frozen=True)
-class Symbol:
-    """Constitutive symbol P(K) = -K.C.K - M.K - c of a medium at K = (-omega, k + G).
+class Medium:
+    """A medium of any family as its constitutive symbol P(K) = -K.C.K - M.K - c at K = (-omega, k + G).
 
     ``C[(i, j, k, l)]`` couples components i and k through spacetime slots
     j and l, where slot 0 is time and slot j >= 1 is spatial axis j - 1.
-    ``M[l]`` is the first-order term b_l - conj(b_l) of slot l, and
-    ``c[(i, k)]`` the zeroth-order term.  Absent entries are zero.  Entries
-    are the medium's own Fourier fields, except the -b time entries of the
-    wave families.
+    ``M[l]`` is the first-order term of slot l and ``c[(i, k)]`` the
+    zeroth-order term.  Absent entries are zero.  The builders give
+
+    * scalar-wave: C_0000 = -b and C_0,j+1,0,l+1 = a_jl;
+    * vector-wave: C_i0k0 = -b_ik and C_i,j+1,k,l+1 = a_ijkl;
+    * schrodinger: C_0j0l = a_jl with a = diag(0, -I/(2m)), M_l = b_l -
+      conj(b_l) with b = (-i/2, i e Phi / (2m)), and c_00 = -e V.
+
+    Transposed entries share one field object.  ``fingerprint`` digests the
+    source fields, so a mode solved on the medium can be matched to it.
     """
 
+    family: str  # "scalar-wave", "vector-wave" or "schrodinger"
+    cell: Cell
+    cutoff: int
     n_comp: int
     C: dict
     M: dict = field(default_factory=dict)
     c: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ScalarWaveMedium:
-    """Scalar wave equation div(a grad u) = b u_tt with matrix a and scalar b."""
-
-    cell: Cell
-    a: dict  # {(i, j): field}, d x d, symmetric
-    b: FourierField
-    cutoff: int
     fingerprint: str = field(default="", compare=False)
-
-    @property
-    def family(self) -> str:
-        return "scalar-wave"
-
-    @cached_property
-    def symbol(self) -> Symbol:
-        """C_0000 = -b and C_0,j+1,0,l+1 = a_jl."""
-        C = {(0, 0, 0, 0): -self.b}
-        C.update({(0, j + 1, 0, l + 1): f for (j, l), f in self.a.items()})
-        return Symbol(1, C)
-
-
-@dataclass(frozen=True)
-class VectorWaveMedium:
-    """n-component wave system with rank-4 stiffness a_ijkl and matrix density b_ik."""
-
-    cell: Cell
-    n_comp: int
-    a: dict  # {(i, j, k, l): field}, i, k < n and j, l < d
-    b: dict  # {(i, k): field}, n x n, symmetric positive definite
-    cutoff: int
-    fingerprint: str = field(default="", compare=False)
-
-    @property
-    def family(self) -> str:
-        return "vector-wave"
-
-    @cached_property
-    def symbol(self) -> Symbol:
-        """C_i0k0 = -b_ik and C_i,j+1,k,l+1 = a_ijkl."""
-        C = {(i, 0, k, 0): -f for (i, k), f in self.b.items()}
-        C.update({(i, j + 1, k, l + 1): f for (i, j, k, l), f in self.a.items()})
-        return Symbol(self.n_comp, C)
-
-
-@dataclass(frozen=True)
-class SchrodingerBlocks:
-    """Blocks (a, b, c) of the first-order constitutive system containing Schrodinger dynamics.
-
-    Built from physical inputs: a_block = diag(0, -I/(2m)), b_block =
-    (-i/2, i*e*Phi/(2m)) with Phi divergence free, c_block = -e*V.
-    """
-
-    cell: Cell
-    mass: float
-    charge: float
-    a_block: dict  # {(j, l): field}, (d+1) x (d+1), real symmetric
-    b_block: tuple  # d+1 complex fields, divergence free in xi'
-    c_block: FourierField  # real scalar
-    potential: FourierField
-    magnetic: tuple
-    cutoff: int
-    fingerprint: str = field(default="", compare=False)
-
-    @property
-    def family(self) -> str:
-        return "schrodinger"
-
-    @property
-    def beta0(self) -> float:
-        """(mean M_0)/i = 2*Im(b_0): coefficient of omega in the reduced Bloch equation."""
-        return float((self.symbol.M[0].mean() / 1j).real)
-
-    @cached_property
-    def symbol(self) -> Symbol:
-        """C = a_block, M_l = b_l - conj(b_l) for l = 0..d, and c = c_block."""
-        C = {(0, j, 0, l): f for (j, l), f in self.a_block.items()}
-        M = {l: f - f.conjugate() for l, f in enumerate(self.b_block)}
-        return Symbol(1, C, M, {(0, 0): self.c_block})
-
-
-MEDIUM_TYPES = (ScalarWaveMedium, VectorWaveMedium, SchrodingerBlocks)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +210,7 @@ def _matrix_field(spec, n: int, cell: Cell, cutoff: int, name: str) -> dict:
     if isinstance(spec, (list, tuple)):
         spec = {(i, j): s for i, row in enumerate(spec) for j, s in enumerate(row)}
     elif not isinstance(spec, dict) or "type" in spec:
-        diag = build_field(spec, cell, cutoff)
+        diag = build_field(spec, cell, cutoff, name)
         spec = {(i, i): diag for i in range(n)}
     entries = {}
     for key, s in spec.items():
@@ -290,7 +219,7 @@ def _matrix_field(spec, n: int, cell: Cell, cutoff: int, name: str) -> dict:
         i, j = int(key[0]), int(key[1])
         if not (0 <= i < n and 0 <= j < n):
             raise ValidationError(f"{name}[{i}][{j}] lies outside the {n} x {n} matrix")
-        entries[(i, j)] = build_field(s, cell, cutoff)
+        entries[(i, j)] = build_field(s, cell, cutoff, f"{name}[{i}][{j}]")
     for (i, j), f in entries.items():
         if (j, i) not in entries:
             raise ValidationError(f"matrix {name} is missing the symmetric partner of ({i},{j})")
@@ -306,8 +235,16 @@ def _matrix_field(spec, n: int, cell: Cell, cutoff: int, name: str) -> dict:
 # builders
 
 
-def build_scalar_medium(a, b, cell: Cell, cutoff: int) -> ScalarWaveMedium:
-    """Build the (a, b) pair for the scalar wave family.
+def _wave_medium(family: str, cell: Cell, cutoff: int, n_comp: int, a: dict, b: dict,
+                 fingerprint: str) -> Medium:
+    """C_i0k0 = -b_ik, then C_i,j+1,k,l+1 = a_ijkl."""
+    C = {(i, 0, k, 0): -f for (i, k), f in b.items()}
+    C.update({(i, j + 1, k, l + 1): f for (i, j, k, l), f in a.items()})
+    return Medium(family, cell, cutoff, n_comp, C, fingerprint=fingerprint)
+
+
+def build_scalar_medium(a, b, cell: Cell, cutoff: int) -> Medium:
+    """Build the scalar wave medium div(a grad u) = b u_tt.
 
     ``a`` is either a single field spec (isotropic, a*I) or a d x d nested
     list / {(i, j): spec} table; ``b`` is a scalar field spec.  Both must be
@@ -317,14 +254,15 @@ def build_scalar_medium(a, b, cell: Cell, cutoff: int) -> ScalarWaveMedium:
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
     a_field = _matrix_field(a, cell.dims, cell, cutoff, "a")
-    b_field = build_field(b, cell, cutoff)
+    b_field = build_field(b, cell, cutoff, "b")
     _require_real(b_field, "b")
     _check_positive_definite({(0, 0): b_field}, 1, cell, cutoff, "b must be strictly positive")
     fp = _digest("scalar", cell, list(a_field.items()) + [("b", b_field)])
-    return ScalarWaveMedium(cell, a_field, b_field, cutoff, fp)
+    return _wave_medium("scalar-wave", cell, cutoff, 1,
+                        {(0, j, 0, l): f for (j, l), f in a_field.items()}, {(0, 0): b_field}, fp)
 
 
-def build_vector_medium(n_comp: int, a, b, cell: Cell, cutoff: int) -> VectorWaveMedium:
+def build_vector_medium(n_comp: int, a, b, cell: Cell, cutoff: int) -> Medium:
     """Build an n-component vector wave medium.
 
     ``a`` maps (i, j, k, l) -> field spec (0-based; i, k component indices,
@@ -344,7 +282,7 @@ def build_vector_medium(n_comp: int, a, b, cell: Cell, cutoff: int) -> VectorWav
         i, j, k, l = (int(v) for v in idx)
         if not (0 <= i < n_comp and 0 <= k < n_comp and 0 <= j < d and 0 <= l < d):
             raise ValidationError(f"component index {(i, j, k, l)} outside shape {(n_comp, d, n_comp, d)}")
-        f = build_field(spec, cell, cutoff)
+        f = build_field(spec, cell, cutoff, f"a[{i}][{j}][{k}][{l}]")
         if (k, l, i, j) in a_field:
             _check_exact_equal(f, a_field[(k, l, i, j)],
                                f"tensor a must satisfy a_ijkl = a_klij at {(i, j, k, l)}")
@@ -355,7 +293,7 @@ def build_vector_medium(n_comp: int, a, b, cell: Cell, cutoff: int) -> VectorWav
     _check_positive_definite({(i * d + j, k * d + l): f for (i, j, k, l), f in a_field.items()},
                              n_comp * d, cell, cutoff, "tensor a fails the ellipticity check")
     fp = _digest("vector", cell, list(a_field.items()) + list(b_field.items()))
-    return VectorWaveMedium(cell, n_comp, a_field, b_field, cutoff, fp)
+    return _wave_medium("vector-wave", cell, cutoff, n_comp, a_field, b_field, fp)
 
 
 # the nonzero Levi-Civita entries e_ijp
@@ -383,8 +321,8 @@ def maxwell_tensor_from_permeability(mu_inverse, cell: Cell, cutoff: int) -> dic
 
 
 def build_schrodinger_blocks(mass: float, charge: float, potential, magnetic,
-                             cell: Cell, cutoff: int) -> SchrodingerBlocks:
-    """Assemble the constitutive blocks from physical inputs (m, e, V, Phi).
+                             cell: Cell, cutoff: int) -> Medium:
+    """Build the constitutive system containing Schrodinger dynamics from physical inputs (m, e, V, Phi).
 
     ``magnetic`` is None or a list of d field specs for the components of the
     magnetic potential Phi, which must be divergence free on the cell (in 1D
@@ -395,14 +333,14 @@ def build_schrodinger_blocks(mass: float, charge: float, potential, magnetic,
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
     d = cell.dims
-    v_field = build_field(potential, cell, cutoff)
+    v_field = build_field(potential, cell, cutoff, "potential")
     _require_real(v_field, "potential")
     if magnetic is None:
         phi = tuple(FourierField.constant(cell, 0.0) for _ in range(d))
     else:
         if len(magnetic) != d:
             raise ValidationError("magnetic potential needs one component per spatial axis")
-        phi = tuple(build_field(spec, cell, cutoff) for spec in magnetic)
+        phi = tuple(build_field(spec, cell, cutoff, f"magnetic[{j}]") for j, spec in enumerate(magnetic))
         for j, f in enumerate(phi):
             _require_real(f, f"magnetic[{j}]")
         div = phi[0].derivative(0)
@@ -412,48 +350,43 @@ def build_schrodinger_blocks(mass: float, charge: float, potential, magnetic,
         if resid > DIVERGENCE_TOL:
             raise ValidationError(f"magnetic potential must be divergence free; residual {resid:.3e}")
 
-    a_block = {(i, i): FourierField.constant(cell, -1.0 / (2.0 * mass)) for i in range(1, d + 1)}
-    b_block = (FourierField.constant(cell, -0.5j),) + tuple(
-        (1j * charge / (2.0 * mass)) * f for f in phi)
-    c_block = (-charge) * v_field
+    C = {(0, j, 0, j): FourierField.constant(cell, -1.0 / (2.0 * mass)) for j in range(1, d + 1)}
+    b = (FourierField.constant(cell, -0.5j),) + tuple((1j * charge / (2.0 * mass)) * f for f in phi)
+    M = {l: f - f.conjugate() for l, f in enumerate(b)}
 
     fp = _digest("schrodinger", cell,
                  [("m", FourierField.constant(cell, mass)),
                   ("e", FourierField.constant(cell, charge)),
                   ("V", v_field)] + [(f"phi{j}", phi[j]) for j in range(d)])
-    return SchrodingerBlocks(cell, float(mass), float(charge), a_block, b_block, c_block,
-                             v_field, phi, cutoff, fp)
+    return Medium("schrodinger", cell, cutoff, 1, C, M, {(0, 0): (-charge) * v_field}, fp)
 
 
 # ---------------------------------------------------------------------------
 # descriptors
 
 
-def medium_from_descriptor(desc: dict):
-    """Build a medium from a JSON-style descriptor; raises ValidationError with a path."""
+def medium_from_descriptor(desc: dict) -> Medium:
+    """Build a medium from a JSON-style descriptor; a bad or missing value is a ValidationError naming it."""
 
-    def need(key, where="descriptor"):
+    def need(key, convert=lambda v: v):
         if key not in desc:
-            raise ValidationError(f"{where}: missing required key {key!r}")
-        return desc[key]
+            raise ValidationError(f"descriptor: missing required key {key!r}")
+        with reading(key):
+            return convert(desc[key])
 
-    cell = Cell(tuple(np.atleast_1d(need("cell"))))
+    cell = need("cell", lambda v: Cell(tuple(np.atleast_1d(v))))
     kind = need("kind")
-    cutoff = int(need("cutoff"))
+    cutoff = need("cutoff", int)
     try:
         if kind == "scalar":
-            return build_scalar_medium(_matrix_or_field(need("a")), need("b"), cell, cutoff)
+            return build_scalar_medium(need("a", _matrix_or_field), need("b"), cell, cutoff)
         if kind == "vector":
-            n_comp = int(need("n"))
-            a_spec = need("a")
-            if not (isinstance(a_spec, dict) and a_spec.get("type") == "tensor4"):
-                raise ValidationError('a: vector media need {"type": "tensor4", "terms": [...]}')
-            terms = {tuple(int(v) for v in term["ijkl"]): term["field"] for term in a_spec["terms"]}
-            return build_vector_medium(n_comp, terms, _matrix_or_field(need("b")), cell, cutoff)
+            return build_vector_medium(need("n", int), need("a", _tensor_terms),
+                                       need("b", _matrix_or_field), cell, cutoff)
         if kind == "schrodinger":
-            return build_schrodinger_blocks(float(need("mass")), float(need("charge")),
-                                            need("potential"), desc.get("magnetic"),
-                                            cell, cutoff)
+            magnetic = None if desc.get("magnetic") is None else need("magnetic", list)
+            return build_schrodinger_blocks(need("mass", float), need("charge", float),
+                                            need("potential"), magnetic, cell, cutoff)
     except KeyError as exc:
         raise ValidationError(f"descriptor: missing key {exc}") from exc
     raise ValidationError(f"kind: unknown medium kind {kind!r}")
@@ -465,3 +398,9 @@ def _matrix_or_field(spec):
     if isinstance(spec, dict) and spec.get("type") == "isotropic":
         return spec["field"]
     return spec
+
+
+def _tensor_terms(spec) -> dict:
+    if not (isinstance(spec, dict) and spec.get("type") == "tensor4"):
+        raise ValidationError('a: vector media need {"type": "tensor4", "terms": [...]}')
+    return {tuple(int(v) for v in term["ijkl"]): term["field"] for term in spec["terms"]}

@@ -21,9 +21,10 @@ from .bloch import BlochMode, check_nondegenerate
 from .effective import effective_coefficients
 from .effective import effective_coefficients as effective_coefficients_scalar  # noqa: F401  (bench/tracing.py)
 from .errors import NumericalError, ValidationError
-from .medium import ScalarWaveMedium
+from .medium import Medium
 
 ENERGY_DRIFT_LIMIT = 1e-6
+T_FINAL = 4.0  # run length when none is given and the packet stays inside the domain
 MIN_POINTS_PER_CELL = 16
 MASK_LEVEL = 0.1
 
@@ -95,17 +96,15 @@ class SimulationRecord:
         return self.ic.x
 
 
-def _medium_profiles(medium: ScalarWaveMedium, x: np.ndarray, dx: float, epsilon: float):
-    a_field = medium.a[(0, 0)]
-    b_field = medium.b
-    a_stag = np.real(a_field.sample_points_1d((x + 0.5 * dx) / epsilon))
-    b_vals = np.real(b_field.sample_points_1d(x / epsilon))
+def _medium_profiles(medium: Medium, x: np.ndarray, dx: float, epsilon: float):
+    a_stag = np.real(medium.C[(0, 1, 0, 1)].sample_points_1d((x + 0.5 * dx) / epsilon))
+    b_vals = np.real((-medium.C[(0, 0, 0, 0)]).sample_points_1d(x / epsilon))  # C_0000 = -b
     if a_stag.min() <= 0 or b_vals.min() <= 0:
         raise ValidationError("medium loses positivity on the simulation grid")
     return a_stag, b_vals
 
 
-def build_wavepacket_ic(mode: BlochMode, medium: ScalarWaveMedium, epsilon: float,
+def build_wavepacket_ic(mode: BlochMode, medium: Medium, epsilon: float,
                         envelope: GaussianEnvelope, grid: GridSpec) -> WavePacketIC:
     """Sample u(x,0) = h(x) V0(x/eps) e^{-ikx/eps} and its transport-corrected du/dt."""
     if mode.family != "scalar-wave" or medium.cell.dims != 1:
@@ -155,7 +154,7 @@ def build_wavepacket_ic(mode: BlochMode, medium: ScalarWaveMedium, epsilon: floa
     return WavePacketIC(float(epsilon), mode, envelope, x, dx, u0, ut0, vg, frac)
 
 
-def run_fdtd_1d(medium: ScalarWaveMedium, ic: WavePacketIC, t_final: float,
+def run_fdtd_1d(medium: Medium, ic: WavePacketIC, t_final: float,
                 cfl: float = 0.9, n_frames: int = 9) -> SimulationRecord:
     """Leapfrog d/dx(a(x/eps) du/dx) = b(x/eps) d2u/dt2 on a staggered flux grid.
 
@@ -330,15 +329,21 @@ def measure_packet_velocity(env: EnvelopeFrames) -> SpeedFit:
     return SpeedFit(float(coeffs[0]), residual, centroids)
 
 
-def packet_speed_experiment(medium: ScalarWaveMedium, mode: BlochMode, epsilon: float,
-                            envelope: GaussianEnvelope, grid: GridSpec, t_final: float,
+def packet_speed_experiment(medium: Medium, mode: BlochMode, epsilon: float,
+                            envelope: GaussianEnvelope, grid: GridSpec, t_final: float | None = None,
                             cfl: float = 0.9, n_frames: int = 9) -> tuple:
     """Full loop: build the IC, evolve, demodulate and fit the envelope speed.
 
-    Returns (record, frames, fit); the prediction it tests is
-    ``record.ic.group_velocity``.
+    Without ``t_final`` the run lasts T_FINAL, or 0.9 of the time the
+    packet's 4-sigma band takes to reach the domain boundary at the predicted
+    speed if that is shorter.  Returns (record, frames, fit); the prediction
+    it tests is ``record.ic.group_velocity``.
     """
     ic = build_wavepacket_ic(mode, medium, epsilon, envelope, grid)
+    if t_final is None:
+        speed, env = abs(ic.group_velocity), ic.envelope
+        room = (ic.x[-1] + ic.dx - env.center if ic.group_velocity > 0 else env.center) - 4 * env.sigma
+        t_final = T_FINAL if speed * T_FINAL <= room else 0.9 * room / speed
     record = run_fdtd_1d(medium, ic, t_final, cfl=cfl, n_frames=n_frames)
     frames = extract_envelope(record)
     return record, frames, measure_packet_velocity(frames)

@@ -119,11 +119,11 @@ def _fixtures_1d():
     sin1 = signal(1.0, SIN)
     half = 0.5 * np.exp(1j * np.pi / 3)
     return [
-        ("mod resonant zero-overlap", lambda w: ergodic.avg_modulated_1d(one, 2 * np.pi, w), [5.0, 12.0]),
-        ("mod resonant full-overlap", lambda w: ergodic.avg_modulated_1d(cexp, 2 * np.pi, w), [7.0, 31.0]),
-        ("mod non-resonant", lambda w: ergodic.avg_modulated_1d(one, 1.0, w), None),
-        ("mod incommensurate", lambda w: ergodic.avg_modulated_1d(cos1, SQ2 * np.pi, w), None),
-        ("mod rational non-integer", lambda w: ergodic.avg_modulated_1d(cos1, 3 * np.pi, w), [4.0, 10.0]),
+        ("mod resonant zero-overlap", lambda w: ergodic.avg_modulated_dd(one, [2 * np.pi], w), [5.0, 12.0]),
+        ("mod resonant full-overlap", lambda w: ergodic.avg_modulated_dd(cexp, [2 * np.pi], w), [7.0, 31.0]),
+        ("mod non-resonant", lambda w: ergodic.avg_modulated_dd(one, [1.0], w), None),
+        ("mod incommensurate", lambda w: ergodic.avg_modulated_dd(cos1, [SQ2 * np.pi], w), None),
+        ("mod rational non-integer", lambda w: ergodic.avg_modulated_dd(cos1, [3 * np.pi], w), [4.0, 10.0]),
         ("prod incommensurate", lambda w: ergodic.avg_product_periodic(cos1, signal(SQ2, COS), w), None),
         ("prod resonant self", lambda w: ergodic.avg_product_periodic(cos1, cos1, w), [4.0, 9.0]),
         ("prod rational orthogonal", lambda w: ergodic.avg_product_periodic(cos1, signal(2.0, COS), w), [6.0, 14.0]),

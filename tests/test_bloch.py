@@ -23,7 +23,7 @@ def quadrature_wave_matrix(med, k, cutoff, n_grid=1024):
     the lag-gather assembly path.
     """
     x = np.arange(n_grid) / n_grid
-    a_vals = med.a[(0, 0)].sample_points_1d(x)
+    a_vals = med.C[(0, 1, 0, 1)].sample_points_1d(x)
     ns = np.arange(-cutoff, cutoff + 1)
     kg = k + 2 * np.pi * ns
     A = np.zeros((len(ns), len(ns)), dtype=complex)
@@ -79,16 +79,16 @@ def mathieu_fd_oracle(k, bands):
 def oracle_assemble(med, k, cutoff):
     """A and B as assembled before the k-independent parts were cached: every
     lag block and B rebuilt per call, in the same term order."""
-    cell, sym = med.cell, med.symbol
+    cell = med.cell
     wave = med.family != "schrodinger"
     k = np.asarray(k, dtype=float)
     basis = bloch._basis_indices(cell.dims, cutoff)
     kg = k[None, :] + 2 * np.pi * basis / cell.diag[None, :]
     nb = len(basis)
-    A = np.zeros((sym.n_comp * nb,) * 2, dtype=np.complex128)
+    A = np.zeros((med.n_comp * nb,) * 2, dtype=np.complex128)
     B = np.zeros(A.shape, dtype=np.complex128) if wave else None
     uses = {}
-    for idx, f in sym.C.items():
+    for idx, f in med.C.items():
         uses.setdefault(id(f), (f, []))[1].append(idx)
     for f, entries in uses.values():
         block = bloch._lag_block(f, cutoff)
@@ -96,19 +96,19 @@ def oracle_assemble(med, k, cutoff):
             part = (slice(i * nb, (i + 1) * nb), slice(kk * nb, (kk + 1) * nb))
             if wave and not (j or l):
                 B[part] -= block
-            elif j == l or sym.C.get((i, l, kk, j)) is not f:
+            elif j == l or med.C.get((i, l, kk, j)) is not f:
                 A[part] += bloch._sandwich(kg, j, block, l)
             elif j < l:
                 term = bloch._sandwich(kg, j, block, l)
                 term += bloch._sandwich(kg, l, block, j)
                 A[part] += term
     if not wave:
-        for l, f in sym.M.items():
+        for l, f in med.M.items():
             if l:
                 A += bloch._lag_block(FourierField(cell, f.coeffs / 1j), cutoff) * kg[None, :, l - 1]
-        for f in sym.c.values():
+        for f in med.c.values():
             A += bloch._lag_block(f, cutoff)
-        A /= med.beta0
+        A /= (med.M[0].mean() / 1j).real
     bloch._mirror_hermitian(A)
     if wave:
         bloch._mirror_hermitian(B)
@@ -329,8 +329,9 @@ def test_vector_3d_assembly_allowed_solve_refused():
     from hfh.fourier import FourierField
     cell = Cell((1.0, 1.0, 1.0))
     tensor = medium.maxwell_tensor_from_permeability(1.0, cell, 1)
-    identity = {(i, i): FourierField.constant(cell, 1.0) for i in range(3)}
-    vmed = medium.VectorWaveMedium(cell, 3, tensor, identity, 1, "maxwell-demo")
+    C = {(i, 0, i, 0): FourierField.constant(cell, -1.0) for i in range(3)}  # b = I
+    C.update({(i, j + 1, k, l + 1): f for (i, j, k, l), f in tensor.items()})
+    vmed = medium.Medium("vector-wave", cell, 1, 3, C, fingerprint="maxwell-demo")
     op = bloch.assemble_operator(vmed, [0.2, 0.1, 0.0], 1)
     assert op.hermiticity_defect() < 1e-12
     assert op.factor is None  # assembly only, so B is never factored
@@ -361,8 +362,9 @@ def test_nan_residual_raises_schrodinger(mathieu_blocks, monkeypatch):
 
 def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
     # built directly, so build_scalar_medium's positivity check never runs; B = -I
-    neg = medium.ScalarWaveMedium(cell1d, {(0, 0): FourierField.constant(cell1d, 1.0)},
-                                  FourierField.constant(cell1d, -1.0), 1, "negative-b")
+    one = FourierField.constant(cell1d, 1.0)
+    neg = medium.Medium("scalar-wave", cell1d, 1, 1, {(0, 0, 0, 0): one, (0, 1, 0, 1): one},
+                        fingerprint="negative-b")  # C_0000 = -b = 1
     with pytest.raises(NumericalError, match=r"cond\(B\)"):
         bloch.solve_at(neg, [0.5], 2, 1)
     config = tmp_path / "medium.json"

@@ -227,7 +227,7 @@ def test_modulated_1d_and_product_match_oracle(data):
     windows = [3.1, 6.7, 14.2, 29.9]
     f = drawn_signal(data.draw(st.floats(0.5, 2.0)))
     b = -_offset(data.draw, TWO_PI / f.cell.lengths[0], data.draw(st.integers(-5, 5)), windows[0])
-    res = ergodic.avg_modulated_1d(f, b, windows)
+    res = ergodic.avg_modulated_dd(f, [b], windows)
     pairs = [(q + b, c) for q, c in zip(*frequencies(f))]
     values, cert = _oracle_harmonic_sums(pairs, windows)
     scale = sum(abs(c) for _, c in pairs)

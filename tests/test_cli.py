@@ -177,7 +177,21 @@ def test_exit_codes(config, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
+_GROUPVEL = ["groupvel", "--k", "0.5", "--out", "{out}"]
+_SCHRODINGER = {"kind": "schrodinger", "mass": 0.5, "charge": 1.0, "potential": 0.0}
+# malformed descriptor values: (medium keys replaced, key the error names)
+_BAD_MEDIA = [
+    ({"cell": ["x"]}, "cell"),
+    ({"cutoff": "four"}, "cutoff"),
+    (dict(_SCHRODINGER, mass="heavy"), "mass"),
+    ({"b": {"type": "cosine", "mean": 1.0, "harmonics": [{"n": [1], "amp": "big"}]}}, "b"),
+    ({"b": {"type": "fourier", "terms": [{"n": [0], "re": "one"}]}}, "b"),
+    ({"a": {"type": "matrix", "entries": [[{"type": "constant", "value": "x"}]]}}, "a[0][0]"),
+    (dict(_SCHRODINGER, potential={"type": "constant", "value": "deep"}), "potential"),
+]
+
+
+@pytest.mark.parametrize("argv, changes, key", [(argv, {}, "") for argv in [
     ["groupvel", "--k", "nan", "--out", "{out}"],
     ["effective", "--k", "inf", "--out-prefix", "{out}"],
     ["bands", "--k-start", "0.1", "--k-end", "nan", "--out", "{out}"],
@@ -196,18 +210,22 @@ def test_exit_codes(config, tmp_path):
      "--out-prefix", "{out}"],
     ["simulate", "--k", "1.5707963267948966", "--t-final", "0.5", "--center", "nan",
      "--out-prefix", "{out}"],
-], ids=["k-nan", "k-inf", "k-end-nan", "step-0", "step-nan", "window-0", "window-neg",
-        "window-nan", "length-nan", "length-inf", "t-final-nan", "t-final-0", "cfl-nan",
-        "sigma-nan", "center-nan"])
-def test_bad_numbers_rejected(argv, config, tmp_path):
-    # a non-finite k, FD step, time window or simulate parameter, or a zero t_final, is a
-    # validation error: exit 1, no artifact
+]] + [(_GROUPVEL, changes, key) for changes, key in _BAD_MEDIA],
+    ids=["k-nan", "k-inf", "k-end-nan", "step-0", "step-nan", "window-0", "window-neg",
+         "window-nan", "length-nan", "length-inf", "t-final-nan", "t-final-0", "cfl-nan",
+         "sigma-nan", "center-nan", "cell-word", "cutoff-word", "mass-word", "amp-word",
+         "re-word", "matrix-entry-word", "constant-word"])
+def test_bad_numbers_rejected(argv, changes, key, tmp_path):
+    # a non-finite k, FD step, time window or simulate parameter, a zero t_final, or a
+    # malformed descriptor value, is a validation error naming its key: exit 1, no artifact
+    config = tmp_path / "medium.json"
+    config.write_text(json.dumps(dict(MEDIUM, **changes)))
     out = tmp_path / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code, _ = run_cli([a.replace("{out}", str(out)) for a in argv] + ["--config", config])
+        code, _ = run_cli([a.replace("{out}", str(out)) for a in argv] + ["--config", str(config)])
     assert code == 1
-    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().startswith(f"error: {key}")
     assert not list(tmp_path.glob("out*"))
 
 
@@ -228,7 +246,7 @@ _DEFAULTS = {
     "couple": {"bands": "1,1", "supercells": "4,8,16,32", "time_window": None, "cutoff": 16},
     "ergodic": {},
     "simulate": {"band": 1, "cutoff": 16, "epsilon": 1 / 32, "sigma": 0.5, "center": 2.5,
-                 "length": 8.0, "points_per_cell": None, "t_final": 4.0, "cfl": 0.9, "frames": 9,
+                 "length": 8.0, "points_per_cell": None, "t_final": None, "cfl": 0.9, "frames": 9,
                  "write_envelope": False, "out_prefix": "simulate"},
     "check": {},
 }
@@ -259,6 +277,25 @@ def test_simulate_default_grid_resolves_the_carrier(tmp_path):
     assert json.loads((tmp_path / "sim_run.json").read_text())["grid_points"] == 40 * 17
 
 
+@pytest.mark.parametrize("k, fits", [(1.5707963267948966, False), (3.043417883165112, True)],
+                         ids=["fast", "slow"])
+def test_simulate_default_t_final_keeps_the_packet_inside(k, fits, tmp_path):
+    # without --t-final the README medium runs 4 time units if its packet's 4-sigma band
+    # stays inside the default domain (|v_g| = 0.21 near the zone edge), and otherwise
+    # 0.9 of the time that band takes to reach the boundary (|v_g| = 1.21 at k = pi/2)
+    config = tmp_path / "medium.json"
+    config.write_text(json.dumps(MEDIUM))
+    prefix = tmp_path / "sim"
+    code, _ = run_cli(["simulate", "--config", str(config), "--k", str(k), "--epsilon", "0.125",
+                       "--out-prefix", str(prefix)])
+    assert code == 0
+    speed = json.loads((tmp_path / "sim_run.json").read_text())["predicted_speed"]
+    frames = (tmp_path / "sim_frames.csv").read_text().splitlines()
+    t_last = float(frames[-1].split(",")[0])
+    assert t_last == pytest.approx(4.0 if fits else 0.9 * (8.0 - 2.5 - 4 * 0.5) / speed, rel=1e-12)
+    assert (speed * 4.0 <= 8.0 - 2.5 - 4 * 0.5) == fits
+
+
 def test_ragged_matrix_rejected(tmp_path):
     # a lower-only off-diagonal entry is an error, not a diagonal matrix
     ragged = dict(MEDIUM, cell=[1.0, 1.0], cutoff=2, a={"type": "matrix", "entries": [[1.0], [0.3, 1.0]]})
@@ -278,7 +315,21 @@ _FIELD = {"terms": [{"n": [0, 0], "re": 0.5}, {"n": [1, -1], "re": 0.3}]}
 _NAN, _INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("spec", [
+# malformed spec values: (spec, key the error names)
+_BAD_SPECS = [
+    ({"op": "modulated_1d", "f": _SIGNAL, "b": "x", "windows": [4.0, 8.0]}, "b"),
+    ({"op": "modulated_1d", "f": dict(_SIGNAL, harmonics=[{"n": 1, "re": "one"}]), "b": 1.0,
+      "windows": [4.0, 8.0]}, "f"),
+    ({"op": "modulated_dd", "cell": ["x"], "f": _FIELD, "lambda": [0.5, 0.7], "boxes": [4.0, 8.0]},
+     "cell"),
+    ({"op": "modulated_dd", "cell": [1.0, 1.0], "f": {"terms": [{"n": [0, 0], "re": "one"}]},
+      "lambda": [0.5, 0.7], "boxes": [4.0, 8.0]}, "f"),
+    ({"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD, "lambda": ["a", 0.2],
+      "boxes": [4.0, 8.0]}, "lambda"),
+]
+
+
+@pytest.mark.parametrize("spec, key", [(spec, "") for spec in [
     {"op": "modulated_1d", "f": _SIGNAL, "b": 1.0, "windows": [4.0, _NAN]},
     {"op": "modulated_1d", "f": _SIGNAL, "b": 1.0, "windows": [4.0, _INF]},
     {"op": "modulated_1d", "f": _SIGNAL, "b": _NAN, "windows": [4.0, 8.0]},
@@ -298,12 +349,13 @@ _NAN, _INF = float("nan"), float("inf")
     {"op": "product", "f": _SIGNAL, "g": dict(_SIGNAL, harmonics=[{"n": -2, "im": _INF}]),
      "windows": [4.0, 8.0]},
     {"op": "modulated_1d", "f": _SIGNAL, "b": 1.0},
-], ids=["window-nan", "window-inf", "b-nan", "b-inf", "period-nan", "period-inf",
-        "product-window-nan", "windows-missing", "lambda-nan", "box-inf", "box-nan",
-        "harmonic-nan", "product-harmonic-inf", "modulated-windows-missing"])
-def test_bad_ergodic_numbers_rejected(spec, tmp_path):
-    # a non-finite window, box, lambda, b, period or harmonic, or no windows at all, is a
-    # validation error: exit 1, no artifact
+]] + _BAD_SPECS, ids=["window-nan", "window-inf", "b-nan", "b-inf", "period-nan", "period-inf",
+                      "product-window-nan", "windows-missing", "lambda-nan", "box-inf", "box-nan",
+                      "harmonic-nan", "product-harmonic-inf", "modulated-windows-missing", "b-word",
+                      "harmonic-word", "cell-word", "term-word", "lambda-word"])
+def test_bad_ergodic_numbers_rejected(spec, key, tmp_path):
+    # a non-finite window, box, lambda, b, period or harmonic, no windows at all, or a
+    # malformed value, is a validation error naming its key: exit 1, no artifact
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out = tmp_path / "out.csv"
@@ -311,7 +363,7 @@ def test_bad_ergodic_numbers_rejected(spec, tmp_path):
     with contextlib.redirect_stderr(err):
         code, _ = run_cli(["ergodic", "--spec", str(spec_path), "--out", str(out)])
     assert code == 1
-    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().startswith(f"error: {key}")
     assert not out.exists()
 
 
@@ -490,6 +542,24 @@ def test_bench_tracing_reaches_every_alias(tmp_path):
     assert {"effective.coeffs", "simulate.fdtd"} <= set(metrics["self_s"])
     assert metrics["fdtd_points"]
     assert all(tracing._resolve(path) is fn for path, fn in originals.items())
+
+
+def test_bench_tracing_counts_one_span_per_ergodic_call(tmp_path):
+    # one modulated_1d spec through the traced CLI records one ergodic.avg span, since the
+    # op calls avg_modulated_dd directly, with no pass-through wrapper spanned around it
+    tracing = _bench_tracing()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"op": "modulated_1d", "f": _SIGNAL, "b": 1.0, "windows": _WINDOWS}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        assert run_cli(["ergodic", "--spec", str(spec), "--out", str(tmp_path / "erg.csv")])[0] == 0
+        groups = [span[tracing.GROUP] for span in tracer.spans[since[0]:]]
+    finally:
+        tracer.uninstall()
+    assert groups.count("ergodic.avg") == 1
+    assert groups.count("cli") == 1
 
 
 def test_readme_quick_start_runs():

@@ -6,27 +6,30 @@ import pytest
 from hfh import bands, bloch, effective, medium
 from hfh.errors import NumericalError, ValidationError
 from hfh.fourier import Cell
+from test_golden import CONFIGS
 
 
 def test_spacetime_matrix_scalar_blocks(two_phase):
-    C = two_phase.symbol.C
-    assert np.array_equal(C[(0, 0, 0, 0)].coeffs, -two_phase.b.coeffs)
-    assert C[(0, 1, 0, 1)] is two_phase.a[(0, 0)]  # shared Fourier data
+    C = two_phase.C
+    cell = two_phase.cell
+    assert np.array_equal(C[(0, 0, 0, 0)].coeffs, -medium.build_field(1.0, cell, 16).coeffs)  # -b
+    a = medium.build_field(medium.piecewise([0.0, 0.5], [1.0, 4.0]), cell, 16)
+    assert np.array_equal(C[(0, 1, 0, 1)].coeffs, a.coeffs)  # a's own Fourier data
     assert (0, 0, 0, 1) not in C and (0, 1, 0, 0) not in C  # no mixed time-space entry
 
 
 def test_spacetime_matrix_vector_blocks(vector_medium):
-    C = vector_medium.symbol.C
+    C = vector_medium.C
     assert C[(0, 0, 0, 0)].mean() == -1.0  # -b_11
     assert C[(0, 0, 1, 0)].mean() == -0.15
     assert not any((j == 0) != (l == 0) for (_, j, _, l) in C)  # no mixed slot
-    assert C[(0, 1, 1, 1)] is vector_medium.a[(0, 0, 1, 0)]
+    assert C[(0, 1, 1, 1)] is C[(1, 1, 0, 1)]  # a_0010 = a_1000: one shared field
+    assert C[(0, 1, 1, 1)].mean() == 0.25
 
 
 def test_medium_symbol(mathieu_blocks):
-    sym = mathieu_blocks.symbol
-    assert sym.M[0].mean() == -1j
-    assert sym.c[(0, 0)] is mathieu_blocks.c_block
+    assert mathieu_blocks.M[0].mean() == -1j
+    assert mathieu_blocks.c[(0, 0)].coeff((1,)) == -1.0  # -e V_hat with V = 2 cos(2 pi x), e = 1
 
 
 def test_constant_medium_coefficients_closed_form(const_medium):
@@ -81,6 +84,26 @@ def test_vector_decoupled_matches_scalar(cell1d, const_medium):
     assert abs(vco.v[0] - sco.v[0]) < 1e-10
     assert abs(vco.d[0] - sco.d[0]) < 1e-10
     assert abs(vco.d[1] - sco.d[1]) < 1e-10
+
+
+def test_family_is_only_a_label():
+    # the anisotropic 2D golden medium rebuilt as a 1-component vector medium has the same
+    # symbol, so its operator, modes and transport coefficients are the same bits
+    config = CONFIGS["scalar2d"]
+    scalar = medium.medium_from_descriptor(config)
+    entries = config["a"]["entries"]
+    a_terms = {(0, j, 0, l): spec for j, row in enumerate(entries) for l, spec in enumerate(row)}
+    vector = medium.build_vector_medium(1, a_terms, config["b"], scalar.cell, scalar.cutoff)
+    assert (scalar.family, vector.family) == ("scalar-wave", "vector-wave")
+    k = [0.9, 0.4]
+    ops = [bloch.assemble_operator(med, k, 3) for med in (scalar, vector)]
+    assert np.array_equal(ops[0].A, ops[1].A) and np.array_equal(ops[0].B, ops[1].B)
+    modes = [bloch.solve_bands(op, 2) for op in ops]
+    for s_mode, v_mode in zip(*modes):
+        assert s_mode.omega == v_mode.omega
+        assert np.array_equal(s_mode.v0, v_mode.v0)
+    d = [effective.effective_coefficients(m[0], med).d for m, med in zip(modes, (scalar, vector))]
+    assert np.array_equal(d[0], d[1])
 
 
 def test_identity_schrodinger_free_and_mathieu(cell1d, mathieu_blocks):

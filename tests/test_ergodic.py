@@ -3,8 +3,7 @@ import pytest
 
 from conftest import COS, SIN, signal
 from hfh import ergodic
-from hfh.ergodic import avg_derivative_product, avg_modulated_1d, avg_modulated_dd, \
-    avg_product_periodic
+from hfh.ergodic import avg_derivative_product, avg_modulated_dd, avg_product_periodic
 from hfh.errors import ValidationError
 from hfh.fourier import Cell, FourierField
 
@@ -23,7 +22,7 @@ def assert_bound_with_held_out(result, recompute):
 
 
 def redo_modulated(f, b):
-    return lambda a: avg_modulated_1d(f, b, [a]).values[0]
+    return lambda a: avg_modulated_dd(f, [b], [a]).values[0]
 
 
 def redo_product(f, g):
@@ -39,26 +38,26 @@ def redo_derivative(f, g):
 
 def test_modulated_resonant_zero_overlap():
     f = signal(1.0, {0: 1.0})
-    res = avg_modulated_1d(f, 2 * np.pi, WINDOWS)
+    res = avg_modulated_dd(f, [2 * np.pi], WINDOWS)
     assert res.resonant and res.analytic_limit == 0
     assert_bound_with_held_out(res, redo_modulated(f, 2 * np.pi))
     # integer-period windows agree with the limit exactly
-    exact = avg_modulated_1d(f, 2 * np.pi, [5.0, 12.0])
+    exact = avg_modulated_dd(f, [2 * np.pi], [5.0, 12.0])
     assert np.max(exact.errors()) < 1e-12
 
 
 def test_modulated_resonant_full_overlap():
     f = signal(1.0, {-1: 1.0})
-    res = avg_modulated_1d(f, 2 * np.pi, WINDOWS + [100.0])
+    res = avg_modulated_dd(f, [2 * np.pi], WINDOWS + [100.0])
     assert res.resonant and abs(res.analytic_limit - 1.0) < 1e-15
     assert abs(res.values[-1] - 1.0) < 1e-9
-    exact = avg_modulated_1d(f, 2 * np.pi, [7.0, 31.0])
+    exact = avg_modulated_dd(f, [2 * np.pi], [7.0, 31.0])
     assert np.max(exact.errors()) < 1e-12
 
 
 def test_modulated_nonresonant_decay():
     f = signal(1.0, {0: 1.0})
-    res = avg_modulated_1d(f, 1.0, WINDOWS)
+    res = avg_modulated_dd(f, [1.0], WINDOWS)
     assert not res.resonant and res.analytic_limit == 0
     # closed form |e^{ia} - 1| / a <= 2/a
     for a, v in zip(res.windows, res.values):
@@ -71,7 +70,7 @@ def test_modulated_quadrature_oracle():
     f = signal(1.0, COS)
     b = np.sqrt(2.0) * np.pi
     a = 9.4
-    res = avg_modulated_1d(f, b, [a])
+    res = avg_modulated_dd(f, [b], [a])
     x = np.linspace(0.0, a, 400001)
     quad = np.trapezoid(np.cos(2 * np.pi * x) * np.exp(1j * b * x), x) / a
     assert abs(res.values[0] - quad) < 1e-9
@@ -202,6 +201,6 @@ def test_dd_anisotropic_boxes_and_validation():
 def test_windows_validation():
     f = signal(1.0, {0: 1.0})
     with pytest.raises(ValidationError):
-        avg_modulated_1d(f, 1.0, [5.0, 4.0])
+        avg_modulated_dd(f, [1.0], [5.0, 4.0])
     with pytest.raises(ValidationError):
-        avg_modulated_1d(f, 1.0, [])
+        avg_modulated_dd(f, [1.0], [])

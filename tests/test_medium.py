@@ -10,14 +10,14 @@ from hfh.fourier import TWO_PI, Cell, FourierField
 
 def test_constant_medium_single_coefficient(cell1d):
     med = medium.build_scalar_medium(1.0, 1.0, cell1d, 2)
-    a = med.a[(0, 0)]
+    a = med.C[(0, 1, 0, 1)]
     assert a.coeff((0,)) == 1.0
     assert all(a.coeff((n,)) == 0.0 for n in (-2, -1, 1, 2))
 
 
 def test_two_phase_fourier_closed_form(two_phase):
     # oracle: c_n = int of the indicator pieces; c_0 = 2.5, c_1 = 3i/pi
-    a = two_phase.a[(0, 0)]
+    a = two_phase.C[(0, 1, 0, 1)]
     assert abs(a.coeff((0,)) - 2.5) < 1e-15
     assert abs(a.coeff((1,)) - 3j / np.pi) < 1e-14
     # conjugate symmetry (real field) holds coefficientwise
@@ -33,7 +33,7 @@ def test_two_phase_against_symbolic_integral(cell1d):
                 + sympy.integrate(4 * sympy.exp(-2 * sympy.pi * sympy.I * nn * x), (x, sympy.Rational(1, 2), 1)))
         expected[nn] = complex(expr.evalf())
     med = medium.build_scalar_medium(medium.piecewise([0.0, 0.5], [1.0, 4.0]), 1.0, cell1d, 4)
-    a = med.a[(0, 0)]
+    a = med.C[(0, 1, 0, 1)]
     for nn, val in expected.items():
         assert abs(a.coeff((nn,)) - val) < 1e-12
 
@@ -45,7 +45,7 @@ def test_piecewise_sampling_matches_phases(cell1d):
     for cutoff in (64, 128):
         med = medium.build_scalar_medium(medium.piecewise([0.0, 0.5], [1.0, 4.0]), 1.0,
                                          cell1d, cutoff)
-        a = med.a[(0, 0)]
+        a = med.C[(0, 1, 0, 1)]
         err = max(abs(np.real(a.sample_points_1d([0.25])[0]) - 1.0),
                   abs(np.real(a.sample_points_1d([0.75])[0]) - 4.0))
         errs.append(err)
@@ -88,8 +88,8 @@ def test_matrix_asymmetry_rejected():
 def test_matrix_a_accepted_and_spd_checked():
     cell = Cell((1.0, 1.0))
     med = medium.build_scalar_medium([[2.0, 0.3], [0.3, 1.0]], 1.0, cell, 2)
-    assert med.a[(0, 1)].coeff((0, 0)) == 0.3
-    assert med.a[(0, 1)] is med.a[(1, 0)]  # one field, so assembly pairs the transposed entries
+    assert med.C[(0, 1, 0, 2)].coeff((0, 0)) == 0.3
+    assert med.C[(0, 1, 0, 2)] is med.C[(0, 2, 0, 1)]  # one field, so assembly pairs the transposed entries
     with pytest.raises(ValidationError, match="positive"):
         medium.build_scalar_medium([[1.0, 2.0], [2.0, 1.0]], 1.0, cell, 2)
 
@@ -206,12 +206,12 @@ def test_matrix_partner_required(build, spec):
 def test_schrodinger_blocks_structure(cell1d):
     blocks = medium.build_schrodinger_blocks(0.5, 2.0, medium.cosine(0.0, [((1,), 1.0)]),
                                              [0.3], cell1d, 4)
-    assert (0, 0) not in blocks.a_block
-    assert blocks.a_block[(1, 1)].mean() == -1.0  # -1/(2m) with m = 1/2
-    assert blocks.b_block[0].mean() == -0.5j
-    assert blocks.b_block[1].mean() == 1j * 2.0 * 0.3 / 1.0  # i e Phi / (2m)
-    assert blocks.c_block.coeff((1,)) == -2.0 * 0.5  # -e * V_hat
-    assert blocks.beta0 == -1.0
+    assert list(blocks.C) == [(0, 1, 0, 1)]  # a = diag(0, -I/(2m)): no time entry
+    assert blocks.C[(0, 1, 0, 1)].mean() == -1.0  # -1/(2m) with m = 1/2
+    assert blocks.M[0].mean() == 2 * -0.5j  # M_0 = b_0 - conj(b_0) with b_0 = -i/2
+    assert blocks.M[1].mean() == 2 * (1j * 2.0 * 0.3 / 1.0)  # b_1 = i e Phi / (2m)
+    assert blocks.c[(0, 0)].coeff((1,)) == -2.0 * 0.5  # -e * V_hat
+    assert (blocks.M[0].mean() / 1j).real == -1.0  # beta0, the coefficient of omega
 
 
 def test_schrodinger_divergence_free_enforced(cell1d):
@@ -226,7 +226,7 @@ def test_schrodinger_divergence_free_2d_field():
     # Phi = (sin-free combo varying along y, 0) has zero divergence
     phi_x = medium.cosine(0.0, [((0, 1), 0.4)])
     blocks = medium.build_schrodinger_blocks(1.0, 1.0, 0.0, [phi_x, 0.0], cell, 3)
-    div = blocks.b_block[1].derivative(0) + blocks.b_block[2].derivative(1)
+    div = blocks.M[1].derivative(0) + blocks.M[2].derivative(1)
     assert np.max(np.abs(div.coeffs)) < 1e-12
     # swapping the dependence breaks it
     with pytest.raises(ValidationError, match="divergence"):

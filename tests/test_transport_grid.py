@@ -27,7 +27,7 @@ def _convolve(f, g):
     return FourierField(f.cell, signal.convolve(f.coeffs, g.coeffs, method="direct"))
 
 
-def _oracle_transport(symbol, left, right, sign, pair):
+def _oracle_transport(med, left, right, sign, pair):
     Vc = [left.amplitude_field(i).conjugate() for i in range(left.components)]
     V = [right.amplitude_field(k) for k in range(right.components)]
     d0 = -sign * 1j * right.omega
@@ -49,7 +49,7 @@ def _oracle_transport(symbol, left, right, sign, pair):
     def add(slot, t):
         out[slot] = t if out[slot] is None else out[slot] + t
 
-    for (i, p, k, q), f in symbol.C.items():
+    for (i, p, k, q), f in med.C.items():
         if p:
             add(q, pair(f.derivative(p - 1), product(i, k, 0)))
         if p == q:
@@ -57,7 +57,7 @@ def _oracle_transport(symbol, left, right, sign, pair):
         else:
             add(q, term(f, i, k, p))
             add(p, term(f, i, k, q))
-    for l, f in symbol.M.items():
+    for l, f in med.M.items():
         add(l, pair(f, product(0, 0, 0)))
     return out
 
@@ -145,8 +145,8 @@ def _modes(med, cutoff, rng, band):
 
 def _assert_tables_match(med, left, right):
     sign = 1 if med.family == "schrodinger" else -1
-    (got,) = effective._transport(med.symbol, [left, right], [(0, 1)], sign)
-    want = _oracle_transport(med.symbol, left, right, sign, _convolve)
+    (got,) = effective._transport(med, [left, right], [(0, 1)], sign)
+    want = _oracle_transport(med, left, right, sign, _convolve)
     assert len(got) == len(want) == med.cell.dims + 1
     for g, w in zip(got, want):
         assert g.coeffs.shape == w.coeffs.shape
@@ -168,7 +168,7 @@ def test_transport_matches_convolution_oracle(family, dims, seed, band, other):
     _assert_tables_match(med, left, right)
     if bloch.check_nondegenerate(right) and (family == "schrodinger" or right.omega > 1e-6):
         d = effective.effective_coefficients(right, med).d
-        oracle = np.array(_oracle_transport(med.symbol, right, right, 1 if family == "schrodinger" else -1,
+        oracle = np.array(_oracle_transport(med, right, right, 1 if family == "schrodinger" else -1,
                                             product_mean))
         assert np.max(np.abs(d - oracle)) <= REL * np.max(np.abs(oracle))
 
@@ -186,5 +186,5 @@ def test_transport_with_per_axis_field_cutoffs(rng):
     m2 = bloch.solve_at(med, [-1.1, 0.9], 2, 2)[1]
     for left, right in ((m1, m1), (m1, m2), (m2, m1)):
         _assert_tables_match(med, left, right)
-    tables = effective._transport(med.symbol, [m1, m2], [(0, 0), (0, 1)], -1)
+    tables = effective._transport(med, [m1, m2], [(0, 0), (0, 1)], -1)
     assert [t.cutoffs for t in tables[1]] == [(6, 4), (7, 8), (5, 8)]
