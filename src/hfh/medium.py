@@ -282,7 +282,7 @@ def build_vector_medium(n_comp: int, a, b, cell: Cell, cutoff: int) -> Medium:
         i, j, k, l = (int(v) for v in idx)
         if not (0 <= i < n_comp and 0 <= k < n_comp and 0 <= j < d and 0 <= l < d):
             raise ValidationError(f"component index {(i, j, k, l)} outside shape {(n_comp, d, n_comp, d)}")
-        f = build_field(spec, cell, cutoff, f"a[{i}][{j}][{k}][{l}]")
+        f = build_field(spec, cell, cutoff, f"a[{(i, j, k, l)}]")
         if (k, l, i, j) in a_field:
             _check_exact_equal(f, a_field[(k, l, i, j)],
                                f"tensor a must satisfy a_ijkl = a_klij at {(i, j, k, l)}")
