@@ -34,8 +34,7 @@ class DispersionTable:
         return len(self.omegas)
 
 
-def sweep_path(medium, k_start, k_end, samples: int, band: int, cutoff: int,
-               gap_tol: float | None = None) -> DispersionTable:
+def sweep_path(medium, k_start, k_end, samples: int, band: int, cutoff: int) -> DispersionTable:
     """Solve the band on evenly spaced k between k_start and k_end (inclusive).
 
     Degenerate samples are flagged and the sweep continues; band tracking is
@@ -57,7 +56,7 @@ def sweep_path(medium, k_start, k_end, samples: int, band: int, cutoff: int,
         mode = solve_at(medium, path[i], cutoff, band)[band - 1]
         omegas[i] = mode.omega
         gaps[i] = mode.gap
-        flags[i] = not check_nondegenerate(mode, gap_tol)
+        flags[i] = not check_nondegenerate(mode)
     dk = np.linalg.norm(np.diff(path, axis=0), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = np.abs(np.diff(omegas)) / dk
@@ -65,19 +64,18 @@ def sweep_path(medium, k_start, k_end, samples: int, band: int, cutoff: int,
     return DispersionTable(medium.family, band, path, omegas, gaps, flags, lipschitz)
 
 
-def _omega_at(medium, k, band, cutoff, gap_tol, label):
+def _omega_at(medium, k, band, cutoff, label):
     mode = solve_at(medium, k, cutoff, band)[band - 1]
-    if not check_nondegenerate(mode, gap_tol):
+    if not check_nondegenerate(mode):
         raise NumericalError(f"degenerate band {band} at stencil point {label} (k={k}, gap={mode.gap:.3e})")
     return mode.omega
 
 
-def group_velocity_fd(medium, k, band: int, cutoff: int, step: float | None = None,
-                      rich_tol: float = RICHARDSON_TOL, gap_tol: float | None = None) -> np.ndarray:
+def group_velocity_fd(medium, k, band: int, cutoff: int, step: float | None = None) -> np.ndarray:
     """Central-difference gradient of the dispersion relation at k.
 
     Uses steps h and h/2 per axis and requires the two estimates to agree to
-    ``rich_tol`` (Richardson consistency); the h/2 estimate is returned.
+    RICHARDSON_TOL (Richardson consistency); the h/2 estimate is returned.
     Degeneracy at any stencil point is an error naming the point.  Only
     about 10 significant digits are stable: the eigenvalue roundoff (about
     eps times the spectral radius) is divided by 2h.
@@ -88,21 +86,19 @@ def group_velocity_fd(medium, k, band: int, cutoff: int, step: float | None = No
         step = 1e-4 * TWO_PI / min(cell.lengths)
     elif not (np.isfinite(step) and step > 0):
         raise ValidationError(f"step must be finite and positive, got {step}")
-    _omega_at(medium, k, band, cutoff, gap_tol, "center")
+    _omega_at(medium, k, band, cutoff, "center")
     v = np.empty(cell.dims)
     for ax in range(cell.dims):
         e = np.zeros(cell.dims)
         e[ax] = 1.0
         est = []
         for h in (step, step / 2.0):
-            wp = _omega_at(medium, k + h * e, band, cutoff, gap_tol, f"+h e_{ax}")
-            wm = _omega_at(medium, k - h * e, band, cutoff, gap_tol, f"-h e_{ax}")
+            wp = _omega_at(medium, k + h * e, band, cutoff, f"+h e_{ax}")
+            wm = _omega_at(medium, k - h * e, band, cutoff, f"-h e_{ax}")
             est.append((wp - wm) / (2.0 * h))
-        if abs(est[0] - est[1]) > rich_tol:
-            raise NumericalError(
-                f"group velocity on axis {ax} failed the Richardson check: "
-                f"|{est[0]:.3e} - {est[1]:.3e}| > {rich_tol}"
-            )
+        if abs(est[0] - est[1]) > RICHARDSON_TOL:
+            raise NumericalError(f"group velocity on axis {ax} failed the Richardson check: "
+                                 f"|{est[0]:.3e} - {est[1]:.3e}| > {RICHARDSON_TOL}")
         v[ax] = est[1]
     return v
 

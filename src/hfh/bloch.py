@@ -406,12 +406,6 @@ def solve_at(medium, k, cutoff: int, n_bands: int) -> list:
     return solve_bands(assemble_operator(medium, k, cutoff), n_bands)
 
 
-def check_nondegenerate(mode: BlochMode, gap_tol: float | None = None) -> bool:
-    """True iff the mode's spectral gap exceeds the tolerance.
-
-    Default tolerance 1e-6 * max(1, |omega|); effective-coefficient
-    operations require this to hold.
-    """
-    if gap_tol is None:
-        gap_tol = 1e-6 * max(1.0, abs(mode.omega))
-    return mode.gap > gap_tol
+def check_nondegenerate(mode: BlochMode) -> bool:
+    """True iff the mode's spectral gap exceeds 1e-6 * max(1, |omega|), as effective coefficients require."""
+    return mode.gap > 1e-6 * max(1.0, abs(mode.omega))

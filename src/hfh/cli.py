@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bands, bloch, checks, effective, ergodic, medium, simulate
-from .errors import NumericalError, ValidationError, reading
+from .errors import NumericalError, ValidationError, need, reading
 from .fourier import Cell, FourierField
 
 
@@ -220,14 +220,6 @@ def _signal_from_json(obj, where):
     return FourierField.from_terms(Cell((period,)), max(map(abs, harmonics), default=0), harmonics)
 
 
-def _need(obj, key, where, convert=lambda v: v):
-    """``convert(obj[key])``; a missing key or a value ``convert`` rejects is a ValidationError naming it."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValidationError(f"{where}: missing required key {key!r}")
-    with reading(key):
-        return convert(obj[key])
-
-
 def _cmd_ergodic(args):
     spec = _load_config(args.spec)
     if not isinstance(spec, dict):
@@ -235,23 +227,23 @@ def _cmd_ergodic(args):
     op = spec.get("op")
     windows = spec.get("windows")
     if op in ("modulated_1d", "product", "derivative_product"):
-        f = _signal_from_json(_need(spec, "f", "spec"), "f")
+        f = _signal_from_json(need("spec", spec, "f"), "f")
         if op == "modulated_1d":
-            result = ergodic.avg_modulated_dd(f, [_need(spec, "b", "spec", float)], windows)
+            result = ergodic.avg_modulated_dd(f, [need("spec", spec, "b", float)], windows)
         else:
-            g = _signal_from_json(_need(spec, "g", "spec"), "g")
+            g = _signal_from_json(need("spec", spec, "g"), "g")
             fn = ergodic.avg_product_periodic if op == "product" else ergodic.avg_derivative_product
             result = fn(f, g, windows)
     elif op == "modulated_dd":
-        cell = _need(spec, "cell", "spec", lambda v: Cell(tuple(v)))
+        cell = need("spec", spec, "cell", lambda v: Cell(tuple(v)))
         with reading("f"):
-            terms = {tuple(int(v) for v in _need(t, "n", f"f.terms[{i}]")):
+            terms = {tuple(int(v) for v in need(f"f.terms[{i}]", t, "n")):
                      complex(t.get("re", 0.0), t.get("im", 0.0))
-                     for i, t in enumerate(_need(_need(spec, "f", "spec"), "terms", "f"))}
+                     for i, t in enumerate(need("f", need("spec", spec, "f"), "terms"))}
         cutoff = max((max(abs(v) for v in n) for n in terms), default=1) or 1
         f = FourierField.from_terms(cell, cutoff, terms)
-        lam = _need(spec, "lambda", "spec", lambda v: np.asarray(v, dtype=float))
-        result = ergodic.avg_modulated_dd(f, lam, _need(spec, "boxes", "spec"))
+        lam = need("spec", spec, "lambda", lambda v: np.asarray(v, dtype=float))
+        result = ergodic.avg_modulated_dd(f, lam, need("spec", spec, "boxes"))
     else:
         raise ValidationError(f"op: unknown ergodic op {op!r}")
     rows = [[w, v.real, v.imag, e]

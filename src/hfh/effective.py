@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochMode, check_nondegenerate
+from .ergodic import box_means
 from .errors import NumericalError, ValidationError
-from .fourier import (RESONANCE_TOL, TWO_PI, FourierField, box_average, from_grid, resonant_point,
-                      to_grid, window_factor)
+from .fourier import RESONANCE_TOL, TWO_PI, FourierField, from_grid, resonant_point, to_grid, window_factor
 from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
 from .medium import Medium
 
@@ -207,11 +207,10 @@ class CouplingReport:
     """Supercell coupling averages for a mode pair, with resonance classification.
 
     ``averages[(j, p, l)]`` is the sequence of d_jp^(l)(Q_n) over the supercell
-    counts; ``limits`` holds the Q -> infinity value of each sequence obtained
-    from its closed-form factor structure (every non-resonant factor tends to
-    0, resonant factors to their cell mean); ``slopes`` is the fitted log-log
-    decay rate of |average - limit| against n, and ``decay_constants`` the
-    fitted C in |average(Q_n) - limit| <= C / n.
+    counts; ``limits`` holds the Q -> infinity value of each sequence (the
+    :func:`hfh.ergodic.box_means` limit, or 0 when the frequencies differ);
+    ``slopes`` is the fitted log-log decay rate of |average - limit| against
+    n, and ``decay_constants`` the fitted C in |average(Q_n) - limit| <= C / n.
     """
 
     resonant: bool
@@ -245,10 +244,9 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: Medium,
     """Supercell averages d_jp^(l)(Q_n) for a scalar-wave mode pair.
 
     Q_n = [0, T0*n] x (n * cell) with T0 = 2 pi / max(omega1, omega2, 1) by
-    default.  The integrand factorizes as a cell-periodic Fourier series times
-    carrier exponentials, so each supercell average is a finite closed-form
-    sum; self terms (p == l) collapse to the unit-cell integral exactly for
-    every n.
+    default.  Each average is window_factor(domega, T0 n) times the
+    :func:`hfh.ergodic.box_means` mean of a cell-periodic integrand under the
+    carrier -dk; self terms (p == l) are the unit-cell integral exactly.
     """
     if any(m.family != "scalar-wave" for m in (medium, mode1, mode2)):
         raise ValidationError("coupling is computed for the scalar wave family only")
@@ -266,41 +264,19 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: Medium,
 
     averages, limits, slopes, decay_constants = {}, {}, {}, {}
     ns = np.asarray(counts, dtype=float)
+    boxes = ns[:, np.newaxis] * medium.cell.diag
     pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
     for (p, l), g_fields in zip(pairs, _transport(medium, modes, pairs, -1)):
         domega = modes[l].omega - modes[p].omega
+        time_factor = window_factor(domega, time_window * ns)
         dk = modes[l].k - modes[p].k
         for j, G in enumerate(g_fields):
             key = (j, p + 1, l + 1)
-            averages[key] = _supercell_average(G, domega, dk, time_window, ns)
-            limits[key] = _structural_limit(G, domega, dk)
+            means, limit, _, _ = box_means(G, -dk, boxes)
+            averages[key] = time_factor * means
+            limits[key] = limit if abs(domega) <= RESONANCE_TOL else 0.0 + 0.0j
             slopes[key], decay_constants[key] = _fit_decay(ns, averages[key] - limits[key])
 
     return CouplingReport(are_equivalent(mode1, mode2), counts, float(time_window),
                           averages, limits, slopes, decay_constants)
 
-
-def _supercell_average(G: FourierField, domega: float, dk: np.ndarray,
-                       t0: float, ns: np.ndarray) -> np.ndarray:
-    """Closed-form averages of G(xi') e^{-i dk.xi'} e^{+i domega xi0} over Q_n, n in ``ns``.
-
-    An axis with dk == 0 spans whole periods, so its factor is the exact
-    Kronecker delta of m = 0.
-    """
-    factors = []
-    for ax, lam in enumerate(G.cell.lengths):
-        ms = G.index_grid(ax)
-        if dk[ax] == 0.0:
-            fac = np.broadcast_to(ms == 0, (len(ns), len(ms))).astype(np.complex128)
-        else:
-            fac = window_factor(TWO_PI * ms / lam - dk[ax], (ns * lam)[:, np.newaxis])
-        factors.append(fac)
-    return window_factor(domega, t0 * ns) * box_average(G.coeffs, factors)
-
-
-def _structural_limit(G: FourierField, domega: float, dk: np.ndarray) -> complex:
-    """Q -> infinity limit of the factorized average: the harmonic that cancels the carrier, if any."""
-    n = resonant_point(dk, G.cell)
-    if abs(domega) > RESONANCE_TOL or n is None:
-        return 0.0 + 0.0j
-    return G.coeff(n)

@@ -4,12 +4,15 @@ Signals are :class:`hfh.fourier.FourierField` tables (a 1D signal of period
 T is a field on ``Cell((T,))``), so every window integral has a closed form
 and the only approximation in sight is the window length itself.  Each
 operation reports the analytic infinite-window limit, the numeric averages
-per window, and the certified constant C in |average(a) - limit| <= C / a.
+per window, and the certified C and D in |average(a) - limit| <= C / a + D a.
 
-The modulated average of f e^{i lambda . xi} tends to the harmonic of f
-that cancels the carrier, picked by :func:`hfh.fourier.resonant_point`,
-and to 0 when lambda (.) cell / (2 pi) is off the integer lattice.  The
-supercell coupling limits read the same rule.
+One kernel, :func:`box_means`, gives the means of f e^{i lambda . xi} over
+boxes, for the modulated averages here and the supercell coupling averages
+of :mod:`hfh.effective`.  It classifies each harmonic once, by
+:func:`hfh.fourier.resonant_point`: the harmonic that cancels the carrier
+is the limit and enters D, and every other one enters C.  A product of two
+signals pairs harmonics by the rational period ratio, and its C leaves out
+exactly the pairs its limit counts.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ RATIONAL_DENOMINATOR_BOUND = 10 ** 6
 class WindowAverageResult:
     """Numeric finite-window averages next to the analytic limit.
 
-    ``decay_constant`` is the constant C in |value - limit| <= C / window,
-    certified from the harmonic table (each non-resonant harmonic's window
-    factor obeys |phi(q, a)| <= 2/(|q| a)), so the bound holds for every
-    window, not only the supplied ones; ``resonant`` records the analytic
-    classification that produced the limit.
+    ``decay_constant`` C and ``drift_rate`` D certify |value - limit| <=
+    C / window + D L up to roundoff for every window, L the box's longest
+    side (the window itself in 1D and for cubes).  C sums 2|c| / |q| over
+    the nonzero non-resonant harmonics, as |phi(q, a)| <= 2 / (|q| a); D sums
+    |c| |q| / 2 over the resonant ones, as |phi(q, a) - 1| <= |q| a / 2, so D
+    is 0 unless a harmonic within RESONANCE_TOL of the lattice misses it.
+    ``resonant`` records the analytic classification that produced the limit.
     """
 
     windows: tuple
@@ -41,6 +46,7 @@ class WindowAverageResult:
     analytic_limit: complex
     decay_constant: float
     resonant: bool
+    drift_rate: float
 
     def errors(self) -> np.ndarray:
         return np.abs(np.asarray(self.values) - self.analytic_limit)
@@ -66,11 +72,46 @@ def _check_finite(f: FourierField, name: str):
         raise ValidationError(f"{name} must have finite coefficients")
 
 
-def _certified_constant(q, c) -> float:
-    """Sum of 2|c|/|q| over the nonzero terms whose angular frequency q is non-resonant."""
-    q = np.abs(q)
-    keep = (q > RESONANCE_TOL) & (c != 0)
-    return float(np.sum(2.0 * np.abs(c[keep]) / q[keep]))
+def _frequencies(f: FourierField, lam) -> list:
+    """Angular frequency 2 pi m / T_ax + lambda_ax of each harmonic index m, per axis."""
+    return [TWO_PI * f.index_grid(ax) / length + lam[ax] for ax, length in enumerate(f.cell.lengths)]
+
+
+def _certificate(coeffs, qs, resonant) -> tuple:
+    """C and D of :class:`WindowAverageResult`; ``qs[ax]`` holds the frequencies along axis ax.
+
+    In d dimensions C takes each harmonic's fastest axis and D sums its axes.
+    """
+    q = np.broadcast_arrays(*np.ix_(*[np.abs(q) for q in qs]))
+    keep = ~resonant & (coeffs != 0)
+    c = np.abs(coeffs)
+    return (float(np.sum(2.0 * c[keep] / np.max(q, axis=0)[keep])),
+            float(np.sum(c[resonant] * np.sum(q, axis=0)[resonant]) / 2.0))
+
+
+def box_means(f: FourierField, lam, sizes: np.ndarray) -> tuple:
+    """Means (1/|Q|) int_Q f(xi) e^{i lambda . xi} dxi over boxes Q = [0, a_1] x ... x [0, a_d].
+
+    ``sizes`` has shape (n_boxes, d).  Returns the means, their limit (f's
+    harmonic -n for n = resonant_point(lambda), else 0), the mask of that
+    harmonic in f's table, and whether n exists.  An axis with lambda = 0 and
+    whole-cell boxes keeps only index 0, so such means are the cell mean exactly.
+    """
+    cell = f.cell
+    n = resonant_point(lam, cell)
+    factors = []
+    for ax, (length, q) in enumerate(zip(cell.lengths, _frequencies(f, lam))):
+        m, a = f.index_grid(ax), sizes[:, ax]
+        if lam[ax] == 0 and np.all(np.rint(a / length) * length == a):
+            factors.append(np.broadcast_to(m == 0, (len(a), len(m))).astype(np.complex128))
+        else:
+            factors.append(window_factor(q, a[:, np.newaxis]))
+    values = box_average(f.coeffs, factors)
+    resonant, limit = np.zeros(f.coeffs.shape, dtype=bool), 0.0 + 0.0j
+    if n is not None and all(abs(v) <= c for v, c in zip(n, f.cutoffs)):
+        at = tuple(c - v for v, c in zip(n, f.cutoffs))  # the harmonic -n
+        resonant[at], limit = True, complex(f.coeffs[at])
+    return values, limit, resonant, n is not None
 
 
 def avg_modulated_dd(f: FourierField, lam, boxes) -> WindowAverageResult:
@@ -89,20 +130,11 @@ def avg_modulated_dd(f: FourierField, lam, boxes) -> WindowAverageResult:
         raise ValidationError(f"lambda must be finite, got {lam}")
     _check_finite(f, "f")
     sizes = _box_sizes(boxes, cell.dims)
-
-    # angular frequency of each harmonic along each axis, and its window factors
-    qs = [TWO_PI * f.index_grid(ax) / cell.lengths[ax] + lam[ax] for ax in range(cell.dims)]
-    values = box_average(f.coeffs, [window_factor(q, sizes[:, ax, np.newaxis])
-                                    for ax, q in enumerate(qs)])
-    n = resonant_point(lam, cell)
-    limit = f.coeff([-v for v in n]) if n is not None else 0.0 + 0.0j
-    # each term decays like 1/a along its fastest non-resonant axis
-    nonres = np.broadcast_arrays(*np.ix_(*[np.where(np.abs(q) > RESONANCE_TOL, np.abs(q), 0.0)
-                                           for q in qs]))
-    cert = _certified_constant(np.max(nonres, axis=0), f.coeffs)
+    values, limit, mask, resonant = box_means(f, lam, sizes)
+    cert, drift = _certificate(f.coeffs, _frequencies(f, lam), mask)
     widths = sizes.min(axis=1)  # decay is against the slowest-growing axis
     return WindowAverageResult(tuple(float(a) for a in widths), tuple(complex(v) for v in values),
-                               complex(limit), cert, n is not None)
+                               limit, cert, resonant, drift)
 
 
 def _rational_ratio(t1: float, t2: float):
@@ -147,20 +179,16 @@ def avg_product_periodic(f: FourierField, g: FourierField, windows) -> WindowAve
     c = np.multiply.outer(c1, c2).ravel()
     values = box_average(c, [window_factor(nu, win[:, np.newaxis])])
     frac = _rational_ratio(f.cell.lengths[0], g.cell.lengths[0])
+    pairs = (np.equal.outer(n1 * frac.denominator, -n2 * frac.numerator) if frac is not None
+             else np.zeros((len(n1), len(n2)), dtype=bool))
     limit = 0.0 + 0.0j
-    if frac is not None:
-        p, q = frac.numerator, frac.denominator
-        for n, a in zip(n1, c1):
-            for m, b in zip(n2, c2):
-                if n * q == -m * p:
-                    limit += a * b
+    for i, j in zip(*np.nonzero(pairs)):  # scalar products, in table order
+        limit += c1[i] * c2[j]
+    cert, drift = _certificate(c, [nu], pairs.ravel())
     return WindowAverageResult(tuple(float(a) for a in win), tuple(complex(v) for v in values),
-                               complex(limit), _certified_constant(nu, c), frac is not None)
+                               complex(limit), cert, frac is not None, drift)
 
 
 def avg_derivative_product(f: FourierField, g: FourierField, windows) -> WindowAverageResult:
-    """Averages (1/a) int_0^a f'(x) g(x) dx via the spectral derivative of f.
-
-    f' automatically has zero mean, so this delegates to avg_product_periodic.
-    """
+    """Averages (1/a) int_0^a f'(x) g(x) dx: f' has zero mean, so this is avg_product_periodic(f', g)."""
     return avg_product_periodic(f.derivative(0), g, windows)

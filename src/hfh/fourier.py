@@ -288,13 +288,14 @@ def product_mean(f: FourierField, g: FourierField) -> complex:
 def window_factor(q, length):
     """Mean of exp(i*q*x) over [0, length]: (e^{i q L} - 1) / (i q L), with q=0 -> 1.
 
-    Broadcasts over arrays; a scalar q and length give a scalar.  Small |q*L|
-    is handled by a series so near-resonant windows lose no accuracy.
+    Broadcasts over arrays; a scalar q and length give a scalar.  |q L| < 0.1,
+    where the quotient would cancel, is e^{i h} sin(h) / h with h = q L / 2.
     """
     ql = np.multiply(q, length, dtype=float)
-    small = np.abs(ql) < 1e-8
-    arg = 1j * np.where(small, 1.0, ql)
-    out = np.where(small, 1.0 + 1j * ql / 2.0 - ql * ql / 6.0, (np.exp(arg) - 1.0) / arg)
+    near = np.abs(ql) < 0.1
+    arg = 1j * np.where(near, 1.0, ql)
+    h = np.where(ql == 0.0, 1.0, ql / 2.0)
+    out = np.where(near, np.exp(1j * h) * (np.sin(h) / h), (np.exp(arg) - 1.0) / arg)
     out = np.where(ql == 0.0, 1.0 + 0.0j, out)
     return out if out.ndim else complex(out)
 

@@ -24,12 +24,13 @@ Field specs accepted by the builders (and by the JSON descriptor):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, reading
+from .errors import ValidationError, need, reading
 from .fourier import TWO_PI, Cell, FourierField
 
 CONJ_SYMMETRY_TOL = 1e-12
@@ -367,29 +368,30 @@ def build_schrodinger_blocks(mass: float, charge: float, potential, magnetic,
 
 def medium_from_descriptor(desc: dict) -> Medium:
     """Build a medium from a JSON-style descriptor; a bad or missing value is a ValidationError naming it."""
-
-    def need(key, convert=lambda v: v):
-        if key not in desc:
-            raise ValidationError(f"descriptor: missing required key {key!r}")
-        with reading(key):
-            return convert(desc[key])
-
-    cell = need("cell", lambda v: Cell(tuple(np.atleast_1d(v))))
-    kind = need("kind")
-    cutoff = need("cutoff", int)
+    entry = functools.partial(need, "descriptor", desc)
+    cell = entry("cell", lambda v: Cell(tuple(np.atleast_1d(v))))
+    kind = entry("kind")
+    cutoff = entry("cutoff", _whole)
     try:
         if kind == "scalar":
-            return build_scalar_medium(need("a", _matrix_or_field), need("b"), cell, cutoff)
+            return build_scalar_medium(entry("a", _matrix_or_field), entry("b"), cell, cutoff)
         if kind == "vector":
-            return build_vector_medium(need("n", int), need("a", _tensor_terms),
-                                       need("b", _matrix_or_field), cell, cutoff)
+            return build_vector_medium(entry("n", _whole), entry("a", _tensor_terms),
+                                       entry("b", _matrix_or_field), cell, cutoff)
         if kind == "schrodinger":
-            magnetic = None if desc.get("magnetic") is None else need("magnetic", list)
-            return build_schrodinger_blocks(need("mass", float), need("charge", float),
-                                            need("potential"), magnetic, cell, cutoff)
+            magnetic = None if desc.get("magnetic") is None else entry("magnetic", list)
+            return build_schrodinger_blocks(entry("mass", float), entry("charge", float),
+                                            entry("potential"), magnetic, cell, cutoff)
     except KeyError as exc:
         raise ValidationError(f"descriptor: missing key {exc}") from exc
     raise ValidationError(f"kind: unknown medium kind {kind!r}")
+
+
+def _whole(value) -> int:
+    """A whole number; a fraction or a boolean is refused, not truncated."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
 
 
 def _matrix_or_field(spec):

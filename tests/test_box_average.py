@@ -2,11 +2,17 @@
 
 The private ``_oracle_*`` functions below are the scalar loops that
 ``fourier.box_average`` and its callers replaced: one window and one
-harmonic at a time, with the scalar window factor.  Random fields come from
-hypothesis with ``derandomize=True``, so every run draws the same cases.
-The drawn wavevector and frequency offsets put some harmonic's |q L| at
-0, 1e-9, 1e-8, 1e-7 and 1, so each branch of the window factor is reached.
+harmonic at a time, with the scalar window factor.  Their certified
+constants read the one resonance rule of the code: a harmonic is resonant
+when its carrier offset is on the integer lattice within RESONANCE_TOL (a
+product pair when the rational period ratio pairs it), and every other
+nonzero harmonic enters the constant.  Random fields come from hypothesis
+with ``derandomize=True``, so every run draws the same cases.  The drawn
+wavevector offsets put some harmonic's |q L| at 0, 1e-9, 1e-8, 1e-7, 0.1
+and 1, so each branch of the window factor is reached.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,25 +20,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import signal
-from hfh import effective, ergodic
-from hfh.fourier import TWO_PI, Cell, FourierField, box_average, window_factor
+from hfh import bloch, effective, ergodic
+from hfh.fourier import RESONANCE_TOL, TWO_PI, Cell, FourierField, box_average, window_factor
 
 REL = 1e-13
-QL_TARGETS = (0.0, 1e-9, 1e-8, 1e-7, 1.0)
+QL_TARGETS = (0.0, 1e-9, 1e-8, 1e-7, 0.1, 1.0)
 
 
 def _oracle_window_factor(q, length):
     ql = q * length
     if ql == 0.0:
         return 1.0 + 0.0j
-    if abs(ql) < 1e-8:
-        return 1.0 + 1j * ql / 2.0 - ql * ql / 6.0
+    if abs(ql) < 0.1:
+        h = ql / 2.0
+        return complex(np.exp(1j * h) * (np.sin(h) / h))
     return (np.exp(1j * ql) - 1.0) / (1j * ql)
 
 
-def _oracle_supercell_average(G, domega, dk, t0, n):
+def _whole_cells(lam, length, sizes):
+    """A carrier-free axis whose boxes are whole cells keeps only its index-0 harmonics."""
+    return lam == 0 and all(round(a / length) * length == a for a in sizes)
+
+
+def _oracle_supercell_average(G, dk, n):
     cell = G.cell
-    tf = _oracle_window_factor(domega, t0 * n)
     total = G.coeffs.copy()
     for ax in range(cell.dims):
         lam = cell.lengths[ax]
@@ -44,17 +55,15 @@ def _oracle_supercell_average(G, domega, dk, t0, n):
         shape = [1] * cell.dims
         shape[ax] = -1
         total = total * fac.reshape(shape)
-    return complex(tf * total.sum())
+    return complex(total.sum())
 
 
-def _oracle_structural_limit(G, domega, dk):
-    if abs(domega) > effective.RESONANCE_TOL:
-        return 0.0 + 0.0j
+def _oracle_structural_limit(G, dk):
     cell = G.cell
     total = G.coeffs.copy()
     for ax in range(cell.dims):
         frac = dk[ax] * cell.lengths[ax] / TWO_PI
-        fac = (np.abs(frac - G.index_grid(ax)) <= effective.RESONANCE_TOL).astype(np.complex128)
+        fac = (np.abs(frac - G.index_grid(ax)) <= RESONANCE_TOL).astype(np.complex128)
         shape = [1] * cell.dims
         shape[ax] = -1
         total = total * fac.reshape(shape)
@@ -62,14 +71,23 @@ def _oracle_structural_limit(G, domega, dk):
 
 
 def _oracle_modulated_dd(f, lam, sizes):
-    """Per-box values and the certified constant of ``avg_modulated_dd``."""
+    """Per-box values and the certified constant of ``avg_modulated_dd``.
+
+    A harmonic is resonant when lam_ax * T_ax / (2 pi) is within
+    RESONANCE_TOL of -m_ax on every axis; every other nonzero harmonic adds
+    2|c| / max_ax |q_ax| to the constant.
+    """
     cell = f.cell
     values = []
     for b in sizes:
         total = f.coeffs.copy()
         for ax in range(cell.dims):
-            fac = np.array([_oracle_window_factor(TWO_PI * m / cell.lengths[ax] + lam[ax], b[ax])
-                            for m in f.index_grid(ax)])
+            ms = f.index_grid(ax)
+            if _whole_cells(lam[ax], cell.lengths[ax], [s[ax] for s in sizes]):
+                fac = (ms == 0).astype(np.complex128)
+            else:
+                fac = np.array([_oracle_window_factor(TWO_PI * m / cell.lengths[ax] + lam[ax], b[ax])
+                                for m in ms])
             shape = [1] * cell.dims
             shape[ax] = -1
             total = total * fac.reshape(shape)
@@ -77,20 +95,21 @@ def _oracle_modulated_dd(f, lam, sizes):
     cert = 0.0
     for m in np.ndindex(*f.coeffs.shape):
         c = f.coeffs[m]
-        if c == 0:
+        ns = [m[ax] - f.cutoffs[ax] for ax in range(cell.dims)]
+        resonant = all(abs(lam[ax] * cell.lengths[ax] / TWO_PI + ns[ax]) <= RESONANCE_TOL
+                       for ax in range(cell.dims))
+        if c == 0 or resonant:
             continue
-        qs = [TWO_PI * (m[ax] - f.cutoffs[ax]) / cell.lengths[ax] + lam[ax]
-              for ax in range(cell.dims)]
-        q_nonres = [abs(q) for q in qs if abs(q) > ergodic.RESONANCE_TOL]
-        if q_nonres:
-            cert += 2.0 * abs(c) / max(q_nonres)
+        cert += 2.0 * abs(c) / max(abs(TWO_PI * ns[ax] / cell.lengths[ax] + lam[ax])
+                                   for ax in range(cell.dims))
     return values, cert
 
 
-def _oracle_harmonic_sums(pairs, windows):
-    """sum over (q, c) pairs of c * window_factor(q, a), and the certified constant."""
-    values = [sum(c * _oracle_window_factor(q, a) for q, c in pairs) for a in windows]
-    cert = sum(2.0 * abs(c) / abs(q) for q, c in pairs if abs(q) > ergodic.RESONANCE_TOL)
+def _oracle_harmonic_sums(terms, windows):
+    """sum over (q, c, resonant) terms of c * window_factor(q, a), and the certified constant
+    summed over the nonzero, non-resonant terms."""
+    values = [sum(c * _oracle_window_factor(q, a) for q, c, _ in terms) for a in windows]
+    cert = sum(2.0 * abs(c) / abs(q) for q, c, resonant in terms if c != 0 and not resonant)
     return values, cert
 
 
@@ -136,9 +155,10 @@ _settings = settings(derandomize=True, database=None, deadline=None, max_example
 
 
 def test_window_factor_array_matches_scalar_at_branch_edges():
-    edge = 1e-8
-    qls = np.array([0.0, -0.0, 1e-9, -1e-9, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0),
-                    -np.nextafter(edge, 0.0), -edge, 1e-7, -1e-7, 1.0, -1.0, 37.5])
+    edge = 0.1
+    qls = np.array([0.0, -0.0, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7, -1e-7, 1.0, -1.0, 37.5]
+                   + [s * v for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))
+                      for s in (1.0, -1.0)])
     for length in (1.0, 0.37, 12.0):
         q = qls / length
         arr = window_factor(q, length)
@@ -178,6 +198,7 @@ def test_box_average_matches_window_loop(field, n_windows, data):
 @_settings
 @given(G=_fields(), data=st.data())
 def test_supercell_average_matches_oracle(G, data):
+    # the coupling averages' spatial part: carrier -dk over boxes of n cells
     cell = G.cell
     counts = sorted(set(data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))))
     ns = np.asarray(counts, dtype=float)
@@ -185,13 +206,58 @@ def test_supercell_average_matches_oracle(G, data):
                    _offset(data.draw, TWO_PI / lam, data.draw(st.integers(-G.cutoffs[ax], G.cutoffs[ax])),
                            counts[0] * lam)
                    for ax, lam in enumerate(cell.lengths)])
+    values, limit, _, _ = ergodic.box_means(G, -dk, ns[:, np.newaxis] * cell.diag)
+    _assert_close(values, [_oracle_supercell_average(G, dk, n) for n in counts])
+    _assert_close(limit, _oracle_structural_limit(G, dk))
+
+
+@pytest.fixture(scope="module")
+def band_pair(two_phase):
+    return bloch.solve_at(two_phase, [np.pi / 2], 16, 2)
+
+
+# frequency offsets: exact, inside the limit gate, on either side of its edge, and generic
+DOMEGAS = (0.0, 1e-10, RESONANCE_TOL * (1 - 1e-6), RESONANCE_TOL * (1 + 1e-6))
+
+
+@_settings
+@given(data=st.data())
+def test_coupling_time_factor_and_limit_gate(two_phase, band_pair, data):
+    # each coupling average is window_factor(domega, t0 n) times the spatial mean of its
+    # integrand, and its limit is the spatial limit while |domega| <= RESONANCE_TOL, else 0
+    m1, m2 = band_pair
+    counts = sorted(set(data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))))
     t0 = data.draw(st.floats(0.3, 3.0))
-    domega = data.draw(st.sampled_from((0.0, 1e-10)) | st.just(1e-7 / (t0 * counts[0]))
-                       | st.floats(-2.0, 2.0))
-    got = effective._supercell_average(G, domega, dk, t0, ns)
-    want = [_oracle_supercell_average(G, domega, dk, t0, n) for n in counts]
-    _assert_close(got, want)
-    _assert_close(effective._structural_limit(G, domega, dk), _oracle_structural_limit(G, domega, dk))
+    dk = 0.0 if data.draw(st.booleans()) else _offset(data.draw, TWO_PI, data.draw(st.integers(-2, 2)), counts[0])
+    d = data.draw(st.sampled_from(DOMEGAS) | st.just(1e-7 / (t0 * counts[0])) | st.floats(-2.0, 2.0))
+    modes = (m1, replace(m2, k=m1.k + dk, omega=m1.omega + d))
+    report = effective.coupling_coefficients(*modes, two_phase, counts, time_window=t0)
+    pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
+    for (p, l), g_fields in zip(pairs, effective._transport(two_phase, modes, pairs, -1)):
+        domega, pair_dk = modes[l].omega - modes[p].omega, modes[l].k - modes[p].k
+        for j, G in enumerate(g_fields):
+            scale = np.sum(np.abs(G.coeffs))
+            want = [_oracle_window_factor(domega, t0 * n) * _oracle_supercell_average(G, pair_dk, n)
+                    for n in counts]
+            _assert_close(report.averages[(j, p + 1, l + 1)], want, scale)
+            gate = abs(domega) <= RESONANCE_TOL
+            _assert_close(report.limits[(j, p + 1, l + 1)], _oracle_structural_limit(G, pair_dk) * gate, scale)
+
+
+@pytest.mark.parametrize("d, kept", [(1e-10, True), (RESONANCE_TOL * (1 - 1e-6), True),
+                                     (RESONANCE_TOL * (1 + 1e-6), False), (1e-7, False)])
+def test_coupling_limit_gate_edge(two_phase, band_pair, d, kept):
+    # same band, same k, omega moved by d: a cross limit is the self limit (to the O(d)
+    # change of its integrand) inside the gate, and exactly 0 above it
+    m1, _ = band_pair
+    report = effective.coupling_coefficients(m1, replace(m1, omega=m1.omega + d), two_phase, [4, 8])
+    for j in range(2):
+        self_limit, cross_limit = report.limits[(j, 1, 1)], report.limits[(j, 1, 2)]
+        assert abs(self_limit) > 0.1
+        if kept:
+            assert abs(cross_limit - self_limit) <= 1e-8 * abs(self_limit)
+        else:
+            assert cross_limit == 0
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +294,28 @@ def test_modulated_1d_and_product_match_oracle(data):
     f = drawn_signal(data.draw(st.floats(0.5, 2.0)))
     b = -_offset(data.draw, TWO_PI / f.cell.lengths[0], data.draw(st.integers(-5, 5)), windows[0])
     res = ergodic.avg_modulated_dd(f, [b], windows)
-    pairs = [(q + b, c) for q, c in zip(*frequencies(f))]
-    values, cert = _oracle_harmonic_sums(pairs, windows)
-    scale = sum(abs(c) for _, c in pairs)
+    period = f.cell.lengths[0]
+    terms = [(q + b, c, abs(b * period / TWO_PI + n) <= RESONANCE_TOL)
+             for n, q, c in zip(f.index_grid(0), *frequencies(f))]
+    values, cert = _oracle_harmonic_sums(terms, windows)
+    scale = sum(abs(c) for _, c, _ in terms)
     _assert_close(res.values, values, scale)
     _assert_close(res.decay_constant, cert, cert)
 
-    period = f.cell.lengths[0]
     zero_mean = FourierField(f.cell, np.where(f.index_grid(0) == 0, 0.0, f.coeffs))
     g = drawn_signal(data.draw(st.sampled_from((period, 1.5 * period))) if data.draw(st.booleans())
                      else data.draw(st.floats(0.5, 2.0)))
     res = ergodic.avg_product_periodic(zero_mean, g, windows)
-    pairs = [(q1 + q2, c1 * c2) for q1, c1 in zip(*frequencies(zero_mean))
-             for q2, c2 in zip(*frequencies(g))]
-    values, cert = _oracle_harmonic_sums(pairs, windows)
-    scale = sum(abs(c) for _, c in pairs)
+    frac = ergodic._rational_ratio(period, g.cell.lengths[0])
+
+    def paired(n1, n2):  # n1 / T1 = -n2 / T2 with T1 / T2 = p / q
+        return frac is not None and n1 * frac.denominator == -n2 * frac.numerator
+
+    terms = [(q1 + q2, c1 * c2, paired(n1, n2))
+             for n1, q1, c1 in zip(zero_mean.index_grid(0), *frequencies(zero_mean))
+             for n2, q2, c2 in zip(g.index_grid(0), *frequencies(g))]
+    values, cert = _oracle_harmonic_sums(terms, windows)
+    scale = sum(abs(c) for _, c, _ in terms)
     _assert_close(res.values, values, scale)
     _assert_close(res.decay_constant, cert, cert)
 
@@ -253,5 +326,6 @@ def test_supercell_self_terms_collapse_exactly(dims):
     rng = np.random.default_rng(dims)
     shape = (5,) * dims
     G = FourierField(Cell((1.0, 1.3, 0.8)[:dims]), rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    got = effective._supercell_average(G, 0.0, np.zeros(dims), 1.7, np.array([1.0, 4.0, 64.0]))
-    assert np.all(got == G.mean())
+    ns = np.array([1.0, 4.0, 64.0])
+    got, limit, _, _ = ergodic.box_means(G, np.zeros(dims), ns[:, np.newaxis] * G.cell.diag)
+    assert np.all(got == G.mean()) and limit == G.mean()

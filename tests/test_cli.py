@@ -188,6 +188,11 @@ _BAD_MEDIA = [
     ({"b": {"type": "fourier", "terms": [{"n": [0], "re": "one"}]}}, "b"),
     ({"a": {"type": "matrix", "entries": [[{"type": "constant", "value": "x"}]]}}, "a[0][0]"),
     (dict(_SCHRODINGER, potential={"type": "constant", "value": "deep"}), "potential"),
+    ({"cutoff": 4.7}, "cutoff"),
+    ({"cutoff": True}, "cutoff"),
+    ({"cutoff": 10 ** 400}, "cutoff"),
+    ({"kind": "vector", "n": 2.5, "a": {"type": "tensor4", "terms": [{"ijkl": [0, 0, 0, 0], "field": 1.0}]},
+      "b": 1.0}, "n"),
 ]
 
 
@@ -214,7 +219,8 @@ _BAD_MEDIA = [
     ids=["k-nan", "k-inf", "k-end-nan", "step-0", "step-nan", "window-0", "window-neg",
          "window-nan", "length-nan", "length-inf", "t-final-nan", "t-final-0", "cfl-nan",
          "sigma-nan", "center-nan", "cell-word", "cutoff-word", "mass-word", "amp-word",
-         "re-word", "matrix-entry-word", "constant-word"])
+         "re-word", "matrix-entry-word", "constant-word", "cutoff-fraction", "cutoff-bool",
+         "cutoff-huge", "n-fraction"])
 def test_bad_numbers_rejected(argv, changes, key, tmp_path):
     # a non-finite k, FD step, time window or simulate parameter, a zero t_final, or a
     # malformed descriptor value, is a validation error naming its key: exit 1, no artifact

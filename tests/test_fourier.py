@@ -101,14 +101,22 @@ def test_gauge_derivative_shift(cell1d):
 
 def test_window_factor_limits():
     assert window_factor(0.0, 10.0) == 1.0
-    # small-argument series agrees with the direct formula
+    # a near-resonant argument agrees with the direct formula, in a form that does not cancel
     q, length = 1e-7, 1.0
-    direct = (np.exp(1j * q * length) - 1.0) / (1j * q * length)
+    x = q * length
+    direct = np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x
     assert abs(window_factor(q, length) - direct) < 1e-12
     # quadrature cross-check at a generic argument
     x = np.linspace(0, 7.3, 200001)
     quad = np.trapezoid(np.exp(2.1j * x), x) / 7.3
     assert abs(window_factor(2.1, 7.3) - quad) < 1e-8
+
+
+def test_window_factor_near_resonance_keeps_full_accuracy():
+    # sin(x) / x + i 2 sin^2(x / 2) / x is the same mean with nothing to cancel
+    x = np.concatenate([np.geomspace(1e-9, 10.0, 400), -np.geomspace(1e-9, 10.0, 40)])
+    exact = np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x
+    assert np.max(np.abs(window_factor(x, 1.0) - exact)) < 1e-15
 
 
 def test_resonant_point():
