@@ -145,7 +145,7 @@ def _digest(kind: str, cell: Cell, parts) -> str:
 # media
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Medium:
     """A medium of any family as its constitutive symbol P(K) = -K.C.K - M.K - c at K = (-omega, k + G).
 
@@ -161,6 +161,8 @@ class Medium:
 
     Transposed entries share one field object.  ``fingerprint`` digests the
     source fields, so a mode solved on the medium can be matched to it.
+    Media compare and hash by family, cutoff and fingerprint, so two built
+    from one descriptor are equal; one without a fingerprint equals itself only.
     """
 
     family: str  # "scalar-wave", "vector-wave" or "schrodinger"
@@ -170,7 +172,16 @@ class Medium:
     C: dict
     M: dict = field(default_factory=dict)
     c: dict = field(default_factory=dict)
-    fingerprint: str = field(default="", compare=False)
+    fingerprint: str = ""
+
+    def _key(self) -> tuple:
+        return self.family, self.cutoff, self.fingerprint or id(self)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Medium) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,14 @@ profile, evolved with a staggered-flux leapfrog scheme at small epsilon, and
 demodulated by the conjugate carrier; the measured envelope centroid speed is
 compared against the predicted group velocity.
 
-The recorded energy is the compatible half-step functional
-E = (dx) * sum(b |u_t|^2 + a u_x^(n+1) u_x^(n)) / 2 with u_t at half steps,
-which the leapfrog update conserves to roundoff, so the drift gate is sharp.
+The leapfrog u_next = 2u - u_prev + dt^2/b * flux_div(u) runs in u and
+q = v / step_coef, with v = u_next - u, du the undivided forward difference,
+flux = a du and step_coef = dt^2 / (dx^2 b): a step is q += div(flux),
+v = step_coef q, u += v, du = grad(u), flux = a du.  The recorded energy is
+the compatible half-step functional E = dx sum(b u_t^2 + a u_x^(n+1) u_x^(n)) / 2
+with u_t at half steps, which the update conserves to roundoff, so the drift
+gate is sharp.  As step_coef b dx / (2 dt^2) = 0.5 / dx, E = (0.5 / dx)
+(q.v + flux.du) with flux still the previous step's: two dot products.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .bloch import BlochMode, check_nondegenerate
 from .effective import effective_coefficients
 from .effective import effective_coefficients as effective_coefficients_scalar  # noqa: F401  (bench/tracing.py)
 from .errors import NumericalError, ValidationError
+from .fourier import FourierField
 from .medium import Medium
 
 ENERGY_DRIFT_LIMIT = 1e-6
@@ -96,9 +102,18 @@ class SimulationRecord:
         return self.ic.x
 
 
+def _on_grid(f: FourierField, epsilon: float, dx: float, n: int, shift: float = 0.0) -> np.ndarray:
+    """f(x/eps) at the n grid points x = (i + shift) dx: one epsilon-cell sampled and tiled."""
+    cell = epsilon * f.cell.lengths[0]
+    ppc = int(round(cell / dx))
+    if n % ppc or abs(ppc * dx - cell) > 1e-9 * cell:
+        raise ValidationError("grid is not a whole number of epsilon-cells")
+    return np.tile(f.sample_points_1d((np.arange(ppc) + shift) * dx / epsilon), n // ppc)
+
+
 def _medium_profiles(medium: Medium, x: np.ndarray, dx: float, epsilon: float):
-    a_stag = np.real(medium.C[(0, 1, 0, 1)].sample_points_1d((x + 0.5 * dx) / epsilon))
-    b_vals = np.real((-medium.C[(0, 0, 0, 0)]).sample_points_1d(x / epsilon))  # C_0000 = -b
+    a_stag = np.real(_on_grid(medium.C[(0, 1, 0, 1)], epsilon, dx, len(x), 0.5))
+    b_vals = np.real(_on_grid(-medium.C[(0, 0, 0, 0)], epsilon, dx, len(x)))  # C_0000 = -b
     if a_stag.min() <= 0 or b_vals.min() <= 0:
         raise ValidationError("medium loses positivity on the simulation grid")
     return a_stag, b_vals
@@ -142,7 +157,7 @@ def build_wavepacket_ic(mode: BlochMode, medium: Medium, epsilon: float,
     n = n_cells * grid.points_per_cell
     dx = grid.length / n
     x = np.arange(n) * dx
-    v0 = mode.amplitude_field(0).sample_points_1d(x / epsilon)
+    v0 = _on_grid(mode.amplitude_field(0), epsilon, dx, n)
     carrier = np.exp(-1j * k * x / epsilon)
     h = envelope.values(x)
     vg = float(effective_coefficients(mode, medium).v[0])
@@ -173,90 +188,68 @@ def run_fdtd_1d(medium: Medium, ic: WavePacketIC, t_final: float,
         raise ValidationError(f"t_final must be positive and finite, got {t_final}")
     if n_frames < 2:
         raise ValidationError("need at least 2 frames")
-    end_lo = ic.envelope.center + ic.group_velocity * t_final - 4 * ic.envelope.sigma
-    end_hi = ic.envelope.center + ic.group_velocity * t_final + 4 * ic.envelope.sigma
-    length = ic.x[-1] + ic.dx
-    if end_lo < 0 or end_hi > length:
+    reach = ic.envelope.center + ic.group_velocity * t_final
+    if reach - 4 * ic.envelope.sigma < 0 or reach + 4 * ic.envelope.sigma > ic.x[-1] + ic.dx:
         raise ValidationError("packet would reach the domain boundary before t_final")
 
     a_stag, b_vals = _medium_profiles(medium, ic.x, ic.dx, ic.epsilon)
-    c_max = np.sqrt(a_stag.max() / b_vals.min())
-    dt_max = cfl * ic.dx / c_max
+    dt_max = cfl * ic.dx / np.sqrt(a_stag.max() / b_vals.min())
     n_steps = max(int(np.ceil(t_final / dt_max)), n_frames - 1)
     dt = t_final / n_steps
     frame_steps = np.unique(np.round(np.linspace(0, n_steps, n_frames)).astype(int))
 
-    # The leapfrog u_next = 2u - u_prev + dt^2/b * flux_div(u) runs in its
-    # velocity form v = u_next - u.  With du the undivided forward difference,
-    # dt^2/b * flux_div(u) = step_coef * (a du - shift(a du)) and the
-    # compatible energy is E = sum(kin_w v^2 + el_w du_next du); du_next is
-    # the next step's du, so each step takes one gradient.  Rows are the real
-    # and imaginary quadratures; every constant is stored at that (2, N) shape
-    # so each operation runs over one contiguous array without allocating.
+    # The (q, u) update of the module docstring.  Rows are the real and
+    # imaginary quadratures; every array is stored at that (2, N) shape so
+    # each operation runs over one contiguous array without allocating.
     shape = (2, len(ic.x))
     a_full = np.broadcast_to(a_stag, shape).copy()
     step_coef = np.broadcast_to(dt ** 2 / (ic.dx ** 2 * b_vals), shape).copy()
-    kin_w = np.broadcast_to(0.5 * ic.dx * b_vals / dt ** 2, shape).copy()
-    el_w = np.broadcast_to(0.5 * a_stag / ic.dx, shape).copy()
 
     u = np.stack([np.real(ic.u0), np.imag(ic.u0)])
     v = np.stack([np.real(ic.ut0), np.imag(ic.ut0)])
-    du, du_next, flux, work = (np.empty(shape) for _ in range(4))
-    flux_flat, work_flat = flux.ravel(), work.ravel()
+    du, flux, div = (np.empty(shape) for _ in range(3))
 
-    # Differences run over the flattened rows; the entries that straddle the
-    # two rows are then overwritten by the periodic wrap of each row.
-    def gradient(w, out):
-        w_flat = w.ravel()
-        np.subtract(w_flat[1:], w_flat[:-1], out=out.ravel()[:-1])
-        np.subtract(w[:, 0], w[:, -1], out=out[:, -1])
+    # A call writing w[i + 1] - w[i] into out at i (at=0) or i + 1 (at=1).
+    # It runs over the flattened rows, then overwrites the entry straddling
+    # them with each row's periodic wrap; w and out only change in place.
+    def difference(w, out, at):
+        hi, lo, body = w.ravel()[1:], w.ravel()[:-1], out.ravel()[at:out.size - 1 + at]
+        first, last, wrap = w[:, 0], w[:, -1], out[:, at - 1]
+        return lambda: (np.subtract(hi, lo, out=body), np.subtract(first, last, out=wrap))
 
-    def update_term():
-        np.multiply(a_full, du, out=flux)
-        np.subtract(flux_flat[1:], flux_flat[:-1], out=work_flat[1:])
-        np.subtract(flux[:, 0], flux[:, -1], out=work[:, 0])
-        np.multiply(work, step_coef, out=work)
+    gradient, divergence = difference(u, du, 0), difference(flux, div, 1)
 
-    # first half step: v = u - u_prev with u_prev = u - dt ut0 + work / 2
-    gradient(u, du)
-    update_term()
-    v *= dt
-    v -= 0.5 * work
+    # first half step: v = u - u_prev with u_prev = u - dt ut0 + step_coef div / 2
+    gradient()
+    np.multiply(a_full, du, out=flux)
+    divergence()
+    q = dt * v / step_coef - 0.5 * div
 
     frames = np.empty((len(frame_steps),) + shape)
     frames[0] = u
-    energies = np.empty(len(frame_steps))
-    e_ref = None
-    drift = 0.0
-    next_frame = 1
+    frame_slot = {s: i for i, s in enumerate(frame_steps.tolist())}
+    energy = np.empty(n_steps)  # energy[s - 1] is E after step s
     for step in range(1, n_steps + 1):
-        update_term()
-        v += work
+        q += div
+        np.multiply(step_coef, q, out=v)
         u += v
-        gradient(u, du_next)
-        np.multiply(kin_w, v, out=work)
-        kinetic = np.vdot(work, v)
-        np.multiply(el_w, du_next, out=work)
-        e = kinetic + np.vdot(work, du)
-        if e_ref is None:
-            e_ref = e
-            if not (np.isfinite(e_ref) and e_ref != 0.0):
-                raise ValidationError(f"initial energy {e_ref:.3e} is zero or not finite; "
-                                      "the drift gate needs a finite nonzero reference")
-        drift = max(drift, abs(e - e_ref) / abs(e_ref))
-        du, du_next = du_next, du
-        if next_frame < len(frame_steps) and step == frame_steps[next_frame]:
-            frames[next_frame] = u
-            energies[next_frame] = e
-            next_frame += 1
-    energies[0] = e_ref
+        gradient()
+        energy[step - 1] = (0.5 / ic.dx) * (np.vdot(q, v) + np.vdot(flux, du))
+        if step == 1 and not (np.isfinite(energy[0]) and energy[0] != 0.0):
+            raise ValidationError(f"initial energy {energy[0]:.3e} is zero or not finite; "
+                                  "the drift gate needs a finite nonzero reference")
+        np.multiply(a_full, du, out=flux)
+        divergence()
+        if step in frame_slot:
+            frames[frame_slot[step]] = u
+    energies = energy[np.maximum(frame_steps, 1) - 1]  # frame 0 gets the reference E after step 1
     times = frame_steps * dt
     fields = frames[:, 0] + 1j * frames[:, 1]
 
-    # max() skips a NaN drift, so non-finite energies are caught here instead:
-    # a non-finite field value never turns finite again under the update, so
-    # it shows in the last recorded energy (the last frame is the last step)
-    stable = bool(drift <= ENERGY_DRIFT_LIMIT and np.isfinite(energies).all())
+    # fmax skips a NaN drift as a running max() would, so non-finite
+    # energies are caught by the finiteness test instead
+    drift = np.fmax.reduce(np.abs(energy - energy[0]) / abs(energy[0]), initial=0.0)
+    stable = bool(drift <= ENERGY_DRIFT_LIMIT and np.isfinite(energy).all())
     return SimulationRecord(ic, dt, cfl, times, fields, energies, float(drift), stable)
 
 
@@ -281,23 +274,19 @@ def extract_envelope(record: SimulationRecord) -> EnvelopeFrames:
     lam_cell = epsilon * mode.cell.lengths[0]
     ppc = int(round(lam_cell / ic.dx))
     n_cells = len(x) // ppc
-    v0 = mode.amplitude_field(0).sample_points_1d(x / epsilon)
+    v0 = _on_grid(mode.amplitude_field(0), epsilon, ic.dx, len(x))
     good = np.abs(v0) > MASK_LEVEL * np.abs(v0).max()
     carrier_conj = np.exp(+1j * k * x / epsilon)
 
-    good_cells = good.reshape(n_cells, ppc)
-    weight = good_cells.sum(axis=1)
+    weight = good.reshape(n_cells, ppc).sum(axis=1)
     masked = int(np.sum(weight == 0))
-    frames = []
-    for u, t in zip(record.fields, record.times):
-        demod = u * carrier_conj * np.exp(-1j * mode.omega * t / epsilon)
-        ratio = np.where(good, demod / np.where(good, v0, 1.0), 0.0)
-        cells = ratio.reshape(n_cells, ppc)
-        with np.errstate(invalid="ignore"):
-            f0 = np.where(weight > 0, np.abs(cells.sum(axis=1) / np.maximum(weight, 1)), 0.0)
-        frames.append(f0)
+    demod = record.fields * carrier_conj * np.exp(-1j * mode.omega * record.times / epsilon)[:, None]
+    ratio = np.where(good, demod / np.where(good, v0, 1.0), 0.0)
+    with np.errstate(invalid="ignore"):
+        cell_means = ratio.reshape(len(ratio), n_cells, ppc).sum(axis=2) / np.maximum(weight, 1)
+    frames = np.where(weight > 0, np.abs(cell_means), 0.0)
     centers = (np.arange(n_cells) + 0.5) * lam_cell
-    return EnvelopeFrames(record.times, centers, np.asarray(frames), masked, float(len(x) * ic.dx))
+    return EnvelopeFrames(record.times, centers, frames, masked, float(len(x) * ic.dx))
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,7 @@ def test_criterion_6(two_phase_coarse):
     errors = []
     for eps in (1 / 8, 1 / 16, 1 / 32):
         rec, _, fit = simulate.packet_speed_experiment(two_phase_coarse, mode, eps, env,
-                                                       simulate.GridSpec(12.0, 32), 4.0)
+                                                       simulate.GridSpec(12.0, 33), 4.0)
         assert rec.stable and rec.energy_drift < 1e-6
         errors.append(abs(fit.speed - rec.ic.group_velocity) / abs(rec.ic.group_velocity))
     assert errors[-1] < 0.02

@@ -113,7 +113,7 @@ def test_simulate_command(tmp_path):
     prefix = str(tmp_path / "run")
     code, _ = run_cli(["simulate", "--config", str(config), "--k", "1.5707963267948966",
                        "--band", "1", "--epsilon", "0.125", "--sigma", "0.4",
-                       "--center", "2.0", "--length", "8.0", "--points-per-cell", "32",
+                       "--center", "2.0", "--length", "8.0", "--points-per-cell", "33",
                        "--t-final", "2.0", "--out-prefix", prefix])
     assert code == 0
     meta = json.loads((tmp_path / "run_run.json").read_text())

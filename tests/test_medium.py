@@ -262,3 +262,25 @@ def test_descriptor_schrodinger_and_errors(mathieu_blocks):
 def test_fingerprint_distinguishes_media(cell1d, two_phase):
     other = medium.build_scalar_medium(medium.piecewise([0.0, 0.5], [1.0, 4.00001]), 1.0, cell1d, 16)
     assert other.fingerprint != two_phase.fingerprint
+
+
+def test_media_compare_by_descriptor(cell1d):
+    desc = {
+        "cell": [1.0], "kind": "scalar", "cutoff": 4,
+        "a": {"type": "piecewise", "breaks": [0.0, 0.5], "values": [1.0, 4.0]},
+        "b": {"type": "constant", "value": 1.0},
+    }
+    first, second = medium.medium_from_descriptor(desc), medium.medium_from_descriptor(desc)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    stiffer = dict(desc, a={"type": "piecewise", "breaks": [0.0, 0.5], "values": [1.0, 5.0]})
+    assert first != medium.medium_from_descriptor(stiffer)
+    assert first != medium.medium_from_descriptor(dict(desc, cutoff=8))
+    # a constant medium keeps one coefficient at any cutoff, so only the cutoff tells these apart
+    coarse, fine = (medium.build_scalar_medium(1.0, 1.0, cell1d, c) for c in (1, 4))
+    assert coarse.fingerprint == fine.fingerprint and coarse != fine
+    # a medium built without a fingerprint equals itself only
+    one = FourierField.constant(cell1d, 1.0)
+    bare = [medium.Medium("scalar-wave", cell1d, 1, 1, {(0, 0, 0, 0): -one, (0, 1, 0, 1): one})
+            for _ in range(2)]
+    assert bare[0] == bare[0] and bare[0] != bare[1] and len(set(bare)) == 2

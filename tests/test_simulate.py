@@ -7,6 +7,7 @@ import pytest
 
 from hfh import bloch, medium, simulate
 from hfh.errors import ValidationError
+from hfh.fourier import FourierField
 from hfh.simulate import GaussianEnvelope, GridSpec
 
 
@@ -35,7 +36,7 @@ def test_ic_peak_matches_envelope(const_medium, const_mode):
 def test_ic_cell_average_recovers_envelope(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=3.0, sigma=0.5)
     eps = 1 / 16
-    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, eps, env, GridSpec(6.0, 32))
+    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, eps, env, GridSpec(6.0, 33))
     rec = simulate.SimulationRecord(ic, 0.0, 0.9, np.array([0.0]), np.array([ic.u0]),
                                     np.array([0.0]), 0.0, True)
     frames = simulate.extract_envelope(rec)
@@ -123,14 +124,14 @@ def test_bloch_time_periodicity_two_phase(two_phase_coarse):
 def test_energy_conservation_and_stability_flag(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=2.0, sigma=0.4)
     rec, _, _ = simulate.packet_speed_experiment(two_phase_coarse, coarse_mode, 1 / 8, env,
-                                                 GridSpec(8.0, 32), 2.0)
+                                                 GridSpec(8.0, 33), 2.0)
     assert rec.stable
     assert rec.energy_drift < 1e-6
 
 
 def test_cfl_validation(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(6.0, 32))
+    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(6.0, 33))
     with pytest.raises(ValidationError, match="cfl"):
         simulate.run_fdtd_1d(two_phase_coarse, ic, 1.0, cfl=1.2)
     with pytest.raises(ValidationError, match="boundary"):
@@ -145,7 +146,7 @@ def test_cfl_validation(two_phase_coarse, coarse_mode):
 def test_measured_speed_matches_prediction(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=2.5, sigma=0.5)
     rec, _, fit = simulate.packet_speed_experiment(two_phase_coarse, coarse_mode, 1 / 16, env,
-                                                   GridSpec(12.0, 32), 4.0)
+                                                   GridSpec(12.0, 33), 4.0)
     assert _relative_error(rec, fit) < 0.02
     assert fit.residual < 0.01 * abs(fit.speed * 4.0)
 
@@ -154,7 +155,7 @@ def test_negative_band_measured_speed(two_phase_coarse):
     mode2 = bloch.solve_at(two_phase_coarse, [np.pi / 2], 16, 2)[1]
     env = GaussianEnvelope(center=7.0, sigma=0.5)
     rec, _, fit = simulate.packet_speed_experiment(two_phase_coarse, mode2, 1 / 16, env,
-                                                   GridSpec(10.0, 32), 2.0)
+                                                   GridSpec(10.0, 33), 2.0)
     assert rec.ic.group_velocity < 0
     assert fit.speed < 0
     assert _relative_error(rec, fit) < 0.02
@@ -165,7 +166,7 @@ def test_envelope_mask_at_amplitude_node(two_phase_coarse):
     mode = bloch.solve_at(two_phase_coarse, [np.pi], 16, 1)[0]
     env = GaussianEnvelope(center=3.0, sigma=0.5)
     eps = 1 / 16
-    ic = simulate.build_wavepacket_ic(mode, two_phase_coarse, eps, env, GridSpec(6.0, 32))
+    ic = simulate.build_wavepacket_ic(mode, two_phase_coarse, eps, env, GridSpec(6.0, 33))
     rec = simulate.SimulationRecord(ic, 0.0, 0.9, np.array([0.0]), np.array([ic.u0]),
                                     np.array([0.0]), 0.0, True)
     frames = simulate.extract_envelope(rec)
@@ -178,7 +179,7 @@ def test_envelope_mask_at_amplitude_node(two_phase_coarse):
 
 def test_extract_envelope_leaves_record_unchanged(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(8.0, 32))
+    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(8.0, 33))
     rec = simulate.run_fdtd_1d(two_phase_coarse, ic, 0.5, cfl=0.9, n_frames=3)
     before = pickle.dumps(rec)
     frames = simulate.extract_envelope(rec)
@@ -192,10 +193,13 @@ def test_extract_envelope_leaves_record_unchanged(two_phase_coarse, coarse_mode)
 def test_zero_or_nonfinite_initial_energy_rejected(two_phase_coarse, coarse_mode, value):
     # a zero reference energy made the drift 0/0, which the gate read as stable
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(8.0, 32))
+    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(8.0, 33))
     blank = dataclasses.replace(ic, u0=np.full_like(ic.u0, value), ut0=np.zeros_like(ic.ut0))
-    with pytest.raises(ValidationError, match="initial energy"):
+    with pytest.raises(ValidationError, match="initial energy") as new:
         simulate.run_fdtd_1d(two_phase_coarse, blank, 0.5, cfl=0.9, n_frames=3)
+    with pytest.raises(ValidationError) as old:
+        oracle_fdtd(two_phase_coarse, blank, 0.5, cfl=0.9, n_frames=3)
+    assert str(new.value) == str(old.value)
 
 
 def test_measure_velocity_guards(const_medium, const_mode):
@@ -254,6 +258,83 @@ def _reference_run_fdtd_1d(med, ic, t_final, cfl=0.9, n_frames=9):
                                      drift <= simulate.ENERGY_DRIFT_LIMIT)
 
 
+def oracle_profiles(med, ic):
+    """a at the staggered points and b at the grid points, each sampled over the whole grid."""
+    a_stag = np.real(med.C[(0, 1, 0, 1)].sample_points_1d((ic.x + 0.5 * ic.dx) / ic.epsilon))
+    b_vals = np.real((-med.C[(0, 0, 0, 0)]).sample_points_1d(ic.x / ic.epsilon))
+    return a_stag, b_vals
+
+
+def oracle_fdtd(med, ic, t_final, cfl=0.9, n_frames=9):
+    """The leapfrog in its velocity form v = u_next - u, as run before the
+    (q, u) form: energy weights kin_w and el_w, one update term per step,
+    and a running max for the drift."""
+    a_stag, b_vals = oracle_profiles(med, ic)
+    c_max = np.sqrt(a_stag.max() / b_vals.min())
+    dt_max = cfl * ic.dx / c_max
+    n_steps = max(int(np.ceil(t_final / dt_max)), n_frames - 1)
+    dt = t_final / n_steps
+    frame_steps = np.unique(np.round(np.linspace(0, n_steps, n_frames)).astype(int))
+
+    shape = (2, len(ic.x))
+    a_full = np.broadcast_to(a_stag, shape).copy()
+    step_coef = np.broadcast_to(dt ** 2 / (ic.dx ** 2 * b_vals), shape).copy()
+    kin_w = np.broadcast_to(0.5 * ic.dx * b_vals / dt ** 2, shape).copy()
+    el_w = np.broadcast_to(0.5 * a_stag / ic.dx, shape).copy()
+
+    u = np.stack([np.real(ic.u0), np.imag(ic.u0)])
+    v = np.stack([np.real(ic.ut0), np.imag(ic.ut0)])
+    du, du_next, flux, work = (np.empty(shape) for _ in range(4))
+    flux_flat, work_flat = flux.ravel(), work.ravel()
+
+    def gradient(w, out):
+        w_flat = w.ravel()
+        np.subtract(w_flat[1:], w_flat[:-1], out=out.ravel()[:-1])
+        np.subtract(w[:, 0], w[:, -1], out=out[:, -1])
+
+    def update_term():
+        np.multiply(a_full, du, out=flux)
+        np.subtract(flux_flat[1:], flux_flat[:-1], out=work_flat[1:])
+        np.subtract(flux[:, 0], flux[:, -1], out=work[:, 0])
+        np.multiply(work, step_coef, out=work)
+
+    gradient(u, du)
+    update_term()
+    v *= dt
+    v -= 0.5 * work
+
+    frames = np.empty((len(frame_steps),) + shape)
+    frames[0] = u
+    energies = np.empty(len(frame_steps))
+    e_ref = None
+    drift = 0.0
+    next_frame = 1
+    for step in range(1, n_steps + 1):
+        update_term()
+        v += work
+        u += v
+        gradient(u, du_next)
+        np.multiply(kin_w, v, out=work)
+        kinetic = np.vdot(work, v)
+        np.multiply(el_w, du_next, out=work)
+        e = kinetic + np.vdot(work, du)
+        if e_ref is None:
+            e_ref = e
+            if not (np.isfinite(e_ref) and e_ref != 0.0):
+                raise ValidationError(f"initial energy {e_ref:.3e} is zero or not finite; "
+                                      "the drift gate needs a finite nonzero reference")
+        drift = max(drift, abs(e - e_ref) / abs(e_ref))
+        du, du_next = du_next, du
+        if next_frame < len(frame_steps) and step == frame_steps[next_frame]:
+            frames[next_frame] = u
+            energies[next_frame] = e
+            next_frame += 1
+    energies[0] = e_ref
+    stable = bool(drift <= simulate.ENERGY_DRIFT_LIMIT and np.isfinite(energies).all())
+    return simulate.SimulationRecord(ic, dt, cfl, frame_steps * dt, frames[:, 0] + 1j * frames[:, 1],
+                                     energies, float(drift), stable)
+
+
 @pytest.fixture(scope="module")
 def random_three_phase(cell1d):
     rng = np.random.default_rng(2016)
@@ -269,10 +350,19 @@ def test_fdtd_matches_reference_loop(medium_name, eps, request):
     med = request.getfixturevalue(medium_name)
     mode = bloch.solve_at(med, [np.pi / 2], 16, 1)[0]
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    ic = simulate.build_wavepacket_ic(mode, med, eps, env, GridSpec(6.0, 32))
+    ic = simulate.build_wavepacket_ic(mode, med, eps, env, GridSpec(6.0, 33))
     t_final = 1.0
     new = simulate.run_fdtd_1d(med, ic, t_final)
     ref = _reference_run_fdtd_1d(med, ic, t_final)
+
+    velocity = oracle_fdtd(med, ic, t_final)
+    assert new.dt == velocity.dt and new.stable == velocity.stable
+    np.testing.assert_array_equal(new.times, velocity.times)
+    assert np.max(np.abs(new.fields - velocity.fields)) <= 1e-12 * np.max(np.abs(velocity.fields))
+    assert np.max(np.abs(new.energies - velocity.energies)) <= 1e-13 * np.max(np.abs(velocity.energies))
+    assert abs(new.energy_drift - velocity.energy_drift) <= 1e-15
+    # the drift covers every step, so it bounds the drift seen at the frames
+    assert new.energy_drift >= np.max(np.abs(new.energies - new.energies[0])) / abs(new.energies[0])
 
     assert new.dt == ref.dt
     np.testing.assert_array_equal(new.times, ref.times)
@@ -284,3 +374,32 @@ def test_fdtd_matches_reference_loop(medium_name, eps, request):
     speeds = [simulate.measure_packet_velocity(simulate.extract_envelope(rec)).speed
               for rec in (new, ref)]
     assert abs(speeds[0] - speeds[1]) <= 1e-10 * abs(speeds[1])
+
+
+@pytest.mark.parametrize("eps", [1 / 8, 1 / 10])
+def test_profiles_sampled_on_one_cell(random_three_phase, eps):
+    # 1/10: neither dx / eps nor the cell offsets c * lambda * eps are dyadic
+    mode = bloch.solve_at(random_three_phase, [np.pi / 2], 16, 1)[0]
+    env = GaussianEnvelope(center=3.0, sigma=0.5)
+    ic = simulate.build_wavepacket_ic(mode, random_three_phase, eps, env, GridSpec(6.0, 33))
+    tiled = simulate._medium_profiles(random_three_phase, ic.x, ic.dx, eps)
+    v0 = mode.amplitude_field(0)
+    pairs = list(zip(tiled, oracle_profiles(random_three_phase, ic)))
+    pairs.append((simulate._on_grid(v0, eps, ic.dx, len(ic.x)), v0.sample_points_1d(ic.x / eps)))
+    carrier = env.values(ic.x) * np.exp(-1j * float(mode.k[0]) * ic.x / eps)
+    pairs.append((ic.u0, pairs[-1][1] * carrier))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_one_cell_sampling_guards(cell1d):
+    one = FourierField.constant(cell1d, 1.0)
+    eps, dx = 1 / 8, 1 / 128  # 16 points per epsilon-cell
+    x = np.arange(64) * dx
+    neg = medium.Medium("scalar-wave", cell1d, 1, 1, {(0, 0, 0, 0): one, (0, 1, 0, 1): one})  # b = -1
+    with pytest.raises(ValidationError, match="positivity"):
+        simulate._medium_profiles(neg, x, dx, eps)
+    for grid_dx, n in ((dx, 65), (0.01, 60)):
+        with pytest.raises(ValidationError, match="whole number of epsilon-cells"):
+            simulate._on_grid(one, eps, grid_dx, n)
