@@ -13,13 +13,24 @@ B[n, n'] = b_hat[n - n'], both Hermitian by construction.  The schrodinger
 family's first- and zeroth-order terms join A, which becomes H(k).
 
 Only A depends on k.  A medium keeps the rest for one operator cutoff in its
-instance dict, built on first use: the basis and G = 2*pi*n/lambda, one
-read-only lag block per distinct symbol field, and for the wave families B
-and its lower Cholesky factor (not for 3D vector media, which are assembly
-only).  A wave solve runs the rest of LAPACK's xHEGVX on the factor (HEGST,
-HEEVX with its queried optimal workspace, TRSM), which gives the bits
-``scipy.linalg.eigh(A, B)`` gives; the schrodinger family solves with
-``scipy.linalg.eigh``.
+instance dict, built on first use: the basis and G = 2*pi*n/lambda, each
+distinct symbol field's nonzero lag entries f_hat[n - n'] over the basis
+pairs as coordinates (rows, cols, values), on and above A's diagonal, and
+for the wave families B and its lower Cholesky factor (not for 3D vector
+media, which are assembly only), all read-only.  A term of A is formed at
+its field's entries only, and the mirror copies only the entries the terms
+wrote: a smooth medium's lag blocks are mostly structural zeros, and the
+entries no term writes keep one value for every k.  The cache also holds
+two writable n x n work arrays: :func:`solve_at` assembles A into the
+first, and every solve copies A into the second (Fortran order) for LAPACK
+to overwrite, so a k-solve allocates no new n x n array.  Hence
+:func:`solve_at` and :func:`solve_bands` are not reentrant for one medium
+object: two threads must not solve on the same medium at once.
+:func:`assemble_operator` returns an A of its own, which no later call
+changes.  A wave solve runs the rest of LAPACK's xHEGVX on the factor
+(HEGST, HEEVX with its queried optimal workspace, the triangular solve),
+which gives the bits ``scipy.linalg.eigh(A, B)`` gives; the schrodinger
+family solves with ``scipy.linalg.eigh``.
 
 Carrier conventions for the stored cell-periodic amplitudes:
 
@@ -35,8 +46,7 @@ Carrier conventions for the stored cell-periodic amplitudes:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -68,6 +78,7 @@ class BlochOperator:
     cutoff: int
     medium_key: str
     factor: tuple | None  # lapack.zpotrf(B, lower=1) as (L, info); None if nothing is solved with B
+    scratch: np.ndarray = field(repr=False)  # the medium's Fortran-order work array; solves overwrite it
 
     @property
     def size(self) -> int:
@@ -110,39 +121,34 @@ class BlochMode:
 
 
 def _basis_indices(dims: int, cutoff: int) -> np.ndarray:
-    grids = np.meshgrid(*[np.arange(-cutoff, cutoff + 1)] * dims, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return np.indices((2 * cutoff + 1,) * dims).reshape(dims, -1).T - cutoff
 
 
-@lru_cache(maxsize=4)
-def _lag_index(dims: int, cutoff: int) -> np.ndarray:
-    """Flat index of the lag n - n' for every basis pair (n, n').
+def _lag_entries(f: FourierField, basis: np.ndarray, cutoff: int, upper: bool) -> tuple:
+    """The nonzero Galerkin entries f_hat[n - n'] over the basis pairs (n, n'), as (rows, cols, values).
 
-    It addresses a table of side 4*cutoff + 1 per axis whose centre is lag 0,
-    so one ``take`` on such a table gives the whole lag block f_hat[n - n'].
-    Read-only, since every caller shares it.  The cache is small because an
-    entry takes half the bytes of a scalar operator's A; a sweep or a group
-    velocity uses one (dims, cutoff) pair.
-    """
-    basis = _basis_indices(dims, cutoff)
-    lags = basis[:, None, :] - basis[None, :, :] + 2 * cutoff
-    index = np.ravel_multi_index(tuple(np.moveaxis(lags, -1, 0)), (4 * cutoff + 1,) * dims)
-    index.flags.writeable = False
-    return index
-
-
-def _lag_block(f: FourierField, cutoff: int) -> np.ndarray:
-    """Galerkin lag block f_hat[n - n'] over the basis of the given cutoff.
-
-    Coefficients beyond the reachable lags |n - n'| <= 2*cutoff are cropped
-    and missing ones read as 0.
+    Zero coefficients and lags beyond the reachable |n - n'| <= 2*cutoff give
+    no entry, and no (row, col) pair occurs twice; ``upper`` keeps only the
+    entries with row <= col.  All three arrays are read-only.
     """
     reach = 2 * cutoff
-    table = np.zeros((2 * reach + 1,) * f.cell.dims, dtype=np.complex128)
-    src = tuple(slice(max(m - reach, 0), m + reach + 1) for m in f.cutoffs)
-    dst = tuple(slice(max(reach - m, 0), reach + min(m, reach) + 1) for m in f.cutoffs)
-    table[dst] = f.coeffs[src]
-    return table.ravel().take(_lag_index(f.cell.dims, cutoff))
+    table = f.coeffs[tuple(slice(max(m - reach, 0), m + reach + 1) for m in f.cutoffs)]
+    pos = table.nonzero()
+    inside = shift = None  # shift: row - col of a lag's entries, its offset in the basis order
+    for ax, p in enumerate(pos):
+        lag = p - min(f.cutoffs[ax], reach)
+        # n' = n - lag lies in the basis on this axis; a negative index wraps to a huge value
+        ok = ((basis[:, ax, None] + cutoff) - lag).view(np.uintp) <= reach
+        inside, shift = (ok, lag) if ax == 0 else (inside & ok, shift * (reach + 1) + lag)
+    if upper:
+        inside &= shift <= 0
+    at = np.flatnonzero(inside)
+    rows = at // len(shift)
+    which = at - rows * len(shift)
+    entries = rows, rows - shift[which], table[pos][which]
+    for arr in entries:
+        arr.flags.writeable = False
+    return entries
 
 
 def _as_k(cell: Cell, k) -> np.ndarray:
@@ -159,95 +165,138 @@ def _assembly_only(family: str, cell: Cell) -> bool:
     return family == "vector-wave" and cell.dims > 2
 
 
-def _mirror_hermitian(m: np.ndarray) -> None:
+def _mirror_hermitian(m: np.ndarray, scratch: np.ndarray, lower: np.ndarray) -> None:
     """Make the float matrix exactly Hermitian in place by mirroring its upper triangle.
 
     The exact Galerkin matrix is Hermitian entry-for-entry; evaluating each
     entry once and mirroring removes the ~1e-12 asymmetry that float
     non-associativity would otherwise leave at large cutoffs.  Entry values in
     the upper triangle are untouched; the diagonal loses its imaginary part.
+    ``scratch`` (Fortran order, m's shape) receives m^H on the way, and
+    ``lower`` masks the strict lower triangle.
     """
-    np.copyto(m, m.conj().T, where=np.tri(len(m), k=-1, dtype=bool))
+    np.conjugate(m, out=scratch.T)
+    np.copyto(m, scratch, where=lower)
     np.fill_diagonal(m.imag, 0.0)
-
-
-def _sandwich(kg: np.ndarray, j: int, block: np.ndarray, l: int) -> np.ndarray:
-    """(k+G)_j block (k+G')_l in one temporary; slot 0 gives a factor 1."""
-    out = kg[:, None, j - 1] * block if j else block.copy()
-    if l:
-        out *= kg[None, :, l - 1]
-    return out
 
 
 @dataclass(frozen=True)
 class _Galerkin:
-    """The k-independent parts of a medium's Bloch operators at one cutoff, all arrays read-only.
+    """The k-independent parts of a medium's Bloch operators at one cutoff, and two work arrays.
 
-    ``terms`` holds (part, j, l, paired, lag block) per term of A in assembly
-    order: it adds :func:`_sandwich` of the block to ``A[part]``, and so for
-    the transposed slots if ``paired``.  ``factor`` is what
+    ``terms`` holds (at, entries, j, l, paired) per term of A in assembly
+    order: ``entries`` are the (rows, cols, values) of its field from
+    :func:`_lag_entries` that fall on or above A's diagonal, and ``at`` their
+    flat indices in A.  The term adds (k+G)_j f_hat (k+G')_l there (slot 0
+    gives a factor 1), in one pass with the transposed slots if ``paired``;
+    a zero field has no term.  ``upper`` lists every flat index a term
+    writes, ascending, and ``mirror`` pairs those above the diagonal with
+    their transposed indices.  ``beta0`` is the schrodinger family's
+    divisor (None for the wave families).  ``factor`` is what
     ``lapack.zpotrf(B, lower=1)`` returns, (L, info); info > 0 means B is
-    not positive definite.
+    not positive definite.  Every array is read-only except the two in
+    ``work``: A(k) (C order) and the eigensolve's scratch (Fortran order).
     """
 
     cutoff: int
     basis: np.ndarray
-    G: np.ndarray  # 2*pi*n/lambda
+    G: np.ndarray  # 2*pi*n/lambda, one row per axis
     terms: tuple
+    upper: np.ndarray
+    mirror: tuple
+    beta0: float | None
     B: np.ndarray | None
     factor: tuple | None
+    work: tuple
 
 
 def _galerkin(medium, cutoff: int) -> _Galerkin:
     """The medium's k-independent Galerkin parts, built on first use and again when the cutoff changes.
 
     They live in the medium's instance dict, so they last as long as the
-    medium; one cutoff is kept.
+    medium; one cutoff is kept.  Only blocks on and above the diagonal are
+    formed, since the mirror fills the others.  The first work array starts
+    as A with every term zero, mirrored, so the entries no term writes
+    already hold their value for every k: +0 divided by beta0, conjugated
+    below the diagonal.
     """
     cache = medium.__dict__.get("_galerkin")
     if cache is not None and cache.cutoff == cutoff:
         return cache
     cell = medium.cell
     wave = medium.family != "schrodinger"
+    beta0 = None
+    if not wave:
+        beta0 = float((medium.M[0].mean() / 1j).real)
+        if beta0 == 0.0:
+            raise ValidationError("M_0 has a zero mean; omega cannot be isolated")
     basis = _basis_indices(cell.dims, cutoff)
     nb = len(basis)
-    B = np.zeros((medium.n_comp * nb,) * 2, dtype=np.complex128) if wave else None
-    uses = {}  # id(field) -> (field, its C entries): one lag block per distinct field
+    n = medium.n_comp * nb
+    lags = {}  # (field, diagonal block?) -> its lag entries, shared by the field's terms
+
+    def on_block(f, i, kk):
+        """Flat indices in A and lag entries of f on component block (i, kk), on and above A's diagonal."""
+        key = (f, i == kk)  # fields hash by identity; holding f keeps its identity unique
+        if key not in lags:
+            lags[key] = _lag_entries(f, basis, cutoff, i == kk)
+        return lags[key][0] * n + lags[key][1] + (i * n + kk) * nb, lags[key]
+
+    uses = {}  # id(field) -> (field, its C entries): the terms of one field are added together
     for idx, f in medium.C.items():
         uses.setdefault(id(f), (f, []))[1].append(idx)
+    B = np.zeros((n, n), dtype=np.complex128) if wave else None
     terms = []
     for f, entries in uses.values():
-        block = _lag_block(f, cutoff)
         for (i, j, kk, l) in entries:
-            part = (slice(i * nb, (i + 1) * nb), slice(kk * nb, (kk + 1) * nb))
             if wave and not (j or l):
-                B[part] -= block
+                if i <= kk:
+                    at, (_, _, values) = on_block(f, i, kk)
+                    B.put(at, -values)  # the entries are nonzero, so -v is 0 - v
             elif not (j and l):
                 raise ValidationError(f"C entry {(i, j, kk, l)} has no term in the Bloch operator")
+            elif i > kk:  # a block below the diagonal: the mirror fills it
+                continue
             elif j == l or medium.C.get((i, l, kk, j)) is not f:
-                terms.append((part, j, l, False, block))
+                terms.append((*on_block(f, i, kk), j, l, False))
             elif j < l:  # the transposed entry C_ilkj shares f: add both terms in one pass
-                terms.append((part, j, l, True, block))
+                terms.append((*on_block(f, i, kk), j, l, True))
     # the schrodinger family's (M_l / i)_hat (k+G')_l and c_hat (one component)
-    terms += [(slice(None), 0, l, False, _lag_block(FourierField(cell, f.coeffs / 1j), cutoff))
-              for l, f in medium.M.items() if l]
-    terms += [(slice(None), 0, 0, False, _lag_block(f, cutoff)) for f in medium.c.values()]
+    terms += [(*on_block(FourierField(cell, f.coeffs / 1j), 0, 0), 0, l, False)
+              for l, f in medium.M.items() if l and f.coeffs.any()]
+    terms += [(*on_block(f, 0, 0), 0, 0, False) for f in medium.c.values()]
+    terms = tuple(t for t in terms if len(t[0]))  # a zero field adds nothing
+    written = np.zeros(n * n, dtype=bool)  # the flat indices of A the terms write
+    for t in terms:
+        written[t[0]] = True
+    upper = np.flatnonzero(written)
+    written[::n + 1] = False
+    above = np.flatnonzero(written)
+    rows, cols = np.divmod(above, n)
+    mirror = (above, cols * n + rows)
+    lower = np.greater.outer(np.arange(n), np.arange(n))
+    scratch = np.empty((n, n), dtype=np.complex128, order="F")
     factor = None
     if wave:
-        _mirror_hermitian(B)
+        _mirror_hermitian(B, scratch, lower)
         if not _assembly_only(medium.family, cell):
             factor = lapack.zpotrf(B, lower=1)
             factor[0].flags.writeable = False
-    G = TWO_PI * basis / cell.diag[None, :]
-    for arr in [basis, G, B] + [t[-1] for t in terms]:
+    zero = np.zeros(1, dtype=np.complex128)
+    if not wave:
+        zero /= beta0
+    A = np.where(lower, zero.conj(), zero)
+    np.fill_diagonal(A.imag, 0.0)
+    G = TWO_PI * basis.T / cell.diag[:, None]
+    for arr in [basis, G, B, upper, *mirror, *(t[0] for t in terms)]:
         if arr is not None:
             arr.flags.writeable = False
-    cache = _Galerkin(cutoff, basis, G, tuple(terms), B, factor)
+    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, B, factor, (A, scratch))
     medium.__dict__["_galerkin"] = cache
     return cache
 
 
-def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
+def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> BlochOperator:
     """Galerkin Bloch operator of any medium, read off its constitutive symbol.
 
     A C entry with spatial slots j, l >= 1 adds (k+G)_j f_hat[n - n'] (k+G')_l
@@ -256,38 +305,48 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     C_i0k0 = -b_ik give B = -C_hat.  The schrodinger family has no B: its
     first-order terms (M_l / i)_hat (k+G')_l and its c_hat join A, which is
     then divided by beta0 = (mean M_0) / i, so A is the Hamiltonian H(k).
-    Only A depends on k; the rest comes from the medium's cache.
+    Only A depends on k, and only at the entries the terms write; the rest
+    comes from the medium's cache.  A is assembled in the cache's first
+    work array and returned as a copy of its own; :func:`solve_at` passes
+    ``_into_work`` to use it in place, valid until the medium's next
+    assembly.  Every entry gets the bits a dense assembly of each term over
+    whole lag blocks, in the same order, then a mirror, would give it.
     """
     if not isinstance(medium, Medium):
         raise ValidationError(f"unknown medium type {type(medium).__name__}")
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
     cell = medium.cell
-    wave = medium.family != "schrodinger"
-    if not wave and cell.dims > 2:
+    if medium.family == "schrodinger" and cell.dims > 2:
         raise UnsupportedScaleError("schrodinger solves support d <= 2")
     k = _as_k(cell, k)
-    if not wave:
-        beta0 = float((medium.M[0].mean() / 1j).real)
-        if beta0 == 0.0:
-            raise ValidationError("M_0 has a zero mean; omega cannot be isolated")
     g = _galerkin(medium, cutoff)
-    kg = k[None, :] + g.G
-    A = np.zeros((medium.n_comp * len(g.basis),) * 2, dtype=np.complex128)
-    for part, j, l, paired, block in g.terms:
-        term = _sandwich(kg, j, block, l)
+    kg = k[:, None] + g.G
+    A, scratch = g.work
+    flat = A.reshape(-1)
+    flat[g.upper] = 0.0
+    for at, (rows, cols, values), j, l, paired in g.terms:
+        if j:
+            term = kg[j - 1][rows] * values
+            if l:
+                term *= kg[l - 1][cols]
+        else:
+            term = values * kg[l - 1][cols] if l else values
         if paired:
-            term += _sandwich(kg, l, block, j)
-        A[part] += term
-        del term  # the mirror below then holds the only temporary
-    if not wave:
-        A /= beta0
-    _mirror_hermitian(A)
+            twin = kg[l - 1][rows] * values
+            twin *= kg[j - 1][cols]
+            term += twin
+        np.add.at(flat, at, term)
+    if g.beta0 is not None:
+        flat[g.upper] = flat[g.upper] / g.beta0
+    flat[g.mirror[1]] = np.conjugate(flat[g.mirror[0]])
+    np.fill_diagonal(A.imag, 0.0)
     if medium.cutoff > cutoff:
         warnings.warn(f"operator cutoff {cutoff} below medium cutoff {medium.cutoff}; "
                       "medium content beyond the operator lags is truncated")
-    return BlochOperator(medium.family, k, cell, g.basis, medium.n_comp, A, g.B, cutoff,
-                         medium.fingerprint, g.factor)
+    return BlochOperator(medium.family, k, cell, g.basis, medium.n_comp,
+                         A if _into_work else A.copy(), g.B, cutoff, medium.fingerprint, g.factor,
+                         scratch)
 
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:
@@ -317,6 +376,7 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     """Eigenpairs subset[0]..subset[1] of A v = mu B v by LAPACK xHEGVX's steps, POTRF + HEGST + HEEVX + TRSM.
 
     B's factor comes with the operator (a medium factors B once per cutoff).
+    HEGST and HEEVX overwrite the operator's scratch, which holds a copy of A.
     With HEEVX's optimal workspace the result is bit for bit that of
     ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.
     """
@@ -325,14 +385,14 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
         raise scipy.linalg.LinAlgError(
             f"The leading minor of order {info} of B is not positive definite. The factorization "
             "of B could not be completed and no eigenvalues or eigenvectors were computed.")
-    C, _ = lapack.zhegst(op.A, L, lower=1)
+    C, _ = lapack.zhegst(op.scratch, L, lower=1, overwrite_a=1)
     lwork = int(lapack.zheevx_lwork(len(C), lower=1)[0].real)
     w, Z, m, _, info = lapack.zheevx(C, range="I", lower=1, il=subset[0] + 1, iu=subset[1] + 1,
                                      abstol=0.0, lwork=lwork, overwrite_a=1)
     if info:
         raise scipy.linalg.LinAlgError(f"{info} eigenvectors failed to converge.")
-    return w[:m], scipy.linalg.solve_triangular(L, Z[:, :m], lower=True, trans="C",
-                                                overwrite_b=True, check_finite=False)
+    x, _ = lapack.ztrtrs(L, Z[:, :m], lower=1, trans=2, overwrite_b=1)  # L's diagonal is nonzero
+    return w[:m], x
 
 
 def solve_bands(op: BlochOperator, n_bands: int) -> list:
@@ -353,9 +413,10 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     if _assembly_only(op.family, op.cell):
         raise UnsupportedScaleError("3D vector eigensolves are out of scope (assembly only)")
     subset = [0, min(n_bands, op.size - 1)]
+    np.copyto(op.scratch, op.A)  # LAPACK works in place on this Fortran-order copy
     try:
         if op.B is None:
-            evals, evecs = scipy.linalg.eigh(op.A, subset_by_index=subset)
+            evals, evecs = scipy.linalg.eigh(op.scratch, subset_by_index=subset, overwrite_a=True)
         else:
             evals, evecs = _solve_pencil(op, subset)
     except scipy.linalg.LinAlgError as exc:
@@ -402,8 +463,8 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
 
 
 def solve_at(medium, k, cutoff: int, n_bands: int) -> list:
-    """Assemble and solve in one call."""
-    return solve_bands(assemble_operator(medium, k, cutoff), n_bands)
+    """Assemble and solve in one call, in the medium's work arrays."""
+    return solve_bands(assemble_operator(medium, k, cutoff, _into_work=True), n_bands)
 
 
 def check_nondegenerate(mode: BlochMode) -> bool:

@@ -253,6 +253,7 @@ def _cmd_ergodic(args):
     meta["limit_im"] = _fmt(result.analytic_limit.imag)
     meta["resonant"] = result.resonant
     meta["decay_constant"] = _fmt(result.decay_constant)
+    meta["drift_rate"] = _fmt(result.drift_rate)
     _write_csv(args.out, ["window", "re_avg", "im_avg", "abs_err_vs_limit"], rows, meta)
     print(f"wrote {args.out}; limit={result.analytic_limit:.12g} resonant={result.resonant}")
     return 0

@@ -55,8 +55,8 @@ def bloch_fd_eigs(potential_vals_fn, mass, k, n_grid):
 def gather_oracle(f, lags):
     """Coefficient lookup per integer lag (shape (..., d)); lags outside the table read as 0.
 
-    A masked lookup per lag, independent of the padded table and the cached
-    flat index that ``bloch._lag_block`` uses.
+    A masked lookup per lag, independent of the coordinate entries that
+    ``bloch._lag_entries`` builds.
     """
     lags = np.asarray(lags, dtype=int)
     mask = np.ones(lags.shape[:-1], dtype=bool)
@@ -76,14 +76,33 @@ def mathieu_fd_oracle(k, bands):
     return (4.0 * fine - coarse) / 3.0
 
 
+def oracle_basis(dims, cutoff):
+    """Multi-indices -cutoff..cutoff per axis, the last axis fastest."""
+    grids = np.meshgrid(*[np.arange(-cutoff, cutoff + 1)] * dims, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def oracle_assemble(med, k, cutoff):
-    """A and B as assembled before the k-independent parts were cached: every
-    lag block and B rebuilt per call, in the same term order."""
+    """A and B built densely per call: every lag block f_hat[n - n'] gathered whole by
+    ``gather_oracle`` and every term formed on the whole block, in the assembler's term order
+    and with its float operations per entry, then the upper triangles mirrored."""
     cell = med.cell
     wave = med.family != "schrodinger"
     k = np.asarray(k, dtype=float)
-    basis = bloch._basis_indices(cell.dims, cutoff)
+    basis = oracle_basis(cell.dims, cutoff)
+    lags = basis[:, None, :] - basis[None, :, :]
     kg = k[None, :] + 2 * np.pi * basis / cell.diag[None, :]
+
+    def sandwich(j, block, l):  # (k+G)_j block (k+G')_l; slot 0 gives a factor 1
+        out = kg[:, None, j - 1] * block if j else block.copy()
+        if l:
+            out *= kg[None, :, l - 1]
+        return out
+
+    def mirror(m):
+        np.copyto(m, m.conj().T, where=np.tri(len(m), k=-1, dtype=bool))
+        np.fill_diagonal(m.imag, 0.0)
+
     nb = len(basis)
     A = np.zeros((med.n_comp * nb,) * 2, dtype=np.complex128)
     B = np.zeros(A.shape, dtype=np.complex128) if wave else None
@@ -91,27 +110,27 @@ def oracle_assemble(med, k, cutoff):
     for idx, f in med.C.items():
         uses.setdefault(id(f), (f, []))[1].append(idx)
     for f, entries in uses.values():
-        block = bloch._lag_block(f, cutoff)
+        block = gather_oracle(f, lags)
         for (i, j, kk, l) in entries:
             part = (slice(i * nb, (i + 1) * nb), slice(kk * nb, (kk + 1) * nb))
             if wave and not (j or l):
                 B[part] -= block
             elif j == l or med.C.get((i, l, kk, j)) is not f:
-                A[part] += bloch._sandwich(kg, j, block, l)
+                A[part] += sandwich(j, block, l)
             elif j < l:
-                term = bloch._sandwich(kg, j, block, l)
-                term += bloch._sandwich(kg, l, block, j)
+                term = sandwich(j, block, l)
+                term += sandwich(l, block, j)
                 A[part] += term
     if not wave:
         for l, f in med.M.items():
             if l:
-                A += bloch._lag_block(FourierField(cell, f.coeffs / 1j), cutoff) * kg[None, :, l - 1]
+                A += sandwich(0, gather_oracle(FourierField(cell, f.coeffs / 1j), lags), l)
         for f in med.c.values():
-            A += bloch._lag_block(f, cutoff)
+            A += gather_oracle(f, lags)
         A /= (med.M[0].mean() / 1j).real
-    bloch._mirror_hermitian(A)
+    mirror(A)
     if wave:
-        bloch._mirror_hermitian(B)
+        mirror(B)
     return A, B
 
 
@@ -174,11 +193,17 @@ def test_lag_block_matches_gather(field_cutoffs, rng):
     cutoff = 2
     cell = Cell((1.0, 1.3)[:len(field_cutoffs)])
     shape = tuple(2 * c + 1 for c in field_cutoffs)
-    f = FourierField(cell, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    basis = bloch._basis_indices(cell.dims, cutoff)
-    lags = basis[:, None, :] - basis[None, :, :]
-    assert np.array_equal(bloch._lag_block(f, cutoff), gather_oracle(f, lags))
-    assert not bloch._lag_index(cell.dims, cutoff).flags.writeable
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coeffs[field_cutoffs] = 0.0  # lag 0: an exact zero gives no entry
+    f = FourierField(cell, coeffs)
+    basis = oracle_basis(cell.dims, cutoff)
+    dense = gather_oracle(f, basis[:, None, :] - basis[None, :, :])
+    for upper in (False, True):  # all entries, or those on and above the diagonal
+        want = dense * (np.triu(np.ones(dense.shape)) if upper else 1.0)
+        rows, cols, values = bloch._lag_entries(f, basis, cutoff, upper)
+        assert np.array_equal(np.sort(rows * len(basis) + cols), np.flatnonzero(want))
+        assert np.array_equal(values, dense[rows, cols])
+        assert not any(a.flags.writeable for a in (rows, cols, values))
 
 
 def test_truncation_warning_recorded(two_phase):
@@ -419,11 +444,13 @@ def _random_medium(family, draw):
         cell, cutoff = Cell((1.0,)), 6
         med = medium.build_schrodinger_blocks(0.5, 1.0, medium.cosine(0.0, harmonics((1,), (2,))),
                                               None, cell, 3)
-    else:  # schrodinger-2d, with a divergence-free magnetic potential; -mean: potentials of nonzero mean
+    else:  # schrodinger-2d, with a divergence-free magnetic potential; -mean: potentials of nonzero
+        # mean; -magnetic: both magnetic components vary, so two first-order terms join A
         cell, cutoff = Cell((1.0, 1.0)), 2
         mean = draw(st.floats(0.2, 0.8)) if family.endswith("-mean") else 0.0
+        second = medium.cosine(0.1, harmonics((1, 0))) if family.endswith("-magnetic") else 0.0
         med = medium.build_schrodinger_blocks(1.0, 1.0, medium.cosine(mean, harmonics((1, 0))),
-                                              [medium.cosine(mean, harmonics((0, 1))), 0.0],
+                                              [medium.cosine(mean, harmonics((0, 1))), second],
                                               cell, 2)
     return med, cutoff
 
@@ -470,7 +497,8 @@ def _outcome(fn):
 
 @pytest.mark.parametrize("bands", [1, 3, "size"])
 @pytest.mark.parametrize("family", ["scalar-1d", "scalar-2d", "scalar-2d-aniso", "vector-2d",
-                                    "schrodinger-1d", "schrodinger-2d", "schrodinger-2d-mean"])
+                                    "schrodinger-1d", "schrodinger-2d", "schrodinger-2d-mean",
+                                    "schrodinger-2d-magnetic"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=6)
 @given(data=st.data())
 def test_cached_parts_bit_identical(family, bands, data):
@@ -480,18 +508,22 @@ def test_cached_parts_bit_identical(family, bands, data):
     for k in ks + [[0.0] * med.cell.dims]:  # several k on one medium, k = 0 included
         op = bloch.assemble_operator(med, k, cutoff)
         A, B = oracle_assemble(med, k, cutoff)
-        assert np.array_equal(op.A, A)
-        assert (op.B is None and B is None) or np.array_equal(op.B, B)
+        assert op.A.tobytes() == A.tobytes()
+        assert (op.B is None and B is None) or op.B.tobytes() == B.tobytes()
         n_bands = op.size if bands == "size" else bands
         ref = dataclasses.replace(op, A=A, B=B)
-        got, want = _outcome(lambda: bloch.solve_bands(op, n_bands)), _outcome(lambda: oracle_solve(ref, n_bands))
-        if isinstance(want, Exception):
-            assert type(got) is type(want) and str(got) == str(want)
-            continue
-        assert len(got) == len(want) == n_bands
-        for m1, m2 in zip(got, want):
-            assert m1.omega == m2.omega and m1.gap == m2.gap and m1.residual == m2.residual
-            assert np.array_equal(m1.v0, m2.v0)
+        want = _outcome(lambda: oracle_solve(ref, n_bands))
+        # solve_bands on the operator, and solve_at through the medium's work arrays
+        for got in (_outcome(lambda: bloch.solve_bands(op, n_bands)),
+                    _outcome(lambda: bloch.solve_at(med, k, cutoff, n_bands))):
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+                continue
+            assert len(got) == len(want) == n_bands
+            for m1, m2 in zip(got, want):
+                assert m1.omega == m2.omega and m1.gap == m2.gap and m1.residual == m2.residual
+                assert np.array_equal(m1.v0, m2.v0)
+        assert op.A.tobytes() == A.tobytes()
 
 
 def test_cutoff_switch_rebuilds_same_bits():
@@ -514,10 +546,33 @@ def test_cached_parts_read_only(vector_medium, cell1d):
     for med in (vector_medium, blocks):
         op = bloch.assemble_operator(med, [0.3], 8)
         cache = med.__dict__["_galerkin"]
-        parts = [cache.basis, cache.G] + [t[-1] for t in cache.terms]
+        entries = [a for t in cache.terms for a in (t[0], *t[1])]  # flat indices and lag entries
+        parts = [cache.basis, cache.G, cache.upper, *cache.mirror, *entries]
         if cache.B is not None:
             parts += [cache.B, cache.factor[0]]
-        assert len(parts) > 3 and not any(a.flags.writeable for a in parts)
+        assert len(entries) >= 4 and not any(a.flags.writeable for a in parts)
+        arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+        assert all(any(a is p for p in parts) for a in arrays)  # no writable array elsewhere
+        a_work, scratch = cache.work
+        n = len(op.A)
+        assert a_work.shape == scratch.shape == (n, n)
+        assert a_work.flags.c_contiguous and scratch.flags.f_contiguous
+        assert a_work.flags.writeable and scratch.flags.writeable
         assert op.basis is cache.basis and op.B is cache.B and op.factor is cache.factor
+        assert op.scratch is scratch and not np.shares_memory(op.A, a_work)
     with pytest.raises(ValueError):
         bloch.assemble_operator(vector_medium, [0.3], 8).B[0, 0] = 2.0
+
+
+def test_assembled_operator_keeps_its_A(two_phase, vector_medium, mathieu_blocks):
+    # assemble_operator's A is a copy: later solves and assemblies on the medium, which
+    # reuse its work arrays, leave it as it was
+    for med, cutoff in ((two_phase, 16), (vector_medium, 8), (mathieu_blocks, 16)):
+        op = bloch.assemble_operator(med, [0.4], cutoff)
+        kept = op.A.copy()
+        bloch.solve_at(med, [1.3], cutoff, 2)
+        later = bloch.assemble_operator(med, [-0.9], cutoff)
+        bloch.solve_bands(later, 2)
+        bloch.solve_bands(op, 2)
+        assert np.array_equal(op.A, kept) and not np.array_equal(later.A, kept)
+        assert not any(np.shares_memory(op.A, w) for w in med.__dict__["_galerkin"].work)

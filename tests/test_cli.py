@@ -95,6 +95,25 @@ def test_ergodic_command(tmp_path):
     assert rows[0] == "window,re_avg,im_avg,abs_err_vs_limit"
 
 
+def test_ergodic_command_prints_drift_rate(tmp_path):
+    # b misses the lattice point 2 pi by 3e-9, inside RESONANCE_TOL: the harmonic counts as
+    # resonant and its window factor drifts, so C alone does not bound the errors, C + D L does
+    spec = {"op": "modulated_1d", "b": 2 * np.pi + 3e-9, "windows": [100.0, 1e4, 1e6],
+            "f": {"period": 1.0, "harmonics": [{"n": -1, "re": 1.0}]}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "erg.csv"
+    assert run_cli(["ergodic", "--spec", str(spec_path), "--out", str(out)])[0] == 0
+    lines = out.read_text().splitlines()
+    meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+    c, d = float(meta["decay_constant"]), float(meta["drift_rate"])
+    assert d == pytest.approx(1.5e-9, rel=1e-6)
+    rows = [[float(v) for v in ln.split(",")] for ln in lines if not ln.startswith(("#", "window"))]
+    assert len(rows) == 3
+    for window, _, _, err in rows:
+        assert err <= c / window + d * window + 1e-12
+
+
 def test_ergodic_repeated_harmonic_last_wins(tmp_path):
     # a signal spec that repeats n keeps its last coefficient, not the sum
     spec = {"op": "modulated_1d", "b": 2 * np.pi, "windows": [10.0, 20.0],

@@ -151,7 +151,7 @@ CASES += [
     ("ergodic_product", "ergodic_product", ["ergodic", "--out", "{out}.csv"], (".csv",)),
     ("scalar1d_simulate", "scalar1d", ["simulate", "--k=1.5707963267948966", "--cutoff", "8",
                                        "--epsilon", "0.125", "--sigma", "0.5", "--center", "2",
-                                       "--length", "5", "--points-per-cell", "16",
+                                       "--length", "5", "--points-per-cell", "17",
                                        "--t-final", "0.5", "--frames", "5",
                                        "--out-prefix", "{out}"],
      ("_frames.csv", "_run.json")),
