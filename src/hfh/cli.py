@@ -298,6 +298,7 @@ def _cmd_simulate(args):
         "predicted_speed": float(ic.group_velocity),
         "measured_speed": float(fit.speed),
         "relative_error": float(rel_err),
+        "scheme_speed": float(record.scheme_speed),
         "centroid_fit_residual": float(fit.residual),
         "initialization": "transport-corrected du/dt (carrier term plus -v_g h' V0 carrier)",
         "init_correction_fraction": float(ic.init_correction_fraction),
