@@ -19,14 +19,24 @@ A change meant to keep results leaves these files alone.  Rewrite them only
 for a change meant to move numbers, and say so in the change log; name cases
 to write only those (a new case is written this way):
 
-    PYTHONPATH=src python tests/test_golden.py [case ...]
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py [case ...]
+
+Every rewrite also records in ``MANIFEST.json`` the sha256 of each stored
+file, the numpy and scipy versions and the BLAS thread count.  With
+``--check`` in place of case names, every case is written to a temporary
+directory and each file whose bytes differ from the stored copy is named
+(exit 1), so a tree that no longer writes its goldens exactly is seen
+before a change rewrites them.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -35,6 +45,7 @@ from hfh import cli
 from hfh.medium import medium_from_descriptor
 
 GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN / "MANIFEST.json"
 REL_TOL = 1e-12
 ROUNDOFF_TOL = 1e-11  # against the largest measured |x| in the same CSV row
 
@@ -259,9 +270,26 @@ def test_medium_fingerprints():
     assert got == FINGERPRINTS
 
 
-def _regenerate(names):
-    import tempfile
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
+
+def test_manifest_lists_stored_files():
+    stored = {p.name: _sha256(p) for p in GOLDEN.iterdir() if p != MANIFEST}
+    assert json.loads(MANIFEST.read_text(encoding="utf-8"))["files"] == stored
+
+
+def _write_manifest():
+    import numpy
+    import scipy
+
+    files = {p.name: _sha256(p) for p in sorted(GOLDEN.iterdir()) if p != MANIFEST}
+    MANIFEST.write_text(json.dumps({"files": files, "numpy": numpy.__version__, "scipy": scipy.__version__,
+                                    "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default")},
+                                   indent=2) + "\n", encoding="utf-8", newline="\n")
+
+
+def _regenerate(names):
     unknown = set(names) - {c[0] for c in CASES}
     if unknown:
         raise SystemExit(f"unknown cases: {sorted(unknown)}")
@@ -273,7 +301,23 @@ def _regenerate(names):
             for fname, text in _run(case, Path(tmp)).items():
                 (GOLDEN / fname).write_text(text, encoding="utf-8", newline="\n")
                 print(f"wrote {GOLDEN / fname}")
+    _write_manifest()
+
+
+def _check() -> int:
+    """Write every case to a temporary directory; name each file whose bytes differ from the stored one."""
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            for fname, text in _run(case, Path(tmp)).items():
+                stored = GOLDEN / fname
+                if not stored.exists() or stored.read_bytes() != text.encode("utf-8"):
+                    differ.append(fname)
+    for fname in differ:
+        print(f"differs: {fname}")
+    print(f"{len(differ)} of the written files differ from tests/golden/")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    sys.exit(_regenerate(sys.argv[1:]))
+    sys.exit(_check() if sys.argv[1:] == ["--check"] else _regenerate(sys.argv[1:]))
