@@ -201,6 +201,7 @@ def _cmd_couple(args):
     meta["resonant"] = report.resonant
     meta["equivalent"] = report.resonant  # resonant pairs are exactly the equivalent carriers
     meta["time_window"] = _fmt(report.time_window)
+    meta["drift_rate"] = _fmt(max(report.drift_rates.values()))
     _write_csv(args.out, ["n", "j", "p", "l", "re_avg", "im_avg", "abs_avg"], rows, meta)
     cross = report.max_cross_limit()
     cross_slopes = [report.slopes[key] for key in report.slopes if key[1] != key[2]]

@@ -11,7 +11,7 @@ FFT grid whose axes are at least w_V + w_V' + w_C - 2 points wide (the
 table widths of the two amplitudes and the widest symbol field), so the
 triple products wrap no harmonic and its coefficient tables are exact up
 to roundoff.  The transport coefficients take their zero harmonics, and the
-coupling averages take the whole tables on supercells.
+coupling averages take the whole tables on spacetime boxes.
 
 Carrier conventions follow :mod:`hfh.bloch`: wave families use
 U0 = V0 e^{-i(k.xi - omega xi0)} (so the time slot gives d_0 = -2i*omega
@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochMode, check_nondegenerate
-from .ergodic import box_means
+from .ergodic import _drift_rate, _frequencies, box_means
 from .errors import NumericalError, ValidationError
-from .fourier import RESONANCE_TOL, TWO_PI, FourierField, from_grid, resonant_point, to_grid, window_factor
+from .fourier import RESONANCE_TOL, TWO_PI, FourierField, SpacetimeCell, from_grid, resonant_point, to_grid
 from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
+from .fourier import window_factor  # noqa: F401  (bench/tracing.py resolves hfh.effective.window_factor)
 from .medium import Medium
 
 OMEGA_FLOOR = 1e-8
@@ -77,13 +78,6 @@ def _require_usable(mode: BlochMode, wave: bool):
             "effective coefficients are not defined at omega ~ 0 "
             "(the transport scaling needs a finite nonzero slope)"
         )
-
-
-def _finalize(mode: BlochMode, d: np.ndarray) -> EffectiveCoefficients:
-    if abs(d[0]) < D0_FLOOR:
-        raise NumericalError(f"|d_0| = {abs(d[0]):.3e} is near zero; normalization violated")
-    v = np.real(d[1:] / d[0])
-    return EffectiveCoefficients(mode.family, mode.k.copy(), mode.omega, mode.band, d, v)
 
 
 def _integrands(medium: Medium, modes, pairs, sign: int) -> tuple:
@@ -182,7 +176,9 @@ def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
     _require_usable(mode, wave)
     (values,), _ = _integrands(medium, [mode], [(0, 0)], -1 if wave else 1)
     d = values.reshape(len(values), -1).mean(axis=1)
-    return _finalize(mode, d)
+    if abs(d[0]) < D0_FLOOR:
+        raise NumericalError(f"|d_0| = {abs(d[0]):.3e} is near zero; normalization violated")
+    return EffectiveCoefficients(mode.family, mode.k.copy(), mode.omega, mode.band, d, np.real(d[1:] / d[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +200,14 @@ def are_equivalent(mode1: BlochMode, mode2: BlochMode) -> bool:
 
 @dataclass(frozen=True)
 class CouplingReport:
-    """Supercell coupling averages for a mode pair, with resonance classification.
+    """Spacetime coupling averages for a mode pair, with resonance classification.
 
     ``averages[(j, p, l)]`` is the sequence of d_jp^(l)(Q_n) over the supercell
     counts; ``limits`` holds the Q -> infinity value of each sequence (the
-    :func:`hfh.ergodic.box_means` limit, or 0 when the frequencies differ);
-    ``slopes`` is the fitted log-log decay rate of |average - limit| against
-    n, and ``decay_constants`` the fitted C in |average(Q_n) - limit| <= C / n.
+    :func:`hfh.ergodic.box_means` limit); ``slopes`` is the fitted log-log
+    decay rate of |average - limit| against n, and ``drift_rates`` the D of
+    :class:`hfh.ergodic.WindowAverageResult` on the same boxes, 0 unless the
+    pair's carrier is within RESONANCE_TOL of a lattice point but off it.
     """
 
     resonant: bool
@@ -219,34 +216,30 @@ class CouplingReport:
     averages: dict
     limits: dict
     slopes: dict
-    decay_constants: dict
+    drift_rates: dict
 
     def max_cross_limit(self) -> float:
         vals = [abs(v) for (j, p, l), v in self.limits.items() if p != l]
         return max(vals) if vals else 0.0
 
 
-def _fit_decay(ns: np.ndarray, residuals: np.ndarray) -> tuple:
-    """Log-log slope of |residual| vs n (exact zeros dropped) and the C/n constant."""
-    mags = np.abs(residuals)
-    c_const = float(np.max(ns * mags)) if len(ns) else 0.0
-    keep = mags > ZERO_FLOOR
+def _slope(ns: np.ndarray, residuals: np.ndarray) -> float:
+    """Log-log slope of |residual| against n, exact zeros dropped."""
+    keep = np.abs(residuals) > ZERO_FLOOR
     if keep.sum() < 2:
-        return float("-inf"), c_const
-    x = np.log(ns[keep])
-    y = np.log(mags[keep])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope, c_const
+        return float("-inf")
+    return float(np.polyfit(np.log(ns[keep]), np.log(np.abs(residuals[keep])), 1)[0])
 
 
 def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: Medium,
                           supercell_counts, time_window: float | None = None) -> CouplingReport:
-    """Supercell averages d_jp^(l)(Q_n) for a scalar-wave mode pair.
+    """Spacetime-box averages d_jp^(l)(Q_n) for a scalar-wave mode pair.
 
     Q_n = [0, T0*n] x (n * cell) with T0 = 2 pi / max(omega1, omega2, 1) by
-    default.  Each average is window_factor(domega, T0 n) times the
-    :func:`hfh.ergodic.box_means` mean of a cell-periodic integrand under the
-    carrier -dk; self terms (p == l) are the unit-cell integral exactly.
+    default.  Each average is one :func:`hfh.ergodic.box_means` call on the
+    slot table, constant in time, on the cell (2 pi) x cell under the carrier
+    (domega, -dk): the time period 2 pi keeps the limit iff |domega| <=
+    RESONANCE_TOL.  Self terms (p == l) are the unit-cell integral exactly.
     """
     if any(m.family != "scalar-wave" for m in (medium, mode1, mode2)):
         raise ValidationError("coupling is computed for the scalar wave family only")
@@ -261,22 +254,19 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: Medium,
         raise ValidationError(f"time window must be finite and positive, got {time_window}")
 
     modes = (mode1, mode2)
-
-    averages, limits, slopes, decay_constants = {}, {}, {}, {}
+    spacetime = SpacetimeCell((TWO_PI,) + medium.cell.lengths)
+    averages, limits, slopes, drift_rates = {}, {}, {}, {}
     ns = np.asarray(counts, dtype=float)
-    boxes = ns[:, np.newaxis] * medium.cell.diag
+    boxes = ns[:, np.newaxis] * np.concatenate(([time_window], medium.cell.diag))
     pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
     for (p, l), g_fields in zip(pairs, _transport(medium, modes, pairs, -1)):
-        domega = modes[l].omega - modes[p].omega
-        time_factor = window_factor(domega, time_window * ns)
-        dk = modes[l].k - modes[p].k
+        lam = np.concatenate(([modes[l].omega - modes[p].omega], modes[p].k - modes[l].k))
         for j, G in enumerate(g_fields):
             key = (j, p + 1, l + 1)
-            means, limit, _, _ = box_means(G, -dk, boxes)
-            averages[key] = time_factor * means
-            limits[key] = limit if abs(domega) <= RESONANCE_TOL else 0.0 + 0.0j
-            slopes[key], decay_constants[key] = _fit_decay(ns, averages[key] - limits[key])
+            G = FourierField(spacetime, G.coeffs[np.newaxis])
+            averages[key], limits[key], mask, _ = box_means(G, lam, boxes)
+            drift_rates[key] = _drift_rate(G.coeffs, _frequencies(G, lam), mask) if mask.any() else 0.0
+            slopes[key] = _slope(ns, averages[key] - limits[key])
 
     return CouplingReport(are_equivalent(mode1, mode2), counts, float(time_window),
-                          averages, limits, slopes, decay_constants)
-
+                          averages, limits, slopes, drift_rates)

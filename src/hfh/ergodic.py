@@ -7,7 +7,7 @@ operation reports the analytic infinite-window limit, the numeric averages
 per window, and the certified C and D in |average(a) - limit| <= C / a + D a.
 
 One kernel, :func:`box_means`, gives the means of f e^{i lambda . xi} over
-boxes, for the modulated averages here and the supercell coupling averages
+boxes, for the modulated averages here and the spacetime coupling averages
 of :mod:`hfh.effective`.  It classifies each harmonic once, by
 :func:`hfh.fourier.resonant_point`: the harmonic that cancels the carrier
 is the limit and enters D, and every other one enters C.  A product of two
@@ -77,6 +77,12 @@ def _frequencies(f: FourierField, lam) -> list:
     return [TWO_PI * f.index_grid(ax) / length + lam[ax] for ax, length in enumerate(f.cell.lengths)]
 
 
+def _drift_rate(coeffs, qs, resonant) -> float:
+    """D of :class:`WindowAverageResult`: |c| sum_ax |q_ax| / 2 summed over the harmonics in ``resonant``."""
+    at = np.nonzero(resonant)
+    return float(np.sum(np.abs(coeffs[at]) * sum(np.abs(q[i]) for q, i in zip(qs, at))) / 2.0)
+
+
 def _certificate(coeffs, qs, resonant) -> tuple:
     """C and D of :class:`WindowAverageResult`; ``qs[ax]`` holds the frequencies along axis ax.
 
@@ -84,9 +90,8 @@ def _certificate(coeffs, qs, resonant) -> tuple:
     """
     q = np.broadcast_arrays(*np.ix_(*[np.abs(q) for q in qs]))
     keep = ~resonant & (coeffs != 0)
-    c = np.abs(coeffs)
-    return (float(np.sum(2.0 * c[keep] / np.max(q, axis=0)[keep])),
-            float(np.sum(c[resonant] * np.sum(q, axis=0)[resonant]) / 2.0))
+    cert = float(np.sum(2.0 * np.abs(coeffs)[keep] / np.max(q, axis=0)[keep]))
+    return cert, _drift_rate(coeffs, qs, resonant)
 
 
 def box_means(f: FourierField, lam, sizes: np.ndarray) -> tuple:
@@ -95,14 +100,14 @@ def box_means(f: FourierField, lam, sizes: np.ndarray) -> tuple:
     ``sizes`` has shape (n_boxes, d).  Returns the means, their limit (f's
     harmonic -n for n = resonant_point(lambda), else 0), the mask of that
     harmonic in f's table, and whether n exists.  An axis with lambda = 0 and
-    whole-cell boxes keeps only index 0, so such means are the cell mean exactly.
+    whole-cell boxes or index 0 alone keeps only index 0: the cell mean, exactly.
     """
     cell = f.cell
     n = resonant_point(lam, cell)
     factors = []
     for ax, (length, q) in enumerate(zip(cell.lengths, _frequencies(f, lam))):
         m, a = f.index_grid(ax), sizes[:, ax]
-        if lam[ax] == 0 and np.all(np.rint(a / length) * length == a):
+        if lam[ax] == 0 and (f.cutoffs[ax] == 0 or np.all(np.rint(a / length) * length == a)):
             factors.append(np.broadcast_to(m == 0, (len(a), len(m))).astype(np.complex128))
         else:
             factors.append(window_factor(q, a[:, np.newaxis]))

@@ -29,12 +29,13 @@ class Cell:
     """Rectangular periodicity cell with side lengths lambda_i > 0, d in {1,2,3}."""
 
     lengths: tuple
+    max_dims = 3  # a class attribute, not a field
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in np.atleast_1d(np.asarray(self.lengths, dtype=float)))
         object.__setattr__(self, "lengths", lengths)
-        if not 1 <= len(lengths) <= 3:
-            raise ValidationError("cell dimension must be 1, 2 or 3")
+        if not 1 <= len(lengths) <= self.max_dims:
+            raise ValidationError(f"cell dimension must be 1 to {self.max_dims}")
         if any(not np.isfinite(v) or v <= 0.0 for v in lengths):
             raise ValidationError("cell side lengths must be positive and finite")
 
@@ -46,6 +47,12 @@ class Cell:
     def diag(self) -> np.ndarray:
         """Side lengths as a vector (the diagonal of the cell)."""
         return np.asarray(self.lengths)
+
+
+class SpacetimeCell(Cell):
+    """A time period followed by a cell's sides, so a 3D cell's spacetime has 4 axes."""
+
+    max_dims = 4
 
 
 def resonant_point(lam, cell: Cell):

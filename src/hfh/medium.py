@@ -42,10 +42,6 @@ DIVERGENCE_TOL = 1e-12
 # field construction
 
 
-def constant(value) -> dict:
-    return {"type": "constant", "value": value}
-
-
 def piecewise(breaks, values) -> dict:
     return {"type": "piecewise", "breaks": list(breaks), "values": list(values)}
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from hfh import bloch, effective
+from hfh import bloch, effective, ergodic
 from hfh.errors import ValidationError
+from hfh.fourier import TWO_PI, Cell, FourierField
+from hfh.medium import medium_from_descriptor
+from test_golden import CONFIGS
 
 
 def cross_keys(report):
@@ -44,11 +47,8 @@ def test_opposite_k_same_band_do_not_couple(two_phase):
     assert report.max_cross_limit() < 1e-6
     for key in cross_keys(report):
         assert report.slopes[key] <= -0.9
-    # C/n bound holds on the computed sequence
-    for key, vals in report.averages.items():
-        c = report.decay_constants[key]
-        res = np.abs(vals - report.limits[key])
-        assert np.all(res * np.asarray(report.supercells) <= c + 1e-12)
+    # no harmonic of a non-resonant pair sits near the lattice, so nothing drifts
+    assert all(d == 0.0 for d in report.drift_rates.values())
 
 
 def test_bands_one_three_do_not_couple(two_phase):
@@ -96,3 +96,46 @@ def test_time_window_default_and_override(two_phase):
     assert abs(default.time_window - 2 * np.pi / m2.omega) < 1e-12
     custom = effective.coupling_coefficients(m1, m2, two_phase, [4, 8], time_window=1.0)
     assert custom.time_window == 1.0
+
+
+def test_resonant_pair_meets_the_kernel_bound():
+    # band 1 at k and at k + (2 pi, 0): omega agrees to ~1e-13, so each cross average drifts
+    # linearly in n; the kernel's C / (n a) + D n A bounds every entry, a and A the shortest
+    # and longest sides of Q_1 = [0, T0] x cell
+    med = medium_from_descriptor(CONFIGS["resonant2d"])
+    k = np.array([0.9, 0.4])
+    modes = (bloch.solve_at(med, k, 6, 1)[0], bloch.solve_at(med, k + [TWO_PI, 0.0], 6, 1)[0])
+    counts = list(range(2, 65, 2))
+    report = effective.coupling_coefficients(*modes, med, counts)
+    assert report.resonant
+    ns = np.asarray(counts, dtype=float)
+    sides = np.r_[report.time_window, med.cell.diag]
+    spacetime = Cell((TWO_PI,) + med.cell.lengths)
+    pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
+    for (p, l), g_fields in zip(pairs, effective._transport(med, modes, pairs, -1)):
+        lam = np.r_[modes[l].omega - modes[p].omega, modes[p].k - modes[l].k]
+        for j, G in enumerate(g_fields):
+            key = (j, p + 1, l + 1)
+            res = ergodic.avg_modulated_dd(FourierField(spacetime, G.coeffs[np.newaxis]), lam,
+                                           ns[:, np.newaxis] * sides)
+            assert report.drift_rates[key] == res.drift_rate
+            assert (report.drift_rates[key] > 0) == (p != l)
+            err = np.abs(report.averages[key] - report.limits[key])
+            bound = res.decay_constant / (ns * sides.min()) + res.drift_rate * ns * sides.max()
+            assert np.all(err <= bound + 1e-13), key
+
+
+def test_couple_on_a_3d_cell_uses_a_4_axis_spacetime_cell():
+    # the spacetime cell of a 3D medium has 4 axes, which a spatial Cell refuses
+    med = medium_from_descriptor({"cell": [1.0, 1.0, 1.0], "kind": "scalar", "cutoff": 1,
+                                  "a": {"type": "cosine", "mean": 2.0,
+                                        "harmonics": [{"n": [1, 0, 0], "amp": 0.3}]},
+                                  "b": 1.0})
+    with pytest.raises(ValidationError):
+        Cell((TWO_PI, 1.0, 1.0, 1.0))
+    m1, m2 = bloch.solve_at(med, [0.3, 0.2, 0.1], 1, 2)
+    report = effective.coupling_coefficients(m1, m2, med, [2, 4])
+    assert not report.resonant
+    co = effective.effective_coefficients(m1, med)
+    for j in range(4):
+        assert np.max(np.abs(report.averages[(j, 1, 1)] - co.d[j])) < 1e-10
