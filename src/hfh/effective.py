@@ -261,9 +261,9 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: Medium,
     pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
     for (p, l), g_fields in zip(pairs, _transport(medium, modes, pairs, -1)):
         lam = np.concatenate(([modes[l].omega - modes[p].omega], modes[p].k - modes[l].k))
-        for j, G in enumerate(g_fields):
+        for j, slot in enumerate(g_fields):
             key = (j, p + 1, l + 1)
-            G = FourierField(spacetime, G.coeffs[np.newaxis])
+            G = FourierField(spacetime, slot.coeffs[np.newaxis])
             averages[key], limits[key], mask, _ = box_means(G, lam, boxes)
             drift_rates[key] = _drift_rate(G.coeffs, _frequencies(G, lam), mask) if mask.any() else 0.0
             slopes[key] = _slope(ns, averages[key] - limits[key])

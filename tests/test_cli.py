@@ -143,6 +143,37 @@ def test_simulate_command(tmp_path):
     assert frames[header_at] == "t,centroid,mass,peak"
 
 
+def test_simulate_rejects_a_schrodinger_medium(tmp_path):
+    config = tmp_path / "schrodinger.json"
+    config.write_text(json.dumps({"cell": [1.0], "kind": "schrodinger", "cutoff": 4,
+                                  "mass": 0.5, "charge": 1.0, "potential": 0.0}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(["simulate", "--config", str(config), "--k", "1.0",
+                           "--out-prefix", str(tmp_path / "run")])
+    assert code == 1
+    assert "simulate supports the 1D scalar wave family" in err.getvalue()
+    assert not list(tmp_path.glob("run*"))
+
+
+def test_simulate_writes_one_envelope_file_per_frame(tmp_path):
+    config = tmp_path / "coarse.json"
+    config.write_text(json.dumps(dict(MEDIUM, cutoff=8)))
+    prefix = tmp_path / "run"
+    code, _ = run_cli(["simulate", "--config", str(config), "--k", "1.5707963267948966",
+                       "--cutoff", "8", "--epsilon", "0.125", "--sigma", "0.5", "--center", "2.0",
+                       "--length", "5.0", "--points-per-cell", "17", "--t-final", "0.5",
+                       "--frames", "5", "--write-envelope", "--out-prefix", str(prefix)])
+    assert code == 0
+    frames = json.loads((tmp_path / "run_run.json").read_text())["frames"]
+    written = sorted(tmp_path.glob("run_envelope_*.csv"))
+    assert [p.name for p in written] == sorted(f"run_envelope_{i}.csv" for i in range(frames))
+    for path in written:
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[0] == "x,abs_f0"
+        assert len(lines) - 1 == round(5.0 / 0.125)  # one row per epsilon-cell
+
+
 MEDIUM_2D = {
     "cell": [1.0, 1.0],
     "kind": "scalar",

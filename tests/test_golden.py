@@ -288,20 +288,21 @@ def test_medium_fingerprints():
     assert got == FINGERPRINTS
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _stored_digests() -> dict:
+    """sha256 of every stored golden file but the manifest, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(GOLDEN.iterdir()) if p != MANIFEST}
 
 
 def test_manifest_lists_stored_files():
-    stored = {p.name: _sha256(p) for p in GOLDEN.iterdir() if p != MANIFEST}
-    assert json.loads(MANIFEST.read_text(encoding="utf-8"))["files"] == stored
+    assert json.loads(MANIFEST.read_text(encoding="utf-8"))["files"] == _stored_digests()
 
 
 def _write_manifest():
     import numpy
     import scipy
 
-    files = {p.name: _sha256(p) for p in sorted(GOLDEN.iterdir()) if p != MANIFEST}
+    files = _stored_digests()
     MANIFEST.write_text(json.dumps({"files": files, "numpy": numpy.__version__, "scipy": scipy.__version__,
                                     "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default")},
                                    indent=2) + "\n", encoding="utf-8", newline="\n")
