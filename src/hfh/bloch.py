@@ -22,15 +22,23 @@ its field's entries only, and the mirror copies only the entries the terms
 wrote: a smooth medium's lag blocks are mostly structural zeros, and the
 entries no term writes keep one value for every k.  The cache also holds
 two writable n x n work arrays: :func:`solve_at` assembles A into the
-first, and every solve copies A into the second (Fortran order) for LAPACK
-to overwrite, so a k-solve allocates no new n x n array.  Hence
-:func:`solve_at` and :func:`solve_bands` are not reentrant for one medium
-object: two threads must not solve on the same medium at once.
+first, and LAPACK overwrites the second (Fortran order), so a k-solve
+allocates no new n x n array.  The second holds, in turn, a copy of A for
+a dense solve, or the Cholesky factor of A + s B and then the LDL^H
+factorization of A - tau B for a Lanczos solve.  Hence :func:`solve_at`
+and :func:`solve_bands` are not reentrant for one medium object: two
+threads must not solve on the same medium at once.
 :func:`assemble_operator` returns an A of its own, which no later call
-changes.  A wave solve runs the rest of LAPACK's xHEGVX on the factor
-(HEGST, HEEVX with its queried optimal workspace, the triangular solve),
-which gives the bits ``scipy.linalg.eigh(A, B)`` gives; the schrodinger
-family solves with ``scipy.linalg.eigh``.
+changes.
+
+A wave pencil of size ``LANCZOS_MIN_SIZE`` or more gets its lowest pairs
+by shift-invert Lanczos (:func:`_lanczos`), kept only if each pair meets
+the residual gate and a Sylvester inertia count shows that no eigenvalue
+below them was missed (:func:`_certified`).  Any other wave solve, and any
+Lanczos solve that is not certified, runs the rest of LAPACK's xHEGVX on
+B's factor (HEGST, HEEVX with its queried optimal workspace, the
+triangular solve), which gives the bits ``scipy.linalg.eigh(A, B)``
+gives; the schrodinger family solves with ``scipy.linalg.eigh``.
 
 Carrier conventions for the stored cell-periodic amplitudes:
 
@@ -50,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import TWO_PI, Cell, FourierField
@@ -58,6 +66,15 @@ from .medium import Medium
 
 RESIDUAL_TOL = 1e-9
 EIG_CLAMP = -1e-10
+# Wave pencils of this size or more, asked for at most _LANCZOS_MAX_PAIRS
+# pairs, solve by certified shift-invert Lanczos (:func:`_lanczos`): the
+# measured crossover (README "Eigensolve").  Near it, more pairs take more
+# Lanczos steps than a dense solve costs.
+LANCZOS_MIN_SIZE = 128
+_LANCZOS_MAX_PAIRS = 4
+_LANCZOS_MAX_STEPS = 64
+_LANCZOS_TOL = 1e-14
+_LANCZOS_SPLIT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -372,12 +389,136 @@ def _spectral_radius_bound(op: BlochOperator, evals: np.ndarray) -> float:
     return max(float(np.max(np.abs(evals))), float(np.max(np.abs(diag))))
 
 
-def _solve_pencil(op: BlochOperator, subset) -> tuple:
-    """Eigenpairs subset[0]..subset[1] of A v = mu B v by LAPACK xHEGVX's steps, POTRF + HEGST + HEEVX + TRSM.
+def _residual_gate(op: BlochOperator, evals: np.ndarray) -> float:
+    """The largest residual |A v - mu B v| / |v| a solve may return: max(1e-9, 1e-13 * rho).
 
-    B's factor comes with the operator (a medium factors B once per cutoff).
-    HEGST and HEEVX overwrite the operator's scratch, which holds a copy of A.
-    With HEEVX's optimal workspace the result is bit for bit that of
+    It scales with the spectral radius so that very large bases do not trip
+    on bare LAPACK roundoff; at desk-scale cutoffs it is 1e-9.  The partial
+    solve only bounds the radius from below, so the gate is never looser
+    than one taken from the full spectrum.
+    """
+    return max(RESIDUAL_TOL, 1e-13 * _spectral_radius_bound(op, evals))
+
+
+def _shift_into_scratch(op: BlochOperator, shift: float) -> np.ndarray:
+    """Write A + shift*B into the operator's Fortran-order scratch and return it.
+
+    The scratch's transpose is a C-order view, so the sum is formed there in
+    contiguous passes and conjugated: for Hermitian A and B, conj(A + s B)
+    transposed is A + s B, entry for entry.
+    """
+    view = op.scratch.T
+    np.multiply(op.B, shift, out=view)
+    view += op.A
+    np.conjugate(view, out=view)
+    return op.scratch
+
+
+def _lanczos(op: BlochOperator, nev: int):
+    """The nev lowest eigenpairs of A v = mu B v by shift-invert Lanczos, and the next Ritz value; or None.
+
+    The shift s > 0 is a quarter of the nev-th smallest positive diagonal
+    quotient A_ii / B_ii: near the wanted values, so their theta are well
+    separated, but not so far below them that the largest theta swamps the
+    rest in roundoff.  With A + s B = L L^H (POTRF in the scratch), the
+    pencil's eigenpairs are those of the Hermitian T = L^-1 B L^-H, with
+    theta = 1 / (mu + s) and v = L^-H y, so the lowest mu are the largest
+    theta.  Lanczos on T starts from a fixed pseudo-random vector, which no
+    symmetry of the medium keeps out of any eigenspace, and orthogonalizes
+    each new vector twice against all earlier ones.  It stops when the Ritz
+    residual estimate beta_m |z_m| of each of the nev largest Ritz values is
+    below ``_LANCZOS_TOL`` times that value.  Returns (mu, X): nev + 1
+    ascending Ritz values and the B-normalized vectors of the first nev.
+    None if no positive shift exists, A + s B is not positive definite,
+    Lanczos breaks down early, or ``_LANCZOS_MAX_STEPS`` steps pass without
+    convergence.  The scratch holds L on return.
+    """
+    n = op.size
+    quotients = np.diag(op.A).real / np.diag(op.B).real
+    positive = np.sort(quotients[quotients > 0.0])
+    if len(positive) < nev:
+        return None
+    s = 0.25 * float(positive[nev - 1])
+    L, info = lapack.zpotrf(_shift_into_scratch(op, s), lower=1, clean=0, overwrite_a=1)
+    if info:
+        return None
+    steps = min(n, _LANCZOS_MAX_STEPS)
+    Q = np.empty((steps, n), dtype=np.complex128)
+    start = np.random.default_rng(0).standard_normal((2, n))
+    Q[0] = start[0] + 1j * start[1]
+    Q[0] /= np.linalg.norm(Q[0])
+    alpha = np.zeros(steps)
+    beta = np.zeros(steps)
+    for m in range(steps):
+        w = blas.ztrsv(L, Q[m], lower=1, trans=2)
+        w = blas.ztrsv(L, op.B @ w, lower=1, overwrite_x=1)
+        basis = Q[:m + 1]
+        for _ in range(2):
+            h = basis.conj() @ w
+            w -= h @ basis
+            alpha[m] += h[m].real
+        beta[m] = np.linalg.norm(w)
+        if m >= nev:
+            theta, Z, _ = lapack.dstev(alpha[:m + 1], beta[:m])
+            top = np.arange(m, m - nev - 1, -1)  # dstev sorts ascending
+            if np.all(beta[m] * np.abs(Z[m, top[:nev]]) <= _LANCZOS_TOL * theta[top[:nev]]):
+                X, _ = lapack.ztrtrs(L, basis.T @ Z[:, top[:nev]], lower=1, trans=2, overwrite_b=1)
+                X /= np.sqrt(np.einsum("ij,ij->j", X.conj(), op.B @ X).real)
+                return 1.0 / theta[top] - s, X
+        if not beta[m] > 0.0 or m + 1 == steps:
+            return None
+        Q[m + 1] = w / beta[m]
+
+
+def _negative_count(a: np.ndarray):
+    """The number of negative eigenvalues of the Hermitian ``a`` (Fortran order, overwritten), or None.
+
+    Sylvester's law of inertia: ``a`` = P L D L^H P^T (ZHETRF) has as many
+    negative eigenvalues as the block-diagonal D.  A 1 x 1 pivot counts by
+    its sign.  Bunch-Kaufman takes a 2 x 2 pivot [[p, conj(c)], [c, q]] only
+    when |p q| < alpha^2 |c|^2 (alpha = (1 + sqrt 17) / 8), so its
+    determinant is negative and it holds one negative eigenvalue.  None if
+    a pivot is exactly zero.
+    """
+    lwork = int(lapack.zhetrf_lwork(len(a), lower=1)[0].real)
+    ldu, ipiv, info = lapack.zhetrf(a, lower=1, lwork=lwork, overwrite_a=1)
+    if info:
+        return None
+    pair = ipiv < 0  # the two rows of each 2 x 2 pivot
+    return int(np.count_nonzero(ldu.diagonal().real[~pair] < 0.0) + np.count_nonzero(pair) // 2)
+
+
+def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray) -> bool:
+    """True iff the Lanczos pairs (mu[:-1], X) are the pencil's lowest, each within the residual gate.
+
+    Consecutive Ritz values must differ by more than ``_LANCZOS_SPLIT``
+    times the spectral radius bound: a multiplet's eigenvectors are not
+    unique, and the dense solve stays the reference for them.  Then
+    tau = mu[-2] + (mu[-1] - mu[-2]) / 4 lies above the last wanted value
+    and below the next Ritz value, and the LDL^H factorization of A - tau B
+    (in the scratch) must show exactly len(mu) - 1 negative eigenvalues, so
+    that no eigenvalue below tau was missed.
+    """
+    rho = _spectral_radius_bound(op, mu)
+    if not np.min(np.diff(mu)) > _LANCZOS_SPLIT * rho:
+        return False
+    R = op.A @ X - (op.B @ X) * mu[:-1]
+    gate = _residual_gate(op, mu[:-1])
+    if not np.all(np.linalg.norm(R, axis=0) <= 0.5 * gate * np.linalg.norm(X, axis=0)):
+        return False
+    tau = mu[-2] + 0.25 * (mu[-1] - mu[-2])
+    return _negative_count(_shift_into_scratch(op, -tau)) == len(mu) - 1
+
+
+def _solve_pencil(op: BlochOperator, subset) -> tuple:
+    """Eigenpairs subset[0]..subset[1] of A v = mu B v (subset[0] == 0).
+
+    For n >= ``LANCZOS_MIN_SIZE`` (and few pairs) the pairs come from
+    :func:`_lanczos` when :func:`_certified` accepts them.  Otherwise, and
+    whenever either declines, LAPACK xHEGVX's steps run on a fresh copy of A
+    in the scratch: POTRF + HEGST + HEEVX + TRSM, with B's factor from the
+    operator (a medium factors B once per cutoff).  With HEEVX's optimal
+    workspace that result is bit for bit that of
     ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.
     """
     L, info = op.factor
@@ -385,6 +526,12 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
         raise scipy.linalg.LinAlgError(
             f"The leading minor of order {info} of B is not positive definite. The factorization "
             "of B could not be completed and no eigenvalues or eigenvectors were computed.")
+    nev = subset[1] + 1
+    if op.size >= LANCZOS_MIN_SIZE and nev <= _LANCZOS_MAX_PAIRS:
+        found = _lanczos(op, nev)
+        if found is not None and _certified(op, *found):
+            return found[0][:-1], found[1]
+    np.copyto(op.scratch, op.A)
     C, _ = lapack.zhegst(op.scratch, L, lower=1, overwrite_a=1)
     lwork = int(lapack.zheevx_lwork(len(C), lower=1)[0].real)
     w, Z, m, _, info = lapack.zheevx(C, range="I", lower=1, il=subset[0] + 1, iu=subset[1] + 1,
@@ -413,9 +560,9 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     if _assembly_only(op.family, op.cell):
         raise UnsupportedScaleError("3D vector eigensolves are out of scope (assembly only)")
     subset = [0, min(n_bands, op.size - 1)]
-    np.copyto(op.scratch, op.A)  # LAPACK works in place on this Fortran-order copy
     try:
         if op.B is None:
+            np.copyto(op.scratch, op.A)  # LAPACK works in place on this Fortran-order copy
             evals, evecs = scipy.linalg.eigh(op.scratch, subset_by_index=subset, overwrite_a=True)
         else:
             evals, evecs = _solve_pencil(op, subset)
@@ -435,11 +582,7 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
         omegas = evals
 
     shape = (op.components,) + tuple(2 * op.cutoff + 1 for _ in range(op.cell.dims))
-    # failure gate scales with the spectral radius so very large bases do not
-    # trip on bare LAPACK roundoff; at desk-scale cutoffs it reduces to 1e-9.
-    # The partial solve only bounds the radius from below, so the gate is
-    # never looser than one taken from the full spectrum.
-    gate = max(RESIDUAL_TOL, 1e-13 * _spectral_radius_bound(op, evals))
+    gate = _residual_gate(op, evals)
     modes = []
     for idx in range(n_bands):
         v = evecs[:, idx]
