@@ -297,13 +297,20 @@ def window_factor(q, length):
 
     Broadcasts over arrays; a scalar q and length give a scalar.  |q L| < 0.1,
     where the quotient would cancel, is e^{i h} sin(h) / h with h = q L / 2.
+    Each entry evaluates one of the two forms only.
     """
     ql = np.multiply(q, length, dtype=float)
     near = np.abs(ql) < 0.1
-    arg = 1j * np.where(near, 1.0, ql)
-    h = np.where(ql == 0.0, 1.0, ql / 2.0)
-    out = np.where(near, np.exp(1j * h) * (np.sin(h) / h), (np.exp(arg) - 1.0) / arg)
-    out = np.where(ql == 0.0, 1.0 + 0.0j, out)
+    if not near.any():
+        arg = 1j * ql
+        out = (np.exp(arg) - 1.0) / arg
+        return out if out.ndim else complex(out)
+    out = np.ones(np.shape(ql), dtype=complex)  # q L == 0 keeps 1
+    arg = 1j * ql[~near]
+    out[~near] = (np.exp(arg) - 1.0) / arg
+    near &= ql != 0.0
+    h = ql[near] / 2.0
+    out[near] = np.exp(1j * h) * (np.sin(h) / h)
     return out if out.ndim else complex(out)
 
 

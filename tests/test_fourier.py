@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfh.errors import ValidationError
 from hfh.fourier import Cell, FourierField, product_mean, resonant_point, window_factor
@@ -117,6 +119,37 @@ def test_window_factor_near_resonance_keeps_full_accuracy():
     x = np.concatenate([np.geomspace(1e-9, 10.0, 400), -np.geomspace(1e-9, 10.0, 40)])
     exact = np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x
     assert np.max(np.abs(window_factor(x, 1.0) - exact)) < 1e-15
+
+
+def _window_factor_before(q, length):
+    """``window_factor`` as it was before each entry evaluated one form only: every form everywhere."""
+    ql = np.multiply(q, length, dtype=float)
+    near = np.abs(ql) < 0.1
+    arg = 1j * np.where(near, 1.0, ql)
+    h = np.where(ql == 0.0, 1.0, ql / 2.0)
+    out = np.where(near, np.exp(1j * h) * (np.sin(h) / h), (np.exp(arg) - 1.0) / arg)
+    out = np.where(ql == 0.0, 1.0 + 0.0j, out)
+    return out if out.ndim else complex(out)
+
+
+_EDGES = [0.0, -0.0, 1e-9, -1e-9, 1e-8, -1e-8] + [
+    s * v for v in (np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0)) for s in (1.0, -1.0)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(cols=st.integers(1, 13), rows=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1),
+       edges=st.lists(st.sampled_from(_EDGES), max_size=6))
+def test_window_factor_keeps_its_bits(cols, rows, seed, edges):
+    """Random tables of q L with values at both branch edges and at 0; the first length is 1."""
+    rng = np.random.default_rng(seed)
+    q = rng.choice([1e-3, 0.05, 1.0, 30.0], cols) * rng.uniform(-1.0, 1.0, cols)
+    q[:len(edges)] = edges[:cols]
+    lengths = np.concatenate([[1.0], rng.uniform(0.5, 64.0, rows)])[:, np.newaxis] if rows else 1.0
+    got, want = window_factor(q, lengths), _window_factor_before(q, lengths)
+    assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for qi in q[:3]:  # a scalar call returns a Python complex with the same bits
+        got, want = window_factor(float(qi), 1.0), _window_factor_before(float(qi), 1.0)
+        assert type(got) is complex and np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_resonant_point():
