@@ -22,7 +22,6 @@ RICHARDSON_TOL = 1e-6
 class DispersionTable:
     """One band sampled along a straight k path."""
 
-    family: str
     band: int
     path: np.ndarray  # (samples, d)
     omegas: np.ndarray
@@ -61,7 +60,7 @@ def sweep_path(medium, k_start, k_end, samples: int, band: int, cutoff: int) -> 
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = np.abs(np.diff(omegas)) / dk
     lipschitz = float(np.nanmax(slopes)) if len(slopes) else 0.0
-    return DispersionTable(medium.family, band, path, omegas, gaps, flags, lipschitz)
+    return DispersionTable(band, path, omegas, gaps, flags, lipschitz)
 
 
 def _omega_at(medium, k, band, cutoff, label):

@@ -29,7 +29,9 @@ factorization of A - tau B for a Lanczos solve.  Hence :func:`solve_at`
 and :func:`solve_bands` are not reentrant for one medium object: two
 threads must not solve on the same medium at once.
 :func:`assemble_operator` returns an A of its own, which no later call
-changes.
+changes.  An operator, and each mode solved from it, holds the medium it
+was built from, so what consumes a mode (transport coefficients, coupling,
+wave packets) reads the medium from the mode and takes no medium argument.
 
 A wave pencil of size ``LANCZOS_MIN_SIZE`` or more gets its lowest pairs
 by shift-invert Lanczos (:func:`_lanczos`), kept only if each pair meets
@@ -79,27 +81,30 @@ _LANCZOS_SPLIT = 1e-9
 
 @dataclass(frozen=True)
 class BlochOperator:
-    """Assembled Bloch pencil at one crystal wavevector.
+    """Assembled Bloch pencil of ``medium`` at one crystal wavevector.
 
     Wave families solve A v = omega^2 B v; the schrodinger family solves
-    A v = omega v with B = None (identity weighting).
+    A v = omega v with B = None (identity weighting).  The basis is
+    component-major: ``medium.n_comp`` blocks of ``basis``.
     """
 
-    family: str
+    medium: Medium = field(repr=False)
     k: np.ndarray
-    cell: Cell
     basis: np.ndarray  # (n_basis, d) multi-indices
-    components: int  # 1 for scalar/schrodinger, n for vector (basis is component-major)
     A: np.ndarray
     B: np.ndarray | None
     cutoff: int
-    medium_key: str
     factor: tuple | None  # lapack.zpotrf(B, lower=1) as (L, info); None if nothing is solved with B
     scratch: np.ndarray = field(repr=False)  # the medium's Fortran-order work array; solves overwrite it
 
     @property
     def size(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def medium_key(self) -> str:
+        """The medium's fingerprint; kept because ``bench/tracing.py`` keys each traced solve by it."""
+        return self.medium.fingerprint
 
     def hermiticity_defect(self) -> float:
         err = float(np.max(np.abs(self.A - self.A.conj().T)))
@@ -110,31 +115,31 @@ class BlochOperator:
 
 @dataclass(frozen=True)
 class BlochMode:
-    """One point (k, omega, band) of the dispersion diagram with its cell-periodic amplitude.
+    """One point (k, omega, band) of ``medium``'s dispersion diagram with its cell-periodic amplitude.
 
     ``v0`` holds the Fourier coefficients of V0 (shape (components, 2N+1, ...))
     in the family's carrier convention; the normalization is b-weighted
     ((1/|cell|) integral of V0^dag b V0 = 1; plain L2 for schrodinger) and the
-    largest-modulus coefficient is made real positive.
+    largest-modulus coefficient is made real positive.  The family, the
+    cell and the coefficients every cell integral of the mode reads are
+    those of ``medium``.
     """
 
-    family: str
+    medium: Medium = field(repr=False)
     k: np.ndarray
     omega: float
     band: int
     v0: np.ndarray
     cutoff: int
-    cell: Cell
     gap: float
     residual: float
-    medium_key: str
 
     @property
     def components(self) -> int:
         return self.v0.shape[0]
 
     def amplitude_field(self, comp: int = 0) -> FourierField:
-        return FourierField(self.cell, self.v0[comp])
+        return FourierField(self.medium.cell, self.v0[comp])
 
 
 def _basis_indices(dims: int, cutoff: int) -> np.ndarray:
@@ -177,9 +182,9 @@ def _as_k(cell: Cell, k) -> np.ndarray:
     return k
 
 
-def _assembly_only(family: str, cell: Cell) -> bool:
+def _assembly_only(medium: Medium) -> bool:
     """3D vector media are assembled but never solved."""
-    return family == "vector-wave" and cell.dims > 2
+    return medium.family == "vector-wave" and medium.cell.dims > 2
 
 
 def _mirror_hermitian(m: np.ndarray, scratch: np.ndarray, lower: np.ndarray) -> None:
@@ -296,7 +301,7 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     factor = None
     if wave:
         _mirror_hermitian(B, scratch, lower)
-        if not _assembly_only(medium.family, cell):
+        if not _assembly_only(medium):
             factor = lapack.zpotrf(B, lower=1)
             factor[0].flags.writeable = False
     zero = np.zeros(1, dtype=np.complex128)
@@ -361,9 +366,7 @@ def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> Bl
     if medium.cutoff > cutoff:
         warnings.warn(f"operator cutoff {cutoff} below medium cutoff {medium.cutoff}; "
                       "medium content beyond the operator lags is truncated")
-    return BlochOperator(medium.family, k, cell, g.basis, medium.n_comp,
-                         A if _into_work else A.copy(), g.B, cutoff, medium.fingerprint, g.factor,
-                         scratch)
+    return BlochOperator(medium, k, g.basis, A if _into_work else A.copy(), g.B, cutoff, g.factor, scratch)
 
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:
@@ -556,8 +559,9 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     """
     if n_bands < 1 or n_bands > op.size:
         raise ValidationError(f"n_bands must be in 1..{op.size}")
-    wave = op.family in ("scalar-wave", "vector-wave")
-    if _assembly_only(op.family, op.cell):
+    cell = op.medium.cell
+    wave = op.medium.family != "schrodinger"
+    if _assembly_only(op.medium):
         raise UnsupportedScaleError("3D vector eigensolves are out of scope (assembly only)")
     subset = [0, min(n_bands, op.size - 1)]
     try:
@@ -581,7 +585,7 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     else:
         omegas = evals
 
-    shape = (op.components,) + tuple(2 * op.cutoff + 1 for _ in range(op.cell.dims))
+    shape = (op.medium.n_comp,) + tuple(2 * op.cutoff + 1 for _ in range(cell.dims))
     gate = _residual_gate(op, evals)
     modes = []
     for idx in range(n_bands):
@@ -594,14 +598,14 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
         v0 = v.reshape(shape).copy()
         if wave:
             # antiunitary map to the e^{-i(k.xi - omega t)} carrier
-            flip = (slice(None),) + tuple(slice(None, None, -1) for _ in range(op.cell.dims))
+            flip = (slice(None),) + tuple(slice(None, None, -1) for _ in range(cell.dims))
             v0 = np.conj(v0[flip])
         v0 = _phase_fix(v0)
         others = np.abs(omegas - omegas[idx])
         others[idx] = np.inf
         gap = float(others.min())
-        modes.append(BlochMode(op.family, op.k.copy(), float(omegas[idx]), idx + 1, v0,
-                               op.cutoff, op.cell, gap, residual, op.medium_key))
+        modes.append(BlochMode(op.medium, op.k.copy(), float(omegas[idx]), idx + 1, v0, op.cutoff,
+                               gap, residual))
     return modes
 
 

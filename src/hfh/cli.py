@@ -159,7 +159,7 @@ def _cmd_groupvel(args):
 def _cmd_effective(args):
     desc, med, (k,) = _load_medium(args, "--k")
     mode = bloch.solve_at(med, k, args.cutoff, args.band)[args.band - 1]
-    co = effective.effective_coefficients(mode, med)
+    co = effective.effective_coefficients(mode)
     rows = []
     for j in range(len(co.d)):
         ratio = co.d[j] / co.d[0]
@@ -168,10 +168,10 @@ def _cmd_effective(args):
     _write_csv(args.out_prefix + ".csv", ["j", "re_d", "im_d", "v"], rows, meta)
     _write_json(args.out_prefix + ".json", {
         "meta": meta,
-        "family": co.family,
-        "k": [float(x) for x in co.k],
-        "band": co.band,
-        "omega": co.omega,
+        "family": med.family,
+        "k": [float(x) for x in mode.k],
+        "band": mode.band,
+        "omega": mode.omega,
         "d_re": [float(x.real) for x in co.d],
         "d_im": [float(x.imag) for x in co.d],
         "group_velocity": [float(x) for x in co.v],
@@ -192,7 +192,7 @@ def _cmd_couple(args):
         raise ValidationError(f"could not parse --bands/--supercells: {exc}") from exc
     mode1 = bloch.solve_at(med, k, args.cutoff, b1)[b1 - 1]
     mode2 = bloch.solve_at(med, m, args.cutoff, b2)[b2 - 1]
-    report = effective.coupling_coefficients(mode1, mode2, med, counts, args.time_window)
+    report = effective.coupling_coefficients(mode1, mode2, counts, args.time_window)
     rows = []
     for (j, p, l) in sorted(report.averages):
         for n, val in zip(report.supercells, report.averages[(j, p, l)]):
@@ -267,13 +267,9 @@ def _cmd_simulate(args):
     k = _parse_k(args.k, 1, "--k")
     mode = bloch.solve_at(med, k, args.cutoff, args.band)[args.band - 1]
     env = simulate.GaussianEnvelope(args.center, args.sigma)
-    points = args.points_per_cell
-    if points is None:  # enough samples per cell for every retained harmonic
-        points = max(simulate.MIN_POINTS_PER_CELL, 2 * max(args.cutoff, med.cutoff) + 1)
-    grid = simulate.GridSpec(args.length, points)
-    record, frames, fit = simulate.packet_speed_experiment(med, mode, args.epsilon, env, grid,
-                                                           args.t_final, cfl=args.cfl,
-                                                           n_frames=args.frames)
+    grid = simulate.GridSpec(args.length, args.points_per_cell)
+    record, frames, fit = simulate.packet_speed_experiment(mode, args.epsilon, env, grid, args.t_final,
+                                                           cfl=args.cfl, n_frames=args.frames)
     ic = record.ic
     rel_err = abs(fit.speed - ic.group_velocity) / abs(ic.group_velocity)
     rows = []

@@ -4,14 +4,15 @@ All cell integrals are evaluated spectrally, so the carrier exponentials
 cancel identically and the supercell-to-cell collapse for self-coupling is
 exact, not approximate.
 
-One kernel, :func:`_transport`, reads the medium's constitutive symbol
-(:class:`hfh.medium.Medium`) and forms the first-order solvability
-integrand slot by slot for every family.  It evaluates every factor on one
-FFT grid whose axes are at least w_V + w_V' + w_C - 2 points wide (the
-table widths of the two amplitudes and the widest symbol field), so the
-triple products wrap no harmonic and its coefficient tables are exact up
-to roundoff.  The transport coefficients take their zero harmonics, and the
-coupling averages take the whole tables on spacetime boxes.
+One kernel, :func:`_transport`, reads the constitutive symbol
+(:class:`hfh.medium.Medium`) of the medium its modes were solved on
+(``mode.medium``) and forms the first-order solvability integrand slot by
+slot for every family.  It evaluates every factor on one FFT grid whose
+axes are at least w_V + w_V' + w_C - 2 points wide (the table widths of the
+two amplitudes and the widest symbol field), so the triple products wrap
+no harmonic and its coefficient tables are exact up to roundoff.  The
+transport coefficients take their zero harmonics, and the coupling averages
+take the whole tables on spacetime boxes.
 
 Carrier conventions follow :mod:`hfh.bloch`: wave families use
 U0 = V0 e^{-i(k.xi - omega xi0)} (so the time slot gives d_0 = -2i*omega
@@ -31,7 +32,6 @@ from .errors import NumericalError, ValidationError
 from .fourier import RESONANCE_TOL, TWO_PI, FourierField, SpacetimeCell, from_grid, resonant_point, to_grid
 from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
 from .fourier import window_factor  # noqa: F401  (bench/tracing.py resolves hfh.effective.window_factor)
-from .medium import Medium
 
 OMEGA_FLOOR = 1e-8
 D0_FLOOR = 1e-10
@@ -44,12 +44,9 @@ ZERO_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class EffectiveCoefficients:
-    """Spacetime transport coefficients d_0..d_d and the envelope group velocity."""
+    """Spacetime transport coefficients d_0..d_d of ``mode`` and the envelope group velocity."""
 
-    family: str
-    k: np.ndarray
-    omega: float
-    band: int
+    mode: BlochMode
     d: np.ndarray  # complex, length dims+1
     v: np.ndarray  # real, length dims: Re(d_j / d_0)
 
@@ -80,16 +77,18 @@ def _require_usable(mode: BlochMode, wave: bool):
         )
 
 
-def _integrands(medium: Medium, modes, pairs, sign: int) -> tuple:
-    """Slots 0..d of the first-order solvability integrand of ``medium``'s symbol on a grid, per mode pair.
+def _integrands(modes, pairs) -> tuple:
+    """Slots 0..d of the first-order solvability integrand on a grid, per mode pair.
 
+    The symbol is that of ``modes[0].medium``, which every mode shares.
     For each (l, r) in ``pairs``, with V_k the amplitudes of modes[r] and
     conj(V_i) those of modes[l], each entry C_ipkq adds d_p C conj(V_i) V_k
     (p >= 1) and C conj(V_i) D_p V_k to slot q, and C conj(V_i) D_q V_k to
     slot p; each M_l adds M_l |V|^2 to slot l.  D_j = d/dxi_j + i sign k_j
     and the time slot D_0 = -sign i omega is a scalar factor (sign -1 for the
-    wave carriers, +1 for the schrodinger carrier; k, omega those of
-    modes[r]).  A diagonal entry (p = q) adds its one term doubled.
+    wave carriers, +1 for the schrodinger carrier, by the medium's family;
+    k, omega those of modes[r]).  A diagonal entry (p = q) adds its one
+    term doubled.
 
     Every amplitude, its gauge derivatives, and every distinct symbol field
     and needed field derivative is put on one grid once (:func:`to_grid`,
@@ -98,7 +97,9 @@ def _integrands(medium: Medium, modes, pairs, sign: int) -> tuple:
     (len(pairs), d + 1) + grid, and per pair and slot the cutoff of its widest
     term, so that :func:`from_grid` gives the tables exactly up to roundoff.
     """
-    dims = modes[0].cell.dims
+    medium = modes[0].medium
+    sign = 1 if medium.family == "schrodinger" else -1
+    dims = medium.cell.dims
     fields = {id(f): f for f in [*medium.C.values(), *medium.M.values()]}
     tables, amp, fld = [], {}, {}  # amp[mode, k, p] and fld[id(f), p]: positions in tables
     for m, mode in enumerate(modes):
@@ -150,35 +151,28 @@ def _integrands(medium: Medium, modes, pairs, sign: int) -> tuple:
     return np.stack(slots), cutoffs
 
 
-def _transport(medium: Medium, modes, pairs, sign: int) -> list:
+def _transport(modes, pairs) -> list:
     """Slot tables 0..d of :func:`_integrands` per mode pair, from one batched FFT."""
-    values, cutoffs = _integrands(medium, modes, pairs, sign)
+    values, cutoffs = _integrands(modes, pairs)
     tables = from_grid(values.reshape((-1,) + values.shape[2:]), cutoffs)
     n = values.shape[1]
-    return [[FourierField(modes[0].cell, t) for t in tables[i:i + n]] for i in range(0, len(tables), n)]
+    return [[FourierField(modes[0].medium.cell, t) for t in tables[i:i + n]] for i in range(0, len(tables), n)]
 
 
-def effective_coefficients(mode: BlochMode, medium) -> EffectiveCoefficients:
-    """Unit-cell transport coefficients d_0..d_d of any family, from its symbol.
+def effective_coefficients(mode: BlochMode) -> EffectiveCoefficients:
+    """Unit-cell transport coefficients d_0..d_d of a mode of any family, from its medium's symbol.
 
     The carriers cancel analytically, so each d_l is the zero harmonic of
     the slot-l integrand of :func:`_integrands`: the mean of its grid values,
     exact up to roundoff.  Under the stored normalization d_0 = -2i*omega for
     the wave families and -i for the schrodinger family.
     """
-    if not isinstance(medium, Medium):
-        raise ValidationError(f"unknown medium type {type(medium).__name__}")
-    if mode.family != medium.family:
-        raise ValidationError(f"a {mode.family} mode needs a {mode.family} medium, not {medium.family}")
-    if mode.medium_key != medium.fingerprint:
-        raise ValidationError("mode was solved on a different medium")
-    wave = medium.family != "schrodinger"
-    _require_usable(mode, wave)
-    (values,), _ = _integrands(medium, [mode], [(0, 0)], -1 if wave else 1)
+    _require_usable(mode, mode.medium.family != "schrodinger")
+    (values,), _ = _integrands([mode], [(0, 0)])
     d = values.reshape(len(values), -1).mean(axis=1)
     if abs(d[0]) < D0_FLOOR:
         raise NumericalError(f"|d_0| = {abs(d[0]):.3e} is near zero; normalization violated")
-    return EffectiveCoefficients(mode.family, mode.k.copy(), mode.omega, mode.band, d, np.real(d[1:] / d[0]))
+    return EffectiveCoefficients(mode, d, np.real(d[1:] / d[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +184,12 @@ def are_equivalent(mode1: BlochMode, mode2: BlochMode) -> bool:
 
     Requires equal frequencies and wavevectors differing by a reciprocal
     lattice vector: every component of (k - m) (.) lambda / (2 pi) within
-    1e-9 of an integer.
+    1e-9 of an integer.  Modes of two different media raise.
     """
-    if mode1.medium_key != mode2.medium_key or mode1.cell != mode2.cell:
+    if mode1.medium != mode2.medium:
         raise ValidationError("modes come from different media")
     return (abs(mode1.omega - mode2.omega) <= RESONANCE_TOL
-            and resonant_point(mode1.k - mode2.k, mode1.cell) is not None)
+            and resonant_point(mode1.k - mode2.k, mode1.medium.cell) is not None)
 
 
 @dataclass(frozen=True)
@@ -231,9 +225,9 @@ def _slope(ns: np.ndarray, residuals: np.ndarray) -> float:
     return float(np.polyfit(np.log(ns[keep]), np.log(np.abs(residuals[keep])), 1)[0])
 
 
-def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: Medium,
-                          supercell_counts, time_window: float | None = None) -> CouplingReport:
-    """Spacetime-box averages d_jp^(l)(Q_n) for a scalar-wave mode pair.
+def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, supercell_counts,
+                          time_window: float | None = None) -> CouplingReport:
+    """Spacetime-box averages d_jp^(l)(Q_n) for a pair of scalar-wave modes of one medium.
 
     Q_n = [0, T0*n] x (n * cell) with T0 = 2 pi / max(omega1, omega2, 1) by
     default.  Each average is one :func:`hfh.ergodic.box_means` call on the
@@ -241,10 +235,10 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: Medium,
     (domega, -dk): the time period 2 pi keeps the limit iff |domega| <=
     RESONANCE_TOL.  Self terms (p == l) are the unit-cell integral exactly.
     """
-    if any(m.family != "scalar-wave" for m in (medium, mode1, mode2)):
-        raise ValidationError("coupling is computed for the scalar wave family only")
-    if any(m.medium_key != medium.fingerprint for m in (mode1, mode2)):
+    if mode1.medium != mode2.medium:
         raise ValidationError("modes come from different media")
+    if mode1.medium.family != "scalar-wave":
+        raise ValidationError("coupling is computed for the scalar wave family only")
     counts = tuple(int(n) for n in supercell_counts)
     if not counts or any(n < 1 for n in counts):
         raise ValidationError("supercell counts must be positive integers")
@@ -253,13 +247,13 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, medium: Medium,
     elif not (np.isfinite(time_window) and time_window > 0):
         raise ValidationError(f"time window must be finite and positive, got {time_window}")
 
-    modes = (mode1, mode2)
-    spacetime = SpacetimeCell((TWO_PI,) + medium.cell.lengths)
+    modes, cell = (mode1, mode2), mode1.medium.cell
+    spacetime = SpacetimeCell((TWO_PI,) + cell.lengths)
     averages, limits, slopes, drift_rates = {}, {}, {}, {}
     ns = np.asarray(counts, dtype=float)
-    boxes = ns[:, np.newaxis] * np.concatenate(([time_window], medium.cell.diag))
+    boxes = ns[:, np.newaxis] * np.concatenate(([time_window], cell.diag))
     pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
-    for (p, l), g_fields in zip(pairs, _transport(medium, modes, pairs, -1)):
+    for (p, l), g_fields in zip(pairs, _transport(modes, pairs)):
         lam = np.concatenate(([modes[l].omega - modes[p].omega], modes[p].k - modes[l].k))
         for j, slot in enumerate(g_fields):
             key = (j, p + 1, l + 1)

@@ -107,7 +107,7 @@ class FourierField:
     @classmethod
     def constant(cls, cell: Cell, value) -> "FourierField":
         field = cls.zeros(cell, 0)
-        field.coeffs[field._center()] = value
+        field.coeffs[field.cutoffs] = value
         return field
 
     @classmethod
@@ -125,9 +125,6 @@ class FourierField:
 
     # ------------------------------------------------------------------
     # indexing helpers
-
-    def _center(self) -> tuple:
-        return self.cutoffs
 
     def index_grid(self, axis: int) -> np.ndarray:
         return np.arange(-self.cutoffs[axis], self.cutoffs[axis] + 1)
@@ -191,7 +188,7 @@ class FourierField:
 
     def mean(self) -> complex:
         """Cell average (1/|cell|) * integral of the field."""
-        return complex(self.coeffs[self._center()])
+        return complex(self.coeffs[self.cutoffs])
 
     def conj_symmetry_error(self) -> float:
         """Max |c[-n] - conj(c[n])|; 0 for a real-valued field."""

@@ -107,7 +107,7 @@ def build_field(spec, cell: Cell, cutoff, name: str = "field") -> FourierField:
             return _piecewise_coefficients(cell, cutoff, spec["breaks"], spec["values"])
         if kind == "cosine":
             out = FourierField.zeros(cell, cutoff)
-            out.coeffs[out._center()] = spec.get("mean", 0.0)
+            out.coeffs[out.cutoffs] = spec.get("mean", 0.0)
             for h in spec["harmonics"]:
                 n = tuple(int(v) for v in np.atleast_1d(h["n"]))
                 amp, phase = float(h["amp"]), float(h.get("phase", 0.0))

@@ -3,7 +3,8 @@
 A Bloch mode of the scalar wave family is modulated by a slow Gaussian
 profile, evolved with a staggered-flux leapfrog scheme at small epsilon, and
 demodulated by the conjugate carrier; the measured envelope centroid speed is
-compared against the predicted group velocity.
+compared against the predicted group velocity.  The medium is the one the
+carrier mode was solved on (``mode.medium``); no function here takes another.
 
 The leapfrog u^(n+1) = 2u^n - u^(n-1) - dt^2 K u^n, K = B^-1 D^T A D / dx^2 with D the
 forward difference, is evaluated, not stepped.  In w = B^(1/2) u, K is G^T G,
@@ -65,10 +66,14 @@ class GaussianEnvelope:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid: domain [0, length) with points_per_cell per epsilon-cell."""
+    """Uniform periodic grid: domain [0, length) with points_per_cell per epsilon-cell.
+
+    None resolves every harmonic of the carrier and its medium: :func:`build_wavepacket_ic`
+    takes max(MIN_POINTS_PER_CELL, 2 * max(mode cutoff, medium cutoff) + 1).
+    """
 
     length: float
-    points_per_cell: int = MIN_POINTS_PER_CELL
+    points_per_cell: int | None = None
 
 
 @dataclass(frozen=True)
@@ -128,13 +133,16 @@ def _medium_profiles(medium: Medium, x: np.ndarray, dx: float, epsilon: float):
     return a_stag, b_vals
 
 
-def build_wavepacket_ic(mode: BlochMode, medium: Medium, epsilon: float,
-                        envelope: GaussianEnvelope, grid: GridSpec) -> WavePacketIC:
-    """Sample u(x,0) = h(x) V0(x/eps) e^{-ikx/eps} and its transport-corrected du/dt."""
-    if mode.family != "scalar-wave" or medium.cell.dims != 1:
+def build_wavepacket_ic(mode: BlochMode, epsilon: float, envelope: GaussianEnvelope,
+                        grid: GridSpec) -> WavePacketIC:
+    """Sample u(x,0) = h(x) V0(x/eps) e^{-ikx/eps} and its transport-corrected du/dt.
+
+    A given ``grid.points_per_cell`` below MIN_POINTS_PER_CELL raises; one
+    below the resolving count of :class:`GridSpec` warns.
+    """
+    medium = mode.medium
+    if medium.family != "scalar-wave" or medium.cell.dims != 1:
         raise ValidationError("wave packets are built for 1D scalar-wave modes")
-    if mode.medium_key != medium.fingerprint:
-        raise ValidationError("mode was solved on a different medium")
     if not check_nondegenerate(mode):
         raise ValidationError("wave packet needs a non-degenerate carrier mode")
     if not 0 < epsilon <= 0.125:
@@ -147,15 +155,16 @@ def build_wavepacket_ic(mode: BlochMode, medium: Medium, epsilon: float,
     if abs(n_cells - round(n_cells)) > 1e-9:
         raise ValidationError("domain length must be an integer number of epsilon-cells")
     n_cells = int(round(n_cells))
-    if grid.points_per_cell < MIN_POINTS_PER_CELL:
+    needed = 2 * max(mode.cutoff, medium.cutoff) + 1
+    ppc = max(MIN_POINTS_PER_CELL, needed) if grid.points_per_cell is None else grid.points_per_cell
+    if ppc < MIN_POINTS_PER_CELL:
         raise ValidationError(
             f"grid too coarse: need at least {MIN_POINTS_PER_CELL} points per epsilon-cell "
             f"(spacing <= eps*lambda/{MIN_POINTS_PER_CELL})"
         )
-    needed = 2 * max(mode.cutoff, medium.cutoff) + 1
-    if grid.points_per_cell < needed:
-        warnings.warn(f"{grid.points_per_cell} points per epsilon-cell under-resolve a cutoff-"
-                      f"{needed // 2} carrier, which needs {needed}; the scheme's speed error grows")
+    if ppc < needed:
+        warnings.warn(f"{ppc} points per epsilon-cell under-resolve a cutoff-{needed // 2} carrier, "
+                      f"which needs {needed}; the scheme's speed error grows")
     k = float(mode.k[0])
     phase_turns = k / epsilon * grid.length / (2.0 * np.pi)
     if abs(phase_turns - round(phase_turns)) > 1e-9:
@@ -163,13 +172,13 @@ def build_wavepacket_ic(mode: BlochMode, medium: Medium, epsilon: float,
     if envelope.center - 4 * envelope.sigma < 0 or envelope.center + 4 * envelope.sigma > grid.length:
         raise ValidationError("envelope must start at least 4 sigma inside the domain")
 
-    n = n_cells * grid.points_per_cell
+    n = n_cells * ppc
     dx = grid.length / n
     x = np.arange(n) * dx
     v0 = _on_grid(mode.amplitude_field(0), epsilon, dx, n)
     carrier = np.exp(-1j * k * x / epsilon)
     h = envelope.values(x)
-    vg = float(effective_coefficients(mode, medium).v[0])
+    vg = float(effective_coefficients(mode).v[0])
     u0 = h * v0 * carrier
     carrier_term = 1j * mode.omega / epsilon * u0
     correction = -vg * envelope.slope(x) * v0 * carrier
@@ -178,18 +187,17 @@ def build_wavepacket_ic(mode: BlochMode, medium: Medium, epsilon: float,
     return WavePacketIC(float(epsilon), mode, envelope, x, dx, u0, ut0, vg, frac)
 
 
-def run_fdtd_1d(medium: Medium, ic: WavePacketIC, t_final: float,
-                cfl: float = 0.9, n_frames: int = 9) -> SimulationRecord:
+def run_fdtd_1d(ic: WavePacketIC, t_final: float, cfl: float = 0.9, n_frames: int = 9) -> SimulationRecord:
     """Frames of the leapfrog d/dx(a(x/eps) du/dx) = b(x/eps) d2u/dt2 on a staggered flux grid.
 
-    Periodic boundary; each frame is the scheme's state at its step, from the
-    Bloch blocks of the module docstring.  Raises on CFL violation, on a
+    a and b are those of the carrier's medium, ``ic.mode.medium``.  Periodic
+    boundary; each frame is the scheme's state at its step, from the Bloch
+    blocks of the module docstring.  Raises on CFL violation, on a
     t_final that is not positive and finite, and on a zero or non-finite
     initial energy; a run whose compatible-energy drift at the frames exceeds
     ENERGY_DRIFT_LIMIT (1e-6), or whose energy turns non-finite, is flagged unstable.
     """
-    if ic.mode.medium_key != medium.fingerprint:
-        raise ValidationError("initial condition was built on a different medium")
+    medium = ic.mode.medium
     if not 0 < cfl <= 0.9:
         raise ValidationError(f"not 0 < cfl <= 0.9: cfl = {cfl}")
     if not (np.isfinite(t_final) and t_final > 0):
@@ -289,7 +297,7 @@ def extract_envelope(record: SimulationRecord) -> EnvelopeFrames:
     ic = record.ic
     mode, epsilon, x = ic.mode, ic.epsilon, ic.x
     k = float(mode.k[0])
-    lam_cell = epsilon * mode.cell.lengths[0]
+    lam_cell = epsilon * mode.medium.cell.lengths[0]
     ppc = int(round(lam_cell / ic.dx))
     n_cells = len(x) // ppc
     v0 = _on_grid(mode.amplitude_field(0), epsilon, ic.dx, len(x))
@@ -336,9 +344,8 @@ def measure_packet_velocity(env: EnvelopeFrames) -> SpeedFit:
     return SpeedFit(float(coeffs[0]), residual, centroids)
 
 
-def packet_speed_experiment(medium: Medium, mode: BlochMode, epsilon: float,
-                            envelope: GaussianEnvelope, grid: GridSpec, t_final: float | None = None,
-                            cfl: float = 0.9, n_frames: int = 9) -> tuple:
+def packet_speed_experiment(mode: BlochMode, epsilon: float, envelope: GaussianEnvelope, grid: GridSpec,
+                            t_final: float | None = None, cfl: float = 0.9, n_frames: int = 9) -> tuple:
     """Full loop: build the IC, evolve, demodulate and fit the envelope speed.
 
     Without ``t_final`` the run lasts T_FINAL, or 0.9 of the time the
@@ -346,11 +353,11 @@ def packet_speed_experiment(medium: Medium, mode: BlochMode, epsilon: float,
     speed if that is shorter.  Returns (record, frames, fit); the prediction
     it tests is ``record.ic.group_velocity``.
     """
-    ic = build_wavepacket_ic(mode, medium, epsilon, envelope, grid)
+    ic = build_wavepacket_ic(mode, epsilon, envelope, grid)
     if t_final is None:
         speed, env = abs(ic.group_velocity), ic.envelope
         room = (ic.x[-1] + ic.dx - env.center if ic.group_velocity > 0 else env.center) - 4 * env.sigma
         t_final = T_FINAL if speed * T_FINAL <= room else 0.9 * room / speed
-    record = run_fdtd_1d(medium, ic, t_final, cfl=cfl, n_frames=n_frames)
+    record = run_fdtd_1d(ic, t_final, cfl=cfl, n_frames=n_frames)
     frames = extract_envelope(record)
     return record, frames, measure_packet_velocity(frames)

@@ -576,3 +576,12 @@ def test_assembled_operator_keeps_its_A(two_phase, vector_medium, mathieu_blocks
         bloch.solve_bands(op, 2)
         assert np.array_equal(op.A, kept) and not np.array_equal(later.A, kept)
         assert not any(np.shares_memory(op.A, w) for w in med.__dict__["_galerkin"].work)
+
+
+def test_operator_and_modes_hold_their_medium(two_phase, vector_medium, mathieu_blocks):
+    # bench/tracing.py keys every traced solve by op.medium_key, k, cutoff and size
+    for med, cutoff in ((two_phase, 16), (vector_medium, 8), (mathieu_blocks, 16)):
+        op = bloch.assemble_operator(med, [0.4], cutoff)
+        assert op.medium is med and op.medium_key == med.fingerprint
+        assert all(mode.medium is med for mode in bloch.solve_bands(op, 2))
+        assert all(mode.medium is med for mode in bloch.solve_at(med, [1.3], cutoff, 2))

@@ -231,9 +231,9 @@ def test_coupling_time_factor_and_limit_gate(two_phase, band_pair, data):
     dk = 0.0 if data.draw(st.booleans()) else _offset(data.draw, TWO_PI, data.draw(st.integers(-2, 2)), counts[0])
     d = data.draw(st.sampled_from(DOMEGAS) | st.just(1e-7 / (t0 * counts[0])) | st.floats(-2.0, 2.0))
     modes = (m1, replace(m2, k=m1.k + dk, omega=m1.omega + d))
-    report = effective.coupling_coefficients(*modes, two_phase, counts, time_window=t0)
+    report = effective.coupling_coefficients(*modes, counts, time_window=t0)
     pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
-    for (p, l), g_fields in zip(pairs, effective._transport(two_phase, modes, pairs, -1)):
+    for (p, l), g_fields in zip(pairs, effective._transport(modes, pairs)):
         domega, pair_dk = modes[l].omega - modes[p].omega, modes[l].k - modes[p].k
         for j, G in enumerate(g_fields):
             scale = np.sum(np.abs(G.coeffs))
@@ -250,7 +250,7 @@ def test_coupling_limit_gate_edge(two_phase, band_pair, d, kept):
     # same band, same k, omega moved by d: a cross limit is the self limit (to the O(d)
     # change of its integrand) inside the gate, and exactly 0 above it
     m1, _ = band_pair
-    report = effective.coupling_coefficients(m1, replace(m1, omega=m1.omega + d), two_phase, [4, 8])
+    report = effective.coupling_coefficients(m1, replace(m1, omega=m1.omega + d), [4, 8])
     for j in range(2):
         self_limit, cross_limit = report.limits[(j, 1, 1)], report.limits[(j, 1, 2)]
         assert abs(self_limit) > 0.1

@@ -14,8 +14,8 @@ def cross_keys(report):
 
 def test_self_coupling_collapses_to_cell_integral(two_phase):
     mode = bloch.solve_at(two_phase, [np.pi / 2], 16, 1)[0]
-    co = effective.effective_coefficients(mode, two_phase)
-    report = effective.coupling_coefficients(mode, mode, two_phase, [4, 8, 16, 32])
+    co = effective.effective_coefficients(mode)
+    report = effective.coupling_coefficients(mode, mode, [4, 8, 16, 32])
     assert report.resonant
     assert effective.are_equivalent(mode, mode) == report.resonant
     for j in range(2):
@@ -26,7 +26,7 @@ def test_self_coupling_collapses_to_cell_integral(two_phase):
 
 def test_different_bands_same_k_do_not_couple(two_phase):
     m1, m2 = bloch.solve_at(two_phase, [np.pi / 2], 16, 2)
-    report = effective.coupling_coefficients(m1, m2, two_phase, [4, 8, 16, 32])
+    report = effective.coupling_coefficients(m1, m2, [4, 8, 16, 32])
     assert not report.resonant
     assert effective.are_equivalent(m1, m2) == report.resonant
     assert report.max_cross_limit() < 1e-6
@@ -42,7 +42,7 @@ def test_opposite_k_same_band_do_not_couple(two_phase):
     mb = bloch.solve_at(two_phase, [-1.0], 16, 1)[0]
     # time reversal makes the frequencies equal; dk*lambda/2pi = 1/pi is not an integer
     assert abs(ma.omega - mb.omega) < 1e-9
-    report = effective.coupling_coefficients(ma, mb, two_phase, [4, 8, 16, 32])
+    report = effective.coupling_coefficients(ma, mb, [4, 8, 16, 32])
     assert not report.resonant
     assert report.max_cross_limit() < 1e-6
     for key in cross_keys(report):
@@ -54,7 +54,7 @@ def test_opposite_k_same_band_do_not_couple(two_phase):
 def test_bands_one_three_do_not_couple(two_phase):
     k = 0.3 * np.pi
     modes = bloch.solve_at(two_phase, [k], 16, 3)
-    report = effective.coupling_coefficients(modes[0], modes[2], two_phase, [4, 8, 16, 32])
+    report = effective.coupling_coefficients(modes[0], modes[2], [4, 8, 16, 32])
     assert not report.resonant
     assert report.max_cross_limit() < 1e-6
     for key in cross_keys(report):
@@ -67,7 +67,7 @@ def test_reciprocal_shift_is_equivalent(two_phase):
     base = bloch.solve_at(two_phase, [np.pi / 2], 96, 1)[0]
     shifted = bloch.solve_at(two_phase, [np.pi / 2 + 2 * np.pi], 96, 1)[0]
     assert effective.are_equivalent(base, shifted)
-    report = effective.coupling_coefficients(base, shifted, two_phase, [4, 8])
+    report = effective.coupling_coefficients(base, shifted, [4, 8])
     assert report.resonant
     assert effective.are_equivalent(base, shifted) == report.resonant
 
@@ -85,16 +85,16 @@ def test_modes_from_different_media_rejected(two_phase, const_medium):
     m1 = bloch.solve_at(two_phase, [0.9], 16, 1)[0]
     m2 = bloch.solve_at(const_medium, [0.9], 4, 1)[0]
     with pytest.raises(ValidationError, match="different media"):
-        effective.coupling_coefficients(m1, m2, two_phase, [4, 8])
+        effective.coupling_coefficients(m1, m2, [4, 8])
     with pytest.raises(ValidationError, match="different media"):
         effective.are_equivalent(m1, m2)
 
 
 def test_time_window_default_and_override(two_phase):
     m1, m2 = bloch.solve_at(two_phase, [np.pi / 2], 16, 2)
-    default = effective.coupling_coefficients(m1, m2, two_phase, [4, 8])
+    default = effective.coupling_coefficients(m1, m2, [4, 8])
     assert abs(default.time_window - 2 * np.pi / m2.omega) < 1e-12
-    custom = effective.coupling_coefficients(m1, m2, two_phase, [4, 8], time_window=1.0)
+    custom = effective.coupling_coefficients(m1, m2, [4, 8], time_window=1.0)
     assert custom.time_window == 1.0
 
 
@@ -106,13 +106,13 @@ def test_resonant_pair_meets_the_kernel_bound():
     k = np.array([0.9, 0.4])
     modes = (bloch.solve_at(med, k, 6, 1)[0], bloch.solve_at(med, k + [TWO_PI, 0.0], 6, 1)[0])
     counts = list(range(2, 65, 2))
-    report = effective.coupling_coefficients(*modes, med, counts)
+    report = effective.coupling_coefficients(*modes, counts)
     assert report.resonant
     ns = np.asarray(counts, dtype=float)
     sides = np.r_[report.time_window, med.cell.diag]
     spacetime = Cell((TWO_PI,) + med.cell.lengths)
     pairs = [(p, l) for p in (0, 1) for l in (0, 1)]
-    for (p, l), g_fields in zip(pairs, effective._transport(med, modes, pairs, -1)):
+    for (p, l), g_fields in zip(pairs, effective._transport(modes, pairs)):
         lam = np.r_[modes[l].omega - modes[p].omega, modes[p].k - modes[l].k]
         for j, G in enumerate(g_fields):
             key = (j, p + 1, l + 1)
@@ -134,8 +134,8 @@ def test_couple_on_a_3d_cell_uses_a_4_axis_spacetime_cell():
     with pytest.raises(ValidationError):
         Cell((TWO_PI, 1.0, 1.0, 1.0))
     m1, m2 = bloch.solve_at(med, [0.3, 0.2, 0.1], 1, 2)
-    report = effective.coupling_coefficients(m1, m2, med, [2, 4])
+    report = effective.coupling_coefficients(m1, m2, [2, 4])
     assert not report.resonant
-    co = effective.effective_coefficients(m1, med)
+    co = effective.effective_coefficients(m1)
     for j in range(4):
         assert np.max(np.abs(report.averages[(j, 1, 1)] - co.d[j])) < 1e-10

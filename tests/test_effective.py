@@ -35,7 +35,7 @@ def test_medium_symbol(mathieu_blocks):
 def test_constant_medium_coefficients_closed_form(const_medium):
     k = np.pi / 2
     mode = bloch.solve_at(const_medium, [k], 4, 1)[0]
-    co = effective.effective_coefficients(mode, const_medium)
+    co = effective.effective_coefficients(mode)
     assert abs(co.d[0] - (-2j * k)) < 1e-12  # omega = k
     assert abs(co.d[1] - (-2j * k)) < 1e-12
     assert abs(co.v[0] - 1.0) < 1e-12
@@ -46,7 +46,7 @@ def test_constant_medium_coefficients_closed_form(const_medium):
 def test_identity_scalar_two_phase(two_phase, kfrac, band):
     k = kfrac * np.pi
     mode = bloch.solve_at(two_phase, [k], 16, band)[band - 1]
-    co = effective.effective_coefficients(mode, two_phase)
+    co = effective.effective_coefficients(mode)
     v_fd = bands.group_velocity_fd(two_phase, [k], band, 16)
     assert abs(co.v[0] - v_fd[0]) < 1e-6
     assert abs(co.d[0] + 2j * mode.omega) < 1e-9
@@ -55,14 +55,14 @@ def test_identity_scalar_two_phase(two_phase, kfrac, band):
 
 def test_identity_band2_negative_velocity(two_phase):
     mode = bloch.solve_at(two_phase, [np.pi / 2], 16, 2)[1]
-    co = effective.effective_coefficients(mode, two_phase)
+    co = effective.effective_coefficients(mode)
     assert co.v[0] < 0
 
 
 def test_identity_vector(vector_medium):
     for band in (1, 2):
         mode = bloch.solve_at(vector_medium, [np.pi / 2], 8, band)[band - 1]
-        co = effective.effective_coefficients(mode, vector_medium)
+        co = effective.effective_coefficients(mode)
         v_fd = bands.group_velocity_fd(vector_medium, [np.pi / 2], band, 8)
         assert abs(co.v[0] - v_fd[0]) < 1e-6
         assert abs(co.d[0] + 2j * mode.omega) < 1e-9
@@ -76,11 +76,9 @@ def test_vector_decoupled_matches_scalar(cell1d, const_medium):
     vmed = medium.build_vector_medium(2, a_terms, 1.0, cell1d, 1)
     smode = bloch.solve_at(const_medium, [0.9], 4, 1)[0]
     stacked = np.stack([smode.v0[0], np.zeros_like(smode.v0[0])])
-    vmode = bloch.BlochMode("vector-wave", smode.k, smode.omega, 1, stacked,
-                            smode.cutoff, smode.cell, smode.gap, smode.residual,
-                            vmed.fingerprint)
-    vco = effective.effective_coefficients(vmode, vmed)
-    sco = effective.effective_coefficients(smode, const_medium)
+    vmode = dataclasses.replace(smode, medium=vmed, v0=stacked)
+    vco = effective.effective_coefficients(vmode)
+    sco = effective.effective_coefficients(smode)
     assert abs(vco.v[0] - sco.v[0]) < 1e-10
     assert abs(vco.d[0] - sco.d[0]) < 1e-10
     assert abs(vco.d[1] - sco.d[1]) < 1e-10
@@ -102,19 +100,19 @@ def test_family_is_only_a_label():
     for s_mode, v_mode in zip(*modes):
         assert s_mode.omega == v_mode.omega
         assert np.array_equal(s_mode.v0, v_mode.v0)
-    d = [effective.effective_coefficients(m[0], med).d for m, med in zip(modes, (scalar, vector))]
+    d = [effective.effective_coefficients(m[0]).d for m in modes]
     assert np.array_equal(d[0], d[1])
 
 
 def test_identity_schrodinger_free_and_mathieu(cell1d, mathieu_blocks):
     free = medium.build_schrodinger_blocks(0.5, 1.0, 0.0, None, cell1d, 1)
     mode = bloch.solve_at(free, [np.pi / 2], 4, 1)[0]
-    co = effective.effective_coefficients(mode, free)
+    co = effective.effective_coefficients(mode)
     assert abs(co.v[0] - np.pi) < 1e-8  # d(k^2)/dk at k = pi/2
     assert abs(co.d[0] + 1j) < 1e-12
 
     mmode = bloch.solve_at(mathieu_blocks, [np.pi / 2], 16, 1)[0]
-    mco = effective.effective_coefficients(mmode, mathieu_blocks)
+    mco = effective.effective_coefficients(mmode)
     v_fd = bands.group_velocity_fd(mathieu_blocks, [np.pi / 2], 1, 16)
     assert abs(mco.v[0] - v_fd[0]) < 1e-6
 
@@ -122,7 +120,7 @@ def test_identity_schrodinger_free_and_mathieu(cell1d, mathieu_blocks):
 def test_schrodinger_band_edge_near_zero_slope(mathieu_blocks):
     mode = bloch.solve_at(mathieu_blocks, [np.pi], 16, 1)[0]
     assert bloch.check_nondegenerate(mode)  # the potential opens a gap at the edge
-    co = effective.effective_coefficients(mode, mathieu_blocks)
+    co = effective.effective_coefficients(mode)
     assert abs(co.v[0]) < 1e-6
 
 
@@ -133,7 +131,7 @@ def test_identity_2d_scalar():
     med = medium.build_scalar_medium(a, b, cell, 4)
     k = np.array([0.7, 0.4])
     mode = bloch.solve_at(med, k, 4, 1)[0]
-    co = effective.effective_coefficients(mode, med)
+    co = effective.effective_coefficients(mode)
     v_fd = bands.group_velocity_fd(med, k, 1, 4)
     assert np.max(np.abs(co.v - v_fd)) < 1e-6
     assert abs(co.d[0] + 2j * mode.omega) < 1e-9
@@ -141,53 +139,44 @@ def test_identity_2d_scalar():
 
 def test_phase_convention_invariance(two_phase, rng):
     mode = bloch.solve_at(two_phase, [np.pi / 2], 16, 1)[0]
-    base = effective.effective_coefficients(mode, two_phase)
+    base = effective.effective_coefficients(mode)
     ratios = base.d[1:] / base.d[0]
     for _ in range(20):
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        rotated = bloch.BlochMode(mode.family, mode.k, mode.omega, mode.band,
-                                  mode.v0 * phase, mode.cutoff, mode.cell,
-                                  mode.gap, mode.residual, mode.medium_key)
-        co = effective.effective_coefficients(rotated, two_phase)
+        co = effective.effective_coefficients(dataclasses.replace(mode, v0=mode.v0 * phase))
         assert np.max(np.abs(co.d[1:] / co.d[0] - ratios)) < 1e-12
 
 
 def test_degenerate_mode_refused(const_medium):
     mode = bloch.solve_at(const_medium, [0.0], 4, 2)[1]
     with pytest.raises(ValidationError, match="degenerate"):
-        effective.effective_coefficients(mode, const_medium)
+        effective.effective_coefficients(mode)
 
 
 def test_near_zero_omega_refused(const_medium):
     mode = bloch.solve_at(const_medium, [1e-10], 4, 1)[0]
     with pytest.raises(ValidationError, match="omega"):
-        effective.effective_coefficients(mode, const_medium)
-
-
-def test_wrong_medium_refused(two_phase, const_medium):
-    mode = bloch.solve_at(two_phase, [0.9], 16, 1)[0]
-    with pytest.raises(ValidationError, match="different medium"):
-        effective.effective_coefficients(mode, const_medium)
+        effective.effective_coefficients(mode)
 
 
 def test_packet_speed(const_medium, two_phase):
     mode = bloch.solve_at(const_medium, [np.pi / 2], 4, 1)[0]
-    co = effective.effective_coefficients(mode, const_medium)
+    co = effective.effective_coefficients(mode)
     assert abs(co.packet_speed - 1.0) < 1e-12
 
     mode2 = bloch.solve_at(two_phase, [np.pi / 2], 16, 2)[1]
-    co2 = effective.effective_coefficients(mode2, two_phase)
+    co2 = effective.effective_coefficients(mode2)
     assert co2.packet_speed == co2.v[0] < 0  # signed in 1D
 
     cell = Cell((1.0, 1.2))
     med = medium.build_scalar_medium(medium.cosine(1.5, [((1, 0), 0.3), ((0, 1), 0.2)]), 1.0, cell, 4)
-    co3 = effective.effective_coefficients(bloch.solve_at(med, [0.7, 0.4], 4, 1)[0], med)
+    co3 = effective.effective_coefficients(bloch.solve_at(med, [0.7, 0.4], 4, 1)[0])
     assert co3.packet_speed == np.linalg.norm(co3.v) > 0  # |v| otherwise
 
 
 @pytest.mark.parametrize("v", [[0.0], [-0.0], [0.0, 0.0]], ids=["1d", "1d-minus-zero", "2d"])
 def test_packet_speed_zero_raises(const_medium, v):
     mode = bloch.solve_at(const_medium, [np.pi / 2], 4, 1)[0]
-    co = dataclasses.replace(effective.effective_coefficients(mode, const_medium), v=np.array(v))
+    co = dataclasses.replace(effective.effective_coefficients(mode), v=np.array(v))
     with pytest.raises(NumericalError, match="zero group velocity"):
         co.packet_speed

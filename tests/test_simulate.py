@@ -27,7 +27,7 @@ def _relative_error(rec, fit):
 
 def test_ic_peak_matches_envelope(const_medium, const_mode):
     env = GaussianEnvelope(center=3.0, sigma=0.5)
-    ic = simulate.build_wavepacket_ic(const_mode, const_medium, 1 / 16, env, GridSpec(6.0))
+    ic = simulate.build_wavepacket_ic(const_mode, 1 / 16, env, GridSpec(6.0))
     # |V0| = 1 for the constant medium, so max |u| = max h
     assert abs(np.max(np.abs(ic.u0)) - env.values(ic.x).max()) < 1e-12
     assert abs(ic.group_velocity - 1.0) < 1e-10
@@ -36,7 +36,7 @@ def test_ic_peak_matches_envelope(const_medium, const_mode):
 def test_ic_cell_average_recovers_envelope(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=3.0, sigma=0.5)
     eps = 1 / 16
-    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, eps, env, GridSpec(6.0, 33))
+    ic = simulate.build_wavepacket_ic(coarse_mode, eps, env, GridSpec(6.0, 33))
     rec = simulate.SimulationRecord(ic, 0.0, 0.9, np.array([0.0]), np.array([ic.u0]),
                                     np.array([0.0]), 0.0, True)
     frames = simulate.extract_envelope(rec)
@@ -47,17 +47,17 @@ def test_ic_cell_average_recovers_envelope(two_phase_coarse, coarse_mode):
 def test_ic_validation(const_medium, const_mode):
     env = GaussianEnvelope(center=3.0, sigma=0.5)
     with pytest.raises(ValidationError, match="epsilon"):
-        simulate.build_wavepacket_ic(const_mode, const_medium, 0.5, env, GridSpec(6.0))
+        simulate.build_wavepacket_ic(const_mode, 0.5, env, GridSpec(6.0))
     with pytest.raises(ValidationError, match="points per epsilon-cell"):
-        simulate.build_wavepacket_ic(const_mode, const_medium, 1 / 16, env, GridSpec(6.0, 8))
+        simulate.build_wavepacket_ic(const_mode, 1 / 16, env, GridSpec(6.0, 8))
     with pytest.raises(ValidationError, match="integer number"):
-        simulate.build_wavepacket_ic(const_mode, const_medium, 1 / 16, env, GridSpec(6.03))
+        simulate.build_wavepacket_ic(const_mode, 1 / 16, env, GridSpec(6.03))
     with pytest.raises(ValidationError, match="4 sigma"):
-        simulate.build_wavepacket_ic(const_mode, const_medium, 1 / 16,
+        simulate.build_wavepacket_ic(const_mode, 1 / 16,
                                      GaussianEnvelope(center=1.0, sigma=0.5), GridSpec(6.0))
     for length in (np.nan, np.inf, -6.0):
         with pytest.raises(ValidationError, match="domain length"):
-            simulate.build_wavepacket_ic(const_mode, const_medium, 1 / 16, env, GridSpec(length))
+            simulate.build_wavepacket_ic(const_mode, 1 / 16, env, GridSpec(length))
     for center, sigma in ((np.nan, 0.5), (3.0, np.nan), (3.0, np.inf), (3.0, 0.0)):
         with pytest.raises(ValidationError, match="envelope"):
             GaussianEnvelope(center, sigma)
@@ -67,18 +67,26 @@ def test_underresolved_grid_warns(two_phase_coarse, coarse_mode):
     # a cutoff-16 carrier needs 2 * 16 + 1 = 33 samples per epsilon-cell
     env = GaussianEnvelope(center=3.0, sigma=0.5)
     with pytest.warns(UserWarning, match="needs 33"):
-        simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 16, env, GridSpec(6.0, 16))
+        simulate.build_wavepacket_ic(coarse_mode, 1 / 16, env, GridSpec(6.0, 16))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 16, env, GridSpec(6.0, 33))
+        simulate.build_wavepacket_ic(coarse_mode, 1 / 16, env, GridSpec(6.0, 33))
+
+
+def test_default_grid_resolves_the_carrier(two_phase_coarse, coarse_mode):
+    # without points_per_cell a cutoff-16 carrier gets 2 * 16 + 1 = 33 samples per epsilon-cell
+    env = GaussianEnvelope(center=3.0, sigma=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ic = simulate.build_wavepacket_ic(coarse_mode, 1 / 16, env, GridSpec(6.0))
+    assert len(ic.x) == 96 * 33
 
 
 def test_carrier_periodicity_validation(const_medium):
     # k = 0.9 is not commensurate with the domain at this epsilon
     mode = bloch.solve_at(const_medium, [0.9], 4, 1)[0]
     with pytest.raises(ValidationError, match="periodic"):
-        simulate.build_wavepacket_ic(mode, const_medium, 1 / 16,
-                                     GaussianEnvelope(3.0, 0.5), GridSpec(6.0))
+        simulate.build_wavepacket_ic(mode, 1 / 16, GaussianEnvelope(3.0, 0.5), GridSpec(6.0))
 
 
 def test_plane_wave_translation_constant_medium(const_medium, const_mode):
@@ -94,7 +102,7 @@ def test_plane_wave_translation_constant_medium(const_medium, const_mode):
     ut0 = 1j * omega / eps * u0
     ic = simulate.WavePacketIC(eps, const_mode, GaussianEnvelope(length / 2, 0.1), x, dx, u0, ut0, 0.0)
     period = 2 * np.pi * eps / omega
-    rec = simulate.run_fdtd_1d(const_medium, ic, period, cfl=0.9, n_frames=5)
+    rec = simulate.run_fdtd_1d(ic, period, cfl=0.9, n_frames=5)
     exact = np.exp(-1j * (k * x / eps - omega * period / eps))
     assert np.max(np.abs(rec.fields[-1] - exact)) < 1e-6
     assert rec.energy_drift < 1e-6
@@ -117,36 +125,34 @@ def test_bloch_time_periodicity_two_phase(two_phase_coarse):
     ut0 = 1j * omega / eps * u0
     ic = simulate.WavePacketIC(eps, mode, GaussianEnvelope(length / 2, 0.1), x, dx, u0, ut0, 0.0)
     period = 2 * np.pi * eps / omega
-    rec = simulate.run_fdtd_1d(two_phase_coarse, ic, period, cfl=0.9, n_frames=5)
+    rec = simulate.run_fdtd_1d(ic, period, cfl=0.9, n_frames=5)
     assert np.max(np.abs(rec.fields[-1] - u0)) / np.max(np.abs(u0)) < 1e-3
 
 
 def test_energy_conservation_and_stability_flag(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    rec, _, _ = simulate.packet_speed_experiment(two_phase_coarse, coarse_mode, 1 / 8, env,
-                                                 GridSpec(8.0, 33), 2.0)
+    rec, _, _ = simulate.packet_speed_experiment(coarse_mode, 1 / 8, env, GridSpec(8.0, 33), 2.0)
     assert rec.stable
     assert rec.energy_drift < 1e-6
 
 
 def test_cfl_validation(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(6.0, 33))
+    ic = simulate.build_wavepacket_ic(coarse_mode, 1 / 8, env, GridSpec(6.0, 33))
     with pytest.raises(ValidationError, match="cfl"):
-        simulate.run_fdtd_1d(two_phase_coarse, ic, 1.0, cfl=1.2)
+        simulate.run_fdtd_1d(ic, 1.0, cfl=1.2)
     with pytest.raises(ValidationError, match="boundary"):
-        simulate.run_fdtd_1d(two_phase_coarse, ic, 50.0)
+        simulate.run_fdtd_1d(ic, 50.0)
     for t_final in (0.0, np.nan):
         with pytest.raises(ValidationError, match="t_final"):
-            simulate.run_fdtd_1d(two_phase_coarse, ic, t_final)
+            simulate.run_fdtd_1d(ic, t_final)
     with pytest.raises(ValidationError, match="cfl"):
-        simulate.run_fdtd_1d(two_phase_coarse, ic, 1.0, cfl=np.nan)
+        simulate.run_fdtd_1d(ic, 1.0, cfl=np.nan)
 
 
 def test_measured_speed_matches_prediction(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=2.5, sigma=0.5)
-    rec, _, fit = simulate.packet_speed_experiment(two_phase_coarse, coarse_mode, 1 / 16, env,
-                                                   GridSpec(12.0, 33), 4.0)
+    rec, _, fit = simulate.packet_speed_experiment(coarse_mode, 1 / 16, env, GridSpec(12.0, 33), 4.0)
     assert _relative_error(rec, fit) < 0.02
     assert fit.residual < 0.01 * abs(fit.speed * 4.0)
 
@@ -154,8 +160,7 @@ def test_measured_speed_matches_prediction(two_phase_coarse, coarse_mode):
 def test_negative_band_measured_speed(two_phase_coarse):
     mode2 = bloch.solve_at(two_phase_coarse, [np.pi / 2], 16, 2)[1]
     env = GaussianEnvelope(center=7.0, sigma=0.5)
-    rec, _, fit = simulate.packet_speed_experiment(two_phase_coarse, mode2, 1 / 16, env,
-                                                   GridSpec(10.0, 33), 2.0)
+    rec, _, fit = simulate.packet_speed_experiment(mode2, 1 / 16, env, GridSpec(10.0, 33), 2.0)
     assert rec.ic.group_velocity < 0
     assert fit.speed < 0
     assert _relative_error(rec, fit) < 0.02
@@ -166,7 +171,7 @@ def test_envelope_mask_at_amplitude_node(two_phase_coarse):
     mode = bloch.solve_at(two_phase_coarse, [np.pi], 16, 1)[0]
     env = GaussianEnvelope(center=3.0, sigma=0.5)
     eps = 1 / 16
-    ic = simulate.build_wavepacket_ic(mode, two_phase_coarse, eps, env, GridSpec(6.0, 33))
+    ic = simulate.build_wavepacket_ic(mode, eps, env, GridSpec(6.0, 33))
     rec = simulate.SimulationRecord(ic, 0.0, 0.9, np.array([0.0]), np.array([ic.u0]),
                                     np.array([0.0]), 0.0, True)
     frames = simulate.extract_envelope(rec)
@@ -179,8 +184,8 @@ def test_envelope_mask_at_amplitude_node(two_phase_coarse):
 
 def test_extract_envelope_leaves_record_unchanged(two_phase_coarse, coarse_mode):
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(8.0, 33))
-    rec = simulate.run_fdtd_1d(two_phase_coarse, ic, 0.5, cfl=0.9, n_frames=3)
+    ic = simulate.build_wavepacket_ic(coarse_mode, 1 / 8, env, GridSpec(8.0, 33))
+    rec = simulate.run_fdtd_1d(ic, 0.5, cfl=0.9, n_frames=3)
     before = pickle.dumps(rec)
     frames = simulate.extract_envelope(rec)
     assert pickle.dumps(rec) == before
@@ -193,10 +198,10 @@ def test_extract_envelope_leaves_record_unchanged(two_phase_coarse, coarse_mode)
 def test_zero_or_nonfinite_initial_energy_rejected(two_phase_coarse, coarse_mode, value):
     # a zero reference energy made the drift 0/0, which the gate read as stable
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    ic = simulate.build_wavepacket_ic(coarse_mode, two_phase_coarse, 1 / 8, env, GridSpec(8.0, 33))
+    ic = simulate.build_wavepacket_ic(coarse_mode, 1 / 8, env, GridSpec(8.0, 33))
     blank = dataclasses.replace(ic, u0=np.full_like(ic.u0, value), ut0=np.zeros_like(ic.ut0))
     with pytest.raises(ValidationError, match="initial energy") as new:
-        simulate.run_fdtd_1d(two_phase_coarse, blank, 0.5, cfl=0.9, n_frames=3)
+        simulate.run_fdtd_1d(blank, 0.5, cfl=0.9, n_frames=3)
     with pytest.raises(ValidationError) as old:
         oracle_fdtd(two_phase_coarse, blank, 0.5, cfl=0.9, n_frames=3)
     assert str(new.value) == str(old.value)
@@ -350,9 +355,9 @@ def test_fdtd_matches_reference_loop(medium_name, eps, request):
     med = request.getfixturevalue(medium_name)
     mode = bloch.solve_at(med, [np.pi / 2], 16, 1)[0]
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    ic = simulate.build_wavepacket_ic(mode, med, eps, env, GridSpec(6.0, 33))
+    ic = simulate.build_wavepacket_ic(mode, eps, env, GridSpec(6.0, 33))
     t_final = 1.0
-    new = simulate.run_fdtd_1d(med, ic, t_final)
+    new = simulate.run_fdtd_1d(ic, t_final)
     ref = _reference_run_fdtd_1d(med, ic, t_final)
 
     velocity = oracle_fdtd(med, ic, t_final)
@@ -384,8 +389,8 @@ def test_block_evaluation_matches_loop(random_three_phase, n_cells, turns, t_fin
     eps = 1 / 8
     mode = bloch.solve_at(random_three_phase, [2 * np.pi * turns / n_cells], 16, 1)[0]
     env = GaussianEnvelope(center=2.0, sigma=0.4)
-    ic = simulate.build_wavepacket_ic(mode, random_three_phase, eps, env, GridSpec(n_cells * eps, 33))
-    new = simulate.run_fdtd_1d(random_three_phase, ic, t_final)
+    ic = simulate.build_wavepacket_ic(mode, eps, env, GridSpec(n_cells * eps, 33))
+    new = simulate.run_fdtd_1d(ic, t_final)
     loop = oracle_fdtd(random_three_phase, ic, t_final)
     assert new.dt == loop.dt and new.stable and loop.stable
     np.testing.assert_array_equal(new.times, loop.times)
@@ -406,8 +411,8 @@ def test_scheme_speed_converges_at_second_order(cell1d):
     for k in (np.pi / 2, -np.pi / 2):
         mode = bloch.solve_at(smooth, [k], 16, 1)[0]
         for ppc in (33, 65, 129, 257):
-            ic = simulate.build_wavepacket_ic(mode, smooth, 1 / 8, env, GridSpec(4.0, ppc))
-            rec = simulate.run_fdtd_1d(smooth, ic, 0.05, n_frames=2)
+            ic = simulate.build_wavepacket_ic(mode, 1 / 8, env, GridSpec(4.0, ppc))
+            rec = simulate.run_fdtd_1d(ic, 0.05, n_frames=2)
             errors[k, ppc] = rec.scheme_speed - ic.group_velocity
     for k, sign in ((np.pi / 2, -1), (-np.pi / 2, 1)):
         err = np.array([errors[k, ppc] for ppc in (33, 65, 129, 257)])
@@ -418,9 +423,8 @@ def test_scheme_speed_converges_at_second_order(cell1d):
 @pytest.mark.parametrize("ppc", [16, 33])
 def test_scheme_speed_constant_medium(const_medium, const_mode, ppc):
     # a = b = 1: sin(phi / 2) = (dt / dx) sin(kappa dx / 2), so v = cos(kappa dx / 2) / cos(phi / 2)
-    ic = simulate.build_wavepacket_ic(const_mode, const_medium, 1 / 8, GaussianEnvelope(2.0, 0.25),
-                                      GridSpec(4.0, ppc))
-    rec = simulate.run_fdtd_1d(const_medium, ic, 0.05, n_frames=2)
+    ic = simulate.build_wavepacket_ic(const_mode, 1 / 8, GaussianEnvelope(2.0, 0.25), GridSpec(4.0, ppc))
+    rec = simulate.run_fdtd_1d(ic, 0.05, n_frames=2)
     half = float(const_mode.k[0]) / ic.epsilon * ic.dx / 2
     phi = 2 * np.arcsin(rec.dt / ic.dx * np.sin(half))
     assert abs(rec.scheme_speed - np.cos(half) / np.cos(phi / 2)) <= 1e-12
@@ -431,7 +435,7 @@ def test_profiles_sampled_on_one_cell(random_three_phase, eps):
     # 1/10: neither dx / eps nor the cell offsets c * lambda * eps are dyadic
     mode = bloch.solve_at(random_three_phase, [np.pi / 2], 16, 1)[0]
     env = GaussianEnvelope(center=3.0, sigma=0.5)
-    ic = simulate.build_wavepacket_ic(mode, random_three_phase, eps, env, GridSpec(6.0, 33))
+    ic = simulate.build_wavepacket_ic(mode, eps, env, GridSpec(6.0, 33))
     tiled = simulate._medium_profiles(random_three_phase, ic.x, ic.dx, eps)
     v0 = mode.amplitude_field(0)
     pairs = list(zip(tiled, oracle_profiles(random_three_phase, ic)))

@@ -44,7 +44,7 @@ def _oracle_transport(med, left, right, sign, pair):
         t = pair(f, product(i, k, p))
         return t if scale == 1 else scale * t
 
-    out = [None] * (left.cell.dims + 1)
+    out = [None] * (left.medium.cell.dims + 1)
 
     def add(slot, t):
         out[slot] = t if out[slot] is None else out[slot] + t
@@ -145,7 +145,7 @@ def _modes(med, cutoff, rng, band):
 
 def _assert_tables_match(med, left, right):
     sign = 1 if med.family == "schrodinger" else -1
-    (got,) = effective._transport(med, [left, right], [(0, 1)], sign)
+    (got,) = effective._transport([left, right], [(0, 1)])
     want = _oracle_transport(med, left, right, sign, _convolve)
     assert len(got) == len(want) == med.cell.dims + 1
     for g, w in zip(got, want):
@@ -167,7 +167,7 @@ def test_transport_matches_convolution_oracle(family, dims, seed, band, other):
     left = {"same": right, "band": modes[2 - band], "k": _modes(med, cutoff, rng, band)[band - 1]}[other]
     _assert_tables_match(med, left, right)
     if bloch.check_nondegenerate(right) and (family == "schrodinger" or right.omega > 1e-6):
-        d = effective.effective_coefficients(right, med).d
+        d = effective.effective_coefficients(right).d
         oracle = np.array(_oracle_transport(med, right, right, 1 if family == "schrodinger" else -1,
                                             product_mean))
         assert np.max(np.abs(d - oracle)) <= REL * np.max(np.abs(oracle))
@@ -186,5 +186,5 @@ def test_transport_with_per_axis_field_cutoffs(rng):
     m2 = bloch.solve_at(med, [-1.1, 0.9], 2, 2)[1]
     for left, right in ((m1, m1), (m1, m2), (m2, m1)):
         _assert_tables_match(med, left, right)
-    tables = effective._transport(med, [m1, m2], [(0, 0), (0, 1)], -1)
+    tables = effective._transport([m1, m2], [(0, 0), (0, 1)])
     assert [t.cutoffs for t in tables[1]] == [(6, 4), (7, 8), (5, 8)]
