@@ -20,23 +20,28 @@ for the wave families B and its lower Cholesky factor (not for 3D vector
 media, which are assembly only), all read-only.  A term of A is formed at
 its field's entries only, and the mirror copies only the entries the terms
 wrote: a smooth medium's lag blocks are mostly structural zeros, and the
-entries no term writes keep one value for every k.  The cache also holds
-two writable n x n work arrays: :func:`solve_at` assembles A into the
-first, and LAPACK overwrites the second (Fortran order), so a k-solve
-allocates no new n x n array.  The second holds, in turn, a copy of A for
-a dense solve, or the Cholesky factor of A + s B and then the LDL^H
-factorization of A - tau B for a Lanczos solve.  Hence :func:`solve_at`
-and :func:`solve_bands` are not reentrant for one medium object: two
-threads must not solve on the same medium at once.
+entries no term writes keep one value for every k.  A wave pencil that
+Lanczos solves and whose entries all lie within kd of the diagonal, with
+2 kd < n, also keeps B in LAPACK's band storage and where each entry A's
+terms write lands there.  The cache also holds two writable n x n work
+arrays: :func:`solve_at` assembles A into the first, and LAPACK overwrites
+the second (Fortran order), so a k-solve allocates no new n x n array.
+The second holds, in turn, a copy of A for a dense solve, or the Cholesky
+factor of A + s B and then the LDL^H factorization of A - tau B for a
+Lanczos solve; on a narrow band a third, (kd + 1) x n, holds A + s B and its
+factor instead.  Hence :func:`solve_at` and :func:`solve_bands` are not
+reentrant for one medium object: two threads must not solve on the same
+medium at once.  A pickled medium leaves the cache out.
 :func:`assemble_operator` returns an A of its own, which no later call
 changes.  An operator, and each mode solved from it, holds the medium it
 was built from, so what consumes a mode (transport coefficients, coupling,
 wave packets) reads the medium from the mode and takes no medium argument.
 
 A wave pencil of size ``LANCZOS_MIN_SIZE`` or more gets its lowest pairs
-by shift-invert Lanczos (:func:`_lanczos`), kept only if each pair meets
-the residual gate and a Sylvester inertia count shows that no eigenvalue
-below them was missed (:func:`_certified`).  Any other wave solve, and any
+by shift-invert Lanczos (:func:`_lanczos`, with a banded factor on a
+narrow band), kept only if each pair meets the residual gate and a
+Sylvester inertia count shows that no eigenvalue below them was missed
+(:func:`_certified`).  Any other wave solve, and any
 Lanczos solve that is not certified, runs the rest of LAPACK's xHEGVX on
 B's factor (HEGST, HEEVX with its queried optimal workspace, the
 triangular solve), which gives the bits ``scipy.linalg.eigh(A, B)``
@@ -96,6 +101,7 @@ class BlochOperator:
     cutoff: int
     factor: tuple | None  # lapack.zpotrf(B, lower=1) as (L, info); None if nothing is solved with B
     scratch: np.ndarray = field(repr=False)  # the medium's Fortran-order work array; solves overwrite it
+    band: _Band | None = field(repr=False)  # the medium's band parts when the pencil's band is narrow
 
     @property
     def size(self) -> int:
@@ -203,6 +209,44 @@ def _mirror_hermitian(m: np.ndarray, scratch: np.ndarray, lower: np.ndarray) -> 
 
 
 @dataclass(frozen=True)
+class _Band:
+    """A wave pencil's band in LAPACK's lower band storage, and a work array of that shape.
+
+    Every nonzero entry of A and B lies within ``kd`` of the diagonal.
+    ``B`` holds B's entries B[r + d, r] at [d, r], (kd + 1) x n in Fortran
+    order, the layout ZPBTRF, ZTBSV and ZHBMV read.  A's entry (r, c), r <= c,
+    lands conjugated, as A[c, r], at [c - r, r]: ``at`` gives that position,
+    as a flat index in Fortran order, for each flat index in ``upper`` (the
+    cache's list of the entries A's terms write).  Those three are
+    read-only; ``work`` is writable and receives A + s B, then its factor.
+    """
+
+    kd: int
+    B: np.ndarray
+    upper: np.ndarray
+    at: np.ndarray
+    work: np.ndarray
+
+
+def _band(B: np.ndarray, upper: np.ndarray, b_at: list) -> _Band | None:
+    """The band parts of a pencil whose B and A entries on and above the diagonal sit at the flat
+    indices ``b_at`` (a list of arrays) and ``upper``; None unless 2 kd < n: from kd near n / 2
+    on, the band factor and steps cost what the dense ones do (README "Eigensolve")."""
+    n = len(B)
+    rows, cols = np.divmod(np.concatenate([upper, *b_at]), n)
+    kd = int(np.max(cols - rows))
+    if 2 * kd >= n:
+        return None
+    d, r = np.indices((kd + 1, n))
+    B_band = np.asfortranarray(np.where(d + r < n, B[np.minimum(d + r, n - 1), r], 0.0))
+    rows, cols = np.divmod(upper, n)
+    at = (cols - rows) + rows * (kd + 1)
+    for arr in (B_band, at):
+        arr.flags.writeable = False
+    return _Band(kd, B_band, upper, at, np.empty((kd + 1, n), dtype=np.complex128, order="F"))
+
+
+@dataclass(frozen=True)
 class _Galerkin:
     """The k-independent parts of a medium's Bloch operators at one cutoff, and two work arrays.
 
@@ -216,8 +260,11 @@ class _Galerkin:
     their transposed indices.  ``beta0`` is the schrodinger family's
     divisor (None for the wave families).  ``factor`` is what
     ``lapack.zpotrf(B, lower=1)`` returns, (L, info); info > 0 means B is
-    not positive definite.  Every array is read-only except the two in
-    ``work``: A(k) (C order) and the eigensolve's scratch (Fortran order).
+    not positive definite.  ``band`` holds the pencil's band parts
+    (:func:`_band`) when Lanczos solves it (n >= ``LANCZOS_MIN_SIZE``) and
+    its band is narrow, else None.  Every array is read-only except the two
+    in ``work``, A(k) (C order) and the eigensolve's scratch (Fortran order),
+    and ``band.work``.
     """
 
     cutoff: int
@@ -229,6 +276,7 @@ class _Galerkin:
     beta0: float | None
     B: np.ndarray | None
     factor: tuple | None
+    band: _Band | None
     work: tuple
 
 
@@ -268,6 +316,7 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     for idx, f in medium.C.items():
         uses.setdefault(id(f), (f, []))[1].append(idx)
     B = np.zeros((n, n), dtype=np.complex128) if wave else None
+    b_at = []  # the flat indices of B the time entries write
     terms = []
     for f, entries in uses.values():
         for (i, j, kk, l) in entries:
@@ -275,6 +324,7 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
                 if i <= kk:
                     at, (_, _, values) = on_block(f, i, kk)
                     B.put(at, -values)  # the entries are nonzero, so -v is 0 - v
+                    b_at.append(at)
             elif not (j and l):
                 raise ValidationError(f"C entry {(i, j, kk, l)} has no term in the Bloch operator")
             elif i > kk:  # a block below the diagonal: the mirror fills it
@@ -298,12 +348,14 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     mirror = (above, cols * n + rows)
     lower = np.greater.outer(np.arange(n), np.arange(n))
     scratch = np.empty((n, n), dtype=np.complex128, order="F")
-    factor = None
+    factor = band = None
     if wave:
         _mirror_hermitian(B, scratch, lower)
         if not _assembly_only(medium):
             factor = lapack.zpotrf(B, lower=1)
             factor[0].flags.writeable = False
+            if n >= LANCZOS_MIN_SIZE:
+                band = _band(B, upper, b_at)
     zero = np.zeros(1, dtype=np.complex128)
     if not wave:
         zero /= beta0
@@ -313,7 +365,7 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     for arr in [basis, G, B, upper, *mirror, *(t[0] for t in terms)]:
         if arr is not None:
             arr.flags.writeable = False
-    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, B, factor, (A, scratch))
+    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, B, factor, band, (A, scratch))
     medium.__dict__["_galerkin"] = cache
     return cache
 
@@ -366,7 +418,8 @@ def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> Bl
     if medium.cutoff > cutoff:
         warnings.warn(f"operator cutoff {cutoff} below medium cutoff {medium.cutoff}; "
                       "medium content beyond the operator lags is truncated")
-    return BlochOperator(medium, k, g.basis, A if _into_work else A.copy(), g.B, cutoff, g.factor, scratch)
+    return BlochOperator(medium, k, g.basis, A if _into_work else A.copy(), g.B, cutoff, g.factor, scratch,
+                         g.band)
 
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:
@@ -417,24 +470,42 @@ def _shift_into_scratch(op: BlochOperator, shift: float) -> np.ndarray:
     return op.scratch
 
 
+def _shift_into_band(op: BlochOperator, shift: float) -> np.ndarray:
+    """Write A + shift*B into the operator's band work array, in lower band storage, and return it.
+
+    A's entries outside ``band.upper`` are zero (a wave family's A holds
+    only what its terms write), so shift*B plus A's written entries,
+    conjugated into the lower triangle, is the whole band, entry for entry
+    the lower triangle :func:`_shift_into_scratch` forms.
+    """
+    band = op.band
+    np.multiply(band.B, shift, out=band.work)
+    flat = band.work.T.reshape(-1)  # a view, since work is in Fortran order
+    flat[band.at] += np.conjugate(op.A.reshape(-1)[band.upper])
+    return band.work
+
+
 def _lanczos(op: BlochOperator, nev: int):
     """The nev lowest eigenpairs of A v = mu B v by shift-invert Lanczos, and the next Ritz value; or None.
 
     The shift s > 0 is a quarter of the nev-th smallest positive diagonal
     quotient A_ii / B_ii: near the wanted values, so their theta are well
     separated, but not so far below them that the largest theta swamps the
-    rest in roundoff.  With A + s B = L L^H (POTRF in the scratch), the
-    pencil's eigenpairs are those of the Hermitian T = L^-1 B L^-H, with
-    theta = 1 / (mu + s) and v = L^-H y, so the lowest mu are the largest
-    theta.  Lanczos on T starts from a fixed pseudo-random vector, which no
-    symmetry of the medium keeps out of any eigenspace, and orthogonalizes
-    each new vector twice against all earlier ones.  It stops when the Ritz
-    residual estimate beta_m |z_m| of each of the nev largest Ritz values is
-    below ``_LANCZOS_TOL`` times that value.  Returns (mu, X): nev + 1
-    ascending Ritz values and the B-normalized vectors of the first nev.
-    None if no positive shift exists, A + s B is not positive definite,
-    Lanczos breaks down early, or ``_LANCZOS_MAX_STEPS`` steps pass without
-    convergence.  The scratch holds L on return.
+    rest in roundoff.  With A + s B = L L^H, the pencil's eigenpairs are
+    those of the Hermitian T = L^-1 B L^-H, with theta = 1 / (mu + s) and
+    v = L^-H y, so the lowest mu are the largest theta.  On a narrow band
+    (``op.band``) PBTRF factors A + s B in the band's work array and a step
+    applies T by two TBSV and one HBMV; otherwise POTRF factors it in the
+    scratch and a step makes two TRSV and a dense product with B.  Lanczos
+    on T starts from a fixed pseudo-random vector, which no symmetry of the
+    medium keeps out of any eigenspace, and orthogonalizes each new vector
+    twice against all earlier ones (kept conjugated too).  It stops when
+    the Ritz residual estimate beta_m |z_m| of each of the nev largest Ritz
+    values is below ``_LANCZOS_TOL`` times that value.  Returns (mu, X):
+    nev + 1 ascending Ritz values and the B-normalized vectors of the first
+    nev.  None if no positive shift exists, A + s B is not positive
+    definite, Lanczos breaks down early, or ``_LANCZOS_MAX_STEPS`` steps
+    pass without convergence.  L stays in the array it was factored in.
     """
     n = op.size
     quotients = np.diag(op.A).real / np.diag(op.B).real
@@ -442,22 +513,32 @@ def _lanczos(op: BlochOperator, nev: int):
     if len(positive) < nev:
         return None
     s = 0.25 * float(positive[nev - 1])
-    L, info = lapack.zpotrf(_shift_into_scratch(op, s), lower=1, clean=0, overwrite_a=1)
+    band = op.band
+    if band is None:
+        L, info = lapack.zpotrf(_shift_into_scratch(op, s), lower=1, clean=0, overwrite_a=1)
+    else:
+        L, info = lapack.zpbtrf(_shift_into_band(op, s), lower=1, overwrite_ab=1)
     if info:
         return None
     steps = min(n, _LANCZOS_MAX_STEPS)
     Q = np.empty((steps, n), dtype=np.complex128)
+    Qc = np.empty_like(Q)  # conj(Q), row by row
     start = np.random.default_rng(0).standard_normal((2, n))
     Q[0] = start[0] + 1j * start[1]
     Q[0] /= np.linalg.norm(Q[0])
+    np.conjugate(Q[0], out=Qc[0])
     alpha = np.zeros(steps)
     beta = np.zeros(steps)
     for m in range(steps):
-        w = blas.ztrsv(L, Q[m], lower=1, trans=2)
-        w = blas.ztrsv(L, op.B @ w, lower=1, overwrite_x=1)
+        if band is None:
+            w = blas.ztrsv(L, Q[m], lower=1, trans=2)
+            w = blas.ztrsv(L, op.B @ w, lower=1, overwrite_x=1)
+        else:
+            w = blas.ztbsv(band.kd, L, Q[m], lower=1, trans=2)
+            w = blas.ztbsv(band.kd, L, blas.zhbmv(band.kd, 1.0, band.B, w, lower=1), lower=1, overwrite_x=1)
         basis = Q[:m + 1]
         for _ in range(2):
-            h = basis.conj() @ w
+            h = Qc[:m + 1] @ w
             w -= h @ basis
             alpha[m] += h[m].real
         beta[m] = np.linalg.norm(w)
@@ -465,12 +546,17 @@ def _lanczos(op: BlochOperator, nev: int):
             theta, Z, _ = lapack.dstev(alpha[:m + 1], beta[:m])
             top = np.arange(m, m - nev - 1, -1)  # dstev sorts ascending
             if np.all(beta[m] * np.abs(Z[m, top[:nev]]) <= _LANCZOS_TOL * theta[top[:nev]]):
-                X, _ = lapack.ztrtrs(L, basis.T @ Z[:, top[:nev]], lower=1, trans=2, overwrite_b=1)
+                Y = basis.T @ Z[:, top[:nev]]
+                if band is None:
+                    X, _ = lapack.ztrtrs(L, Y, lower=1, trans=2, overwrite_b=1)
+                else:
+                    X = np.column_stack([blas.ztbsv(band.kd, L, y, lower=1, trans=2) for y in Y.T])
                 X /= np.sqrt(np.einsum("ij,ij->j", X.conj(), op.B @ X).real)
                 return 1.0 / theta[top] - s, X
         if not beta[m] > 0.0 or m + 1 == steps:
             return None
         Q[m + 1] = w / beta[m]
+        np.conjugate(Q[m + 1], out=Qc[m + 1])
 
 
 def _negative_count(a: np.ndarray):
@@ -491,8 +577,9 @@ def _negative_count(a: np.ndarray):
     return int(np.count_nonzero(ldu.diagonal().real[~pair] < 0.0) + np.count_nonzero(pair) // 2)
 
 
-def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray) -> bool:
-    """True iff the Lanczos pairs (mu[:-1], X) are the pencil's lowest, each within the residual gate.
+def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
+    """The residuals |A x - mu B x| / |x| of the Lanczos pairs (mu[:-1], X) if they are the pencil's
+    lowest, each within half the residual gate; else None.
 
     Consecutive Ritz values must differ by more than ``_LANCZOS_SPLIT``
     times the spectral radius bound: a multiplet's eigenvectors are not
@@ -504,20 +591,24 @@ def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray) -> bool:
     """
     rho = _spectral_radius_bound(op, mu)
     if not np.min(np.diff(mu)) > _LANCZOS_SPLIT * rho:
-        return False
+        return None
     R = op.A @ X - (op.B @ X) * mu[:-1]
     gate = _residual_gate(op, mu[:-1])
-    if not np.all(np.linalg.norm(R, axis=0) <= 0.5 * gate * np.linalg.norm(X, axis=0)):
-        return False
+    r_norm, x_norm = np.linalg.norm(R, axis=0), np.linalg.norm(X, axis=0)
+    if not np.all(r_norm <= 0.5 * gate * x_norm):
+        return None
     tau = mu[-2] + 0.25 * (mu[-1] - mu[-2])
-    return _negative_count(_shift_into_scratch(op, -tau)) == len(mu) - 1
+    if _negative_count(_shift_into_scratch(op, -tau)) != len(mu) - 1:
+        return None
+    return r_norm / x_norm
 
 
 def _solve_pencil(op: BlochOperator, subset) -> tuple:
-    """Eigenpairs subset[0]..subset[1] of A v = mu B v (subset[0] == 0).
+    """Eigenpairs subset[0]..subset[1] of A v = mu B v (subset[0] == 0), and their residuals or None.
 
     For n >= ``LANCZOS_MIN_SIZE`` (and few pairs) the pairs come from
-    :func:`_lanczos` when :func:`_certified` accepts them.  Otherwise, and
+    :func:`_lanczos` when :func:`_certified` accepts them, with the
+    residuals the certificate formed.  Otherwise, and
     whenever either declines, LAPACK xHEGVX's steps run on a fresh copy of A
     in the scratch: POTRF + HEGST + HEEVX + TRSM, with B's factor from the
     operator (a medium factors B once per cutoff).  With HEEVX's optimal
@@ -532,8 +623,9 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     nev = subset[1] + 1
     if op.size >= LANCZOS_MIN_SIZE and nev <= _LANCZOS_MAX_PAIRS:
         found = _lanczos(op, nev)
-        if found is not None and _certified(op, *found):
-            return found[0][:-1], found[1]
+        residuals = None if found is None else _certified(op, *found)
+        if residuals is not None:
+            return found[0][:-1], found[1], residuals
     np.copyto(op.scratch, op.A)
     C, _ = lapack.zhegst(op.scratch, L, lower=1, overwrite_a=1)
     lwork = int(lapack.zheevx_lwork(len(C), lower=1)[0].real)
@@ -542,7 +634,7 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     if info:
         raise scipy.linalg.LinAlgError(f"{info} eigenvectors failed to converge.")
     x, _ = lapack.ztrtrs(L, Z[:, :m], lower=1, trans=2, overwrite_b=1)  # L's diagonal is nonzero
-    return w[:m], x
+    return w[:m], x, None
 
 
 def solve_bands(op: BlochOperator, n_bands: int) -> list:
@@ -564,12 +656,13 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     if _assembly_only(op.medium):
         raise UnsupportedScaleError("3D vector eigensolves are out of scope (assembly only)")
     subset = [0, min(n_bands, op.size - 1)]
+    residuals = None  # a certified Lanczos solve has formed them already
     try:
         if op.B is None:
             np.copyto(op.scratch, op.A)  # LAPACK works in place on this Fortran-order copy
             evals, evecs = scipy.linalg.eigh(op.scratch, subset_by_index=subset, overwrite_a=True)
         else:
-            evals, evecs = _solve_pencil(op, subset)
+            evals, evecs, residuals = _solve_pencil(op, subset)
     except scipy.linalg.LinAlgError as exc:
         diag = ""
         if op.B is not None:
@@ -590,9 +683,11 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     modes = []
     for idx in range(n_bands):
         v = evecs[:, idx]
-        mu = evals[idx]
-        r = op.A @ v - mu * (v if op.B is None else op.B @ v)
-        residual = float(np.linalg.norm(r) / np.linalg.norm(v))
+        if residuals is None:
+            r = op.A @ v - evals[idx] * (v if op.B is None else op.B @ v)
+            residual = float(np.linalg.norm(r) / np.linalg.norm(v))
+        else:
+            residual = float(residuals[idx])
         if not residual <= gate:
             raise NumericalError(f"band {idx + 1} residual {residual:.3e} exceeds {gate:.3e}")
         v0 = v.reshape(shape).copy()

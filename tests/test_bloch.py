@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -138,7 +139,7 @@ def oracle_solve(op, n_bands):
     """``solve_bands`` with the generalized problem handed to ``scipy.linalg.eigh`` whole."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bloch, "_solve_pencil",
-                      lambda op, subset: scipy.linalg.eigh(op.A, op.B, subset_by_index=subset))
+                      lambda op, subset: (*scipy.linalg.eigh(op.A, op.B, subset_by_index=subset), None))
         return bloch.solve_bands(op, n_bands)
 
 
@@ -543,16 +544,21 @@ def test_cutoff_switch_rebuilds_same_bits():
 def test_cached_parts_read_only(vector_medium, cell1d):
     blocks = medium.build_schrodinger_blocks(0.5, 1.0, medium.cosine(0.0, [((1,), 2.0)]), [0.7],
                                              cell1d, 4)
-    for med in (vector_medium, blocks):
-        op = bloch.assemble_operator(med, [0.3], 8)
+    # the last pencil, 129 plane waves with a band of half-width 16, keeps band parts
+    for med, cutoff in ((vector_medium, 8), (blocks, 8), (checks._two_phase_medium(16), 64)):
+        op = bloch.assemble_operator(med, [0.3], cutoff)
         cache = med.__dict__["_galerkin"]
         entries = [a for t in cache.terms for a in (t[0], *t[1])]  # flat indices and lag entries
         parts = [cache.basis, cache.G, cache.upper, *cache.mirror, *entries]
         if cache.B is not None:
             parts += [cache.B, cache.factor[0]]
+        if cache.band is not None:
+            parts += [cache.band.B, cache.band.at]
         assert len(entries) >= 4 and not any(a.flags.writeable for a in parts)
-        arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
-        assert all(any(a is p for p in parts) for a in arrays)  # no writable array elsewhere
+        fields = [*vars(cache).values(), *(vars(cache.band).values() if cache.band else ())]
+        arrays = [v for v in fields if isinstance(v, np.ndarray)]
+        band_work = [cache.band.work] if cache.band else []
+        assert all(any(a is p for p in parts + band_work) for a in arrays)  # no writable array elsewhere
         a_work, scratch = cache.work
         n = len(op.A)
         assert a_work.shape == scratch.shape == (n, n)
@@ -560,6 +566,13 @@ def test_cached_parts_read_only(vector_medium, cell1d):
         assert a_work.flags.writeable and scratch.flags.writeable
         assert op.basis is cache.basis and op.B is cache.B and op.factor is cache.factor
         assert op.scratch is scratch and not np.shares_memory(op.A, a_work)
+        assert op.band is cache.band and (cache.band is None) == (cutoff == 8)
+        if cache.band is not None:
+            kd = cache.band.kd
+            assert kd == 16 and cache.band.upper is cache.upper
+            assert cache.band.B.shape == cache.band.work.shape == (kd + 1, n)
+            assert cache.band.B.flags.f_contiguous and cache.band.work.flags.f_contiguous
+            assert cache.band.work.flags.writeable
     with pytest.raises(ValueError):
         bloch.assemble_operator(vector_medium, [0.3], 8).B[0, 0] = 2.0
 
@@ -585,3 +598,22 @@ def test_operator_and_modes_hold_their_medium(two_phase, vector_medium, mathieu_
         assert op.medium is med and op.medium_key == med.fingerprint
         assert all(mode.medium is med for mode in bloch.solve_bands(op, 2))
         assert all(mode.medium is med for mode in bloch.solve_at(med, [1.3], cutoff, 2))
+
+
+def test_pickled_mode_leaves_the_solver_cache_out():
+    cell = Cell((1.0, 1.2))
+    med = medium.build_scalar_medium(medium.cosine(2.0, [((1, 0), 0.3, 0.4), ((1, 1), 0.2, 1.1)]),
+                                     medium.cosine(1.5, [((0, 1), 0.25, 2.0)]), cell, 2)
+    k = [0.7, -0.4]
+    modes = bloch.solve_at(med, k, 8, 2)
+    assert modes[0].v0.size == 289 and med.__dict__["_galerkin"].band is not None
+    fields = {id(f): f for f in (*med.C.values(), *med.M.values(), *med.c.values())}
+    tables = sum(f.coeffs.nbytes for f in fields.values())
+    blob = pickle.dumps(modes[0])
+    assert len(blob) <= 2 * (modes[0].v0.nbytes + tables)
+    again = pickle.loads(blob)
+    assert "_galerkin" in med.__dict__ and "_galerkin" not in again.medium.__dict__
+    assert again.medium == med
+    for m1, m2 in zip(modes, bloch.solve_at(again.medium, k, 8, 2)):
+        assert m1.omega == m2.omega and m1.gap == m2.gap and m1.residual == m2.residual
+        assert np.array_equal(m1.v0, m2.v0)

@@ -3,9 +3,13 @@
 Wave pencils of size ``bloch.LANCZOS_MIN_SIZE`` or more take their lowest
 pairs from ``bloch._lanczos`` when ``bloch._certified`` accepts them; the
 dense xHEGVX steps are the oracle, reached here by raising the threshold
-above the pencil size.  Random media come from hypothesis with
-``derandomize=True``, so every run draws the same cases.
+above the pencil size.  A pencil whose band is narrow factors A + s B in
+band storage, any other one densely; each family below pins which.  Random
+media come from hypothesis with ``derandomize=True``, so every run draws
+the same cases.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -83,28 +87,59 @@ def _random_medium(family, draw):
                    for i in range(2) for j in range(2)}
         a_terms[(0, 0, 1, 1)] = medium.cosine(0.2, harmonics((1, 1)))
         med = medium.build_vector_medium(2, a_terms, [[1.0, 0.1], [0.1, 1.0]], cell, 2)
-    else:  # scalar-1d: piecewise media, whose tables reach every lag of the basis
+    else:  # piecewise media at the operator cutoff (a band of half-width (n - 1) / 2), truncated at
+        # 16 harmonics (half-width 32), or at twice the operator cutoff (every lag of the basis)
         cutoff = draw(st.integers(64, 100))
         inner = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3)))
         breaks = [0.0] + inner
         values = [draw(st.floats(1.0, 4.0)) for _ in breaks]
         mass = [draw(st.floats(1.0, 2.0)) for _ in breaks]
         cell = Cell((1.0,))
-        med = medium.build_scalar_medium(medium.piecewise(breaks, values),
-                                         medium.piecewise(breaks, mass), cell, cutoff)
+        table = {"scalar-1d-band": 16, "scalar-1d-full": 2 * cutoff}.get(family, cutoff)
+        med = medium.build_scalar_medium(medium.piecewise(breaks, values), medium.piecewise(breaks, mass),
+                                         cell, table)
     return med, cutoff
 
 
-def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
+# the factor each family's Lanczos solves take: band storage while 2 kd < n; the component-major
+# blocks of a vector medium, and a 1D table that reaches every lag, make the band wide
+BAND_FAMILIES = {"scalar-2d": True, "vector-2d": False, "scalar-1d": True, "scalar-1d-band": True,
+                 "scalar-1d-full": False}
+
+
+def _assert_band_holds(op, shift):
+    """The band parts hold A + shift B, entry for entry, and A and B vanish outside the band."""
+    kd, n = op.band.kd, op.size
+    ab = bloch._shift_into_band(op, shift)
+    dense = op.A + shift * op.B
+    rows, cols = np.indices((n, n))
+    outside = np.abs(rows - cols) > kd
+    assert not op.A[outside].any() and not op.B[outside].any()
+    for d in range(kd + 1):
+        assert np.array_equal(ab[d, :n - d], np.diagonal(dense, -d))
+
+
+def _check_against_dense(med, k, cutoff, n_bands, monkeypatch, band=True):
     """Solve at k on both paths: a multiplet among the lowest n_bands + 2 eigenvalues must give the
-    dense bits, anything else certified Lanczos pairs that agree with the dense ones.  Returns
-    whether the solve fell back."""
+    dense bits, anything else certified Lanczos pairs that agree with the dense ones.  Lanczos must
+    factor A + s B in band storage if ``band``, densely if not.  Returns whether the solve fell back."""
     verdicts = []
+    formed = []  # the residuals the certificate formed
+    factors = []
     certified = bloch._certified
 
     def spy(op, mu, X):
-        verdicts.append(certified(op, mu, X))
-        return verdicts[-1]
+        formed.append(certified(op, mu, X))
+        verdicts.append(formed[-1] is not None)
+        return formed[-1]
+
+    def factor_spy(name):
+        routine = getattr(bloch.lapack, name)
+
+        def factor(*args, **kwargs):
+            factors.append(name)
+            return routine(*args, **kwargs)
+        return factor
 
     op = bloch.assemble_operator(med, k, cutoff)
     assert op.size >= bloch.LANCZOS_MIN_SIZE
@@ -114,16 +149,23 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     want = _dense(lambda: bloch.solve_at(med, k, cutoff, n_bands), op)
     with monkeypatch.context() as patch:
         patch.setattr(bloch, "_certified", spy)
+        for name in ("zpbtrf", "zpotrf"):
+            patch.setattr(bloch.lapack, name, factor_spy(name))
         got = bloch.solve_at(med, k, cutoff, n_bands)
+    assert factors == ["zpbtrf" if band else "zpotrf"]
+    assert (op.band is not None) == band
+    if band:
+        _assert_band_holds(op, 0.37 * rho)
     if np.min(np.diff(low)) < 1e-9 * rho:  # a multiplet: its eigenvectors are not unique
         assert True not in verdicts
         _same_modes(got, want)
         return True
     assert verdicts == [True]
+    assert [m.residual for m in got] == list(formed[0][:n_bands])  # reported as formed
     op = bloch.assemble_operator(med, k, cutoff)
     mu, X = bloch._lanczos(op, nev)
     mu = mu[:-1]
-    w, x = _dense(lambda: bloch._solve_pencil(op, [0, n_bands]), op)
+    w, x, _ = _dense(lambda: bloch._solve_pencil(op, [0, n_bands]), op)
     gate = bloch._residual_gate(op, w)
     # compare omega^2: at an omega = 0 mode the square root turns roundoff into ~1e-7 in omega
     assert np.all(np.abs(mu - w) <= 1e-13 * rho)
@@ -140,14 +182,16 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
 
 
 @pytest.mark.parametrize("n_bands", [1, 3])
-@pytest.mark.parametrize("family", ["scalar-2d", "vector-2d", "scalar-1d"])
+@pytest.mark.parametrize("family", BAND_FAMILIES)
 @settings(derandomize=True, database=None, deadline=None, max_examples=6)
 @given(data=st.data())
 def test_lanczos_pairs_match_dense(family, n_bands, data):
     med, cutoff = _random_medium(family, data.draw)
     k = [data.draw(_kcomp) for _ in range(med.cell.dims)]
-    with pytest.MonkeyPatch.context() as patch:
-        _check_against_dense(med, k, cutoff, n_bands, patch)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        if family == "scalar-1d-full":  # the operator truncates the medium's table, deliberately
+            warnings.filterwarnings("ignore", "operator cutoff .* below medium cutoff")
+        _check_against_dense(med, k, cutoff, n_bands, patch, BAND_FAMILIES[family])
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +231,13 @@ def test_missed_eigenvalue_fails_certificate(monkeypatch):
         return np.delete(mu, 1), np.delete(X, 1, axis=1)
 
     def spy(op, mu, X):
-        verdicts.append(certified(op, mu, X))
-        return verdicts[-1]
+        residuals = certified(op, mu, X)
+        verdicts.append(residuals is not None)
+        return residuals
 
     op = bloch.assemble_operator(med, k, 8)
     want = _dense(lambda: bloch.solve_at(med, k, 8, 2), op)
-    assert certified(op, *lanczos(op, 3))  # unpatched, the fast path holds here
+    assert certified(op, *lanczos(op, 3)) is not None  # unpatched, the fast path holds here
     monkeypatch.setattr(bloch, "_lanczos", skip_second)
     monkeypatch.setattr(bloch, "_certified", spy)
     _same_modes(bloch.solve_at(med, k, 8, 2), want)
