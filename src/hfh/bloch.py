@@ -28,8 +28,10 @@ arrays: :func:`solve_at` assembles A into the first, and LAPACK overwrites
 the second (Fortran order), so a k-solve allocates no new n x n array.
 The second holds, in turn, a copy of A for a dense solve, or the Cholesky
 factor of A + s B and then the LDL^H factorization of A - tau B for a
-Lanczos solve; on a narrow band a third, (kd + 1) x n, holds A + s B and its
-factor instead.  Hence :func:`solve_at` and :func:`solve_bands` are not
+Lanczos solve.  On a narrow band a third, (kd + 1) x n, holds A + s B and
+its factor, then the inertia count's A - tau B with its pinned diagonal
+lift and that factor, and the second is untouched unless the count
+declines.  Hence :func:`solve_at` and :func:`solve_bands` are not
 reentrant for one medium object: two threads must not solve on the same
 medium at once.  A pickled medium leaves the cache out.
 :func:`assemble_operator` returns an A of its own, which no later call
@@ -41,7 +43,8 @@ A wave pencil of size ``LANCZOS_MIN_SIZE`` or more gets its lowest pairs
 by shift-invert Lanczos (:func:`_lanczos`, with a banded factor on a
 narrow band), kept only if each pair meets the residual gate and a
 Sylvester inertia count shows that no eigenvalue below them was missed
-(:func:`_certified`).  Any other wave solve, and any
+(:func:`_certified`; on a narrow band from a pinned band Cholesky,
+:func:`_band_negative_count`).  Any other wave solve, and any
 Lanczos solve that is not certified, runs the rest of LAPACK's xHEGVX on
 B's factor (HEGST, HEEVX with its queried optimal workspace, the
 triangular solve), which gives the bits ``scipy.linalg.eigh(A, B)``
@@ -82,6 +85,9 @@ _LANCZOS_MAX_PAIRS = 4
 _LANCZOS_MAX_STEPS = 64
 _LANCZOS_TOL = 1e-14
 _LANCZOS_SPLIT = 1e-9
+# Pinned plane waves per Ritz value in the band certificate (:func:`_band_negative_count`):
+# sweep2d media need one, a strongly modulated 1D medium up to three.
+_CERTIFICATE_PINS = 4
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,9 @@ class _Band:
     lands conjugated, as A[c, r], at [c - r, r]: ``at`` gives that position,
     as a flat index in Fortran order, for each flat index in ``upper`` (the
     cache's list of the entries A's terms write).  Those three are
-    read-only; ``work`` is writable and receives A + s B, then its factor.
+    read-only; ``work`` is writable and receives A + s B, then its factor,
+    then the inertia count's A - tau B with its pinned diagonal lift, and
+    that factor.
     """
 
     kd: int
@@ -577,6 +585,44 @@ def _negative_count(a: np.ndarray):
     return int(np.count_nonzero(ldu.diagonal().real[~pair] < 0.0) + np.count_nonzero(pair) // 2)
 
 
+def _band_negative_count(op: BlochOperator, tau: float, pins: int):
+    """The number of negative eigenvalues of H = A - tau B on a narrow band, or None.
+
+    Pin the ``pins`` plane waves S of smallest diagonal quotient A_ii / B_ii
+    (stable order) with weights c_i = 4 tau B_ii: H' = H + E E^H, E =
+    sum over S of sqrt(c_i) e_i.  If H' is positive definite, Haynsworth's
+    inertia additivity (Linear Algebra Appl. 1 (1968) 73) on the block
+    matrix [[H', E], [E^H, I]] gives neg(H) = neg(K) and zero(H) = zero(K)
+    for the p x p Hermitian K = I - E^H H'^-1 E, exactly, for any S and
+    positive weights.  The eigenvectors below tau live mostly on the
+    low-quotient plane waves, so lifting those normally makes H' positive
+    definite.  PBTRF factors H' = L L^H in the band's work array
+    (overwriting the Lanczos factor, which is no longer read), one band
+    triangular solve (TBTRS) gives Y = L^-1 E, and the eigenvalues of
+    K = I - Y^H Y give the count; with a backward-stable factor and solve
+    it is exact for A - tau B + Delta, |Delta| = O(u |H|), as the LDL^H
+    count is.  None if tau <= 0, H' is not positive definite, or an
+    eigenvalue of K is within 1e-10 max(1, |K|) of zero.
+    """
+    if not tau > 0.0:
+        return None
+    ab = _shift_into_band(op, -tau)
+    quotients = np.diag(op.A).real / op.band.B[0].real
+    S = np.argsort(quotients, kind="stable")[:pins]
+    c = 4.0 * tau * op.band.B[0, S].real
+    ab[0, S] += c
+    L, info = lapack.zpbtrf(ab, lower=1, overwrite_ab=1)
+    if info:
+        return None
+    E = np.zeros((op.size, len(S)), dtype=np.complex128, order="F")
+    E[S, np.arange(len(S))] = np.sqrt(c)
+    Y, _ = lapack.ztbtrs(L, E, uplo="L", overwrite_b=1)  # L^-1 E, so K = I - Y^H Y
+    w = np.linalg.eigvalsh(np.eye(len(S)) - Y.conj().T @ Y)
+    if not np.min(np.abs(w)) > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
+        return None
+    return int(np.count_nonzero(w < 0.0))
+
+
 def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
     """The residuals |A x - mu B x| / |x| of the Lanczos pairs (mu[:-1], X) if they are the pencil's
     lowest, each within half the residual gate; else None.
@@ -585,9 +631,12 @@ def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
     times the spectral radius bound: a multiplet's eigenvectors are not
     unique, and the dense solve stays the reference for them.  Then
     tau = mu[-2] + (mu[-1] - mu[-2]) / 4 lies above the last wanted value
-    and below the next Ritz value, and the LDL^H factorization of A - tau B
-    (in the scratch) must show exactly len(mu) - 1 negative eigenvalues, so
-    that no eigenvalue below tau was missed.
+    and below the next Ritz value, and A - tau B must have exactly
+    len(mu) - 1 negative eigenvalues, so that no eigenvalue below tau was
+    missed.  On a narrow band :func:`_band_negative_count` counts them with
+    ``_CERTIFICATE_PINS`` pins per Ritz value; without a band, or when it
+    declines, the LDL^H factorization of A - tau B in the scratch does
+    (:func:`_negative_count`).  Either count only accepts or rejects.
     """
     rho = _spectral_radius_bound(op, mu)
     if not np.min(np.diff(mu)) > _LANCZOS_SPLIT * rho:
@@ -598,7 +647,12 @@ def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
     if not np.all(r_norm <= 0.5 * gate * x_norm):
         return None
     tau = mu[-2] + 0.25 * (mu[-1] - mu[-2])
-    if _negative_count(_shift_into_scratch(op, -tau)) != len(mu) - 1:
+    count = None
+    if op.band is not None:
+        count = _band_negative_count(op, tau, min(_CERTIFICATE_PINS * len(mu), op.size))
+    if count is None:
+        count = _negative_count(_shift_into_scratch(op, -tau))
+    if count != len(mu) - 1:
         return None
     return r_norm / x_norm
 

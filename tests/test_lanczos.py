@@ -4,11 +4,16 @@ Wave pencils of size ``bloch.LANCZOS_MIN_SIZE`` or more take their lowest
 pairs from ``bloch._lanczos`` when ``bloch._certified`` accepts them; the
 dense xHEGVX steps are the oracle, reached here by raising the threshold
 above the pencil size.  A pencil whose band is narrow factors A + s B in
-band storage, any other one densely; each family below pins which.  Random
-media come from hypothesis with ``derandomize=True``, so every run draws
-the same cases.
+band storage and counts the inertia of A - tau B from a pinned band
+Cholesky, any other one factors and counts densely; each family below pins
+which.  The dense LDL^H count is the band count's oracle and fallback, so
+the tests below also pin which count ran.  Random media come from
+hypothesis with ``derandomize=True``, so every run draws the same cases.
 """
 
+import contextlib
+import io
+import json
 import warnings
 
 import numpy as np
@@ -17,7 +22,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfh import bloch, medium
+from hfh import bloch, cli, medium
 from hfh.fourier import Cell
 
 
@@ -60,6 +65,22 @@ def test_negative_count_of_definite_and_diagonal_matrices():
     assert bloch._negative_count(np.asfortranarray(np.diag([3.0, -1.0, 2.0, -4.0]).astype(complex))) == 2
     assert bloch._negative_count(np.asfortranarray(np.eye(5, dtype=complex))) == 0
     assert bloch._negative_count(np.asfortranarray(-np.eye(5, dtype=complex))) == 5
+
+
+def _pins(negatives):
+    """The pins :func:`bloch._certified` takes for ``negatives`` wanted pairs (one Ritz value more)."""
+    return bloch._CERTIFICATE_PINS * (negatives + 1)
+
+
+def _spy(patch, owner, name, log, record=lambda result: result):
+    """Replace ``owner.name`` by a pass-through that appends ``record(result)`` to ``log``."""
+    routine = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        result = routine(*args, **kwargs)
+        log.append(record(result))
+        return result
+    patch.setattr(owner, name, spy)
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +147,14 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch, band=True):
     verdicts = []
     formed = []  # the residuals the certificate formed
     factors = []
+    splits = []  # whether the Ritz values passed the split test
     certified = bloch._certified
 
     def spy(op, mu, X):
+        splits.append(bool(np.min(np.diff(mu)) > bloch._LANCZOS_SPLIT * bloch._spectral_radius_bound(op, mu)))
         formed.append(certified(op, mu, X))
         verdicts.append(formed[-1] is not None)
         return formed[-1]
-
-    def factor_spy(name):
-        routine = getattr(bloch.lapack, name)
-
-        def factor(*args, **kwargs):
-            factors.append(name)
-            return routine(*args, **kwargs)
-        return factor
 
     op = bloch.assemble_operator(med, k, cutoff)
     assert op.size >= bloch.LANCZOS_MIN_SIZE
@@ -149,18 +164,23 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch, band=True):
     want = _dense(lambda: bloch.solve_at(med, k, cutoff, n_bands), op)
     with monkeypatch.context() as patch:
         patch.setattr(bloch, "_certified", spy)
-        for name in ("zpbtrf", "zpotrf"):
-            patch.setattr(bloch.lapack, name, factor_spy(name))
+        for name in ("zpbtrf", "zpotrf", "zhetrf"):
+            _spy(patch, bloch.lapack, name, factors, lambda result, name=name: name)
         got = bloch.solve_at(med, k, cutoff, n_bands)
-    assert factors == ["zpbtrf" if band else "zpotrf"]
     assert (op.band is not None) == band
     if band:
         _assert_band_holds(op, 0.37 * rho)
+    # the Lanczos factor, then the inertia count: a pinned band Cholesky, or a dense LDL^H
+    factor, count = ("zpbtrf", "zpbtrf") if band else ("zpotrf", "zhetrf")
     if np.min(np.diff(low)) < 1e-9 * rho:  # a multiplet: its eigenvectors are not unique
         assert True not in verdicts
+        # split Ritz values mean Lanczos saw one vector of the multiplet and the count rejects;
+        # the split test rejects a resolved multiplet before any count
+        assert factors == ([factor, count] if splits == [True] else [factor])
         _same_modes(got, want)
         return True
     assert verdicts == [True]
+    assert factors == [factor, count]
     assert [m.residual for m in got] == list(formed[0][:n_bands])  # reported as formed
     op = bloch.assemble_operator(med, k, cutoff)
     mu, X = bloch._lanczos(op, nev)
@@ -192,6 +212,81 @@ def test_lanczos_pairs_match_dense(family, n_bands, data):
         if family == "scalar-1d-full":  # the operator truncates the medium's table, deliberately
             warnings.filterwarnings("ignore", "operator cutoff .* below medium cutoff")
         _check_against_dense(med, k, cutoff, n_bands, patch, BAND_FAMILIES[family])
+
+
+@pytest.mark.parametrize("family", [f for f, band in BAND_FAMILIES.items() if band])
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_band_count_matches_eigvalsh(family, data):
+    # tau midway between consecutive eigenvalues among the lowest six: every tau below the sixth
+    # must get a count from the pinned band Cholesky, and it must be the dense spectrum's
+    med, cutoff = _random_medium(family, data.draw)
+    k = [data.draw(_kcomp) for _ in range(med.cell.dims)]
+    op = bloch.assemble_operator(med, k, cutoff)
+    assert op.band is not None
+    low = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, 5])
+    for j in range(5):
+        tau = 0.5 * (low[j] + low[j + 1])
+        want = int(np.count_nonzero(np.linalg.eigvalsh(op.A - tau * op.B) < 0.0))
+        assert bloch._band_negative_count(op, tau, min(_pins(j + 1), op.size)) == want == j + 1
+
+
+def test_band_count_declines():
+    op = bloch.assemble_operator(_c4_medium(), (0.7, -1.3), 8)
+    low = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, 4])
+    for j in range(4):
+        tau = 0.5 * (low[j] + low[j + 1])
+        assert bloch._band_negative_count(op, tau, _pins(j + 1)) == j + 1
+        # a rank-j update removes at most j of the j + 1 negative eigenvalues: H' is indefinite
+        assert bloch._band_negative_count(op, tau, j) is None
+        # tau on an eigenvalue: H is singular to roundoff, and so is K
+        assert bloch._band_negative_count(op, low[j], _pins(j + 1)) is None
+    assert bloch._band_negative_count(op, 0.0, _pins(1)) is None  # no positive weights
+
+
+@pytest.mark.parametrize("missed", [False, True])
+def test_declined_band_count_gives_the_dense_verdict(missed, monkeypatch):
+    op = bloch.assemble_operator(_c4_medium(), (0.7, -1.3), 8)
+    mu, X = bloch._lanczos(op, 4 if missed else 3)
+    if missed:  # the certificate must reject pairs that skip the second eigenvalue
+        mu, X = np.delete(mu, 1), np.delete(X, 1, axis=1)
+    want = bloch._certified(op, mu, X)
+    assert (want is None) == missed
+    counts, factors = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(bloch, "_CERTIFICATE_PINS", 0)  # no pins: H' = A - tau B is indefinite
+        _spy(patch, bloch, "_band_negative_count", counts)
+        _spy(patch, bloch.lapack, "zhetrf", factors, lambda result: "zhetrf")
+        got = bloch._certified(op, mu, X)
+    assert counts == [None] and factors == ["zhetrf"]
+    assert (got is None) == missed
+    if not missed:
+        assert np.array_equal(got, want)
+
+
+def test_sweep2d_bands_count_on_the_band(tmp_path, monkeypatch):
+    # the traffic the band certificate serves: a 2D cosine medium with harmonics up to 2 per
+    # axis at cutoff 8 (289 plane waves); every solve of a 9-sample sweep is certified by a
+    # pinned band count, and no dense LDL^H runs
+    def cosine(mean, harmonics):
+        return {"type": "cosine", "mean": mean,
+                "harmonics": [{"n": n, "amp": amp, "phase": phase} for n, amp, phase in harmonics]}
+
+    config = tmp_path / "medium.json"
+    config.write_text(json.dumps({
+        "cell": [1.0, 1.0], "kind": "scalar", "cutoff": 2,
+        "a": cosine(2.2, [([1, -2], 0.4, 0.3), ([2, 1], 0.5, 1.9), ([0, 2], 0.3, 4.0)]),
+        "b": cosine(1.2, [([1, 0], 0.35, 2.5), ([1, 1], 0.3, 0.7)])}))
+    counts, factors, certified = [], [], []
+    _spy(monkeypatch, bloch, "_band_negative_count", counts)
+    _spy(monkeypatch, bloch.lapack, "zhetrf", factors, lambda result: "zhetrf")
+    _spy(monkeypatch, bloch, "_certified", certified, lambda result: result is not None)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["bands", "--config", str(config), "--k-start=0.6,-0.4", "--k-end=2.1,-1.9",
+                         "--samples", "9", "--band", "1", "--cutoff", "8",
+                         "--out", str(tmp_path / "bands.csv")])
+    assert code == 0
+    assert certified == [True] * 9 and counts == [2] * 9 and factors == []
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +333,15 @@ def test_missed_eigenvalue_fails_certificate(monkeypatch):
     op = bloch.assemble_operator(med, k, 8)
     want = _dense(lambda: bloch.solve_at(med, k, 8, 2), op)
     assert certified(op, *lanczos(op, 3)) is not None  # unpatched, the fast path holds here
+    counts, factors = [], []
     monkeypatch.setattr(bloch, "_lanczos", skip_second)
     monkeypatch.setattr(bloch, "_certified", spy)
+    _spy(monkeypatch, bloch, "_band_negative_count", counts)
+    _spy(monkeypatch, bloch.lapack, "zhetrf", factors, lambda result: "zhetrf")
     _same_modes(bloch.solve_at(med, k, 8, 2), want)
     assert verdicts == [False]
+    # the band count found the skipped eigenvalue: four below tau, not three; no dense count ran
+    assert counts == [4] and factors == []
 
 
 def test_small_pencils_keep_the_dense_path(monkeypatch):
