@@ -22,28 +22,35 @@ its field's entries only, and the mirror copies only the entries the terms
 wrote: a smooth medium's lag blocks are mostly structural zeros, and the
 entries no term writes keep one value for every k.  A wave pencil that
 Lanczos solves and whose entries all lie within kd of the diagonal, with
-2 kd < n, also keeps B in LAPACK's band storage and where each entry A's
-terms write lands there.  The cache also holds two writable n x n work
-arrays: :func:`solve_at` assembles A into the first, and LAPACK overwrites
-the second (Fortran order), so a k-solve allocates no new n x n array.
-The second holds, in turn, a copy of A for a dense solve, or the Cholesky
-factor of A + s B and then the LDL^H factorization of A - tau B for a
-Lanczos solve.  On a narrow band a third, (kd + 1) x n, holds A + s B and
-its factor, then the inertia count's A - tau B with its pinned diagonal
-lift and that factor, and the second is untouched unless the count
-declines.  Hence :func:`solve_at` and :func:`solve_bands` are not
-reentrant for one medium object: two threads must not solve on the same
-medium at once.  A pickled medium leaves the cache out.
+2 kd < n, also keeps B in LAPACK's band storage, over B's own band, and
+where each entry A's terms write lands in a band of half-width kd.  Such
+a pencil checks that B is positive definite by a band Cholesky, and B's
+dense factor waits for the first dense solve, which a certified Lanczos
+solve never needs; any other wave pencil factors B with the cache.  The
+cache also holds two writable n x n work arrays: :func:`solve_at`
+assembles A into the first, and LAPACK overwrites the second (Fortran
+order), so a k-solve allocates no new n x n array.  The second holds, in
+turn, a copy of A for a dense solve, or the Cholesky factor of A + s B
+and then the LDL^H factorization of A - tau B for a Lanczos solve.  On a
+narrow band a third, (kd + 1) x n, holds A + s B and its factor, then A
+for the certificate's residuals, then the inertia count's A - tau B with
+its pinned diagonal lift and that factor, and the second is untouched
+unless the count declines.  Hence :func:`solve_at` and
+:func:`solve_bands` are not reentrant for one medium object: two threads
+must not solve on the same medium at once.  A pickled medium leaves the
+cache out.
 :func:`assemble_operator` returns an A of its own, which no later call
-changes.  An operator, and each mode solved from it, holds the medium it
-was built from, so what consumes a mode (transport coefficients, coupling,
+changes.  An operator holds the medium's cache at its cutoff, which its
+solves read and overwrite.  An operator, and each mode solved from it,
+holds the medium it was built from, so what consumes a mode (transport coefficients, coupling,
 wave packets) reads the medium from the mode and takes no medium argument.
 
 A wave pencil of size ``LANCZOS_MIN_SIZE`` or more gets its lowest pairs
 by shift-invert Lanczos (:func:`_lanczos`, with a banded factor on a
 narrow band), kept only if each pair meets the residual gate and a
 Sylvester inertia count shows that no eigenvalue below them was missed
-(:func:`_certified`; on a narrow band from a pinned band Cholesky,
+(:func:`_certified`; on a narrow band with band products for the
+residuals and a pinned band Cholesky for the count,
 :func:`_band_negative_count`).  Any other wave solve, and any
 Lanczos solve that is not certified, runs the rest of LAPACK's xHEGVX on
 B's factor (HEGST, HEEVX with its queried optimal workspace, the
@@ -65,6 +72,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -105,13 +113,21 @@ class BlochOperator:
     A: np.ndarray
     B: np.ndarray | None
     cutoff: int
-    factor: tuple | None  # lapack.zpotrf(B, lower=1) as (L, info); None if nothing is solved with B
-    scratch: np.ndarray = field(repr=False)  # the medium's Fortran-order work array; solves overwrite it
-    band: _Band | None = field(repr=False)  # the medium's band parts when the pencil's band is narrow
+    parts: _Galerkin = field(repr=False)  # the medium's cache at this cutoff, which solves read and overwrite
 
     @property
     def size(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def scratch(self) -> np.ndarray:
+        """The medium's Fortran-order n x n work array; solves overwrite it."""
+        return self.parts.work[1]
+
+    @property
+    def band(self) -> _Band | None:
+        """The medium's band parts when the pencil's band is narrow, else None."""
+        return self.parts.band
 
     @property
     def medium_key(self) -> str:
@@ -219,14 +235,16 @@ class _Band:
     """A wave pencil's band in LAPACK's lower band storage, and a work array of that shape.
 
     Every nonzero entry of A and B lies within ``kd`` of the diagonal.
-    ``B`` holds B's entries B[r + d, r] at [d, r], (kd + 1) x n in Fortran
-    order, the layout ZPBTRF, ZTBSV and ZHBMV read.  A's entry (r, c), r <= c,
-    lands conjugated, as A[c, r], at [c - r, r]: ``at`` gives that position,
-    as a flat index in Fortran order, for each flat index in ``upper`` (the
+    ``B`` holds B's entries B[r + d, r] at [d, r] over B's own band,
+    (kd_B + 1) x n in Fortran order with kd_B <= kd, the layout ZPBTRF and
+    ZHBMV read.  A's entry (r, c), r <= c, lands conjugated, as A[c, r], at
+    [c - r, r] of a (kd + 1) x n array: ``at`` gives that position, as a
+    flat index in Fortran order, for each flat index in ``upper`` (the
     cache's list of the entries A's terms write).  Those three are
-    read-only; ``work`` is writable and receives A + s B, then its factor,
-    then the inertia count's A - tau B with its pinned diagonal lift, and
-    that factor.
+    read-only; ``work``, (kd + 1) x n, is writable and receives A + s B,
+    then its factor, then A for the certificate's residuals, then the
+    inertia count's A - tau B with its pinned diagonal lift, and that
+    factor.
     """
 
     kd: int
@@ -241,17 +259,24 @@ def _band(B: np.ndarray, upper: np.ndarray, b_at: list) -> _Band | None:
     indices ``b_at`` (a list of arrays) and ``upper``; None unless 2 kd < n: from kd near n / 2
     on, the band factor and steps cost what the dense ones do (README "Eigensolve")."""
     n = len(B)
-    rows, cols = np.divmod(np.concatenate([upper, *b_at]), n)
-    kd = int(np.max(cols - rows))
+    rows, cols = np.divmod(np.concatenate([upper[:0], *b_at]), n)  # upper[:0]: none if B has no entry
+    kd_B = int(np.max(cols - rows, initial=0))
+    rows, cols = np.divmod(upper, n)
+    kd = max(kd_B, int(np.max(cols - rows, initial=0)))
     if 2 * kd >= n:
         return None
-    d, r = np.indices((kd + 1, n))
+    d, r = np.indices((kd_B + 1, n))
     B_band = np.asfortranarray(np.where(d + r < n, B[np.minimum(d + r, n - 1), r], 0.0))
-    rows, cols = np.divmod(upper, n)
     at = (cols - rows) + rows * (kd + 1)
     for arr in (B_band, at):
         arr.flags.writeable = False
     return _Band(kd, B_band, upper, at, np.empty((kd + 1, n), dtype=np.complex128, order="F"))
+
+
+def _b_indefinite(info: int) -> scipy.linalg.LinAlgError:
+    return scipy.linalg.LinAlgError(
+        f"The leading minor of order {info} of B is not positive definite. The factorization "
+        "of B could not be completed and no eigenvalues or eigenvectors were computed.")
 
 
 @dataclass(frozen=True)
@@ -266,13 +291,14 @@ class _Galerkin:
     a zero field has no term.  ``upper`` lists every flat index a term
     writes, ascending, and ``mirror`` pairs those above the diagonal with
     their transposed indices.  ``beta0`` is the schrodinger family's
-    divisor (None for the wave families).  ``factor`` is what
-    ``lapack.zpotrf(B, lower=1)`` returns, (L, info); info > 0 means B is
-    not positive definite.  ``band`` holds the pencil's band parts
-    (:func:`_band`) when Lanczos solves it (n >= ``LANCZOS_MIN_SIZE``) and
-    its band is narrow, else None.  Every array is read-only except the two
-    in ``work``, A(k) (C order) and the eigensolve's scratch (Fortran order),
-    and ``band.work``.
+    divisor (None for the wave families).  ``b_info`` is 0 if B is positive
+    definite, else the order of its first leading minor that is not: the
+    info of ZPBTRF on ``band.B`` for a pencil with band parts, of ZPOTRF on
+    B for any other wave pencil (0 when nothing is solved with B).
+    ``band`` holds the pencil's band parts (:func:`_band`) when Lanczos
+    solves it (n >= ``LANCZOS_MIN_SIZE``) and its band is narrow, else
+    None.  Every array is read-only except the two in ``work``, A(k) (C
+    order) and the eigensolve's scratch (Fortran order), and ``band.work``.
     """
 
     cutoff: int
@@ -283,9 +309,24 @@ class _Galerkin:
     mirror: tuple
     beta0: float | None
     B: np.ndarray | None
-    factor: tuple | None
+    b_info: int
     band: _Band | None
     work: tuple
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """B's lower Cholesky factor (ZPOTRF), read-only.
+
+        A pencil without band parts forms it when the cache is built; a
+        narrow-band one in its first dense solve, since a certified Lanczos
+        solve never reads it.  Raises ``LinAlgError`` if B is not positive
+        definite.
+        """
+        L, info = lapack.zpotrf(self.B, lower=1)
+        if info:
+            raise _b_indefinite(info)
+        L.flags.writeable = False
+        return L
 
 
 def _galerkin(medium, cutoff: int) -> _Galerkin:
@@ -357,13 +398,16 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     lower = np.greater.outer(np.arange(n), np.arange(n))
     scratch = np.empty((n, n), dtype=np.complex128, order="F")
     factor = band = None
+    b_info = 0
     if wave:
         _mirror_hermitian(B, scratch, lower)
         if not _assembly_only(medium):
-            factor = lapack.zpotrf(B, lower=1)
-            factor[0].flags.writeable = False
             if n >= LANCZOS_MIN_SIZE:
                 band = _band(B, upper, b_at)
+            if band is None:
+                factor, b_info = lapack.zpotrf(B, lower=1)
+            else:
+                b_info = lapack.zpbtrf(band.B, lower=1)[1]
     zero = np.zeros(1, dtype=np.complex128)
     if not wave:
         zero /= beta0
@@ -373,7 +417,10 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     for arr in [basis, G, B, upper, *mirror, *(t[0] for t in terms)]:
         if arr is not None:
             arr.flags.writeable = False
-    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, B, factor, band, (A, scratch))
+    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, B, b_info, band, (A, scratch))
+    if factor is not None and not b_info:
+        factor.flags.writeable = False
+        cache.__dict__["factor"] = factor  # where the cached property keeps it
     medium.__dict__["_galerkin"] = cache
     return cache
 
@@ -404,7 +451,7 @@ def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> Bl
     k = _as_k(cell, k)
     g = _galerkin(medium, cutoff)
     kg = k[:, None] + g.G
-    A, scratch = g.work
+    A = g.work[0]
     flat = A.reshape(-1)
     flat[g.upper] = 0.0
     for at, (rows, cols, values), j, l, paired in g.terms:
@@ -426,8 +473,7 @@ def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> Bl
     if medium.cutoff > cutoff:
         warnings.warn(f"operator cutoff {cutoff} below medium cutoff {medium.cutoff}; "
                       "medium content beyond the operator lags is truncated")
-    return BlochOperator(medium, k, g.basis, A if _into_work else A.copy(), g.B, cutoff, g.factor, scratch,
-                         g.band)
+    return BlochOperator(medium, k, g.basis, A if _into_work else A.copy(), g.B, cutoff, g)
 
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:
@@ -484,13 +530,21 @@ def _shift_into_band(op: BlochOperator, shift: float) -> np.ndarray:
     A's entries outside ``band.upper`` are zero (a wave family's A holds
     only what its terms write), so shift*B plus A's written entries,
     conjugated into the lower triangle, is the whole band, entry for entry
-    the lower triangle :func:`_shift_into_scratch` forms.
+    the lower triangle :func:`_shift_into_scratch` forms.  B's own band
+    fills the first kd_B + 1 rows, and the rows below it start at zero.
     """
     band = op.band
-    np.multiply(band.B, shift, out=band.work)
+    kd_B = len(band.B) - 1
+    np.multiply(band.B, shift, out=band.work[:kd_B + 1])
+    band.work[kd_B + 1:] = 0.0
     flat = band.work.T.reshape(-1)  # a view, since work is in Fortran order
     flat[band.at] += np.conjugate(op.A.reshape(-1)[band.upper])
     return band.work
+
+
+def _band_times(ab: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix held in lower band storage ``ab`` times each column of X, by ZHBMV."""
+    return np.column_stack([blas.zhbmv(len(ab) - 1, 1.0, ab, x, lower=1) for x in X.T])
 
 
 def _lanczos(op: BlochOperator, nev: int):
@@ -503,17 +557,22 @@ def _lanczos(op: BlochOperator, nev: int):
     those of the Hermitian T = L^-1 B L^-H, with theta = 1 / (mu + s) and
     v = L^-H y, so the lowest mu are the largest theta.  On a narrow band
     (``op.band``) PBTRF factors A + s B in the band's work array and a step
-    applies T by two TBSV and one HBMV; otherwise POTRF factors it in the
+    applies T by two TBSV and one HBMV on B's own band, which also
+    B-normalizes the Ritz vectors; otherwise POTRF factors it in the
     scratch and a step makes two TRSV and a dense product with B.  Lanczos
     on T starts from a fixed pseudo-random vector, which no symmetry of the
     medium keeps out of any eigenspace, and orthogonalizes each new vector
-    twice against all earlier ones (kept conjugated too).  It stops when
-    the Ritz residual estimate beta_m |z_m| of each of the nev largest Ritz
-    values is below ``_LANCZOS_TOL`` times that value.  Returns (mu, X):
-    nev + 1 ascending Ritz values and the B-normalized vectors of the first
-    nev.  None if no positive shift exists, A + s B is not positive
-    definite, Lanczos breaks down early, or ``_LANCZOS_MAX_STEPS`` steps
-    pass without convergence.  L stays in the array it was factored in.
+    against all earlier ones (kept conjugated too); a second pass runs only
+    when the first shrinks the vector to 1/sqrt 2 of its norm or less
+    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30 (1976) 772), since
+    otherwise the first pass lost no orthogonality to cancellation.  It
+    stops when the Ritz residual estimate beta_m |z_m| of each of the nev
+    largest Ritz values is below ``_LANCZOS_TOL`` times that value.
+    Returns (mu, X): nev + 1 ascending Ritz values and the B-normalized
+    vectors of the first nev.  None if no positive shift exists, A + s B is
+    not positive definite, Lanczos breaks down early, or
+    ``_LANCZOS_MAX_STEPS`` steps pass without convergence.  L stays in the
+    array it was factored in.
     """
     n = op.size
     quotients = np.diag(op.A).real / np.diag(op.B).real
@@ -543,24 +602,30 @@ def _lanczos(op: BlochOperator, nev: int):
             w = blas.ztrsv(L, op.B @ w, lower=1, overwrite_x=1)
         else:
             w = blas.ztbsv(band.kd, L, Q[m], lower=1, trans=2)
-            w = blas.ztbsv(band.kd, L, blas.zhbmv(band.kd, 1.0, band.B, w, lower=1), lower=1, overwrite_x=1)
+            w = blas.ztbsv(band.kd, L, blas.zhbmv(len(band.B) - 1, 1.0, band.B, w, lower=1), lower=1,
+                           overwrite_x=1)
         basis = Q[:m + 1]
+        before = blas.dznrm2(w)
         for _ in range(2):
             h = Qc[:m + 1] @ w
             w -= h @ basis
             alpha[m] += h[m].real
-        beta[m] = np.linalg.norm(w)
+            beta[m] = blas.dznrm2(w)
+            if beta[m] > before * 0.5 ** 0.5:
+                break
         if m >= nev:
             theta, Z, _ = lapack.dstev(alpha[:m + 1], beta[:m])
-            top = np.arange(m, m - nev - 1, -1)  # dstev sorts ascending
-            if np.all(beta[m] * np.abs(Z[m, top[:nev]]) <= _LANCZOS_TOL * theta[top[:nev]]):
-                Y = basis.T @ Z[:, top[:nev]]
+            lo = m + 1 - nev  # dstev sorts ascending: the nev largest are theta[lo:]
+            if np.all(beta[m] * np.abs(Z[m, lo:]) <= _LANCZOS_TOL * theta[lo:]):
+                Y = basis.T @ Z[:, lo:][:, ::-1]
                 if band is None:
                     X, _ = lapack.ztrtrs(L, Y, lower=1, trans=2, overwrite_b=1)
+                    BX = op.B @ X
                 else:
                     X = np.column_stack([blas.ztbsv(band.kd, L, y, lower=1, trans=2) for y in Y.T])
-                X /= np.sqrt(np.einsum("ij,ij->j", X.conj(), op.B @ X).real)
-                return 1.0 / theta[top] - s, X
+                    BX = _band_times(band.B, X)
+                X /= np.sqrt(np.einsum("ij,ij->j", X.conj(), BX).real)
+                return 1.0 / theta[lo - 1:][::-1] - s, X
         if not beta[m] > 0.0 or m + 1 == steps:
             return None
         Q[m + 1] = w / beta[m]
@@ -633,15 +698,20 @@ def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
     tau = mu[-2] + (mu[-1] - mu[-2]) / 4 lies above the last wanted value
     and below the next Ritz value, and A - tau B must have exactly
     len(mu) - 1 negative eigenvalues, so that no eigenvalue below tau was
-    missed.  On a narrow band :func:`_band_negative_count` counts them with
-    ``_CERTIFICATE_PINS`` pins per Ritz value; without a band, or when it
-    declines, the LDL^H factorization of A - tau B in the scratch does
+    missed.  On a narrow band the residuals come from band products (A
+    scattered into the band's work array, B's own band) and
+    :func:`_band_negative_count` counts with ``_CERTIFICATE_PINS`` pins per
+    Ritz value; without a band, or when the band count declines, the LDL^H
+    factorization of A - tau B in the scratch does
     (:func:`_negative_count`).  Either count only accepts or rejects.
     """
     rho = _spectral_radius_bound(op, mu)
     if not np.min(np.diff(mu)) > _LANCZOS_SPLIT * rho:
         return None
-    R = op.A @ X - (op.B @ X) * mu[:-1]
+    if op.band is None:
+        R = op.A @ X - (op.B @ X) * mu[:-1]
+    else:  # A scattered over the Lanczos factor, which is no longer read
+        R = _band_times(_shift_into_band(op, 0.0), X) - _band_times(op.band.B, X) * mu[:-1]
     gate = _residual_gate(op, mu[:-1])
     r_norm, x_norm = np.linalg.norm(R, axis=0), np.linalg.norm(X, axis=0)
     if not np.all(r_norm <= 0.5 * gate * x_norm):
@@ -665,21 +735,20 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     residuals the certificate formed.  Otherwise, and
     whenever either declines, LAPACK xHEGVX's steps run on a fresh copy of A
     in the scratch: POTRF + HEGST + HEEVX + TRSM, with B's factor from the
-    operator (a medium factors B once per cutoff).  With HEEVX's optimal
-    workspace that result is bit for bit that of
-    ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.
+    medium's cache (formed once per cutoff, see :class:`_Galerkin`).  With
+    HEEVX's optimal workspace that result is bit for bit that of
+    ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.  An indefinite B
+    raises ``LinAlgError`` on either path.
     """
-    L, info = op.factor
-    if info:
-        raise scipy.linalg.LinAlgError(
-            f"The leading minor of order {info} of B is not positive definite. The factorization "
-            "of B could not be completed and no eigenvalues or eigenvectors were computed.")
+    if op.parts.b_info:
+        raise _b_indefinite(op.parts.b_info)
     nev = subset[1] + 1
     if op.size >= LANCZOS_MIN_SIZE and nev <= _LANCZOS_MAX_PAIRS:
         found = _lanczos(op, nev)
         residuals = None if found is None else _certified(op, *found)
         if residuals is not None:
             return found[0][:-1], found[1], residuals
+    L = op.parts.factor
     np.copyto(op.scratch, op.A)
     C, _ = lapack.zhegst(op.scratch, L, lower=1, overwrite_a=1)
     lwork = int(lapack.zheevx_lwork(len(C), lower=1)[0].real)

@@ -360,9 +360,10 @@ def test_vector_3d_assembly_allowed_solve_refused():
     vmed = medium.Medium("vector-wave", cell, 1, 3, C, fingerprint="maxwell-demo")
     op = bloch.assemble_operator(vmed, [0.2, 0.1, 0.0], 1)
     assert op.hermiticity_defect() < 1e-12
-    assert op.factor is None  # assembly only, so B is never factored
+    assert op.parts.b_info == 0 and "factor" not in vars(op.parts)  # assembly only: B is never factored
     with pytest.raises(UnsupportedScaleError):
         bloch.solve_bands(op, 2)
+    assert "factor" not in vars(op.parts)
 
 
 def test_nan_residual_raises(const_medium, monkeypatch):
@@ -398,6 +399,45 @@ def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
     monkeypatch.setattr(medium, "medium_from_descriptor", lambda desc: neg)
     assert cli.main(["groupvel", "--config", str(config), "--k", "0.5", "--band", "1",
                      "--cutoff", "2", "--out", str(tmp_path / "gv.csv")]) == 2
+    assert not (tmp_path / "gv.csv").exists()
+
+
+def test_indefinite_b_raises_on_the_band(cell1d, tmp_path, monkeypatch):
+    # b = 1 + 1.6 cos 2 pi x is negative near x = 1/2.  At cutoff 64 (129 plane waves, a band of
+    # half-width 1) the cache checks B by a band Cholesky and forms no dense factor, and the
+    # solve raises what the dense path raises for the same medium
+    def negative_b():
+        minus_b = FourierField(cell1d, [-0.8, -1.0, -0.8])  # C_0000 = -b
+        return medium.Medium("scalar-wave", cell1d, 1, 1,
+                             {(0, 0, 0, 0): minus_b, (0, 1, 0, 1): FourierField.constant(cell1d, 1.0)},
+                             fingerprint="negative-b-band")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bloch, "LANCZOS_MIN_SIZE", 1000)  # no band parts: the cache factors B densely
+        with pytest.raises(NumericalError, match=r"cond\(B\)") as dense:
+            bloch.solve_at(negative_b(), [0.5], 64, 1)
+    factors = []
+
+    def spy(name):
+        routine = getattr(bloch.lapack, name)
+
+        def call(*args, **kwargs):
+            factors.append(name)
+            return routine(*args, **kwargs)
+        return call
+    with monkeypatch.context() as patch:
+        for name in ("zpotrf", "zpbtrf"):
+            patch.setattr(bloch.lapack, name, spy(name))
+        med = negative_b()
+        with pytest.raises(NumericalError, match=r"cond\(B\)") as band:
+            bloch.solve_at(med, [0.5], 64, 1)
+    assert med.__dict__["_galerkin"].band is not None and factors == ["zpbtrf"]
+    assert str(band.value) == str(dense.value)
+    config = tmp_path / "medium.json"
+    config.write_text('{"cell": [1.0], "kind": "scalar", "cutoff": 1, "a": 1.0, "b": 1.0}')
+    monkeypatch.setattr(medium, "medium_from_descriptor", lambda desc: negative_b())
+    assert cli.main(["groupvel", "--config", str(config), "--k", "0.5", "--band", "1",
+                     "--cutoff", "64", "--out", str(tmp_path / "gv.csv")]) == 2
     assert not (tmp_path / "gv.csv").exists()
 
 
@@ -511,6 +551,9 @@ def test_cached_parts_bit_identical(family, bands, data):
         A, B = oracle_assemble(med, k, cutoff)
         assert op.A.tobytes() == A.tobytes()
         assert (op.B is None and B is None) or op.B.tobytes() == B.tobytes()
+        # these pencils have no band parts: B's factor, formed with the cache, is ZPOTRF's of B
+        assert op.band is None and op.parts.b_info == 0
+        assert B is None or op.parts.factor.tobytes() == scipy.linalg.lapack.zpotrf(B, lower=1)[0].tobytes()
         n_bands = op.size if bands == "size" else bands
         ref = dataclasses.replace(op, A=A, B=B)
         want = _outcome(lambda: oracle_solve(ref, n_bands))
@@ -534,7 +577,7 @@ def test_cutoff_switch_rebuilds_same_bits():
     bloch.assemble_operator(med, [0.7], 9)
     again = bloch.assemble_operator(med, [0.7], 4)
     assert again.B is not first.B  # the cache was replaced and rebuilt
-    for x, y in [(first.A, again.A), (first.B, again.B), (first.factor[0], again.factor[0])]:
+    for x, y in [(first.A, again.A), (first.B, again.B), (first.parts.factor, again.parts.factor)]:
         assert np.array_equal(x, y)
     for m1, m2 in zip(modes, bloch.solve_bands(again, 2)):
         assert m1.omega == m2.omega and np.array_equal(m1.v0, m2.v0)
@@ -548,10 +591,15 @@ def test_cached_parts_read_only(vector_medium, cell1d):
     for med, cutoff in ((vector_medium, 8), (blocks, 8), (checks._two_phase_medium(16), 64)):
         op = bloch.assemble_operator(med, [0.3], cutoff)
         cache = med.__dict__["_galerkin"]
+        # B's dense factor comes with the cache unless the pencil has band parts; then the first
+        # dense solve (5 bands ask for more pairs than Lanczos takes) forms it
+        assert ("factor" in vars(cache)) == (cache.B is not None and cache.band is None)
+        bloch.solve_bands(op, 5)
+        assert ("factor" in vars(cache)) == (cache.B is not None)
         entries = [a for t in cache.terms for a in (t[0], *t[1])]  # flat indices and lag entries
         parts = [cache.basis, cache.G, cache.upper, *cache.mirror, *entries]
         if cache.B is not None:
-            parts += [cache.B, cache.factor[0]]
+            parts += [cache.B, cache.factor]
         if cache.band is not None:
             parts += [cache.band.B, cache.band.at]
         assert len(entries) >= 4 and not any(a.flags.writeable for a in parts)
@@ -564,13 +612,18 @@ def test_cached_parts_read_only(vector_medium, cell1d):
         assert a_work.shape == scratch.shape == (n, n)
         assert a_work.flags.c_contiguous and scratch.flags.f_contiguous
         assert a_work.flags.writeable and scratch.flags.writeable
-        assert op.basis is cache.basis and op.B is cache.B and op.factor is cache.factor
+        assert op.basis is cache.basis and op.B is cache.B and op.parts is cache
         assert op.scratch is scratch and not np.shares_memory(op.A, a_work)
         assert op.band is cache.band and (cache.band is None) == (cutoff == 8)
         if cache.band is not None:
             kd = cache.band.kd
             assert kd == 16 and cache.band.upper is cache.upper
-            assert cache.band.B.shape == cache.band.work.shape == (kd + 1, n)
+            # B in its own band: b = 1 makes B the identity, a band of half-width 0
+            rows, cols = np.nonzero(cache.B)
+            kd_B = int(np.max(rows - cols))
+            assert kd_B == 0 and cache.band.B.shape == (kd_B + 1, n)
+            assert all(np.array_equal(cache.band.B[d, :n - d], np.diagonal(cache.B, -d)) for d in range(kd_B + 1))
+            assert cache.band.work.shape == (kd + 1, n)
             assert cache.band.B.flags.f_contiguous and cache.band.work.flags.f_contiguous
             assert cache.band.work.flags.writeable
     with pytest.raises(ValueError):

@@ -141,9 +141,12 @@ def _assert_band_holds(op, shift):
 
 
 def _check_against_dense(med, k, cutoff, n_bands, monkeypatch, band=True):
-    """Solve at k on both paths: a multiplet among the lowest n_bands + 2 eigenvalues must give the
-    dense bits, anything else certified Lanczos pairs that agree with the dense ones.  Lanczos must
-    factor A + s B in band storage if ``band``, densely if not.  Returns whether the solve fell back."""
+    """Build a fresh medium's cache, solve at k twice, then on the dense path: a multiplet among the
+    lowest n_bands + 2 eigenvalues must give the dense bits, anything else certified Lanczos pairs
+    that agree with the dense ones.  Lanczos must factor A + s B in band storage if ``band``,
+    densely if not, and B's dense factor must be formed once: with the cache without a band, else
+    by the first dense solve.  Returns whether the solves fell back."""
+    assert "_galerkin" not in vars(med)  # the spy below sees the cache built
     verdicts = []
     formed = []  # the residuals the certificate formed
     factors = []
@@ -156,31 +159,48 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch, band=True):
         verdicts.append(formed[-1] is not None)
         return formed[-1]
 
-    op = bloch.assemble_operator(med, k, cutoff)
-    assert op.size >= bloch.LANCZOS_MIN_SIZE
-    nev = n_bands + 1
-    low = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, nev])
-    rho = bloch._spectral_radius_bound(op, low)
-    want = _dense(lambda: bloch.solve_at(med, k, cutoff, n_bands), op)
+    def taken():
+        """The factorizations since the last call."""
+        log = factors[:]
+        factors.clear()
+        return log
+
     with monkeypatch.context() as patch:
         patch.setattr(bloch, "_certified", spy)
         for name in ("zpbtrf", "zpotrf", "zhetrf"):
             _spy(patch, bloch.lapack, name, factors, lambda result, name=name: name)
+        op = bloch.assemble_operator(med, k, cutoff)
+        built = taken()
         got = bloch.solve_at(med, k, cutoff, n_bands)
+        first = taken()
+        again = bloch.solve_at(med, k, cutoff, n_bands)
+        second = taken()
+        want = _dense(lambda: bloch.solve_at(med, k, cutoff, n_bands), op)
+        dense = taken()
+    assert op.size >= bloch.LANCZOS_MIN_SIZE
+    _same_modes(again, got)
+    nev = n_bands + 1
+    low = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, nev])
+    rho = bloch._spectral_radius_bound(op, low)
     assert (op.band is not None) == band
     if band:
         _assert_band_holds(op, 0.37 * rho)
-    # the Lanczos factor, then the inertia count: a pinned band Cholesky, or a dense LDL^H
+    # the cache checks B with a band Cholesky, or forms B's dense factor; Lanczos factors, then
+    # the inertia count runs: a pinned band Cholesky, or a dense LDL^H
+    assert built == (["zpbtrf"] if band else ["zpotrf"])
     factor, count = ("zpbtrf", "zpbtrf") if band else ("zpotrf", "zhetrf")
+    formed_b = ["zpotrf"] if band else []  # B's dense factor, formed by the first dense solve
     if np.min(np.diff(low)) < 1e-9 * rho:  # a multiplet: its eigenvectors are not unique
-        assert True not in verdicts
+        assert True not in verdicts and splits[0] == splits[1]
         # split Ritz values mean Lanczos saw one vector of the multiplet and the count rejects;
         # the split test rejects a resolved multiplet before any count
-        assert factors == ([factor, count] if splits == [True] else [factor])
+        attempt = [factor, count] if splits[0] else [factor]
+        assert first == attempt + formed_b and second == attempt and dense == []
         _same_modes(got, want)
         return True
-    assert verdicts == [True]
-    assert factors == [factor, count]
+    assert verdicts == [True, True]
+    # no dense factor of B and no LDL^H on the band
+    assert first == second == [factor, count] and dense == formed_b
     assert [m.residual for m in got] == list(formed[0][:n_bands])  # reported as formed
     op = bloch.assemble_operator(med, k, cutoff)
     mu, X = bloch._lanczos(op, nev)
@@ -229,6 +249,29 @@ def test_band_count_matches_eigvalsh(family, data):
         tau = 0.5 * (low[j] + low[j + 1])
         want = int(np.count_nonzero(np.linalg.eigvalsh(op.A - tau * op.B) < 0.0))
         assert bloch._band_negative_count(op, tau, min(_pins(j + 1), op.size)) == want == j + 1
+
+
+@pytest.mark.parametrize("n_bands", [1, 3])
+@pytest.mark.parametrize("family", [f for f, band in BAND_FAMILIES.items() if band])
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_band_residuals_match_dense(family, n_bands, data):
+    # a certified band solve forms its residuals by ZHBMV on the band; they must be the dense
+    # |A x - mu B x| / |x| to within the rounding error bound of the two products: each entry of
+    # a dense product sums n terms, of a band one at most 2 kd + 1, and the difference of the
+    # computed residuals is at most (n + 2 kd + 3) u (|| |A| || + mu || |B| ||)
+    med, cutoff = _random_medium(family, data.draw)
+    k = [data.draw(_kcomp) for _ in range(med.cell.dims)]
+    op = bloch.assemble_operator(med, k, cutoff)
+    mu, X = bloch._lanczos(op, n_bands + 1)
+    got = bloch._certified(op, mu, X)
+    assert op.band is not None and got is not None
+    mu = mu[:-1]
+    want = np.linalg.norm(op.A @ X - (op.B @ X) * mu, axis=0) / np.linalg.norm(X, axis=0)
+    u = np.finfo(float).eps / 2
+    bound = (op.size + 2 * op.band.kd + 3) * u * (np.linalg.norm(np.abs(op.A), 2)
+                                                  + np.abs(mu) * np.linalg.norm(np.abs(op.B), 2))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def test_band_count_declines():
