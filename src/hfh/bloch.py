@@ -16,29 +16,23 @@ Only A depends on k.  A medium keeps the rest for one operator cutoff in its
 instance dict, built on first use: the basis and G = 2*pi*n/lambda, each
 distinct symbol field's nonzero lag entries f_hat[n - n'] over the basis
 pairs as coordinates (rows, cols, values), on and above A's diagonal, and
-for the wave families B and its lower Cholesky factor (not for 3D vector
-media, which are assembly only), all read-only.  A term of A is formed at
-its field's entries only, and the mirror copies only the entries the terms
+for the wave families B, all read-only.  A term of A is formed at its
+field's entries only, and the mirror copies only the entries the terms
 wrote: a smooth medium's lag blocks are mostly structural zeros, and the
 entries no term writes keep one value for every k.  A wave pencil that
-Lanczos solves and whose entries all lie within kd of the diagonal, with
-2 kd < n, also keeps B in LAPACK's band storage, over B's own band, and
-where each entry A's terms write lands in a band of half-width kd.  Such
-a pencil checks that B is positive definite by a band Cholesky, and B's
-dense factor waits for the first dense solve, which a certified Lanczos
-solve never needs; any other wave pencil factors B with the cache.  The
-cache also holds two writable n x n work arrays: :func:`solve_at`
-assembles A into the first, and LAPACK overwrites the second (Fortran
-order), so a k-solve allocates no new n x n array.  The second holds, in
-turn, a copy of A for a dense solve, or the Cholesky factor of A + s B
-and then the LDL^H factorization of A - tau B for a Lanczos solve.  On a
-narrow band a third, (kd + 1) x n, holds A + s B and its factor, then A
-for the certificate's residuals, then the inertia count's A - tau B with
-its pinned diagonal lift and that factor, and the second is untouched
-unless the count declines.  Hence :func:`solve_at` and
-:func:`solve_bands` are not reentrant for one medium object: two threads
-must not solve on the same medium at once.  A pickled medium leaves the
-cache out.
+Lanczos solves also keeps B in LAPACK's band storage, over B's own band,
+and where each entry A's terms write lands in a band of half-width kd
+(up to n - 1), and checks that B is positive definite by a band
+Cholesky.  B's dense Cholesky factor waits for the first dense solve,
+which a certified Lanczos solve never needs.  The cache also holds two
+writable n x n work arrays: :func:`solve_at` assembles A into the first,
+and a dense solve overwrites the second (Fortran order) with a copy of A,
+so a k-solve allocates no new n x n array.  With band parts a third,
+(kd + 1) x n, holds A + s B and its factor, then A for the certificate's
+residuals, then the inertia count's A - tau B with its pinned diagonal
+lift and that factor.  Hence :func:`solve_at` and :func:`solve_bands`
+are not reentrant for one medium object: two threads must not solve on
+the same medium at once.  A pickled medium leaves the cache out.
 :func:`assemble_operator` returns an A of its own, which no later call
 changes.  An operator holds the medium's cache at its cutoff, which its
 solves read and overwrite.  An operator, and each mode solved from it,
@@ -46,16 +40,15 @@ holds the medium it was built from, so what consumes a mode (transport coefficie
 wave packets) reads the medium from the mode and takes no medium argument.
 
 A wave pencil of size ``LANCZOS_MIN_SIZE`` or more gets its lowest pairs
-by shift-invert Lanczos (:func:`_lanczos`, with a banded factor on a
-narrow band), kept only if each pair meets the residual gate and a
-Sylvester inertia count shows that no eigenvalue below them was missed
-(:func:`_certified`; on a narrow band with band products for the
-residuals and a pinned band Cholesky for the count,
-:func:`_band_negative_count`).  Any other wave solve, and any
-Lanczos solve that is not certified, runs the rest of LAPACK's xHEGVX on
-B's factor (HEGST, HEEVX with its queried optimal workspace, the
-triangular solve), which gives the bits ``scipy.linalg.eigh(A, B)``
-gives; the schrodinger family solves with ``scipy.linalg.eigh``.
+by shift-invert Lanczos on its band (:func:`_lanczos`), kept only if each
+pair meets the residual gate, by band products, and a Sylvester inertia
+count from a pinned band Cholesky shows that no eigenvalue below them was
+missed (:func:`_certified`, :func:`_band_negative_count`).  Any other wave
+solve, and any Lanczos solve that is not certified, runs the rest of
+LAPACK's xHEGVX on B's factor (HEGST, HEEVX with its queried optimal
+workspace, the triangular solve), which gives the bits
+``scipy.linalg.eigh(A, B)`` gives; the schrodinger family solves with
+``scipy.linalg.eigh``.
 
 Carrier conventions for the stored cell-periodic amplitudes:
 
@@ -126,8 +119,14 @@ class BlochOperator:
 
     @property
     def band(self) -> _Band | None:
-        """The medium's band parts when the pencil's band is narrow, else None."""
+        """The medium's band parts when Lanczos solves the pencil, else None."""
         return self.parts.band
+
+    @cached_property
+    def _a_lower(self) -> np.ndarray:
+        """A's written entries conjugated, as the band's lower triangle holds them, in ``band.upper``'s
+        order: gathered once per operator for the Lanczos factor, the residuals and the count."""
+        return np.conjugate(self.A.reshape(-1)[self.band.upper])
 
     @property
     def medium_key(self) -> str:
@@ -254,17 +253,14 @@ class _Band:
     work: np.ndarray
 
 
-def _band(B: np.ndarray, upper: np.ndarray, b_at: list) -> _Band | None:
+def _band(B: np.ndarray, upper: np.ndarray, b_at: list) -> _Band:
     """The band parts of a pencil whose B and A entries on and above the diagonal sit at the flat
-    indices ``b_at`` (a list of arrays) and ``upper``; None unless 2 kd < n: from kd near n / 2
-    on, the band factor and steps cost what the dense ones do (README "Eigensolve")."""
+    indices ``b_at`` (a list of arrays) and ``upper``."""
     n = len(B)
     rows, cols = np.divmod(np.concatenate([upper[:0], *b_at]), n)  # upper[:0]: none if B has no entry
     kd_B = int(np.max(cols - rows, initial=0))
     rows, cols = np.divmod(upper, n)
     kd = max(kd_B, int(np.max(cols - rows, initial=0)))
-    if 2 * kd >= n:
-        return None
     d, r = np.indices((kd_B + 1, n))
     B_band = np.asfortranarray(np.where(d + r < n, B[np.minimum(d + r, n - 1), r], 0.0))
     at = (cols - rows) + rows * (kd + 1)
@@ -291,14 +287,14 @@ class _Galerkin:
     a zero field has no term.  ``upper`` lists every flat index a term
     writes, ascending, and ``mirror`` pairs those above the diagonal with
     their transposed indices.  ``beta0`` is the schrodinger family's
-    divisor (None for the wave families).  ``b_info`` is 0 if B is positive
-    definite, else the order of its first leading minor that is not: the
-    info of ZPBTRF on ``band.B`` for a pencil with band parts, of ZPOTRF on
-    B for any other wave pencil (0 when nothing is solved with B).
-    ``band`` holds the pencil's band parts (:func:`_band`) when Lanczos
-    solves it (n >= ``LANCZOS_MIN_SIZE``) and its band is narrow, else
-    None.  Every array is read-only except the two in ``work``, A(k) (C
-    order) and the eigensolve's scratch (Fortran order), and ``band.work``.
+    divisor (None for the wave families).  ``band`` holds the pencil's band
+    parts (:func:`_band`) when Lanczos solves it (a wave pencil with n >=
+    ``LANCZOS_MIN_SIZE`` that is not assembly only), else None.
+    ``b_info`` is the info of ZPBTRF on ``band.B``: 0 if B is positive
+    definite, else the order of its first leading minor that is not; 0
+    without band parts, where :attr:`factor` checks B.  Every array is
+    read-only except the two in ``work``, A(k) (C order) and the
+    eigensolve's scratch (Fortran order), and ``band.work``.
     """
 
     cutoff: int
@@ -315,12 +311,8 @@ class _Galerkin:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """B's lower Cholesky factor (ZPOTRF), read-only.
-
-        A pencil without band parts forms it when the cache is built; a
-        narrow-band one in its first dense solve, since a certified Lanczos
-        solve never reads it.  Raises ``LinAlgError`` if B is not positive
-        definite.
+        """B's lower Cholesky factor (ZPOTRF), read-only, formed by the first dense solve: a
+        certified Lanczos solve never reads it.  Raises ``LinAlgError`` if B is not positive definite.
         """
         L, info = lapack.zpotrf(self.B, lower=1)
         if info:
@@ -397,17 +389,13 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     mirror = (above, cols * n + rows)
     lower = np.greater.outer(np.arange(n), np.arange(n))
     scratch = np.empty((n, n), dtype=np.complex128, order="F")
-    factor = band = None
+    band = None
     b_info = 0
     if wave:
         _mirror_hermitian(B, scratch, lower)
-        if not _assembly_only(medium):
-            if n >= LANCZOS_MIN_SIZE:
-                band = _band(B, upper, b_at)
-            if band is None:
-                factor, b_info = lapack.zpotrf(B, lower=1)
-            else:
-                b_info = lapack.zpbtrf(band.B, lower=1)[1]
+        if n >= LANCZOS_MIN_SIZE and not _assembly_only(medium):
+            band = _band(B, upper, b_at)
+            b_info = lapack.zpbtrf(band.B, lower=1)[1]
     zero = np.zeros(1, dtype=np.complex128)
     if not wave:
         zero /= beta0
@@ -418,9 +406,6 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
         if arr is not None:
             arr.flags.writeable = False
     cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, B, b_info, band, (A, scratch))
-    if factor is not None and not b_info:
-        factor.flags.writeable = False
-        cache.__dict__["factor"] = factor  # where the cached property keeps it
     medium.__dict__["_galerkin"] = cache
     return cache
 
@@ -510,35 +495,21 @@ def _residual_gate(op: BlochOperator, evals: np.ndarray) -> float:
     return max(RESIDUAL_TOL, 1e-13 * _spectral_radius_bound(op, evals))
 
 
-def _shift_into_scratch(op: BlochOperator, shift: float) -> np.ndarray:
-    """Write A + shift*B into the operator's Fortran-order scratch and return it.
-
-    The scratch's transpose is a C-order view, so the sum is formed there in
-    contiguous passes and conjugated: for Hermitian A and B, conj(A + s B)
-    transposed is A + s B, entry for entry.
-    """
-    view = op.scratch.T
-    np.multiply(op.B, shift, out=view)
-    view += op.A
-    np.conjugate(view, out=view)
-    return op.scratch
-
-
 def _shift_into_band(op: BlochOperator, shift: float) -> np.ndarray:
     """Write A + shift*B into the operator's band work array, in lower band storage, and return it.
 
     A's entries outside ``band.upper`` are zero (a wave family's A holds
     only what its terms write), so shift*B plus A's written entries,
     conjugated into the lower triangle, is the whole band, entry for entry
-    the lower triangle :func:`_shift_into_scratch` forms.  B's own band
-    fills the first kd_B + 1 rows, and the rows below it start at zero.
+    the lower triangle of A + shift*B.  B's own band fills the first
+    kd_B + 1 rows, and the rows below it start at zero.
     """
     band = op.band
     kd_B = len(band.B) - 1
     np.multiply(band.B, shift, out=band.work[:kd_B + 1])
     band.work[kd_B + 1:] = 0.0
     flat = band.work.T.reshape(-1)  # a view, since work is in Fortran order
-    flat[band.at] += np.conjugate(op.A.reshape(-1)[band.upper])
+    flat[band.at] += op._a_lower
     return band.work
 
 
@@ -555,24 +526,23 @@ def _lanczos(op: BlochOperator, nev: int):
     separated, but not so far below them that the largest theta swamps the
     rest in roundoff.  With A + s B = L L^H, the pencil's eigenpairs are
     those of the Hermitian T = L^-1 B L^-H, with theta = 1 / (mu + s) and
-    v = L^-H y, so the lowest mu are the largest theta.  On a narrow band
-    (``op.band``) PBTRF factors A + s B in the band's work array and a step
-    applies T by two TBSV and one HBMV on B's own band, which also
-    B-normalizes the Ritz vectors; otherwise POTRF factors it in the
-    scratch and a step makes two TRSV and a dense product with B.  Lanczos
-    on T starts from a fixed pseudo-random vector, which no symmetry of the
-    medium keeps out of any eigenspace, and orthogonalizes each new vector
-    against all earlier ones (kept conjugated too); a second pass runs only
-    when the first shrinks the vector to 1/sqrt 2 of its norm or less
-    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30 (1976) 772), since
-    otherwise the first pass lost no orthogonality to cancellation.  It
+    v = L^-H y, so the lowest mu are the largest theta.  PBTRF factors
+    A + s B in the band's work array (``op.band``), and a step applies T by
+    two TBSV and one HBMV on B's own band, which also B-normalizes the Ritz
+    vectors.  Lanczos on T starts from a fixed pseudo-random vector, which
+    no symmetry of the medium keeps out of any eigenspace, and
+    orthogonalizes each new vector against all earlier ones (kept
+    conjugated too); a second pass runs only when the first shrinks the
+    vector to 1/sqrt 2 of its norm or less (Daniel, Gragg, Kaufman &
+    Stewart, Math. Comp. 30 (1976) 772), since otherwise the first pass
+    lost no orthogonality to cancellation.  It
     stops when the Ritz residual estimate beta_m |z_m| of each of the nev
     largest Ritz values is below ``_LANCZOS_TOL`` times that value.
     Returns (mu, X): nev + 1 ascending Ritz values and the B-normalized
     vectors of the first nev.  None if no positive shift exists, A + s B is
     not positive definite, Lanczos breaks down early, or
     ``_LANCZOS_MAX_STEPS`` steps pass without convergence.  L stays in the
-    array it was factored in.
+    band's work array.
     """
     n = op.size
     quotients = np.diag(op.A).real / np.diag(op.B).real
@@ -581,10 +551,7 @@ def _lanczos(op: BlochOperator, nev: int):
         return None
     s = 0.25 * float(positive[nev - 1])
     band = op.band
-    if band is None:
-        L, info = lapack.zpotrf(_shift_into_scratch(op, s), lower=1, clean=0, overwrite_a=1)
-    else:
-        L, info = lapack.zpbtrf(_shift_into_band(op, s), lower=1, overwrite_ab=1)
+    L, info = lapack.zpbtrf(_shift_into_band(op, s), lower=1, overwrite_ab=1)
     if info:
         return None
     steps = min(n, _LANCZOS_MAX_STEPS)
@@ -597,13 +564,9 @@ def _lanczos(op: BlochOperator, nev: int):
     alpha = np.zeros(steps)
     beta = np.zeros(steps)
     for m in range(steps):
-        if band is None:
-            w = blas.ztrsv(L, Q[m], lower=1, trans=2)
-            w = blas.ztrsv(L, op.B @ w, lower=1, overwrite_x=1)
-        else:
-            w = blas.ztbsv(band.kd, L, Q[m], lower=1, trans=2)
-            w = blas.ztbsv(band.kd, L, blas.zhbmv(len(band.B) - 1, 1.0, band.B, w, lower=1), lower=1,
-                           overwrite_x=1)
+        w = blas.ztbsv(band.kd, L, Q[m], lower=1, trans=2)
+        w = blas.ztbsv(band.kd, L, blas.zhbmv(len(band.B) - 1, 1.0, band.B, w, lower=1), lower=1,
+                       overwrite_x=1)
         basis = Q[:m + 1]
         before = blas.dznrm2(w)
         for _ in range(2):
@@ -618,13 +581,8 @@ def _lanczos(op: BlochOperator, nev: int):
             lo = m + 1 - nev  # dstev sorts ascending: the nev largest are theta[lo:]
             if np.all(beta[m] * np.abs(Z[m, lo:]) <= _LANCZOS_TOL * theta[lo:]):
                 Y = basis.T @ Z[:, lo:][:, ::-1]
-                if band is None:
-                    X, _ = lapack.ztrtrs(L, Y, lower=1, trans=2, overwrite_b=1)
-                    BX = op.B @ X
-                else:
-                    X = np.column_stack([blas.ztbsv(band.kd, L, y, lower=1, trans=2) for y in Y.T])
-                    BX = _band_times(band.B, X)
-                X /= np.sqrt(np.einsum("ij,ij->j", X.conj(), BX).real)
+                X = np.column_stack([blas.ztbsv(band.kd, L, y, lower=1, trans=2) for y in Y.T])
+                X /= np.sqrt(np.einsum("ij,ij->j", X.conj(), _band_times(band.B, X)).real)
                 return 1.0 / theta[lo - 1:][::-1] - s, X
         if not beta[m] > 0.0 or m + 1 == steps:
             return None
@@ -632,26 +590,8 @@ def _lanczos(op: BlochOperator, nev: int):
         np.conjugate(Q[m + 1], out=Qc[m + 1])
 
 
-def _negative_count(a: np.ndarray):
-    """The number of negative eigenvalues of the Hermitian ``a`` (Fortran order, overwritten), or None.
-
-    Sylvester's law of inertia: ``a`` = P L D L^H P^T (ZHETRF) has as many
-    negative eigenvalues as the block-diagonal D.  A 1 x 1 pivot counts by
-    its sign.  Bunch-Kaufman takes a 2 x 2 pivot [[p, conj(c)], [c, q]] only
-    when |p q| < alpha^2 |c|^2 (alpha = (1 + sqrt 17) / 8), so its
-    determinant is negative and it holds one negative eigenvalue.  None if
-    a pivot is exactly zero.
-    """
-    lwork = int(lapack.zhetrf_lwork(len(a), lower=1)[0].real)
-    ldu, ipiv, info = lapack.zhetrf(a, lower=1, lwork=lwork, overwrite_a=1)
-    if info:
-        return None
-    pair = ipiv < 0  # the two rows of each 2 x 2 pivot
-    return int(np.count_nonzero(ldu.diagonal().real[~pair] < 0.0) + np.count_nonzero(pair) // 2)
-
-
 def _band_negative_count(op: BlochOperator, tau: float, pins: int):
-    """The number of negative eigenvalues of H = A - tau B on a narrow band, or None.
+    """The number of negative eigenvalues of H = A - tau B, counted on the band, or None.
 
     Pin the ``pins`` plane waves S of smallest diagonal quotient A_ii / B_ii
     (stable order) with weights c_i = 4 tau B_ii: H' = H + E E^H, E =
@@ -665,8 +605,8 @@ def _band_negative_count(op: BlochOperator, tau: float, pins: int):
     (overwriting the Lanczos factor, which is no longer read), one band
     triangular solve (TBTRS) gives Y = L^-1 E, and the eigenvalues of
     K = I - Y^H Y give the count; with a backward-stable factor and solve
-    it is exact for A - tau B + Delta, |Delta| = O(u |H|), as the LDL^H
-    count is.  None if tau <= 0, H' is not positive definite, or an
+    it is exact for A - tau B + Delta, |Delta| = O(u |H|), as an LDL^H
+    count would be.  None if tau <= 0, H' is not positive definite, or an
     eigenvalue of K is within 1e-10 max(1, |K|) of zero.
     """
     if not tau > 0.0:
@@ -698,31 +638,22 @@ def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
     tau = mu[-2] + (mu[-1] - mu[-2]) / 4 lies above the last wanted value
     and below the next Ritz value, and A - tau B must have exactly
     len(mu) - 1 negative eigenvalues, so that no eigenvalue below tau was
-    missed.  On a narrow band the residuals come from band products (A
-    scattered into the band's work array, B's own band) and
-    :func:`_band_negative_count` counts with ``_CERTIFICATE_PINS`` pins per
-    Ritz value; without a band, or when the band count declines, the LDL^H
-    factorization of A - tau B in the scratch does
-    (:func:`_negative_count`).  Either count only accepts or rejects.
+    missed.  The residuals come from band products (A scattered into the
+    band's work array, B's own band), and :func:`_band_negative_count`
+    counts with ``_CERTIFICATE_PINS`` pins per Ritz value.  A count that
+    declines rejects the pairs, and the dense solve runs instead.
     """
     rho = _spectral_radius_bound(op, mu)
     if not np.min(np.diff(mu)) > _LANCZOS_SPLIT * rho:
         return None
-    if op.band is None:
-        R = op.A @ X - (op.B @ X) * mu[:-1]
-    else:  # A scattered over the Lanczos factor, which is no longer read
-        R = _band_times(_shift_into_band(op, 0.0), X) - _band_times(op.band.B, X) * mu[:-1]
+    # A scattered over the Lanczos factor, which is no longer read
+    R = _band_times(_shift_into_band(op, 0.0), X) - _band_times(op.band.B, X) * mu[:-1]
     gate = _residual_gate(op, mu[:-1])
     r_norm, x_norm = np.linalg.norm(R, axis=0), np.linalg.norm(X, axis=0)
     if not np.all(r_norm <= 0.5 * gate * x_norm):
         return None
     tau = mu[-2] + 0.25 * (mu[-1] - mu[-2])
-    count = None
-    if op.band is not None:
-        count = _band_negative_count(op, tau, min(_CERTIFICATE_PINS * len(mu), op.size))
-    if count is None:
-        count = _negative_count(_shift_into_scratch(op, -tau))
-    if count != len(mu) - 1:
+    if _band_negative_count(op, tau, min(_CERTIFICATE_PINS * len(mu), op.size)) != len(mu) - 1:
         return None
     return r_norm / x_norm
 
@@ -731,14 +662,15 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     """Eigenpairs subset[0]..subset[1] of A v = mu B v (subset[0] == 0), and their residuals or None.
 
     For n >= ``LANCZOS_MIN_SIZE`` (and few pairs) the pairs come from
-    :func:`_lanczos` when :func:`_certified` accepts them, with the
-    residuals the certificate formed.  Otherwise, and
-    whenever either declines, LAPACK xHEGVX's steps run on a fresh copy of A
-    in the scratch: POTRF + HEGST + HEEVX + TRSM, with B's factor from the
-    medium's cache (formed once per cutoff, see :class:`_Galerkin`).  With
-    HEEVX's optimal workspace that result is bit for bit that of
-    ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.  An indefinite B
-    raises ``LinAlgError`` on either path.
+    :func:`_lanczos` on the band when :func:`_certified` accepts them, with
+    the residuals the certificate formed.  Otherwise, and whenever either
+    declines, LAPACK xHEGVX's steps run on a fresh copy of A in the
+    scratch: POTRF + HEGST + HEEVX + TRSM, with B's factor from the
+    medium's cache (formed by the first dense solve of a cutoff, see
+    :class:`_Galerkin`).  With HEEVX's optimal workspace that result is bit
+    for bit that of ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.
+    An indefinite B raises ``LinAlgError`` on either path: from the band
+    Cholesky of the cache build, or from :attr:`_Galerkin.factor`.
     """
     if op.parts.b_info:
         raise _b_indefinite(op.parts.b_info)

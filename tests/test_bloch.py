@@ -402,6 +402,20 @@ def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
     assert not (tmp_path / "gv.csv").exists()
 
 
+def test_indefinite_b_is_checked_by_the_first_dense_solve(cell1d):
+    # a pencil without band parts builds its cache without factoring B: b_info is 0, and B's dense
+    # factor, formed on first use, raises the message the band check gives
+    one = FourierField.constant(cell1d, 1.0)
+    neg = medium.Medium("scalar-wave", cell1d, 1, 1, {(0, 0, 0, 0): one, (0, 1, 0, 1): one},
+                        fingerprint="negative-b")  # C_0000 = -b = 1, so B = -I
+    op = bloch.assemble_operator(neg, [0.5], 2)
+    assert op.band is None and op.parts.b_info == 0 and "factor" not in vars(op.parts)
+    with pytest.raises(scipy.linalg.LinAlgError) as exc:
+        op.parts.factor
+    assert str(exc.value) == str(bloch._b_indefinite(1))
+    assert "factor" not in vars(op.parts)
+
+
 def test_indefinite_b_raises_on_the_band(cell1d, tmp_path, monkeypatch):
     # b = 1 + 1.6 cos 2 pi x is negative near x = 1/2.  At cutoff 64 (129 plane waves, a band of
     # half-width 1) the cache checks B by a band Cholesky and forms no dense factor, and the
@@ -413,7 +427,7 @@ def test_indefinite_b_raises_on_the_band(cell1d, tmp_path, monkeypatch):
                              fingerprint="negative-b-band")
 
     with monkeypatch.context() as patch:
-        patch.setattr(bloch, "LANCZOS_MIN_SIZE", 1000)  # no band parts: the cache factors B densely
+        patch.setattr(bloch, "LANCZOS_MIN_SIZE", 1000)  # no band parts: the dense solve factors B
         with pytest.raises(NumericalError, match=r"cond\(B\)") as dense:
             bloch.solve_at(negative_b(), [0.5], 64, 1)
     factors = []
@@ -551,7 +565,7 @@ def test_cached_parts_bit_identical(family, bands, data):
         A, B = oracle_assemble(med, k, cutoff)
         assert op.A.tobytes() == A.tobytes()
         assert (op.B is None and B is None) or op.B.tobytes() == B.tobytes()
-        # these pencils have no band parts: B's factor, formed with the cache, is ZPOTRF's of B
+        # these pencils have no band parts; B's factor, formed on first use, is ZPOTRF's of B
         assert op.band is None and op.parts.b_info == 0
         assert B is None or op.parts.factor.tobytes() == scipy.linalg.lapack.zpotrf(B, lower=1)[0].tobytes()
         n_bands = op.size if bands == "size" else bands
@@ -589,11 +603,12 @@ def test_cached_parts_read_only(vector_medium, cell1d):
                                              cell1d, 4)
     # the last pencil, 129 plane waves with a band of half-width 16, keeps band parts
     for med, cutoff in ((vector_medium, 8), (blocks, 8), (checks._two_phase_medium(16), 64)):
+        med = pickle.loads(pickle.dumps(med))  # a copy without the cache that earlier tests built
         op = bloch.assemble_operator(med, [0.3], cutoff)
         cache = med.__dict__["_galerkin"]
-        # B's dense factor comes with the cache unless the pencil has band parts; then the first
-        # dense solve (5 bands ask for more pairs than Lanczos takes) forms it
-        assert ("factor" in vars(cache)) == (cache.B is not None and cache.band is None)
+        # no cache comes with B's dense factor: the first dense solve (5 bands ask for more pairs
+        # than Lanczos takes) forms it
+        assert "factor" not in vars(cache)
         bloch.solve_bands(op, 5)
         assert ("factor" in vars(cache)) == (cache.B is not None)
         entries = [a for t in cache.terms for a in (t[0], *t[1])]  # flat indices and lag entries

@@ -3,15 +3,16 @@
 Wave pencils of size ``bloch.LANCZOS_MIN_SIZE`` or more take their lowest
 pairs from ``bloch._lanczos`` when ``bloch._certified`` accepts them; the
 dense xHEGVX steps are the oracle, reached here by raising the threshold
-above the pencil size.  A pencil whose band is narrow factors A + s B in
-band storage and counts the inertia of A - tau B from a pinned band
-Cholesky, any other one factors and counts densely; each family below pins
-which.  The dense LDL^H count is the band count's oracle and fallback, so
-the tests below also pin which count ran.  Random media come from
-hypothesis with ``derandomize=True``, so every run draws the same cases.
+above the pencil size.  Every such pencil, narrow or as wide as the basis,
+factors A + s B in band storage and counts the inertia of A - tau B from a
+pinned band Cholesky; ``numpy.linalg.eigvalsh`` is the count's oracle.  A
+count that declines rejects the pairs, and the solve gives the dense bits.
+Random media come from hypothesis with ``derandomize=True``, so every run
+draws the same cases.
 """
 
 import contextlib
+import functools
 import io
 import json
 import warnings
@@ -31,40 +32,6 @@ def _dense(fn, op):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bloch, "LANCZOS_MIN_SIZE", op.size + 1)
         return fn()
-
-
-# ---------------------------------------------------------------------------
-# the inertia count
-
-
-def _forced_two_by_two(rng, n, blocks):
-    """A Hermitian matrix whose leading ``blocks`` 2 x 2 diagonal blocks are zero.
-
-    A zero diagonal entry makes Bunch-Kaufman take a 2 x 2 pivot (a 1 x 1
-    pivot needs |a_11| >= alpha * (largest entry below it)).
-    """
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = m + m.conj().T
-    for b in range(blocks):
-        m[2 * b:2 * b + 2, 2 * b:2 * b + 2] = 0.0
-    return m
-
-
-@pytest.mark.parametrize("n, blocks, shift", [(4, 2, 0.0), (7, 3, 0.0), (40, 20, 0.0),
-                                               (40, 20, 3.0), (41, 10, -2.5), (120, 30, 1.0)])
-def test_negative_count_matches_eigvalsh(n, blocks, shift):
-    rng = np.random.default_rng(n + blocks)
-    m = _forced_two_by_two(rng, n, blocks) - shift * np.eye(n)
-    _, ipiv, _ = scipy.linalg.lapack.zhetrf(np.asfortranarray(m.copy()), lower=1)
-    assert np.any(ipiv < 0)  # the case does take 2 x 2 pivots
-    want = int(np.count_nonzero(np.linalg.eigvalsh(m) < 0.0))
-    assert bloch._negative_count(np.asfortranarray(m.copy())) == want
-
-
-def test_negative_count_of_definite_and_diagonal_matrices():
-    assert bloch._negative_count(np.asfortranarray(np.diag([3.0, -1.0, 2.0, -4.0]).astype(complex))) == 2
-    assert bloch._negative_count(np.asfortranarray(np.eye(5, dtype=complex))) == 0
-    assert bloch._negative_count(np.asfortranarray(-np.eye(5, dtype=complex))) == 5
 
 
 def _pins(negatives):
@@ -111,7 +78,7 @@ def _random_medium(family, draw):
     else:  # piecewise media at the operator cutoff (a band of half-width (n - 1) / 2), truncated at
         # 16 harmonics (half-width 32), or at twice the operator cutoff (every lag of the basis)
         cutoff = draw(st.integers(64, 100))
-        inner = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3)))
+        inner = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3, unique=True)))
         breaks = [0.0] + inner
         values = [draw(st.floats(1.0, 4.0)) for _ in breaks]
         mass = [draw(st.floats(1.0, 2.0)) for _ in breaks]
@@ -122,10 +89,19 @@ def _random_medium(family, draw):
     return med, cutoff
 
 
-# the factor each family's Lanczos solves take: band storage while 2 kd < n; the component-major
-# blocks of a vector medium, and a 1D table that reaches every lag, make the band wide
-BAND_FAMILIES = {"scalar-2d": True, "vector-2d": False, "scalar-1d": True, "scalar-1d-band": True,
-                 "scalar-1d-full": False}
+# every family's Lanczos solves run in band storage; the component-major blocks of a vector medium,
+# and a 1D table that reaches every lag (kd = n - 1), make the band wide
+BAND_FAMILIES = ["scalar-2d", "vector-2d", "scalar-1d", "scalar-1d-band", "scalar-1d-full"]
+
+
+@contextlib.contextmanager
+def _truncation_allowed(family):
+    """Ignore the operator cutoff warning for scalar-1d-full, whose table the operator truncates
+    deliberately."""
+    with warnings.catch_warnings():
+        if family == "scalar-1d-full":
+            warnings.filterwarnings("ignore", "operator cutoff .* below medium cutoff")
+        yield
 
 
 def _assert_band_holds(op, shift):
@@ -140,12 +116,12 @@ def _assert_band_holds(op, shift):
         assert np.array_equal(ab[d, :n - d], np.diagonal(dense, -d))
 
 
-def _check_against_dense(med, k, cutoff, n_bands, monkeypatch, band=True):
+def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     """Build a fresh medium's cache, solve at k twice, then on the dense path: a multiplet among the
     lowest n_bands + 2 eigenvalues must give the dense bits, anything else certified Lanczos pairs
-    that agree with the dense ones.  Lanczos must factor A + s B in band storage if ``band``,
-    densely if not, and B's dense factor must be formed once: with the cache without a band, else
-    by the first dense solve.  Returns whether the solves fell back."""
+    that agree with the dense ones.  The cache must check B by a band Cholesky, Lanczos must factor
+    A + s B in band storage and the count run on the band, and B's dense factor must be formed
+    once, by the first dense solve.  Returns whether the solves fell back."""
     assert "_galerkin" not in vars(med)  # the spy below sees the cache built
     verdicts = []
     formed = []  # the residuals the certificate formed
@@ -167,7 +143,7 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch, band=True):
 
     with monkeypatch.context() as patch:
         patch.setattr(bloch, "_certified", spy)
-        for name in ("zpbtrf", "zpotrf", "zhetrf"):
+        for name in ("zpbtrf", "zpotrf"):
             _spy(patch, bloch.lapack, name, factors, lambda result, name=name: name)
         op = bloch.assemble_operator(med, k, cutoff)
         built = taken()
@@ -182,25 +158,21 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch, band=True):
     nev = n_bands + 1
     low = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, nev])
     rho = bloch._spectral_radius_bound(op, low)
-    assert (op.band is not None) == band
-    if band:
-        _assert_band_holds(op, 0.37 * rho)
-    # the cache checks B with a band Cholesky, or forms B's dense factor; Lanczos factors, then
-    # the inertia count runs: a pinned band Cholesky, or a dense LDL^H
-    assert built == (["zpbtrf"] if band else ["zpotrf"])
-    factor, count = ("zpbtrf", "zpbtrf") if band else ("zpotrf", "zhetrf")
-    formed_b = ["zpotrf"] if band else []  # B's dense factor, formed by the first dense solve
+    _assert_band_holds(op, 0.37 * rho)
+    # the cache checks B with a band Cholesky; Lanczos factors A + s B, then the inertia count
+    # factors the pinned A - tau B, both on the band; the first dense solve forms B's dense factor
+    assert built == ["zpbtrf"]
     if np.min(np.diff(low)) < 1e-9 * rho:  # a multiplet: its eigenvectors are not unique
         assert True not in verdicts and splits[0] == splits[1]
         # split Ritz values mean Lanczos saw one vector of the multiplet and the count rejects;
         # the split test rejects a resolved multiplet before any count
-        attempt = [factor, count] if splits[0] else [factor]
-        assert first == attempt + formed_b and second == attempt and dense == []
+        attempt = ["zpbtrf", "zpbtrf"] if splits[0] else ["zpbtrf"]
+        assert first == attempt + ["zpotrf"] and second == attempt and dense == []
         _same_modes(got, want)
         return True
     assert verdicts == [True, True]
-    # no dense factor of B and no LDL^H on the band
-    assert first == second == [factor, count] and dense == formed_b
+    # no dense factor of B until the dense solve
+    assert first == second == ["zpbtrf", "zpbtrf"] and dense == ["zpotrf"]
     assert [m.residual for m in got] == list(formed[0][:n_bands])  # reported as formed
     op = bloch.assemble_operator(med, k, cutoff)
     mu, X = bloch._lanczos(op, nev)
@@ -228,13 +200,11 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch, band=True):
 def test_lanczos_pairs_match_dense(family, n_bands, data):
     med, cutoff = _random_medium(family, data.draw)
     k = [data.draw(_kcomp) for _ in range(med.cell.dims)]
-    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
-        if family == "scalar-1d-full":  # the operator truncates the medium's table, deliberately
-            warnings.filterwarnings("ignore", "operator cutoff .* below medium cutoff")
-        _check_against_dense(med, k, cutoff, n_bands, patch, BAND_FAMILIES[family])
+    with pytest.MonkeyPatch.context() as patch, _truncation_allowed(family):
+        _check_against_dense(med, k, cutoff, n_bands, patch)
 
 
-@pytest.mark.parametrize("family", [f for f, band in BAND_FAMILIES.items() if band])
+@pytest.mark.parametrize("family", BAND_FAMILIES)
 @settings(derandomize=True, database=None, deadline=None, max_examples=6)
 @given(data=st.data())
 def test_band_count_matches_eigvalsh(family, data):
@@ -242,8 +212,8 @@ def test_band_count_matches_eigvalsh(family, data):
     # must get a count from the pinned band Cholesky, and it must be the dense spectrum's
     med, cutoff = _random_medium(family, data.draw)
     k = [data.draw(_kcomp) for _ in range(med.cell.dims)]
-    op = bloch.assemble_operator(med, k, cutoff)
-    assert op.band is not None
+    with _truncation_allowed(family):
+        op = bloch.assemble_operator(med, k, cutoff)
     low = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, 5])
     for j in range(5):
         tau = 0.5 * (low[j] + low[j + 1])
@@ -252,7 +222,7 @@ def test_band_count_matches_eigvalsh(family, data):
 
 
 @pytest.mark.parametrize("n_bands", [1, 3])
-@pytest.mark.parametrize("family", [f for f, band in BAND_FAMILIES.items() if band])
+@pytest.mark.parametrize("family", BAND_FAMILIES)
 @settings(derandomize=True, database=None, deadline=None, max_examples=6)
 @given(data=st.data())
 def test_band_residuals_match_dense(family, n_bands, data):
@@ -262,10 +232,11 @@ def test_band_residuals_match_dense(family, n_bands, data):
     # computed residuals is at most (n + 2 kd + 3) u (|| |A| || + mu || |B| ||)
     med, cutoff = _random_medium(family, data.draw)
     k = [data.draw(_kcomp) for _ in range(med.cell.dims)]
-    op = bloch.assemble_operator(med, k, cutoff)
+    with _truncation_allowed(family):
+        op = bloch.assemble_operator(med, k, cutoff)
     mu, X = bloch._lanczos(op, n_bands + 1)
     got = bloch._certified(op, mu, X)
-    assert op.band is not None and got is not None
+    assert got is not None
     mu = mu[:-1]
     want = np.linalg.norm(op.A @ X - (op.B @ X) * mu, axis=0) / np.linalg.norm(X, axis=0)
     u = np.finfo(float).eps / 2
@@ -289,28 +260,38 @@ def test_band_count_declines():
 
 @pytest.mark.parametrize("missed", [False, True])
 def test_declined_band_count_gives_the_dense_verdict(missed, monkeypatch):
-    op = bloch.assemble_operator(_c4_medium(), (0.7, -1.3), 8)
-    mu, X = bloch._lanczos(op, 4 if missed else 3)
-    if missed:  # the certificate must reject pairs that skip the second eigenvalue
-        mu, X = np.delete(mu, 1), np.delete(X, 1, axis=1)
-    want = bloch._certified(op, mu, X)
-    assert (want is None) == missed
-    counts, factors = [], []
+    # with no pins, H' = A - tau B is indefinite and the band count declines: the certificate
+    # rejects the pairs, whether or not Lanczos skipped an eigenvalue, and the solve returns the
+    # dense solve's bits
+    med = _c4_medium()
+    k = (0.7, -1.3)
+    op = bloch.assemble_operator(med, k, 8)
+    want = _dense(lambda: bloch.solve_at(med, k, 8, 2), op)
+    lanczos = bloch._lanczos
+
+    def skip_second(op, nev):
+        mu, X = lanczos(op, nev + 1)
+        return np.delete(mu, 1), np.delete(X, 1, axis=1)
+
+    mu, X = (skip_second if missed else lanczos)(op, 3)
+    assert (bloch._certified(op, mu, X) is None) == missed  # with pins, the count decides
+    counts, verdicts = [], []
     with monkeypatch.context() as patch:
-        patch.setattr(bloch, "_CERTIFICATE_PINS", 0)  # no pins: H' = A - tau B is indefinite
+        patch.setattr(bloch, "_CERTIFICATE_PINS", 0)
         _spy(patch, bloch, "_band_negative_count", counts)
-        _spy(patch, bloch.lapack, "zhetrf", factors, lambda result: "zhetrf")
-        got = bloch._certified(op, mu, X)
-    assert counts == [None] and factors == ["zhetrf"]
-    assert (got is None) == missed
-    if not missed:
-        assert np.array_equal(got, want)
+        assert bloch._certified(op, mu, X) is None and counts == [None]
+        if missed:
+            patch.setattr(bloch, "_lanczos", skip_second)
+        _spy(patch, bloch, "_certified", verdicts)
+        got = bloch.solve_at(med, k, 8, 2)
+    assert counts == [None, None] and verdicts == [None]
+    _same_modes(got, want)
 
 
 def test_sweep2d_bands_count_on_the_band(tmp_path, monkeypatch):
     # the traffic the band certificate serves: a 2D cosine medium with harmonics up to 2 per
     # axis at cutoff 8 (289 plane waves); every solve of a 9-sample sweep is certified by a
-    # pinned band count, and no dense LDL^H runs
+    # pinned band count, and no dense factor is formed
     def cosine(mean, harmonics):
         return {"type": "cosine", "mean": mean,
                 "harmonics": [{"n": n, "amp": amp, "phase": phase} for n, amp, phase in harmonics]}
@@ -322,7 +303,7 @@ def test_sweep2d_bands_count_on_the_band(tmp_path, monkeypatch):
         "b": cosine(1.2, [([1, 0], 0.35, 2.5), ([1, 1], 0.3, 0.7)])}))
     counts, factors, certified = [], [], []
     _spy(monkeypatch, bloch, "_band_negative_count", counts)
-    _spy(monkeypatch, bloch.lapack, "zhetrf", factors, lambda result: "zhetrf")
+    _spy(monkeypatch, bloch.lapack, "zpotrf", factors, lambda result: "zpotrf")
     _spy(monkeypatch, bloch, "_certified", certified, lambda result: result is not None)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["bands", "--config", str(config), "--k-start=0.6,-0.4", "--k-end=2.1,-1.9",
@@ -330,6 +311,27 @@ def test_sweep2d_bands_count_on_the_band(tmp_path, monkeypatch):
                          "--out", str(tmp_path / "bands.csv")])
     assert code == 0
     assert certified == [True] * 9 and counts == [2] * 9 and factors == []
+
+
+def test_a_is_gathered_once_per_operator(monkeypatch):
+    # a certified solve scatters A into the band three times (for the Lanczos factor, the residuals
+    # and the count) from one gather of A's written entries, and each new operator gathers its own
+    gather = bloch.BlochOperator._a_lower.func
+    gathers, scatters, certified = [], [], []
+
+    def spy(op):
+        gathers.append(tuple(op.k))
+        return gather(op)
+    counted = functools.cached_property(spy)
+    counted.__set_name__(bloch.BlochOperator, "_a_lower")
+    monkeypatch.setattr(bloch.BlochOperator, "_a_lower", counted)
+    _spy(monkeypatch, bloch, "_shift_into_band", scatters, lambda result: None)
+    _spy(monkeypatch, bloch, "_certified", certified, lambda result: result is not None)
+    med = _c4_medium()
+    ks = [(0.7, -1.3), (1.1, 0.4)]
+    for k in ks:
+        bloch.solve_at(med, k, 8, 2)
+    assert certified == [True, True] and len(scatters) == 6 and gathers == ks
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +378,14 @@ def test_missed_eigenvalue_fails_certificate(monkeypatch):
     op = bloch.assemble_operator(med, k, 8)
     want = _dense(lambda: bloch.solve_at(med, k, 8, 2), op)
     assert certified(op, *lanczos(op, 3)) is not None  # unpatched, the fast path holds here
-    counts, factors = [], []
+    counts = []
     monkeypatch.setattr(bloch, "_lanczos", skip_second)
     monkeypatch.setattr(bloch, "_certified", spy)
     _spy(monkeypatch, bloch, "_band_negative_count", counts)
-    _spy(monkeypatch, bloch.lapack, "zhetrf", factors, lambda result: "zhetrf")
     _same_modes(bloch.solve_at(med, k, 8, 2), want)
     assert verdicts == [False]
-    # the band count found the skipped eigenvalue: four below tau, not three; no dense count ran
-    assert counts == [4] and factors == []
+    # the band count found the skipped eigenvalue: four below tau, not three
+    assert counts == [4]
 
 
 def test_small_pencils_keep_the_dense_path(monkeypatch):
