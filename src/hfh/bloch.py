@@ -13,40 +13,44 @@ B[n, n'] = b_hat[n - n'], both Hermitian by construction.  The schrodinger
 family's first- and zeroth-order terms join A, which becomes H(k).
 
 Only A depends on k.  A medium keeps the rest for one operator cutoff in its
-instance dict, built on first use: the basis and G = 2*pi*n/lambda, each
+instance dict, built on first use: the basis and G = 2*pi*n/lambda, and each
 distinct symbol field's nonzero lag entries f_hat[n - n'] over the basis
-pairs as coordinates (rows, cols, values), on and above A's diagonal, and
-for the wave families B, all read-only.  A term of A is formed at its
-field's entries only, and the mirror copies only the entries the terms
-wrote: a smooth medium's lag blocks are mostly structural zeros, and the
-entries no term writes keep one value for every k.  A wave pencil that
-Lanczos solves also keeps B in LAPACK's band storage, over B's own band,
-and where each entry A's terms write lands in a band of half-width kd
-(up to n - 1), and checks that B is positive definite by a band
-Cholesky.  B's dense Cholesky factor waits for the first dense solve,
-which a certified Lanczos solve never needs.  The cache also holds two
-writable n x n work arrays: :func:`solve_at` assembles A into the first,
-and a dense solve overwrites the second (Fortran order) with a copy of A,
-so a k-solve allocates no new n x n array.  With band parts a third,
-(kd + 1) x n, holds A + s B and its factor, then A for the certificate's
-residuals, then the inertia count's A - tau B with its pinned diagonal
-lift and that factor.  Hence :func:`solve_at` and :func:`solve_bands`
-are not reentrant for one medium object: two threads must not solve on
-the same medium at once.  A pickled medium leaves the cache out.
-:func:`assemble_operator` returns an A of its own, which no later call
-changes.  An operator holds the medium's cache at its cutoff, which its
-solves read and overwrite.  An operator, and each mode solved from it,
-holds the medium it was built from, so what consumes a mode (transport coefficients, coupling,
-wave packets) reads the medium from the mode and takes no medium argument.
+pairs as coordinates (rows, cols, values), on and above the diagonal, for
+A's terms and, in the wave families, for B, all read-only.  A term of A is
+formed at its field's entries only, and the mirror copies only the entries
+the terms wrote: a smooth medium's lag blocks are mostly structural zeros,
+and the entries no term writes keep one value for every k.  A wave pencil
+that Lanczos solves keeps B only in LAPACK's band storage, over B's own
+band, with that band's Cholesky factor, which also checks that B is
+positive definite; it keeps where each entry A's terms write lands in a
+band of half-width kd (up to n - 1).  Dense B and its Cholesky factor wait
+for the first read, by a dense solve, which a certified Lanczos solve never
+needs.  The cache also holds two writable n x n work arrays:
+:func:`solve_at` assembles A into the first, and a dense solve overwrites
+the second (Fortran order) with a copy of A, so a k-solve allocates no new
+n x n array.  With band parts a third, (kd + 1) x n, holds A + s B and its
+factor, then A for the certificate's residuals, then the inertia count's
+A - tau B with its pinned diagonal lift and that factor.  Hence
+:func:`solve_at` and :func:`solve_bands` are not reentrant for one medium
+object: two threads must not solve on the same medium at once.  A pickled
+medium leaves the cache out.  :func:`assemble_operator` returns an A of its
+own, which no later call changes.  An operator holds the medium's cache at
+its cutoff, which its solves read and overwrite.  An operator, and each
+mode solved from it, holds the medium it was built from, so what consumes a
+mode (transport coefficients, coupling, wave packets) reads the medium from
+the mode and takes no medium argument.
 
 A wave pencil of size ``LANCZOS_MIN_SIZE`` or more gets its lowest pairs
-by shift-invert Lanczos on its band (:func:`_lanczos`), kept only if each
-pair meets the residual gate, by band products, and a Sylvester inertia
-count from a pinned band Cholesky shows that no eigenvalue below them was
-missed (:func:`_certified`, :func:`_band_negative_count`).  Any other wave
-solve, and any Lanczos solve that is not certified, runs the rest of
-LAPACK's xHEGVX on B's factor (HEGST, HEEVX with its queried optimal
-workspace, the triangular solve), which gives the bits
+by shift-invert Lanczos on its band (:func:`_lanczos`).  They are kept only
+if each returned pair meets the residual gate, by band products, the
+extra pair that sets the spectral gap has its eigenvalue certified by the
+Kato-Temple bound, and a Sylvester inertia count from a pinned band
+Cholesky shows that no eigenvalue below them was missed
+(:func:`_certified`, :func:`_band_negative_count`).  Since only the extra
+pair's value is read, Lanczos converges that pair by value, not by vector.
+Any other wave solve, and any Lanczos solve that is not certified, runs the
+rest of LAPACK's xHEGVX on B's factor (HEGST, HEEVX with its queried
+optimal workspace, the triangular solve), which gives the bits
 ``scipy.linalg.eigh(A, B)`` gives; the schrodinger family solves with
 ``scipy.linalg.eigh``.
 
@@ -97,20 +101,26 @@ class BlochOperator:
 
     Wave families solve A v = omega^2 B v; the schrodinger family solves
     A v = omega v with B = None (identity weighting).  The basis is
-    component-major: ``medium.n_comp`` blocks of ``basis``.
+    component-major: ``medium.n_comp`` blocks of ``basis``.  B is the
+    medium cache's, dense, formed on its first read (a certified Lanczos
+    solve reads only B's band).
     """
 
     medium: Medium = field(repr=False)
     k: np.ndarray
     basis: np.ndarray  # (n_basis, d) multi-indices
     A: np.ndarray
-    B: np.ndarray | None
     cutoff: int
     parts: _Galerkin = field(repr=False)  # the medium's cache at this cutoff, which solves read and overwrite
 
     @property
     def size(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def B(self) -> np.ndarray | None:
+        """The medium's dense B (None for the schrodinger family), formed on first read."""
+        return self.parts.B
 
     @property
     def scratch(self) -> np.ndarray:
@@ -127,6 +137,15 @@ class BlochOperator:
         """A's written entries conjugated, as the band's lower triangle holds them, in ``band.upper``'s
         order: gathered once per operator for the Lanczos factor, the residuals and the count."""
         return np.conjugate(self.A.reshape(-1)[self.band.upper])
+
+    @cached_property
+    def _quotients(self) -> np.ndarray:
+        """The diagonal quotients A_ii / B_ii (H_ii without B), B's diagonal read from its band if
+        there is one."""
+        diag = np.diag(self.A).real
+        if self.medium.family == "schrodinger":
+            return diag
+        return diag / (self.band.B[0].real if self.band is not None else np.diag(self.B).real)
 
     @property
     def medium_key(self) -> str:
@@ -236,37 +255,50 @@ class _Band:
     Every nonzero entry of A and B lies within ``kd`` of the diagonal.
     ``B`` holds B's entries B[r + d, r] at [d, r] over B's own band,
     (kd_B + 1) x n in Fortran order with kd_B <= kd, the layout ZPBTRF and
-    ZHBMV read.  A's entry (r, c), r <= c, lands conjugated, as A[c, r], at
-    [c - r, r] of a (kd + 1) x n array: ``at`` gives that position, as a
-    flat index in Fortran order, for each flat index in ``upper`` (the
-    cache's list of the entries A's terms write).  Those three are
-    read-only; ``work``, (kd + 1) x n, is writable and receives A + s B,
-    then its factor, then A for the certificate's residuals, then the
-    inertia count's A - tau B with its pinned diagonal lift, and that
-    factor.
+    ZHBMV read, and ``B_factor`` the lower Cholesky factor ZPBTRF makes of
+    it, the same shape (meaningful only if B is positive definite).  A's
+    entry (r, c), r <= c, lands conjugated, as A[c, r], at [c - r, r] of a
+    (kd + 1) x n array: ``at`` gives that position, as a flat index in
+    Fortran order, for each flat index in ``upper`` (the cache's list of
+    the entries A's terms write).  Those four are read-only; ``work``,
+    (kd + 1) x n, is writable and receives A + s B, then its factor, then
+    A for the certificate's residuals, then the inertia count's A - tau B
+    with its pinned diagonal lift, and that factor.
     """
 
     kd: int
     B: np.ndarray
+    B_factor: np.ndarray
     upper: np.ndarray
     at: np.ndarray
     work: np.ndarray
 
 
-def _band(B: np.ndarray, upper: np.ndarray, b_at: list) -> _Band:
-    """The band parts of a pencil whose B and A entries on and above the diagonal sit at the flat
-    indices ``b_at`` (a list of arrays) and ``upper``."""
-    n = len(B)
-    rows, cols = np.divmod(np.concatenate([upper[:0], *b_at]), n)  # upper[:0]: none if B has no entry
+def _band(n: int, upper: np.ndarray, b_terms: tuple) -> tuple:
+    """The band parts of a pencil of size n whose A entries on and above the diagonal sit at the flat
+    indices ``upper`` and whose B entries there are -values at the flat indices ``at``, for each
+    (at, values) in ``b_terms``; and the info of ZPBTRF on B's band (0 if B is positive definite).
+
+    B's band gets the bits the mirrored dense B (:attr:`_Galerkin.B`) holds below its diagonal:
+    conj(-value) at a written entry, conj(+0) = 0 - 0i where B has none, and a diagonal with a
+    zero imaginary part.
+    """
+    at_B = np.concatenate([upper[:0], *(at for at, _ in b_terms)])  # upper[:0]: none if B has no entry
+    values = np.concatenate([np.zeros(0, dtype=np.complex128), *(v for _, v in b_terms)])
+    rows, cols = np.divmod(at_B, n)
     kd_B = int(np.max(cols - rows, initial=0))
+    B_band = np.zeros((kd_B + 1, n), dtype=np.complex128, order="F")
+    for d in range(1, kd_B + 1):
+        B_band.imag[d, :n - d] = -0.0
+    B_band.T.reshape(-1)[(cols - rows) + rows * (kd_B + 1)] = np.conjugate(-values)
+    B_band.imag[0] = 0.0
+    B_factor, info = lapack.zpbtrf(B_band, lower=1)
     rows, cols = np.divmod(upper, n)
     kd = max(kd_B, int(np.max(cols - rows, initial=0)))
-    d, r = np.indices((kd_B + 1, n))
-    B_band = np.asfortranarray(np.where(d + r < n, B[np.minimum(d + r, n - 1), r], 0.0))
     at = (cols - rows) + rows * (kd + 1)
-    for arr in (B_band, at):
+    for arr in (B_band, B_factor, at):
         arr.flags.writeable = False
-    return _Band(kd, B_band, upper, at, np.empty((kd + 1, n), dtype=np.complex128, order="F"))
+    return _Band(kd, B_band, B_factor, upper, at, np.empty((kd + 1, n), dtype=np.complex128, order="F")), info
 
 
 def _b_indefinite(info: int) -> scipy.linalg.LinAlgError:
@@ -287,8 +319,11 @@ class _Galerkin:
     a zero field has no term.  ``upper`` lists every flat index a term
     writes, ascending, and ``mirror`` pairs those above the diagonal with
     their transposed indices.  ``beta0`` is the schrodinger family's
-    divisor (None for the wave families).  ``band`` holds the pencil's band
-    parts (:func:`_band`) when Lanczos solves it (a wave pencil with n >=
+    divisor (None for the wave families).  ``b_terms`` holds (at, values)
+    per block of B on and above its diagonal: B is -values at the flat
+    indices ``at`` there, and zero at every index no block writes (empty
+    for the schrodinger family).  ``band`` holds the pencil's band parts
+    (:func:`_band`) when Lanczos solves it (a wave pencil with n >=
     ``LANCZOS_MIN_SIZE`` that is not assembly only), else None.
     ``b_info`` is the info of ZPBTRF on ``band.B``: 0 if B is positive
     definite, else the order of its first leading minor that is not; 0
@@ -304,10 +339,24 @@ class _Galerkin:
     upper: np.ndarray
     mirror: tuple
     beta0: float | None
-    B: np.ndarray | None
+    b_terms: tuple
     b_info: int
     band: _Band | None
     work: tuple
+
+    @cached_property
+    def B(self) -> np.ndarray | None:
+        """B, dense and read-only (None for the schrodinger family), formed on first read, which
+        overwrites the eigensolve's scratch: a certified Lanczos solve never reads it."""
+        if self.beta0 is not None:
+            return None
+        n = len(self.work[0])
+        B = np.zeros((n, n), dtype=np.complex128)
+        for at, values in self.b_terms:
+            B.put(at, -values)  # the entries are nonzero, so -v is 0 - v
+        _mirror_hermitian(B, self.work[1], np.greater.outer(np.arange(n), np.arange(n)))
+        B.flags.writeable = False
+        return B
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -326,7 +375,8 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
 
     They live in the medium's instance dict, so they last as long as the
     medium; one cutoff is kept.  Only blocks on and above the diagonal are
-    formed, since the mirror fills the others.  The first work array starts
+    formed, since the mirror fills the others; B only in band storage, if
+    the pencil has band parts.  The first work array starts
     as A with every term zero, mirrored, so the entries no term writes
     already hold their value for every k: +0 divided by beta0, conjugated
     below the diagonal.
@@ -356,16 +406,14 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     uses = {}  # id(field) -> (field, its C entries): the terms of one field are added together
     for idx, f in medium.C.items():
         uses.setdefault(id(f), (f, []))[1].append(idx)
-    B = np.zeros((n, n), dtype=np.complex128) if wave else None
-    b_at = []  # the flat indices of B the time entries write
+    b_terms = []
     terms = []
     for f, entries in uses.values():
         for (i, j, kk, l) in entries:
             if wave and not (j or l):
                 if i <= kk:
                     at, (_, _, values) = on_block(f, i, kk)
-                    B.put(at, -values)  # the entries are nonzero, so -v is 0 - v
-                    b_at.append(at)
+                    b_terms.append((at, values))
             elif not (j and l):
                 raise ValidationError(f"C entry {(i, j, kk, l)} has no term in the Bloch operator")
             elif i > kk:  # a block below the diagonal: the mirror fills it
@@ -391,21 +439,18 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     scratch = np.empty((n, n), dtype=np.complex128, order="F")
     band = None
     b_info = 0
-    if wave:
-        _mirror_hermitian(B, scratch, lower)
-        if n >= LANCZOS_MIN_SIZE and not _assembly_only(medium):
-            band = _band(B, upper, b_at)
-            b_info = lapack.zpbtrf(band.B, lower=1)[1]
+    if wave and n >= LANCZOS_MIN_SIZE and not _assembly_only(medium):
+        band, b_info = _band(n, upper, b_terms)
     zero = np.zeros(1, dtype=np.complex128)
     if not wave:
         zero /= beta0
     A = np.where(lower, zero.conj(), zero)
     np.fill_diagonal(A.imag, 0.0)
     G = TWO_PI * basis.T / cell.diag[:, None]
-    for arr in [basis, G, B, upper, *mirror, *(t[0] for t in terms)]:
-        if arr is not None:
-            arr.flags.writeable = False
-    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, B, b_info, band, (A, scratch))
+    for arr in [basis, G, upper, *mirror, *(t[0] for t in terms), *(at for at, _ in b_terms)]:
+        arr.flags.writeable = False
+    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, tuple(b_terms), b_info, band,
+                      (A, scratch))
     medium.__dict__["_galerkin"] = cache
     return cache
 
@@ -458,7 +503,7 @@ def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> Bl
     if medium.cutoff > cutoff:
         warnings.warn(f"operator cutoff {cutoff} below medium cutoff {medium.cutoff}; "
                       "medium content beyond the operator lags is truncated")
-    return BlochOperator(medium, k, g.basis, A if _into_work else A.copy(), g.B, cutoff, g)
+    return BlochOperator(medium, k, g.basis, A if _into_work else A.copy(), cutoff, g)
 
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:
@@ -478,10 +523,7 @@ def _spectral_radius_bound(op: BlochOperator, evals: np.ndarray) -> float:
     The computed eigenvalues and the diagonal Rayleigh quotients A_ii / B_ii
     (H_ii without B) all lie in the range of the spectrum.
     """
-    diag = np.real(np.diag(op.A))
-    if op.B is not None:
-        diag = diag / np.real(np.diag(op.B))
-    return max(float(np.max(np.abs(evals))), float(np.max(np.abs(diag))))
+    return max(float(np.max(np.abs(evals))), float(np.max(np.abs(op._quotients))))
 
 
 def _residual_gate(op: BlochOperator, evals: np.ndarray) -> float:
@@ -518,6 +560,26 @@ def _band_times(ab: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.column_stack([blas.zhbmv(len(ab) - 1, 1.0, ab, x, lower=1) for x in X.T])
 
 
+def _orthogonalize(w: np.ndarray, basis: np.ndarray, conj: np.ndarray) -> tuple:
+    """Remove from w, in place, its components along the orthonormal rows of ``basis`` (``conj``
+    holds them conjugated) by classical Gram-Schmidt; return the coefficients removed and |w|.
+
+    A second pass runs only when the first shrinks w to 1/sqrt 2 of its norm or less (Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 30 (1976) 772): only then can the first pass's rounding leave w
+    measurably out of orthogonality.
+    """
+    before = blas.dznrm2(w)
+    removed = 0.0
+    for _ in range(2):
+        h = conj @ w
+        w -= h @ basis
+        removed = removed + h
+        norm = blas.dznrm2(w)
+        if norm > before * 0.5 ** 0.5:
+            break
+    return removed, norm
+
+
 def _lanczos(op: BlochOperator, nev: int):
     """The nev lowest eigenpairs of A v = mu B v by shift-invert Lanczos, and the next Ritz value; or None.
 
@@ -530,22 +592,26 @@ def _lanczos(op: BlochOperator, nev: int):
     A + s B in the band's work array (``op.band``), and a step applies T by
     two TBSV and one HBMV on B's own band, which also B-normalizes the Ritz
     vectors.  Lanczos on T starts from a fixed pseudo-random vector, which
-    no symmetry of the medium keeps out of any eigenspace, and
-    orthogonalizes each new vector against all earlier ones (kept
-    conjugated too); a second pass runs only when the first shrinks the
-    vector to 1/sqrt 2 of its norm or less (Daniel, Gragg, Kaufman &
-    Stewart, Math. Comp. 30 (1976) 772), since otherwise the first pass
-    lost no orthogonality to cancellation.  It
-    stops when the Ritz residual estimate beta_m |z_m| of each of the nev
-    largest Ritz values is below ``_LANCZOS_TOL`` times that value.
-    Returns (mu, X): nev + 1 ascending Ritz values and the B-normalized
-    vectors of the first nev.  None if no positive shift exists, A + s B is
-    not positive definite, Lanczos breaks down early, or
-    ``_LANCZOS_MAX_STEPS`` steps pass without convergence.  L stays in the
-    band's work array.
+    no symmetry of the medium keeps out of any eigenspace.  A step
+    subtracts the three-term recurrence alpha_m q_m + beta_(m-1) q_(m-1),
+    then orthogonalizes against all earlier vectors (kept conjugated too)
+    by :func:`_orthogonalize`, whose second pass thus sees only the loss of
+    orthogonality to older vectors.  With Ritz values theta_1 > theta_2 >
+    ... and Ritz residual estimates e_i = beta_m |z_mi|, it stops when the
+    first nev - 1, whose vectors are returned, meet e_i <= ``_LANCZOS_TOL``
+    theta_i, and the nev-th, whose value only sets the spectral gap, meets
+    e_nev^2 <= ``_LANCZOS_TOL`` theta_nev (theta_nev - theta_(nev+1)): its
+    Ritz value then lies within about that relative error of its limit,
+    though its vector is converged only to about the square root of that
+    (the quadratic estimate behind the Kato-Temple bound; Parlett, The
+    Symmetric Eigenvalue Problem, section 10).  Returns (mu, X): nev + 1
+    ascending Ritz values and the B-normalized vectors of the first nev.
+    None if no positive shift exists, A + s B is not positive definite,
+    Lanczos breaks down early, or ``_LANCZOS_MAX_STEPS`` steps pass without
+    convergence.  L stays in the band's work array.
     """
     n = op.size
-    quotients = np.diag(op.A).real / np.diag(op.B).real
+    quotients = op._quotients
     positive = np.sort(quotients[quotients > 0.0])
     if len(positive) < nev:
         return None
@@ -567,19 +633,19 @@ def _lanczos(op: BlochOperator, nev: int):
         w = blas.ztbsv(band.kd, L, Q[m], lower=1, trans=2)
         w = blas.ztbsv(band.kd, L, blas.zhbmv(len(band.B) - 1, 1.0, band.B, w, lower=1), lower=1,
                        overwrite_x=1)
+        alpha[m] = (Qc[m] @ w).real
+        w -= alpha[m] * Q[m]
+        if m:
+            w -= beta[m - 1] * Q[m - 1]
         basis = Q[:m + 1]
-        before = blas.dznrm2(w)
-        for _ in range(2):
-            h = Qc[:m + 1] @ w
-            w -= h @ basis
-            alpha[m] += h[m].real
-            beta[m] = blas.dznrm2(w)
-            if beta[m] > before * 0.5 ** 0.5:
-                break
+        h, beta[m] = _orthogonalize(w, basis, Qc[:m + 1])
+        alpha[m] += h[m].real
         if m >= nev:
             theta, Z, _ = lapack.dstev(alpha[:m + 1], beta[:m])
             lo = m + 1 - nev  # dstev sorts ascending: the nev largest are theta[lo:]
-            if np.all(beta[m] * np.abs(Z[m, lo:]) <= _LANCZOS_TOL * theta[lo:]):
+            e = beta[m] * np.abs(Z[m])  # theta[lo] is the gap pair's, theta[lo - 1] the next
+            if (np.all(e[lo + 1:] <= _LANCZOS_TOL * theta[lo + 1:])
+                    and e[lo] ** 2 <= _LANCZOS_TOL * theta[lo] * (theta[lo] - theta[lo - 1])):
                 Y = basis.T @ Z[:, lo:][:, ::-1]
                 X = np.column_stack([blas.ztbsv(band.kd, L, y, lower=1, trans=2) for y in Y.T])
                 X /= np.sqrt(np.einsum("ij,ij->j", X.conj(), _band_times(band.B, X)).real)
@@ -612,8 +678,7 @@ def _band_negative_count(op: BlochOperator, tau: float, pins: int):
     if not tau > 0.0:
         return None
     ab = _shift_into_band(op, -tau)
-    quotients = np.diag(op.A).real / op.band.B[0].real
-    S = np.argsort(quotients, kind="stable")[:pins]
+    S = np.argsort(op._quotients, kind="stable")[:pins]
     c = 4.0 * tau * op.band.B[0, S].real
     ab[0, S] += c
     L, info = lapack.zpbtrf(ab, lower=1, overwrite_ab=1)
@@ -628,34 +693,76 @@ def _band_negative_count(op: BlochOperator, tau: float, pins: int):
     return int(np.count_nonzero(w < 0.0))
 
 
+def _b_inverse_norm(op: BlochOperator, r: np.ndarray) -> float:
+    """|r|_{B^-1} = |L_B^-1 r|, by one TBSV on the band factor of B = L_B L_B^H."""
+    return float(np.linalg.norm(blas.ztbsv(len(op.band.B) - 1, op.band.B_factor, r, lower=1)))
+
+
+def _kato_temple(op: BlochOperator, x: np.ndarray, Ax: np.ndarray, Bx: np.ndarray, alpha: float,
+                 tau: float) -> tuple:
+    """The Rayleigh quotient rho of x (with its products A x and B x), and the Kato-Temple bound
+    eps^2 / delta on rho's distance to the pencil's eigenvalue in (alpha, tau).
+
+    With eps = |A x - rho B x|_{B^-1} / |x|_B and delta = min(rho - alpha,
+    tau - rho) > 0, an interval (alpha, tau) that holds exactly one
+    eigenvalue lambda holds it within rho - eps^2 / (tau - rho) <= lambda
+    <= rho + eps^2 / (rho - alpha) (Kato, J. Phys. Soc. Japan 4 (1949)
+    334; Parlett, The Symmetric Eigenvalue Problem, section 10).  The bound
+    is quadratic in the residual, so a vector converged to about the square
+    root of the precision certifies its value to the full precision.  The
+    bound is inf unless alpha < rho < tau.
+    """
+    xBx = float((x.conj() @ Bx).real)
+    rho = float((x.conj() @ Ax).real) / xBx
+    eps2 = _b_inverse_norm(op, Ax - rho * Bx) ** 2 / xBx
+    delta = min(rho - alpha, tau - rho)
+    return rho, (eps2 / delta if delta > 0.0 else np.inf)
+
+
 def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
-    """The residuals |A x - mu B x| / |x| of the Lanczos pairs (mu[:-1], X) if they are the pencil's
-    lowest, each within half the residual gate; else None.
+    """The pencil's lowest len(mu) - 1 eigenvalues, the residuals |A x - mu B x| / |x| of all but
+    the last of the Lanczos pairs (mu[:-1], X), and the last value's Kato-Temple bound, if the
+    certificate holds; else None.
 
     Consecutive Ritz values must differ by more than ``_LANCZOS_SPLIT``
     times the spectral radius bound: a multiplet's eigenvectors are not
-    unique, and the dense solve stays the reference for them.  Then
-    tau = mu[-2] + (mu[-1] - mu[-2]) / 4 lies above the last wanted value
-    and below the next Ritz value, and A - tau B must have exactly
-    len(mu) - 1 negative eigenvalues, so that no eigenvalue below tau was
-    missed.  The residuals come from band products (A scattered into the
-    band's work array, B's own band), and :func:`_band_negative_count`
-    counts with ``_CERTIFICATE_PINS`` pins per Ritz value.  A count that
-    declines rejects the pairs, and the dense solve runs instead.
+    unique, and the dense solve stays the reference for them.  Each
+    returned pair (all but the last of X) must meet half the residual gate.
+    The last pair only sets the spectral gap, and only its value is
+    certified: its Rayleigh quotient, the value returned, must lie within
+    half the gate of its eigenvalue by :func:`_kato_temple` on (alpha,
+    tau).  alpha, the last returned value plus its residual's B^-1 norm
+    (X is B-normalized), bounds the returned pairs' eigenvalues from above;
+    tau = mu[-2] + (mu[-1] - mu[-2]) / 4 lies below the next
+    Ritz value, and A - tau B must have exactly len(mu) - 1 negative
+    eigenvalues, so that no eigenvalue below tau was missed and (alpha,
+    tau) holds exactly the last pair's.  Held to half the gate, the bound
+    certifies that value at least as tightly as the Weyl bound of a
+    half-gate residual would.  The residuals come from band products (A
+    scattered into the band's work array, B's own band), and
+    :func:`_band_negative_count` counts with ``_CERTIFICATE_PINS`` pins per
+    Ritz value.  A failed check, or a count that declines, rejects the
+    pairs, and the dense solve runs instead.
     """
     rho = _spectral_radius_bound(op, mu)
     if not np.min(np.diff(mu)) > _LANCZOS_SPLIT * rho:
         return None
     # A scattered over the Lanczos factor, which is no longer read
-    R = _band_times(_shift_into_band(op, 0.0), X) - _band_times(op.band.B, X) * mu[:-1]
+    AX = _band_times(_shift_into_band(op, 0.0), X)
+    BX = _band_times(op.band.B, X)
+    R = AX[:, :-1] - BX[:, :-1] * mu[:-2]
     gate = _residual_gate(op, mu[:-1])
-    r_norm, x_norm = np.linalg.norm(R, axis=0), np.linalg.norm(X, axis=0)
+    r_norm, x_norm = np.linalg.norm(R, axis=0), np.linalg.norm(X[:, :-1], axis=0)
     if not np.all(r_norm <= 0.5 * gate * x_norm):
         return None
+    alpha = mu[-3] + _b_inverse_norm(op, R[:, -1])
     tau = mu[-2] + 0.25 * (mu[-1] - mu[-2])
+    value, bound = _kato_temple(op, X[:, -1], AX[:, -1], BX[:, -1], alpha, tau)
+    if not bound <= 0.5 * gate:
+        return None
     if _band_negative_count(op, tau, min(_CERTIFICATE_PINS * len(mu), op.size)) != len(mu) - 1:
         return None
-    return r_norm / x_norm
+    return np.append(mu[:-2], value), r_norm / x_norm, bound
 
 
 def _solve_pencil(op: BlochOperator, subset) -> tuple:
@@ -663,7 +770,8 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
 
     For n >= ``LANCZOS_MIN_SIZE`` (and few pairs) the pairs come from
     :func:`_lanczos` on the band when :func:`_certified` accepts them, with
-    the residuals the certificate formed.  Otherwise, and whenever either
+    the values it certified and the residuals it formed (for all but the
+    last pair, whose vector is converged only far enough for its value).  Otherwise, and whenever either
     declines, LAPACK xHEGVX's steps run on a fresh copy of A in the
     scratch: POTRF + HEGST + HEEVX + TRSM, with B's factor from the
     medium's cache (formed by the first dense solve of a cutoff, see
@@ -677,9 +785,9 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     nev = subset[1] + 1
     if op.size >= LANCZOS_MIN_SIZE and nev <= _LANCZOS_MAX_PAIRS:
         found = _lanczos(op, nev)
-        residuals = None if found is None else _certified(op, *found)
-        if residuals is not None:
-            return found[0][:-1], found[1], residuals
+        certified = None if found is None else _certified(op, *found)
+        if certified is not None:
+            return certified[0], found[1], certified[1]
     L = op.parts.factor
     np.copyto(op.scratch, op.A)
     C, _ = lapack.zhegst(op.scratch, L, lower=1, overwrite_a=1)
@@ -696,8 +804,9 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     """Solve the assembled pencil and return the lowest n_bands normalized modes.
 
     Only the lowest n_bands + 1 eigenpairs are computed (all of them when
-    n_bands is the basis size); the extra pair makes each mode's gap to its
-    nearest neighbour exact.  Wave families: eigenvalues are omega^2 (clamped
+    n_bands is the basis size); the extra pair's eigenvalue makes each
+    mode's gap to its nearest neighbour exact (the Lanczos path converges
+    and certifies only that value, not its vector).  Wave families: eigenvalues are omega^2 (clamped
     at 0 down to -1e-10; anything lower raises an ellipticity violation) and
     omega = +sqrt.  Modes are b-normalized, converted to the stored carrier
     convention, phase-fixed, and carry their spectral gap and residual.  A
@@ -713,14 +822,14 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     subset = [0, min(n_bands, op.size - 1)]
     residuals = None  # a certified Lanczos solve has formed them already
     try:
-        if op.B is None:
+        if not wave:
             np.copyto(op.scratch, op.A)  # LAPACK works in place on this Fortran-order copy
             evals, evecs = scipy.linalg.eigh(op.scratch, subset_by_index=subset, overwrite_a=True)
         else:
             evals, evecs, residuals = _solve_pencil(op, subset)
     except scipy.linalg.LinAlgError as exc:
         diag = ""
-        if op.B is not None:
+        if wave:
             diag = f"; cond(B) ~ {np.linalg.cond(op.B):.3e}"
         raise NumericalError(f"eigensolver failed: {exc}{diag}") from exc
 
@@ -739,7 +848,7 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     for idx in range(n_bands):
         v = evecs[:, idx]
         if residuals is None:
-            r = op.A @ v - evals[idx] * (v if op.B is None else op.B @ v)
+            r = op.A @ v - evals[idx] * (op.B @ v if wave else v)
             residual = float(np.linalg.norm(r) / np.linalg.norm(v))
         else:
             residual = float(residuals[idx])

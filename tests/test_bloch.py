@@ -560,20 +560,25 @@ def test_cached_parts_bit_identical(family, bands, data):
     med, cutoff = _random_medium(family, data.draw)
     ks = [[data.draw(st.just(0.0) | st.floats(-3.0, 3.0)) for _ in range(med.cell.dims)]
           for _ in range(2)]
-    for k in ks + [[0.0] * med.cell.dims]:  # several k on one medium, k = 0 included
+    for first, k in zip([True, False, False], ks + [[0.0] * med.cell.dims]):  # k = 0 included
         op = bloch.assemble_operator(med, k, cutoff)
         A, B = oracle_assemble(med, k, cutoff)
         assert op.A.tobytes() == A.tobytes()
-        assert (op.B is None and B is None) or op.B.tobytes() == B.tobytes()
-        # these pencils have no band parts; B's factor, formed on first use, is ZPOTRF's of B
+        # these pencils have no band parts, and the build forms neither dense B nor its factor
         assert op.band is None and op.parts.b_info == 0
-        assert B is None or op.parts.factor.tobytes() == scipy.linalg.lapack.zpotrf(B, lower=1)[0].tobytes()
+        assert not first or not {"B", "factor"} & set(vars(op.parts))
         n_bands = op.size if bands == "size" else bands
-        ref = dataclasses.replace(op, A=A, B=B)
-        want = _outcome(lambda: oracle_solve(ref, n_bands))
         # solve_bands on the operator, and solve_at through the medium's work arrays
-        for got in (_outcome(lambda: bloch.solve_bands(op, n_bands)),
-                    _outcome(lambda: bloch.solve_at(med, k, cutoff, n_bands))):
+        solved = [_outcome(lambda: bloch.solve_bands(op, n_bands)),
+                  _outcome(lambda: bloch.solve_at(med, k, cutoff, n_bands))]
+        # a wave pencil's first dense solve formed B, bit for bit the mirrored dense B, signed
+        # zeros included, and B's factor, ZPOTRF's of B; a schrodinger solve reads neither
+        assert not first or ("B" in vars(op.parts)) == (B is not None)
+        assert (op.B is None and B is None) or op.B.tobytes() == B.tobytes()
+        assert B is None or op.parts.factor.tobytes() == scipy.linalg.lapack.zpotrf(B, lower=1)[0].tobytes()
+        ref = dataclasses.replace(op, A=A)  # its B is the cache's, checked above
+        want = _outcome(lambda: oracle_solve(ref, n_bands))
+        for got in solved:
             if isinstance(want, Exception):
                 assert type(got) is type(want) and str(got) == str(want)
                 continue
@@ -606,17 +611,18 @@ def test_cached_parts_read_only(vector_medium, cell1d):
         med = pickle.loads(pickle.dumps(med))  # a copy without the cache that earlier tests built
         op = bloch.assemble_operator(med, [0.3], cutoff)
         cache = med.__dict__["_galerkin"]
-        # no cache comes with B's dense factor: the first dense solve (5 bands ask for more pairs
-        # than Lanczos takes) forms it
-        assert "factor" not in vars(cache)
+        # no cache comes with dense B or its factor: the first dense solve (5 bands ask for more
+        # pairs than Lanczos takes) forms them
+        assert not {"B", "factor"} & set(vars(cache))
         bloch.solve_bands(op, 5)
         assert ("factor" in vars(cache)) == (cache.B is not None)
         entries = [a for t in cache.terms for a in (t[0], *t[1])]  # flat indices and lag entries
         parts = [cache.basis, cache.G, cache.upper, *cache.mirror, *entries]
+        parts += [a for t in cache.b_terms for a in t]
         if cache.B is not None:
             parts += [cache.B, cache.factor]
         if cache.band is not None:
-            parts += [cache.band.B, cache.band.at]
+            parts += [cache.band.B, cache.band.B_factor, cache.band.at]
         assert len(entries) >= 4 and not any(a.flags.writeable for a in parts)
         fields = [*vars(cache).values(), *(vars(cache.band).values() if cache.band else ())]
         arrays = [v for v in fields if isinstance(v, np.ndarray)]
@@ -637,7 +643,11 @@ def test_cached_parts_read_only(vector_medium, cell1d):
             rows, cols = np.nonzero(cache.B)
             kd_B = int(np.max(rows - cols))
             assert kd_B == 0 and cache.band.B.shape == (kd_B + 1, n)
-            assert all(np.array_equal(cache.band.B[d, :n - d], np.diagonal(cache.B, -d)) for d in range(kd_B + 1))
+            # bit for bit the band of the mirrored dense B, signed zeros included
+            d, r = np.indices((kd_B + 1, n))
+            old = np.where(d + r < n, cache.B[np.minimum(d + r, n - 1), r], 0.0)
+            assert cache.band.B.tobytes(order="F") == np.asfortranarray(old).tobytes(order="F")
+            assert cache.band.B_factor.tobytes() == scipy.linalg.lapack.zpbtrf(old, lower=1)[0].tobytes()
             assert cache.band.work.shape == (kd + 1, n)
             assert cache.band.B.flags.f_contiguous and cache.band.work.flags.f_contiguous
             assert cache.band.work.flags.writeable

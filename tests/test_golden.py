@@ -10,7 +10,7 @@ measured values (integer fields such as ``n`` are labels), only has to
 match within 1e-11 * S: its digits move with the BLAS thread count.  It is
 either roundoff left by a cancellation among terms of size S, or the drift
 of a resonant pair's cross averages in ``resonant2d_couple``: their real
-parts grow as D n T0 (about 3.3e-13, 6.6e-13 and 1.3e-12 at n = 2, 4, 8 at
+parts grow as D n T0 (about 3.5e-13, 7.0e-13 and 1.4e-12 at n = 2, 4, 8 at
 one BLAS thread), D the printed ``# drift_rate=``, which is proportional to
 the pair's frequency difference, itself eigensolver roundoff.  The set
 covers the three equation families (1D and anisotropic 2D scalar, 2D

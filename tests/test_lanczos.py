@@ -121,10 +121,11 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     lowest n_bands + 2 eigenvalues must give the dense bits, anything else certified Lanczos pairs
     that agree with the dense ones.  The cache must check B by a band Cholesky, Lanczos must factor
     A + s B in band storage and the count run on the band, and B's dense factor must be formed
-    once, by the first dense solve.  Returns whether the solves fell back."""
+    once, by the first dense solve; certified solves form neither it nor dense B.  Returns whether
+    the solves fell back."""
     assert "_galerkin" not in vars(med)  # the spy below sees the cache built
     verdicts = []
-    formed = []  # the residuals the certificate formed
+    formed = []  # what the certificate formed: values, residuals and the gap value's bound
     factors = []
     splits = []  # whether the Ritz values passed the split test
     certified = bloch._certified
@@ -151,6 +152,7 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
         first = taken()
         again = bloch.solve_at(med, k, cutoff, n_bands)
         second = taken()
+        kept = set(vars(med.__dict__["_galerkin"]))  # before the dense solve below
         want = _dense(lambda: bloch.solve_at(med, k, cutoff, n_bands), op)
         dense = taken()
     assert op.size >= bloch.LANCZOS_MIN_SIZE
@@ -171,18 +173,23 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
         _same_modes(got, want)
         return True
     assert verdicts == [True, True]
-    # no dense factor of B until the dense solve
+    # no dense B or factor of B until the dense solve
     assert first == second == ["zpbtrf", "zpbtrf"] and dense == ["zpotrf"]
-    assert [m.residual for m in got] == list(formed[0][:n_bands])  # reported as formed
+    assert not {"B", "factor"} & kept
+    assert [m.residual for m in got] == list(formed[0][1])  # reported as formed
     op = bloch.assemble_operator(med, k, cutoff)
     mu, X = bloch._lanczos(op, nev)
-    mu = mu[:-1]
+    values, _, bound = bloch._certified(op, mu, X)
     w, x, _ = _dense(lambda: bloch._solve_pencil(op, [0, n_bands]), op)
     gate = bloch._residual_gate(op, w)
-    # compare omega^2: at an omega = 0 mode the square root turns roundoff into ~1e-7 in omega
-    assert np.all(np.abs(mu - w) <= 1e-13 * rho)
+    # compare omega^2: at an omega = 0 mode the square root turns roundoff into ~1e-7 in omega.
+    # The returned pairs: Ritz values and vectors; the gap pair, which only sets the spectral gap:
+    # its certified value, within its Kato-Temple bound, and the dense solve's rounding
+    assert np.array_equal(values[:-1], mu[:-2])
+    assert np.all(np.abs(mu[:-2] - w[:-1]) <= 1e-13 * rho)
+    assert abs(values[-1] - w[-1]) <= bound + 1e-13 * rho and bound <= 0.5 * gate
     spacing = np.diff(low)
-    for i in range(nev):
+    for i in range(n_bands):
         if min(spacing[i], spacing[i - 1] if i else np.inf) > 1e-6 * rho:  # nondegenerate
             assert abs(abs(X[:, i].conj() @ op.B @ x[:, i]) - 1.0) <= 1e-10
         r = op.A @ X[:, i] - mu[i] * (op.B @ X[:, i])
@@ -190,6 +197,11 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     for m1, m2 in zip(got, want):
         assert abs(m1.omega ** 2 - m2.omega ** 2) <= 1e-13 * rho
         assert m1.residual <= gate
+    # B's band holds the bits of the mirrored dense B's band, signed zeros included
+    kd_B, n = len(op.band.B) - 1, op.size
+    d, r = np.indices((kd_B + 1, n))
+    old = np.asfortranarray(np.where(d + r < n, op.B[np.minimum(d + r, n - 1), r], 0.0))
+    assert op.band.B.tobytes(order="F") == old.tobytes(order="F")
     return False
 
 
@@ -235,14 +247,99 @@ def test_band_residuals_match_dense(family, n_bands, data):
     with _truncation_allowed(family):
         op = bloch.assemble_operator(med, k, cutoff)
     mu, X = bloch._lanczos(op, n_bands + 1)
-    got = bloch._certified(op, mu, X)
-    assert got is not None
-    mu = mu[:-1]
+    certified = bloch._certified(op, mu, X)
+    assert certified is not None
+    got, mu, X = certified[1], mu[:-2], X[:, :-1]  # the returned pairs
     want = np.linalg.norm(op.A @ X - (op.B @ X) * mu, axis=0) / np.linalg.norm(X, axis=0)
     u = np.finfo(float).eps / 2
     bound = (op.size + 2 * op.band.kd + 3) * u * (np.linalg.norm(np.abs(op.A), 2)
                                                   + np.abs(mu) * np.linalg.norm(np.abs(op.B), 2))
     assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("family", BAND_FAMILIES)
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_gap_value_within_its_bound(family, data):
+    # the extra pair of a solve only sets the spectral gap: Lanczos converges its value, not its
+    # vector, and the certificate returns its Rayleigh quotient with a Kato-Temple bound.  Dense
+    # eigh's eigenvalue nev lies within that bound, up to the two solves' rounding (measured at
+    # most about u rho), and the bound within half the residual gate
+    med, cutoff = _random_medium(family, data.draw)
+    k = [data.draw(_kcomp) for _ in range(med.cell.dims)]
+    nev = data.draw(st.integers(1, 3)) + 1
+    with _truncation_allowed(family):
+        op = bloch.assemble_operator(med, k, cutoff)
+    mu, X = bloch._lanczos(op, nev)
+    certified = bloch._certified(op, mu, X)
+    assert certified is not None
+    values, _, bound = certified
+    w = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, nev - 1])
+    rho = bloch._spectral_radius_bound(op, w)
+    assert abs(values[-1] - w[-1]) <= bound + 1e-14 * rho
+    assert 0.0 <= bound <= 0.5 * bloch._residual_gate(op, values)
+
+
+@pytest.mark.parametrize("k", [0.3, 0.7])
+def test_kato_temple_bound_reads_both_ends(k):
+    # x = c v_j + s v_(j+1) from the dense B-orthonormal eigenvectors has Rayleigh quotient
+    # lambda_j + s^2 (lambda_(j+1) - lambda_j), and (alpha, tau) = (lambda_(j-1), lambda_j + gap / 2)
+    # holds lambda_j alone.  The bound eps^2 / min(rho - alpha, tau - rho) must hold the true
+    # distance; here the eigenvalue below is farther than the one above, so a bound that read
+    # only rho - alpha would be smaller than that distance
+    med = medium.build_scalar_medium(medium.cosine(2.0, [((1,), 0.6, 0.3)]),
+                                     medium.cosine(1.5, [((1,), 0.4, 1.1)]), Cell((1.0,)), 1)
+    op = bloch.assemble_operator(med, [k], 64)
+    band = 1
+    lam, V = scipy.linalg.eigh(op.A, op.B, subset_by_index=[0, band + 1])
+    lower, above = lam[band] - lam[band - 1], lam[band + 1] - lam[band]
+    assert lower > above  # the case a one-sided bound gets wrong
+    c, s = np.sqrt(0.9), np.sqrt(0.1)
+    x = c * V[:, band] + s * V[:, band + 1]
+    tau = lam[band] + 0.5 * above
+    rho, bound = bloch._kato_temple(op, x, op.A @ x, op.B @ x, lam[band - 1], tau)
+    assert abs(rho - (lam[band] + 0.1 * above)) <= 1e-12 * lam[band]
+    assert abs(rho - lam[band]) <= bound <= 1.01 * 0.9 * 0.1 * above / 0.4  # c^2 s^2 gap^2 / (tau - rho)
+    assert bloch._kato_temple(op, x, op.A @ x, op.B @ x, lam[band - 1], rho)[1] == np.inf
+
+
+def test_second_pass_restores_orthogonality(monkeypatch):
+    # a Lanczos step orthogonalizes after the three-term recurrence, so the first Gram-Schmidt pass
+    # cancels heavily only when the step lost orthogonality to older vectors.  w all but in the
+    # span of the basis shrinks to 1e-9 of its norm in the first pass, which leaves it out of
+    # orthogonality by about u / 1e-9; only the second pass brings that back to roundoff.  A
+    # vector the first pass leaves at more than 1/sqrt 2 of its norm gets one pass
+    rng = np.random.default_rng(5)
+    n, m = 200, 12
+    gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    basis = np.ascontiguousarray(np.linalg.qr(gauss(n, m))[0].T)
+    fresh = gauss(n)
+    for _ in range(2):
+        fresh -= (basis.conj() @ fresh) @ basis
+    fresh /= np.linalg.norm(fresh)
+    coeffs = gauss(m)
+    norms = []
+    _spy(monkeypatch, bloch.blas, "dznrm2", norms)
+    for scale, tail, passes in ((1.0, 1e-9, 2), (1e-3, 1.0, 1)):
+        norms.clear()
+        w = scale * coeffs @ basis + tail * fresh
+        removed, norm = bloch._orthogonalize(w, basis, basis.conj())
+        assert len(norms) == 1 + passes and norm == norms[-1]
+        assert abs(norm - tail) <= 1e-6 * tail and np.linalg.norm(basis.conj() @ w) <= 1e-14 * norm
+        assert np.allclose(removed, scale * coeffs, rtol=1e-12, atol=0.0)
+
+
+def test_unconverged_gap_value_is_rejected(monkeypatch):
+    # the gap pair's vector perturbed by 1e-3 of its norm: its Kato-Temple bound exceeds half the
+    # residual gate, and the certificate rejects the pairs before the count
+    op = bloch.assemble_operator(_c4_medium(), (0.7, -1.3), 8)
+    mu, X = bloch._lanczos(op, 3)
+    assert bloch._certified(op, mu, X) is not None
+    noise = np.random.default_rng(2).standard_normal((2, op.size))
+    X[:, -1] += 1e-3 * np.linalg.norm(X[:, -1]) * (noise[0] + 1j * noise[1]) / np.sqrt(2 * op.size)
+    counts = []
+    _spy(monkeypatch, bloch, "_band_negative_count", counts)
+    assert bloch._certified(op, mu, X) is None and counts == []
 
 
 def test_band_count_declines():
@@ -301,16 +398,24 @@ def test_sweep2d_bands_count_on_the_band(tmp_path, monkeypatch):
         "cell": [1.0, 1.0], "kind": "scalar", "cutoff": 2,
         "a": cosine(2.2, [([1, -2], 0.4, 0.3), ([2, 1], 0.5, 1.9), ([0, 2], 0.3, 4.0)]),
         "b": cosine(1.2, [([1, 0], 0.35, 2.5), ([1, 1], 0.3, 0.7)])}))
-    counts, factors, certified = [], [], []
+    counts, factors, certified, tridiagonal, norms = [], [], [], [], []
     _spy(monkeypatch, bloch, "_band_negative_count", counts)
     _spy(monkeypatch, bloch.lapack, "zpotrf", factors, lambda result: "zpotrf")
     _spy(monkeypatch, bloch, "_certified", certified, lambda result: result is not None)
+    _spy(monkeypatch, bloch.lapack, "dstev", tridiagonal)
+    _spy(monkeypatch, bloch.blas, "dznrm2", norms)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["bands", "--config", str(config), "--k-start=0.6,-0.4", "--k-end=2.1,-1.9",
                          "--samples", "9", "--band", "1", "--cutoff", "8",
                          "--out", str(tmp_path / "bands.csv")])
     assert code == 0
     assert certified == [True] * 9 and counts == [2] * 9 and factors == []
+    # Lanczos converges the gap pair by value, not by vector: 138 steps here (190, 21 a solve, when
+    # the gap pair's vector was converged too); DSTEV runs from step nev = 2 on.  Each step makes
+    # one orthogonalization pass after the three-term recurrence, and the DGKS test never asks for
+    # a second (181 second passes when the test also saw alpha and beta)
+    steps = len(tridiagonal) + 2 * 9
+    assert steps <= 16 * 9 and len(norms) == 2 * steps
 
 
 def test_a_is_gathered_once_per_operator(monkeypatch):
