@@ -37,7 +37,8 @@ def sweep_path(medium, k_start, k_end, samples: int, band: int, cutoff: int) -> 
     """Solve the band on evenly spaced k between k_start and k_end (inclusive).
 
     Degenerate samples are flagged and the sweep continues; band tracking is
-    by sorted index, which is sufficient away from degeneracies.
+    by sorted index, which is sufficient away from degeneracies.  A path of
+    zero length (k_start == k_end) has no slope to record and is refused.
     """
     if samples < 2:
         raise ValidationError("a sweep needs at least 2 samples")
@@ -48,6 +49,10 @@ def sweep_path(medium, k_start, k_end, samples: int, band: int, cutoff: int) -> 
         raise ValidationError(f"k endpoints must have {d} component(s)")
     ts = np.linspace(0.0, 1.0, samples)
     path = k0[None, :] + ts[:, None] * (k1 - k0)[None, :]
+    dk = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    if not np.all(dk > 0.0):
+        raise ValidationError(f"k_start {k0} and k_end {k1} must be finite and differ: a sweep path "
+                              "needs a nonzero length")
     omegas = np.empty(samples)
     gaps = np.empty(samples)
     flags = np.zeros(samples, dtype=bool)
@@ -56,10 +61,7 @@ def sweep_path(medium, k_start, k_end, samples: int, band: int, cutoff: int) -> 
         omegas[i] = mode.omega
         gaps[i] = mode.gap
         flags[i] = not check_nondegenerate(mode)
-    dk = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.abs(np.diff(omegas)) / dk
-    lipschitz = float(np.nanmax(slopes)) if len(slopes) else 0.0
+    lipschitz = float(np.max(np.abs(np.diff(omegas)) / dk))
     return DispersionTable(band, path, omegas, gaps, flags, lipschitz)
 
 

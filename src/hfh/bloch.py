@@ -23,14 +23,12 @@ and the entries no term writes keep one value for every k.  A wave pencil
 that Lanczos solves keeps B only in LAPACK's band storage, over B's own
 band, with that band's Cholesky factor, which also checks that B is
 positive definite; it keeps where each entry A's terms write lands in a
-band of half-width kd (up to n - 1).  Dense B and its Cholesky factor wait
-for the first read, by a dense solve, which a certified Lanczos solve never
-needs.  The cache also holds two writable n x n work arrays:
-:func:`solve_at` assembles A into the first, and a dense solve overwrites
-the second (Fortran order) with a copy of A, so a k-solve allocates no new
-n x n array.  With band parts a third, (kd + 1) x n, holds A + s B and its
-factor, then A for the certificate's residuals, then the inertia count's
-A - tau B with its pinned diagonal lift and that factor.  Hence
+band of half-width kd (up to n - 1).  Dense B waits for its first read, by
+a dense solve, which a certified Lanczos solve never needs.  The cache
+also holds one writable n x n work array, into which :func:`solve_at`
+assembles A.  With band parts a second, (kd + 1) x n, holds A + s B and
+its factor, then A for the certificate's residuals, then the inertia
+count's A - tau B with its pinned diagonal lift and that factor.  Hence
 :func:`solve_at` and :func:`solve_bands` are not reentrant for one medium
 object: two threads must not solve on the same medium at once.  A pickled
 medium leaves the cache out.  :func:`assemble_operator` returns an A of its
@@ -48,11 +46,10 @@ Kato-Temple bound, and a Sylvester inertia count from a pinned band
 Cholesky shows that no eigenvalue below them was missed
 (:func:`_certified`, :func:`_band_negative_count`).  Since only the extra
 pair's value is read, Lanczos converges that pair by value, not by vector.
-Any other wave solve, and any Lanczos solve that is not certified, runs the
-rest of LAPACK's xHEGVX on B's factor (HEGST, HEEVX with its queried
-optimal workspace, the triangular solve), which gives the bits
-``scipy.linalg.eigh(A, B)`` gives; the schrodinger family solves with
-``scipy.linalg.eigh``.
+Any other wave solve, and any Lanczos solve that is not certified, is one
+ZHEGVX call with its queried optimal workspace on copies of A and B, which
+gives the bits ``scipy.linalg.eigh(A, B)`` gives; the schrodinger family
+solves with ``scipy.linalg.eigh``.
 
 Carrier conventions for the stored cell-periodic amplitudes:
 
@@ -121,11 +118,6 @@ class BlochOperator:
     def B(self) -> np.ndarray | None:
         """The medium's dense B (None for the schrodinger family), formed on first read."""
         return self.parts.B
-
-    @property
-    def scratch(self) -> np.ndarray:
-        """The medium's Fortran-order n x n work array; solves overwrite it."""
-        return self.parts.work[1]
 
     @property
     def band(self) -> _Band | None:
@@ -233,21 +225,6 @@ def _assembly_only(medium: Medium) -> bool:
     return medium.family == "vector-wave" and medium.cell.dims > 2
 
 
-def _mirror_hermitian(m: np.ndarray, scratch: np.ndarray, lower: np.ndarray) -> None:
-    """Make the float matrix exactly Hermitian in place by mirroring its upper triangle.
-
-    The exact Galerkin matrix is Hermitian entry-for-entry; evaluating each
-    entry once and mirroring removes the ~1e-12 asymmetry that float
-    non-associativity would otherwise leave at large cutoffs.  Entry values in
-    the upper triangle are untouched; the diagonal loses its imaginary part.
-    ``scratch`` (Fortran order, m's shape) receives m^H on the way, and
-    ``lower`` masks the strict lower triangle.
-    """
-    np.conjugate(m, out=scratch.T)
-    np.copyto(m, scratch, where=lower)
-    np.fill_diagonal(m.imag, 0.0)
-
-
 @dataclass(frozen=True)
 class _Band:
     """A wave pencil's band in LAPACK's lower band storage, and a work array of that shape.
@@ -309,7 +286,7 @@ def _b_indefinite(info: int) -> scipy.linalg.LinAlgError:
 
 @dataclass(frozen=True)
 class _Galerkin:
-    """The k-independent parts of a medium's Bloch operators at one cutoff, and two work arrays.
+    """The k-independent parts of a medium's Bloch operators at one cutoff, and A's work array.
 
     ``terms`` holds (at, entries, j, l, paired) per term of A in assembly
     order: ``entries`` are the (rows, cols, values) of its field from
@@ -327,9 +304,9 @@ class _Galerkin:
     ``LANCZOS_MIN_SIZE`` that is not assembly only), else None.
     ``b_info`` is the info of ZPBTRF on ``band.B``: 0 if B is positive
     definite, else the order of its first leading minor that is not; 0
-    without band parts, where :attr:`factor` checks B.  Every array is
-    read-only except the two in ``work``, A(k) (C order) and the
-    eigensolve's scratch (Fortran order), and ``band.work``.
+    without band parts, where the dense solve's ZHEGVX checks B.  Every
+    array is read-only except ``work``, which holds A(k) (n x n, C order),
+    and ``band.work``.
     """
 
     cutoff: int
@@ -342,32 +319,28 @@ class _Galerkin:
     b_terms: tuple
     b_info: int
     band: _Band | None
-    work: tuple
+    work: np.ndarray
 
     @cached_property
     def B(self) -> np.ndarray | None:
-        """B, dense and read-only (None for the schrodinger family), formed on first read, which
-        overwrites the eigensolve's scratch: a certified Lanczos solve never reads it."""
+        """B, dense and read-only (None for the schrodinger family), formed on first read: a
+        certified Lanczos solve never reads it.
+
+        The exact Galerkin matrix is Hermitian entry for entry; evaluating each
+        entry above the diagonal once and mirroring it removes the asymmetry
+        that float non-associativity would otherwise leave, and the diagonal
+        loses its imaginary part.
+        """
         if self.beta0 is not None:
             return None
-        n = len(self.work[0])
+        n = len(self.work)
         B = np.zeros((n, n), dtype=np.complex128)
         for at, values in self.b_terms:
             B.put(at, -values)  # the entries are nonzero, so -v is 0 - v
-        _mirror_hermitian(B, self.work[1], np.greater.outer(np.arange(n), np.arange(n)))
+        np.copyto(B, B.conj().T, where=np.greater.outer(np.arange(n), np.arange(n)))
+        np.fill_diagonal(B.imag, 0.0)
         B.flags.writeable = False
         return B
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """B's lower Cholesky factor (ZPOTRF), read-only, formed by the first dense solve: a
-        certified Lanczos solve never reads it.  Raises ``LinAlgError`` if B is not positive definite.
-        """
-        L, info = lapack.zpotrf(self.B, lower=1)
-        if info:
-            raise _b_indefinite(info)
-        L.flags.writeable = False
-        return L
 
 
 def _galerkin(medium, cutoff: int) -> _Galerkin:
@@ -376,10 +349,9 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     They live in the medium's instance dict, so they last as long as the
     medium; one cutoff is kept.  Only blocks on and above the diagonal are
     formed, since the mirror fills the others; B only in band storage, if
-    the pencil has band parts.  The first work array starts
-    as A with every term zero, mirrored, so the entries no term writes
-    already hold their value for every k: +0 divided by beta0, conjugated
-    below the diagonal.
+    the pencil has band parts.  The work array starts as A with every term
+    zero, mirrored, so the entries no term writes already hold their value
+    for every k: +0 divided by beta0, conjugated below the diagonal.
     """
     cache = medium.__dict__.get("_galerkin")
     if cache is not None and cache.cutoff == cutoff:
@@ -436,7 +408,6 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     rows, cols = np.divmod(above, n)
     mirror = (above, cols * n + rows)
     lower = np.greater.outer(np.arange(n), np.arange(n))
-    scratch = np.empty((n, n), dtype=np.complex128, order="F")
     band = None
     b_info = 0
     if wave and n >= LANCZOS_MIN_SIZE and not _assembly_only(medium):
@@ -449,8 +420,7 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     G = TWO_PI * basis.T / cell.diag[:, None]
     for arr in [basis, G, upper, *mirror, *(t[0] for t in terms), *(at for at, _ in b_terms)]:
         arr.flags.writeable = False
-    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, tuple(b_terms), b_info, band,
-                      (A, scratch))
+    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, tuple(b_terms), b_info, band, A)
     medium.__dict__["_galerkin"] = cache
     return cache
 
@@ -465,8 +435,8 @@ def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> Bl
     first-order terms (M_l / i)_hat (k+G')_l and its c_hat join A, which is
     then divided by beta0 = (mean M_0) / i, so A is the Hamiltonian H(k).
     Only A depends on k, and only at the entries the terms write; the rest
-    comes from the medium's cache.  A is assembled in the cache's first
-    work array and returned as a copy of its own; :func:`solve_at` passes
+    comes from the medium's cache.  A is assembled in the cache's work
+    array and returned as a copy of its own; :func:`solve_at` passes
     ``_into_work`` to use it in place, valid until the medium's next
     assembly.  Every entry gets the bits a dense assembly of each term over
     whole lag blocks, in the same order, then a mirror, would give it.
@@ -481,7 +451,7 @@ def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> Bl
     k = _as_k(cell, k)
     g = _galerkin(medium, cutoff)
     kg = k[:, None] + g.G
-    A = g.work[0]
+    A = g.work
     flat = A.reshape(-1)
     flat[g.upper] = 0.0
     for at, (rows, cols, values), j, l, paired in g.terms:
@@ -766,37 +736,37 @@ def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
 
 
 def _solve_pencil(op: BlochOperator, subset) -> tuple:
-    """Eigenpairs subset[0]..subset[1] of A v = mu B v (subset[0] == 0), and their residuals or None.
+    """Eigenpairs subset[0]..subset[1] of A v = mu B v (subset[0] == 0; B = I for the schrodinger
+    family), and their residuals or None.
 
-    For n >= ``LANCZOS_MIN_SIZE`` (and few pairs) the pairs come from
-    :func:`_lanczos` on the band when :func:`_certified` accepts them, with
-    the values it certified and the residuals it formed (for all but the
-    last pair, whose vector is converged only far enough for its value).  Otherwise, and whenever either
-    declines, LAPACK xHEGVX's steps run on a fresh copy of A in the
-    scratch: POTRF + HEGST + HEEVX + TRSM, with B's factor from the
-    medium's cache (formed by the first dense solve of a cutoff, see
-    :class:`_Galerkin`).  With HEEVX's optimal workspace that result is bit
-    for bit that of ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.
-    An indefinite B raises ``LinAlgError`` on either path: from the band
-    Cholesky of the cache build, or from :attr:`_Galerkin.factor`.
+    The schrodinger family solves with ``scipy.linalg.eigh`` (HEEVR).  For a
+    wave pencil with n >= ``LANCZOS_MIN_SIZE`` (and few pairs) the pairs
+    come from :func:`_lanczos` on the band when :func:`_certified` accepts
+    them, with the values it certified and the residuals it formed (for all
+    but the last pair, whose vector is converged only far enough for its
+    value).  Otherwise, and whenever either declines, one ZHEGVX call with
+    its queried optimal workspace solves copies of A and dense B (formed by
+    the first dense solve of a cutoff, see :class:`_Galerkin`), bit for bit
+    ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.  An indefinite B
+    raises ``LinAlgError`` on either path, with one message: from the band
+    Cholesky of the cache build, or from ZHEGVX's Cholesky of B.
     """
+    if op.medium.family == "schrodinger":
+        return (*scipy.linalg.eigh(op.A, subset_by_index=subset), None)
     if op.parts.b_info:
         raise _b_indefinite(op.parts.b_info)
-    nev = subset[1] + 1
-    if op.size >= LANCZOS_MIN_SIZE and nev <= _LANCZOS_MAX_PAIRS:
+    n, nev = op.size, subset[1] + 1
+    if n >= LANCZOS_MIN_SIZE and nev <= _LANCZOS_MAX_PAIRS:
         found = _lanczos(op, nev)
         certified = None if found is None else _certified(op, *found)
         if certified is not None:
             return certified[0], found[1], certified[1]
-    L = op.parts.factor
-    np.copyto(op.scratch, op.A)
-    C, _ = lapack.zhegst(op.scratch, L, lower=1, overwrite_a=1)
-    lwork = int(lapack.zheevx_lwork(len(C), lower=1)[0].real)
-    w, Z, m, _, info = lapack.zheevx(C, range="I", lower=1, il=subset[0] + 1, iu=subset[1] + 1,
-                                     abstol=0.0, lwork=lwork, overwrite_a=1)
+    w, x, m, _, info = lapack.zhegvx(op.A, op.B, uplo="L", range="I", il=1, iu=nev, abstol=0.0,
+                                     lwork=int(lapack.zhegvx_lwork(n, uplo="L")[0].real))
+    if info > n:
+        raise _b_indefinite(info - n)
     if info:
         raise scipy.linalg.LinAlgError(f"{info} eigenvectors failed to converge.")
-    x, _ = lapack.ztrtrs(L, Z[:, :m], lower=1, trans=2, overwrite_b=1)  # L's diagonal is nonzero
     return w[:m], x, None
 
 
@@ -819,14 +789,8 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     wave = op.medium.family != "schrodinger"
     if _assembly_only(op.medium):
         raise UnsupportedScaleError("3D vector eigensolves are out of scope (assembly only)")
-    subset = [0, min(n_bands, op.size - 1)]
-    residuals = None  # a certified Lanczos solve has formed them already
     try:
-        if not wave:
-            np.copyto(op.scratch, op.A)  # LAPACK works in place on this Fortran-order copy
-            evals, evecs = scipy.linalg.eigh(op.scratch, subset_by_index=subset, overwrite_a=True)
-        else:
-            evals, evecs, residuals = _solve_pencil(op, subset)
+        evals, evecs, residuals = _solve_pencil(op, [0, min(n_bands, op.size - 1)])
     except scipy.linalg.LinAlgError as exc:
         diag = ""
         if wave:

@@ -26,14 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochMode, check_nondegenerate
+from .bloch import EIG_CLAMP, BlochMode, check_nondegenerate
 from .ergodic import _drift_rate, _frequencies, box_means
 from .errors import NumericalError, ValidationError
 from .fourier import RESONANCE_TOL, TWO_PI, FourierField, SpacetimeCell, from_grid, resonant_point, to_grid
 from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
 from .fourier import window_factor  # noqa: F401  (bench/tracing.py resolves hfh.effective.window_factor)
 
-OMEGA_FLOOR = 1e-8
+# solve_bands clamps eigenvalues down to EIG_CLAMP to zero: an omega up to its root is roundoff
+OMEGA_FLOOR = abs(EIG_CLAMP) ** 0.5
 D0_FLOOR = 1e-10
 ZERO_FLOOR = 1e-14
 

@@ -351,7 +351,7 @@ def test_vector_hermiticity(vector_medium):
     assert op.hermiticity_defect() < 1e-12
 
 
-def test_vector_3d_assembly_allowed_solve_refused():
+def test_vector_3d_assembly_allowed_solve_refused(monkeypatch):
     from hfh.fourier import FourierField
     cell = Cell((1.0, 1.0, 1.0))
     tensor = medium.maxwell_tensor_from_permeability(1.0, cell, 1)
@@ -360,19 +360,19 @@ def test_vector_3d_assembly_allowed_solve_refused():
     vmed = medium.Medium("vector-wave", cell, 1, 3, C, fingerprint="maxwell-demo")
     op = bloch.assemble_operator(vmed, [0.2, 0.1, 0.0], 1)
     assert op.hermiticity_defect() < 1e-12
-    assert op.parts.b_info == 0 and "factor" not in vars(op.parts)  # assembly only: B is never factored
+    assert op.parts.b_info == 0 and op.band is None  # assembly only: B is never factored
+    monkeypatch.setattr(scipy.linalg.lapack, "zhegvx", lambda *args, **kwargs: pytest.fail("a 3D solve"))
     with pytest.raises(UnsupportedScaleError):
         bloch.solve_bands(op, 2)
-    assert "factor" not in vars(op.parts)
 
 
 def test_nan_residual_raises(const_medium, monkeypatch):
-    # the wave path's eigensolve is LAPACK's HEEVX on the reduced pencil
+    # the wave path's dense eigensolve is one ZHEGVX call
     op = bloch.assemble_operator(const_medium, [0.5], 2)
     evals = np.zeros(op.size)
     evals[:2] = np.linalg.eigvalsh(op.A)[:2]
     nan_vectors = np.full((op.size, 2), np.nan + 0j, order="F")
-    monkeypatch.setattr(scipy.linalg.lapack, "zheevx",
+    monkeypatch.setattr(scipy.linalg.lapack, "zhegvx",
                         lambda *args, **kwargs: (evals, nan_vectors, 2, np.zeros(op.size, int), 0))
     with pytest.raises(NumericalError, match="residual"):
         bloch.solve_bands(op, 1)
@@ -403,22 +403,38 @@ def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
 
 
 def test_indefinite_b_is_checked_by_the_first_dense_solve(cell1d):
-    # a pencil without band parts builds its cache without factoring B: b_info is 0, and B's dense
-    # factor, formed on first use, raises the message the band check gives
+    # a pencil without band parts builds its cache without factoring B: b_info is 0, and the
+    # dense solve's ZHEGVX, which factors B, raises the message the band check gives
     one = FourierField.constant(cell1d, 1.0)
     neg = medium.Medium("scalar-wave", cell1d, 1, 1, {(0, 0, 0, 0): one, (0, 1, 0, 1): one},
                         fingerprint="negative-b")  # C_0000 = -b = 1, so B = -I
     op = bloch.assemble_operator(neg, [0.5], 2)
-    assert op.band is None and op.parts.b_info == 0 and "factor" not in vars(op.parts)
+    assert op.band is None and op.parts.b_info == 0
     with pytest.raises(scipy.linalg.LinAlgError) as exc:
-        op.parts.factor
+        bloch._solve_pencil(op, [0, 1])
     assert str(exc.value) == str(bloch._b_indefinite(1))
-    assert "factor" not in vars(op.parts)
+
+
+def test_unconverged_dense_solve_raises(const_medium, tmp_path, monkeypatch):
+    # ZHEGVX's info 1..n (eigenvectors that failed to converge) is a NumericalError naming
+    # cond(B), and the CLI exits 2 without writing its artifact
+    def unconverged(a, b, **kwargs):
+        n = len(a)
+        return np.zeros(n), np.zeros((n, kwargs["iu"]), dtype=complex), 0, np.zeros(n, int), 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zhegvx", unconverged)
+    with pytest.raises(NumericalError, match=r"1 eigenvectors failed to converge.*cond\(B\)"):
+        bloch.solve_at(const_medium, [0.5], 2, 1)
+    config = tmp_path / "medium.json"
+    config.write_text('{"cell": [1.0], "kind": "scalar", "cutoff": 1, "a": 1.0, "b": 1.0}')
+    assert cli.main(["groupvel", "--config", str(config), "--k", "0.5", "--band", "1",
+                     "--cutoff", "2", "--out", str(tmp_path / "gv.csv")]) == 2
+    assert not (tmp_path / "gv.csv").exists()
 
 
 def test_indefinite_b_raises_on_the_band(cell1d, tmp_path, monkeypatch):
     # b = 1 + 1.6 cos 2 pi x is negative near x = 1/2.  At cutoff 64 (129 plane waves, a band of
-    # half-width 1) the cache checks B by a band Cholesky and forms no dense factor, and the
+    # half-width 1) the cache checks B by a band Cholesky and no dense solve runs, and the
     # solve raises what the dense path raises for the same medium
     def negative_b():
         minus_b = FourierField(cell1d, [-0.8, -1.0, -0.8])  # C_0000 = -b
@@ -440,7 +456,7 @@ def test_indefinite_b_raises_on_the_band(cell1d, tmp_path, monkeypatch):
             return routine(*args, **kwargs)
         return call
     with monkeypatch.context() as patch:
-        for name in ("zpotrf", "zpbtrf"):
+        for name in ("zhegvx", "zpbtrf"):
             patch.setattr(bloch.lapack, name, spy(name))
         med = negative_b()
         with pytest.raises(NumericalError, match=r"cond\(B\)") as band:
@@ -564,18 +580,17 @@ def test_cached_parts_bit_identical(family, bands, data):
         op = bloch.assemble_operator(med, k, cutoff)
         A, B = oracle_assemble(med, k, cutoff)
         assert op.A.tobytes() == A.tobytes()
-        # these pencils have no band parts, and the build forms neither dense B nor its factor
+        # these pencils have no band parts, and the build forms no dense B
         assert op.band is None and op.parts.b_info == 0
-        assert not first or not {"B", "factor"} & set(vars(op.parts))
+        assert not first or "B" not in vars(op.parts)
         n_bands = op.size if bands == "size" else bands
         # solve_bands on the operator, and solve_at through the medium's work arrays
         solved = [_outcome(lambda: bloch.solve_bands(op, n_bands)),
                   _outcome(lambda: bloch.solve_at(med, k, cutoff, n_bands))]
         # a wave pencil's first dense solve formed B, bit for bit the mirrored dense B, signed
-        # zeros included, and B's factor, ZPOTRF's of B; a schrodinger solve reads neither
+        # zeros included; a schrodinger solve reads none
         assert not first or ("B" in vars(op.parts)) == (B is not None)
         assert (op.B is None and B is None) or op.B.tobytes() == B.tobytes()
-        assert B is None or op.parts.factor.tobytes() == scipy.linalg.lapack.zpotrf(B, lower=1)[0].tobytes()
         ref = dataclasses.replace(op, A=A)  # its B is the cache's, checked above
         want = _outcome(lambda: oracle_solve(ref, n_bands))
         for got in solved:
@@ -596,7 +611,7 @@ def test_cutoff_switch_rebuilds_same_bits():
     bloch.assemble_operator(med, [0.7], 9)
     again = bloch.assemble_operator(med, [0.7], 4)
     assert again.B is not first.B  # the cache was replaced and rebuilt
-    for x, y in [(first.A, again.A), (first.B, again.B), (first.parts.factor, again.parts.factor)]:
+    for x, y in [(first.A, again.A), (first.B, again.B)]:
         assert np.array_equal(x, y)
     for m1, m2 in zip(modes, bloch.solve_bands(again, 2)):
         assert m1.omega == m2.omega and np.array_equal(m1.v0, m2.v0)
@@ -611,30 +626,28 @@ def test_cached_parts_read_only(vector_medium, cell1d):
         med = pickle.loads(pickle.dumps(med))  # a copy without the cache that earlier tests built
         op = bloch.assemble_operator(med, [0.3], cutoff)
         cache = med.__dict__["_galerkin"]
-        # no cache comes with dense B or its factor: the first dense solve (5 bands ask for more
-        # pairs than Lanczos takes) forms them
-        assert not {"B", "factor"} & set(vars(cache))
+        # no cache comes with dense B: the first dense wave solve (5 bands ask for more pairs
+        # than Lanczos takes) forms it
+        assert "B" not in vars(cache)
         bloch.solve_bands(op, 5)
-        assert ("factor" in vars(cache)) == (cache.B is not None)
+        assert ("B" in vars(cache)) == (cache.beta0 is None)
         entries = [a for t in cache.terms for a in (t[0], *t[1])]  # flat indices and lag entries
         parts = [cache.basis, cache.G, cache.upper, *cache.mirror, *entries]
         parts += [a for t in cache.b_terms for a in t]
         if cache.B is not None:
-            parts += [cache.B, cache.factor]
+            parts.append(cache.B)
         if cache.band is not None:
             parts += [cache.band.B, cache.band.B_factor, cache.band.at]
         assert len(entries) >= 4 and not any(a.flags.writeable for a in parts)
         fields = [*vars(cache).values(), *(vars(cache.band).values() if cache.band else ())]
         arrays = [v for v in fields if isinstance(v, np.ndarray)]
-        band_work = [cache.band.work] if cache.band else []
-        assert all(any(a is p for p in parts + band_work) for a in arrays)  # no writable array elsewhere
-        a_work, scratch = cache.work
+        work = [cache.work] + ([cache.band.work] if cache.band else [])
+        assert all(any(a is p for p in parts + work) for a in arrays)  # no writable array elsewhere
         n = len(op.A)
-        assert a_work.shape == scratch.shape == (n, n)
-        assert a_work.flags.c_contiguous and scratch.flags.f_contiguous
-        assert a_work.flags.writeable and scratch.flags.writeable
+        # one n x n work array, A's, in C order
+        assert cache.work.shape == (n, n) and cache.work.flags.c_contiguous and cache.work.flags.writeable
         assert op.basis is cache.basis and op.B is cache.B and op.parts is cache
-        assert op.scratch is scratch and not np.shares_memory(op.A, a_work)
+        assert not np.shares_memory(op.A, cache.work)
         assert op.band is cache.band and (cache.band is None) == (cutoff == 8)
         if cache.band is not None:
             kd = cache.band.kd
@@ -666,7 +679,7 @@ def test_assembled_operator_keeps_its_A(two_phase, vector_medium, mathieu_blocks
         bloch.solve_bands(later, 2)
         bloch.solve_bands(op, 2)
         assert np.array_equal(op.A, kept) and not np.array_equal(later.A, kept)
-        assert not any(np.shares_memory(op.A, w) for w in med.__dict__["_galerkin"].work)
+        assert not np.shares_memory(op.A, med.__dict__["_galerkin"].work)
 
 
 def test_operator_and_modes_hold_their_medium(two_phase, vector_medium, mathieu_blocks):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfh import checks, cli
+from hfh import bloch, checks, cli, medium
 
 ROOT = Path(__file__).resolve().parents[1]
 MEDIUM = {
@@ -47,6 +47,37 @@ def test_bands_command_writes_csv(config, tmp_path):
     header_at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     assert lines[header_at] == "k_1,omega,band,gap"
     assert len(lines) - header_at - 1 == 50
+
+
+def test_bands_zero_length_path_rejected(config, tmp_path):
+    # k_start == k_end leaves no slope for the recorded Lipschitz bound: a validation error,
+    # exit 1, no artifact and no warning
+    out = tmp_path / "bands.csv"
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code, _ = run_cli(["bands", "--config", config, "--k-start", "0.5", "--k-end", "0.5",
+                           "--samples", "3", "--band", "1", "--out", str(out)])
+    assert code == 1
+    assert "nonzero length" in err.getvalue()
+    assert not out.exists()
+
+
+def test_effective_refuses_the_zero_mode(tmp_path):
+    # at k = 0 band 1 is the constant mode, omega = 0; roundoff leaves 1.4e-6 here, above
+    # the old 1e-8 floor, and the floor sqrt|EIG_CLAMP| = 1e-5 refuses it while band 2 solves
+    config = tmp_path / "medium.json"
+    config.write_text(json.dumps(dict(MEDIUM, cutoff=4, a=dict(MEDIUM["a"], values=[1.0, 9.0]))))
+    argv = ["effective", "--config", str(config), "--k", "0", "--cutoff", "8"]
+    med = medium.medium_from_descriptor(json.loads(config.read_text()))
+    assert 1e-8 < bloch.solve_at(med, [0.0], 8, 1)[0].omega < 1e-5
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(argv + ["--band", "1", "--out-prefix", str(tmp_path / "one")])
+    assert code == 1 and "omega ~ 0" in err.getvalue()
+    assert not list(tmp_path.glob("one*"))
+    assert run_cli(argv + ["--band", "2", "--out-prefix", str(tmp_path / "two")])[0] == 0
+    assert abs(json.loads((tmp_path / "two.json").read_text())["group_velocity"][0]) < 1e-10
 
 
 def test_effective_matches_groupvel(config, tmp_path):

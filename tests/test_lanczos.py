@@ -2,7 +2,7 @@
 
 Wave pencils of size ``bloch.LANCZOS_MIN_SIZE`` or more take their lowest
 pairs from ``bloch._lanczos`` when ``bloch._certified`` accepts them; the
-dense xHEGVX steps are the oracle, reached here by raising the threshold
+dense ZHEGVX solve is the oracle, reached here by raising the threshold
 above the pencil size.  Every such pencil, narrow or as wide as the basis,
 factors A + s B in band storage and counts the inertia of A - tau B from a
 pinned band Cholesky; ``numpy.linalg.eigvalsh`` is the count's oracle.  A
@@ -120,13 +120,12 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     """Build a fresh medium's cache, solve at k twice, then on the dense path: a multiplet among the
     lowest n_bands + 2 eigenvalues must give the dense bits, anything else certified Lanczos pairs
     that agree with the dense ones.  The cache must check B by a band Cholesky, Lanczos must factor
-    A + s B in band storage and the count run on the band, and B's dense factor must be formed
-    once, by the first dense solve; certified solves form neither it nor dense B.  Returns whether
-    the solves fell back."""
+    A + s B in band storage and the count run on the band, and each dense solve must be one ZHEGVX
+    call; certified solves make none and form no dense B.  Returns whether the solves fell back."""
     assert "_galerkin" not in vars(med)  # the spy below sees the cache built
     verdicts = []
     formed = []  # what the certificate formed: values, residuals and the gap value's bound
-    factors = []
+    factors = []  # the LAPACK factorizations and dense eigensolves called, by name
     splits = []  # whether the Ritz values passed the split test
     certified = bloch._certified
 
@@ -137,14 +136,14 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
         return formed[-1]
 
     def taken():
-        """The factorizations since the last call."""
+        """The factorizations and dense eigensolves since the last call."""
         log = factors[:]
         factors.clear()
         return log
 
     with monkeypatch.context() as patch:
         patch.setattr(bloch, "_certified", spy)
-        for name in ("zpbtrf", "zpotrf"):
+        for name in ("zpbtrf", "zpotrf", "zhegst", "zheevx", "zhegvx"):
             _spy(patch, bloch.lapack, name, factors, lambda result, name=name: name)
         op = bloch.assemble_operator(med, k, cutoff)
         built = taken()
@@ -162,20 +161,20 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     rho = bloch._spectral_radius_bound(op, low)
     _assert_band_holds(op, 0.37 * rho)
     # the cache checks B with a band Cholesky; Lanczos factors A + s B, then the inertia count
-    # factors the pinned A - tau B, both on the band; the first dense solve forms B's dense factor
+    # factors the pinned A - tau B, both on the band; a dense solve is one ZHEGVX call
     assert built == ["zpbtrf"]
     if np.min(np.diff(low)) < 1e-9 * rho:  # a multiplet: its eigenvectors are not unique
         assert True not in verdicts and splits[0] == splits[1]
         # split Ritz values mean Lanczos saw one vector of the multiplet and the count rejects;
         # the split test rejects a resolved multiplet before any count
         attempt = ["zpbtrf", "zpbtrf"] if splits[0] else ["zpbtrf"]
-        assert first == attempt + ["zpotrf"] and second == attempt and dense == []
+        assert first == second == attempt + ["zhegvx"] and dense == ["zhegvx"]
         _same_modes(got, want)
         return True
     assert verdicts == [True, True]
-    # no dense B or factor of B until the dense solve
-    assert first == second == ["zpbtrf", "zpbtrf"] and dense == ["zpotrf"]
-    assert not {"B", "factor"} & kept
+    # no dense B or dense solve until the dense path
+    assert first == second == ["zpbtrf", "zpbtrf"] and dense == ["zhegvx"]
+    assert "B" not in kept
     assert [m.residual for m in got] == list(formed[0][1])  # reported as formed
     op = bloch.assemble_operator(med, k, cutoff)
     mu, X = bloch._lanczos(op, nev)
@@ -388,7 +387,7 @@ def test_declined_band_count_gives_the_dense_verdict(missed, monkeypatch):
 def test_sweep2d_bands_count_on_the_band(tmp_path, monkeypatch):
     # the traffic the band certificate serves: a 2D cosine medium with harmonics up to 2 per
     # axis at cutoff 8 (289 plane waves); every solve of a 9-sample sweep is certified by a
-    # pinned band count, and no dense factor is formed
+    # pinned band count, and no dense solve runs
     def cosine(mean, harmonics):
         return {"type": "cosine", "mean": mean,
                 "harmonics": [{"n": n, "amp": amp, "phase": phase} for n, amp, phase in harmonics]}
@@ -398,9 +397,9 @@ def test_sweep2d_bands_count_on_the_band(tmp_path, monkeypatch):
         "cell": [1.0, 1.0], "kind": "scalar", "cutoff": 2,
         "a": cosine(2.2, [([1, -2], 0.4, 0.3), ([2, 1], 0.5, 1.9), ([0, 2], 0.3, 4.0)]),
         "b": cosine(1.2, [([1, 0], 0.35, 2.5), ([1, 1], 0.3, 0.7)])}))
-    counts, factors, certified, tridiagonal, norms = [], [], [], [], []
+    counts, dense, certified, tridiagonal, norms = [], [], [], [], []
     _spy(monkeypatch, bloch, "_band_negative_count", counts)
-    _spy(monkeypatch, bloch.lapack, "zpotrf", factors, lambda result: "zpotrf")
+    _spy(monkeypatch, bloch.lapack, "zhegvx", dense, lambda result: "zhegvx")
     _spy(monkeypatch, bloch, "_certified", certified, lambda result: result is not None)
     _spy(monkeypatch, bloch.lapack, "dstev", tridiagonal)
     _spy(monkeypatch, bloch.blas, "dznrm2", norms)
@@ -409,7 +408,7 @@ def test_sweep2d_bands_count_on_the_band(tmp_path, monkeypatch):
                          "--samples", "9", "--band", "1", "--cutoff", "8",
                          "--out", str(tmp_path / "bands.csv")])
     assert code == 0
-    assert certified == [True] * 9 and counts == [2] * 9 and factors == []
+    assert certified == [True] * 9 and counts == [2] * 9 and dense == []
     # Lanczos converges the gap pair by value, not by vector: 138 steps here (190, 21 a solve, when
     # the gap pair's vector was converged too); DSTEV runs from step nev = 2 on.  Each step makes
     # one orthogonalization pass after the three-term recurrence, and the DGKS test never asks for
