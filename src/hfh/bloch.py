@@ -12,44 +12,20 @@ and, for the wave families, its time entries the mass matrix
 B[n, n'] = b_hat[n - n'], both Hermitian by construction.  The schrodinger
 family's first- and zeroth-order terms join A, which becomes H(k).
 
-Only A depends on k.  A medium keeps the rest for one operator cutoff in its
-instance dict, built on first use: the basis and G = 2*pi*n/lambda, and each
-distinct symbol field's nonzero lag entries f_hat[n - n'] over the basis
-pairs as coordinates (rows, cols, values), on and above the diagonal, for
-A's terms and, in the wave families, for B, all read-only.  A term of A is
-formed at its field's entries only, and the mirror copies only the entries
-the terms wrote: a smooth medium's lag blocks are mostly structural zeros,
-and the entries no term writes keep one value for every k.  A wave pencil
-that Lanczos solves keeps B only in LAPACK's band storage, over B's own
-band, with that band's Cholesky factor, which also checks that B is
-positive definite; it keeps where each entry A's terms write lands in a
-band of half-width kd (up to n - 1).  Dense B waits for its first read, by
-a dense solve, which a certified Lanczos solve never needs.  The cache
-also holds one writable n x n work array, into which :func:`solve_at`
-assembles A.  With band parts a second, (kd + 1) x n, holds A + s B and
-its factor, then A for the certificate's residuals, then the inertia
-count's A - tau B with its pinned diagonal lift and that factor.  Hence
-:func:`solve_at` and :func:`solve_bands` are not reentrant for one medium
-object: two threads must not solve on the same medium at once.  A pickled
-medium leaves the cache out.  :func:`assemble_operator` returns an A of its
-own, which no later call changes.  An operator holds the medium's cache at
-its cutoff, which its solves read and overwrite.  An operator, and each
-mode solved from it, holds the medium it was built from, so what consumes a
-mode (transport coefficients, coupling, wave packets) reads the medium from
-the mode and takes no medium argument.
+Only A depends on k.  The k-independent parts (:class:`_Galerkin`) are
+read-only and kept for the last (medium, cutoff) asked for in the process
+(:func:`_galerkin`); each operator owns its A.  A solve writes only to
+arrays of its own, so solves are reentrant, on one medium too.  An
+operator, and each mode solved from it, holds its medium, so what consumes
+a mode (transport coefficients, coupling, wave packets) reads the medium
+from the mode.
 
-A wave pencil of size ``LANCZOS_MIN_SIZE`` or more gets its lowest pairs
-by shift-invert Lanczos on its band (:func:`_lanczos`).  They are kept only
-if each returned pair meets the residual gate, by band products, the
-extra pair that sets the spectral gap has its eigenvalue certified by the
-Kato-Temple bound, and a Sylvester inertia count from a pinned band
-Cholesky shows that no eigenvalue below them was missed
-(:func:`_certified`, :func:`_band_negative_count`).  Since only the extra
-pair's value is read, Lanczos converges that pair by value, not by vector.
-Any other wave solve, and any Lanczos solve that is not certified, is one
-ZHEGVX call with its queried optimal workspace on copies of A and B, which
-gives the bits ``scipy.linalg.eigh(A, B)`` gives; the schrodinger family
-solves with ``scipy.linalg.eigh``.
+A wave pencil of size ``LANCZOS_MIN_SIZE`` or more has band parts, and its
+lowest pairs come from shift-invert Lanczos on the band (:func:`_lanczos`),
+kept only if :func:`_certified` certifies them.  Any other solve, and any
+Lanczos solve that is not certified, is dense: one ZHEGVX call for a wave
+pencil, bit for bit ``scipy.linalg.eigh(A, B)``, and ``scipy.linalg.eigh``
+for the schrodinger family.  README "Eigensolve" describes the method.
 
 Carrier conventions for the stored cell-periodic amplitudes:
 
@@ -66,7 +42,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -98,43 +74,58 @@ class BlochOperator:
 
     Wave families solve A v = omega^2 B v; the schrodinger family solves
     A v = omega v with B = None (identity weighting).  The basis is
-    component-major: ``medium.n_comp`` blocks of ``basis``.  B is the
-    medium cache's, dense, formed on its first read (a certified Lanczos
-    solve reads only B's band).
+    component-major: ``medium.n_comp`` blocks of ``basis``.  ``values``
+    holds A's entries at ``parts.upper``; dense A and B are read-only and
+    formed on first read, which a certified Lanczos solve never makes.
     """
 
     medium: Medium = field(repr=False)
     k: np.ndarray
     basis: np.ndarray  # (n_basis, d) multi-indices
-    A: np.ndarray
+    values: np.ndarray  # A at parts.upper
     cutoff: int
-    parts: _Galerkin = field(repr=False)  # the medium's cache at this cutoff, which solves read and overwrite
+    parts: _Galerkin = field(repr=False)
 
     @property
     def size(self) -> int:
-        return self.A.shape[0]
+        return self.parts.n
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """A, dense and read-only: the parts' zero template with ``values`` put at ``upper`` and
+        mirrored below the diagonal."""
+        A = self.parts.zero_A.copy()
+        A.put(self.parts.upper, self.values)
+        A.put(self.parts.mirror[1], np.conjugate(self.values[self.parts.mirror[0]]))
+        A.flags.writeable = False
+        return A
 
     @property
     def B(self) -> np.ndarray | None:
-        """The medium's dense B (None for the schrodinger family), formed on first read."""
+        """The parts' dense B (None for the schrodinger family), formed on first read."""
         return self.parts.B
 
     @property
     def band(self) -> _Band | None:
-        """The medium's band parts when Lanczos solves the pencil, else None."""
+        """The parts' band parts when Lanczos solves the pencil, else None."""
         return self.parts.band
 
     @cached_property
     def _a_lower(self) -> np.ndarray:
-        """A's written entries conjugated, as the band's lower triangle holds them, in ``band.upper``'s
-        order: gathered once per operator for the Lanczos factor, the residuals and the count."""
-        return np.conjugate(self.A.reshape(-1)[self.band.upper])
+        """A's written entries conjugated, as the band's lower triangle holds them."""
+        return np.conjugate(self.values)
+
+    @cached_property
+    def _band_work(self) -> np.ndarray:
+        """The operator's (kd + 1) x n band work array, in Fortran order (see :func:`_shift_into_band`)."""
+        return np.empty((self.band.kd + 1, self.size), dtype=np.complex128, order="F")
 
     @cached_property
     def _quotients(self) -> np.ndarray:
         """The diagonal quotients A_ii / B_ii (H_ii without B), B's diagonal read from its band if
         there is one."""
-        diag = np.diag(self.A).real
+        diag = np.zeros(self.size)
+        diag[self.parts.diagonal[0]] = self.values[self.parts.diagonal[1]].real
         if self.medium.family == "schrodinger":
             return diag
         return diag / (self.band.B[0].real if self.band is not None else np.diag(self.B).real)
@@ -227,28 +218,21 @@ def _assembly_only(medium: Medium) -> bool:
 
 @dataclass(frozen=True)
 class _Band:
-    """A wave pencil's band in LAPACK's lower band storage, and a work array of that shape.
+    """A wave pencil's band parts in LAPACK's lower band storage, all read-only.
 
     Every nonzero entry of A and B lies within ``kd`` of the diagonal.
-    ``B`` holds B's entries B[r + d, r] at [d, r] over B's own band,
-    (kd_B + 1) x n in Fortran order with kd_B <= kd, the layout ZPBTRF and
-    ZHBMV read, and ``B_factor`` the lower Cholesky factor ZPBTRF makes of
-    it, the same shape (meaningful only if B is positive definite).  A's
-    entry (r, c), r <= c, lands conjugated, as A[c, r], at [c - r, r] of a
-    (kd + 1) x n array: ``at`` gives that position, as a flat index in
-    Fortran order, for each flat index in ``upper`` (the cache's list of
-    the entries A's terms write).  Those four are read-only; ``work``,
-    (kd + 1) x n, is writable and receives A + s B, then its factor, then
-    A for the certificate's residuals, then the inertia count's A - tau B
-    with its pinned diagonal lift, and that factor.
+    ``B`` holds B[r + d, r] at [d, r] over B's own band, (kd_B + 1) x n in
+    Fortran order with kd_B <= kd, and ``B_factor`` its lower Cholesky
+    factor by ZPBTRF (meaningful only if B is positive definite).  ``at``
+    gives, for each entry of :attr:`_Galerkin.upper`, its flat index in a
+    (kd + 1) x n band in Fortran order, where A's entry (r, c), r <= c,
+    lands conjugated.
     """
 
     kd: int
     B: np.ndarray
     B_factor: np.ndarray
-    upper: np.ndarray
     at: np.ndarray
-    work: np.ndarray
 
 
 def _band(n: int, upper: np.ndarray, b_terms: tuple) -> tuple:
@@ -275,65 +259,59 @@ def _band(n: int, upper: np.ndarray, b_terms: tuple) -> tuple:
     at = (cols - rows) + rows * (kd + 1)
     for arr in (B_band, B_factor, at):
         arr.flags.writeable = False
-    return _Band(kd, B_band, B_factor, upper, at, np.empty((kd + 1, n), dtype=np.complex128, order="F")), info
+    return _Band(kd, B_band, B_factor, at), info
 
 
-def _b_indefinite(info: int) -> scipy.linalg.LinAlgError:
-    return scipy.linalg.LinAlgError(
-        f"The leading minor of order {info} of B is not positive definite. The factorization "
-        "of B could not be completed and no eigenvalues or eigenvectors were computed.")
+def _b_indefinite(info: int) -> NumericalError:
+    return NumericalError(f"B is not positive definite (leading minor {info})")
 
 
 @dataclass(frozen=True)
 class _Galerkin:
-    """The k-independent parts of a medium's Bloch operators at one cutoff, and A's work array.
+    """The k-independent parts of a medium's Bloch operators at one cutoff, all read-only.
 
-    ``terms`` holds (at, entries, j, l, paired) per term of A in assembly
-    order: ``entries`` are the (rows, cols, values) of its field from
-    :func:`_lag_entries` that fall on or above A's diagonal, and ``at`` their
-    flat indices in A.  The term adds (k+G)_j f_hat (k+G')_l there (slot 0
-    gives a factor 1), in one pass with the transposed slots if ``paired``;
-    a zero field has no term.  ``upper`` lists every flat index a term
-    writes, ascending, and ``mirror`` pairs those above the diagonal with
-    their transposed indices.  ``beta0`` is the schrodinger family's
-    divisor (None for the wave families).  ``b_terms`` holds (at, values)
-    per block of B on and above its diagonal: B is -values at the flat
-    indices ``at`` there, and zero at every index no block writes (empty
-    for the schrodinger family).  ``band`` holds the pencil's band parts
-    (:func:`_band`) when Lanczos solves it (a wave pencil with n >=
-    ``LANCZOS_MIN_SIZE`` that is not assembly only), else None.
-    ``b_info`` is the info of ZPBTRF on ``band.B``: 0 if B is positive
-    definite, else the order of its first leading minor that is not; 0
-    without band parts, where the dense solve's ZHEGVX checks B.  Every
-    array is read-only except ``work``, which holds A(k) (n x n, C order),
-    and ``band.work``.
+    ``upper`` lists, ascending, the flat indices of A (n x n, C order) that
+    the terms write, all on or above the diagonal.  ``mirror`` holds the
+    positions in ``upper`` of those above the diagonal and their transposed
+    flat indices; ``diagonal`` the rows and positions in ``upper`` of those
+    on it.  ``terms`` holds (at, entries, j, l, paired) per term of A in
+    assembly order: ``entries`` are the (rows, cols, values) of its field
+    from :func:`_lag_entries` on or above A's diagonal, and ``at`` their
+    positions in ``upper``.  The term adds (k+G)_j f_hat (k+G')_l there
+    (slot 0 gives a factor 1), with the transposed slots in the same pass
+    if ``paired``.  ``beta0`` is the schrodinger family's divisor (None for
+    the wave families).  ``b_terms`` holds (at, values) per block of B on
+    and above its diagonal: B is -values at the flat indices ``at`` and
+    zero elsewhere (empty for the schrodinger family).  ``band`` holds the
+    band parts (:func:`_band`) of a wave pencil with n >=
+    ``LANCZOS_MIN_SIZE`` that is not assembly only, else None.  ``b_info``
+    is ZPBTRF's info on ``band.B`` (0 if B is positive definite, else the
+    order of its first leading minor that is not), and 0 without band
+    parts, where the dense solve checks B.
     """
 
-    cutoff: int
+    n: int
     basis: np.ndarray
     G: np.ndarray  # 2*pi*n/lambda, one row per axis
     terms: tuple
     upper: np.ndarray
     mirror: tuple
+    diagonal: tuple
     beta0: float | None
     b_terms: tuple
     b_info: int
     band: _Band | None
-    work: np.ndarray
 
     @cached_property
     def B(self) -> np.ndarray | None:
-        """B, dense and read-only (None for the schrodinger family), formed on first read: a
-        certified Lanczos solve never reads it.
+        """B, dense and read-only (None for the schrodinger family), formed on first read.
 
-        The exact Galerkin matrix is Hermitian entry for entry; evaluating each
-        entry above the diagonal once and mirroring it removes the asymmetry
-        that float non-associativity would otherwise leave, and the diagonal
-        loses its imaginary part.
+        Each entry above the diagonal is evaluated once and mirrored, so B is
+        Hermitian bit for bit, and the diagonal loses its imaginary part.
         """
         if self.beta0 is not None:
             return None
-        n = len(self.work)
+        n = self.n
         B = np.zeros((n, n), dtype=np.complex128)
         for at, values in self.b_terms:
             B.put(at, -values)  # the entries are nonzero, so -v is 0 - v
@@ -342,20 +320,27 @@ class _Galerkin:
         B.flags.writeable = False
         return B
 
+    @cached_property
+    def zero_A(self) -> np.ndarray:
+        """A with every term zero, mirrored, read-only: the value each entry no term writes has at
+        every k (+0 divided by beta0, conjugated below the diagonal, real on it)."""
+        zero = np.zeros(1, dtype=np.complex128)
+        if self.beta0 is not None:
+            zero /= self.beta0
+        A = np.where(np.greater.outer(np.arange(self.n), np.arange(self.n)), zero.conj(), zero)
+        np.fill_diagonal(A.imag, 0.0)
+        A.flags.writeable = False
+        return A
 
-def _galerkin(medium, cutoff: int) -> _Galerkin:
-    """The medium's k-independent Galerkin parts, built on first use and again when the cutoff changes.
 
-    They live in the medium's instance dict, so they last as long as the
-    medium; one cutoff is kept.  Only blocks on and above the diagonal are
-    formed, since the mirror fills the others; B only in band storage, if
-    the pencil has band parts.  The work array starts as A with every term
-    zero, mirrored, so the entries no term writes already hold their value
-    for every k: +0 divided by beta0, conjugated below the diagonal.
+@lru_cache(maxsize=1)
+def _galerkin(medium: Medium, cutoff: int) -> _Galerkin:
+    """The k-independent Galerkin parts of (medium, cutoff), kept for the last pair asked for.
+
+    Media hash and compare by family, cutoff and fingerprint, so equal media
+    share one entry.  Only blocks on and above the diagonal are formed, since
+    the mirror fills the others, and B only in band storage.
     """
-    cache = medium.__dict__.get("_galerkin")
-    if cache is not None and cache.cutoff == cutoff:
-        return cache
     cell = medium.cell
     wave = medium.family != "schrodinger"
     beta0 = None
@@ -398,34 +383,25 @@ def _galerkin(medium, cutoff: int) -> _Galerkin:
     terms += [(*on_block(FourierField(cell, f.coeffs / 1j), 0, 0), 0, l, False)
               for l, f in medium.M.items() if l and f.coeffs.any()]
     terms += [(*on_block(f, 0, 0), 0, 0, False) for f in medium.c.values()]
-    terms = tuple(t for t in terms if len(t[0]))  # a zero field adds nothing
-    written = np.zeros(n * n, dtype=bool)  # the flat indices of A the terms write
-    for t in terms:
-        written[t[0]] = True
-    upper = np.flatnonzero(written)
-    written[::n + 1] = False
-    above = np.flatnonzero(written)
-    rows, cols = np.divmod(above, n)
-    mirror = (above, cols * n + rows)
-    lower = np.greater.outer(np.arange(n), np.arange(n))
+    terms = [t for t in terms if len(t[0])]  # a zero field adds nothing
+    upper = np.sort(np.concatenate([np.zeros(0, dtype=np.intp), *(t[0] for t in terms)]))
+    upper = upper[np.diff(upper, prepend=-1) > 0]  # each written index once
+    terms = tuple((np.searchsorted(upper, at), *rest) for at, *rest in terms)
+    rows, cols = np.divmod(upper, n)
+    above, on = np.flatnonzero(rows < cols), np.flatnonzero(rows == cols)
+    mirror = (above, cols[above] * n + rows[above])
+    diagonal = (rows[on], on)
     band = None
     b_info = 0
     if wave and n >= LANCZOS_MIN_SIZE and not _assembly_only(medium):
         band, b_info = _band(n, upper, b_terms)
-    zero = np.zeros(1, dtype=np.complex128)
-    if not wave:
-        zero /= beta0
-    A = np.where(lower, zero.conj(), zero)
-    np.fill_diagonal(A.imag, 0.0)
     G = TWO_PI * basis.T / cell.diag[:, None]
-    for arr in [basis, G, upper, *mirror, *(t[0] for t in terms), *(at for at, _ in b_terms)]:
+    for arr in [basis, G, upper, *mirror, *diagonal, *(t[0] for t in terms), *(at for at, _ in b_terms)]:
         arr.flags.writeable = False
-    cache = _Galerkin(cutoff, basis, G, terms, upper, mirror, beta0, tuple(b_terms), b_info, band, A)
-    medium.__dict__["_galerkin"] = cache
-    return cache
+    return _Galerkin(n, basis, G, terms, upper, mirror, diagonal, beta0, tuple(b_terms), b_info, band)
 
 
-def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> BlochOperator:
+def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     """Galerkin Bloch operator of any medium, read off its constitutive symbol.
 
     A C entry with spatial slots j, l >= 1 adds (k+G)_j f_hat[n - n'] (k+G')_l
@@ -434,12 +410,10 @@ def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> Bl
     C_i0k0 = -b_ik give B = -C_hat.  The schrodinger family has no B: its
     first-order terms (M_l / i)_hat (k+G')_l and its c_hat join A, which is
     then divided by beta0 = (mean M_0) / i, so A is the Hamiltonian H(k).
-    Only A depends on k, and only at the entries the terms write; the rest
-    comes from the medium's cache.  A is assembled in the cache's work
-    array and returned as a copy of its own; :func:`solve_at` passes
-    ``_into_work`` to use it in place, valid until the medium's next
-    assembly.  Every entry gets the bits a dense assembly of each term over
-    whole lag blocks, in the same order, then a mirror, would give it.
+    The operator's ``values`` are new and read-only, and its A gets, entry
+    for entry, the bits a dense assembly of each term over whole lag
+    blocks, in the same order, then a mirror, would give it.  Warns when
+    the cutoff is below the medium's.
     """
     if not isinstance(medium, Medium):
         raise ValidationError(f"unknown medium type {type(medium).__name__}")
@@ -451,29 +425,27 @@ def assemble_operator(medium, k, cutoff: int, *, _into_work: bool = False) -> Bl
     k = _as_k(cell, k)
     g = _galerkin(medium, cutoff)
     kg = k[:, None] + g.G
-    A = g.work
-    flat = A.reshape(-1)
-    flat[g.upper] = 0.0
-    for at, (rows, cols, values), j, l, paired in g.terms:
+    values = np.zeros(len(g.upper), dtype=np.complex128)
+    for at, (rows, cols, f_hat), j, l, paired in g.terms:
         if j:
-            term = kg[j - 1][rows] * values
+            term = kg[j - 1][rows] * f_hat
             if l:
                 term *= kg[l - 1][cols]
         else:
-            term = values * kg[l - 1][cols] if l else values
+            term = f_hat * kg[l - 1][cols] if l else f_hat
         if paired:
-            twin = kg[l - 1][rows] * values
+            twin = kg[l - 1][rows] * f_hat
             twin *= kg[j - 1][cols]
             term += twin
-        np.add.at(flat, at, term)
+        np.add.at(values, at, term)
     if g.beta0 is not None:
-        flat[g.upper] = flat[g.upper] / g.beta0
-    flat[g.mirror[1]] = np.conjugate(flat[g.mirror[0]])
-    np.fill_diagonal(A.imag, 0.0)
+        values /= g.beta0
+    values.imag[g.diagonal[1]] = 0.0
+    values.flags.writeable = False
     if medium.cutoff > cutoff:
         warnings.warn(f"operator cutoff {cutoff} below medium cutoff {medium.cutoff}; "
                       "medium content beyond the operator lags is truncated")
-    return BlochOperator(medium, k, g.basis, A if _into_work else A.copy(), cutoff, g)
+    return BlochOperator(medium, k, g.basis, values, cutoff, g)
 
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:
@@ -510,19 +482,19 @@ def _residual_gate(op: BlochOperator, evals: np.ndarray) -> float:
 def _shift_into_band(op: BlochOperator, shift: float) -> np.ndarray:
     """Write A + shift*B into the operator's band work array, in lower band storage, and return it.
 
-    A's entries outside ``band.upper`` are zero (a wave family's A holds
+    A's entries outside ``parts.upper`` are zero (a wave family's A holds
     only what its terms write), so shift*B plus A's written entries,
     conjugated into the lower triangle, is the whole band, entry for entry
     the lower triangle of A + shift*B.  B's own band fills the first
     kd_B + 1 rows, and the rows below it start at zero.
     """
-    band = op.band
-    kd_B = len(band.B) - 1
-    np.multiply(band.B, shift, out=band.work[:kd_B + 1])
-    band.work[kd_B + 1:] = 0.0
-    flat = band.work.T.reshape(-1)  # a view, since work is in Fortran order
-    flat[band.at] += op._a_lower
-    return band.work
+    work = op._band_work
+    kd_B = len(op.band.B) - 1
+    np.multiply(op.band.B, shift, out=work[:kd_B + 1])
+    work[kd_B + 1:] = 0.0
+    flat = work.T.reshape(-1)  # a view, since work is in Fortran order
+    flat[op.band.at] += op._a_lower
+    return work
 
 
 def _band_times(ab: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -559,7 +531,7 @@ def _lanczos(op: BlochOperator, nev: int):
     rest in roundoff.  With A + s B = L L^H, the pencil's eigenpairs are
     those of the Hermitian T = L^-1 B L^-H, with theta = 1 / (mu + s) and
     v = L^-H y, so the lowest mu are the largest theta.  PBTRF factors
-    A + s B in the band's work array (``op.band``), and a step applies T by
+    A + s B in the operator's band work array, and a step applies T by
     two TBSV and one HBMV on B's own band, which also B-normalizes the Ritz
     vectors.  Lanczos on T starts from a fixed pseudo-random vector, which
     no symmetry of the medium keeps out of any eigenspace.  A step
@@ -578,7 +550,7 @@ def _lanczos(op: BlochOperator, nev: int):
     ascending Ritz values and the B-normalized vectors of the first nev.
     None if no positive shift exists, A + s B is not positive definite,
     Lanczos breaks down early, or ``_LANCZOS_MAX_STEPS`` steps pass without
-    convergence.  L stays in the band's work array.
+    convergence.  L stays in the band work array.
     """
     n = op.size
     quotients = op._quotients
@@ -591,8 +563,9 @@ def _lanczos(op: BlochOperator, nev: int):
     if info:
         return None
     steps = min(n, _LANCZOS_MAX_STEPS)
-    Q = np.empty((steps, n), dtype=np.complex128)
-    Qc = np.empty_like(Q)  # conj(Q), row by row
+    # Qc holds conj(Q) row by row.  One block for both: once freed, it lifts glibc's dynamic mmap
+    # threshold above a solve's scratch, so the heap is not trimmed and refaulted between solves
+    Q, Qc = np.empty((2, steps, n), dtype=np.complex128)
     start = np.random.default_rng(0).standard_normal((2, n))
     Q[0] = start[0] + 1j * start[1]
     Q[0] /= np.linalg.norm(Q[0])
@@ -637,7 +610,7 @@ def _band_negative_count(op: BlochOperator, tau: float, pins: int):
     for the p x p Hermitian K = I - E^H H'^-1 E, exactly, for any S and
     positive weights.  The eigenvectors below tau live mostly on the
     low-quotient plane waves, so lifting those normally makes H' positive
-    definite.  PBTRF factors H' = L L^H in the band's work array
+    definite.  PBTRF factors H' = L L^H in the band work array
     (overwriting the Lanczos factor, which is no longer read), one band
     triangular solve (TBTRS) gives Y = L^-1 E, and the eigenvalues of
     K = I - Y^H Y give the count; with a backward-stable factor and solve
@@ -709,7 +682,7 @@ def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
     tau) holds exactly the last pair's.  Held to half the gate, the bound
     certifies that value at least as tightly as the Weyl bound of a
     half-gate residual would.  The residuals come from band products (A
-    scattered into the band's work array, B's own band), and
+    scattered into the band work array, B's own band), and
     :func:`_band_negative_count` counts with ``_CERTIFICATE_PINS`` pins per
     Ritz value.  A failed check, or a count that declines, rejects the
     pairs, and the dense solve runs instead.
@@ -740,23 +713,22 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     family), and their residuals or None.
 
     The schrodinger family solves with ``scipy.linalg.eigh`` (HEEVR).  For a
-    wave pencil with n >= ``LANCZOS_MIN_SIZE`` (and few pairs) the pairs
-    come from :func:`_lanczos` on the band when :func:`_certified` accepts
-    them, with the values it certified and the residuals it formed (for all
-    but the last pair, whose vector is converged only far enough for its
-    value).  Otherwise, and whenever either declines, one ZHEGVX call with
-    its queried optimal workspace solves copies of A and dense B (formed by
-    the first dense solve of a cutoff, see :class:`_Galerkin`), bit for bit
+    wave pencil with band parts (and few pairs) the pairs come from
+    :func:`_lanczos` on the band when :func:`_certified` accepts them, with
+    the values it certified and the residuals it formed (for all but the
+    last pair, whose vector is converged only far enough for its value).
+    Otherwise, and whenever either declines, one ZHEGVX call with its
+    queried optimal workspace solves copies of dense A and B, bit for bit
     ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.  An indefinite B
-    raises ``LinAlgError`` on either path, with one message: from the band
-    Cholesky of the cache build, or from ZHEGVX's Cholesky of B.
+    raises :func:`_b_indefinite`'s ``NumericalError`` on either path: from
+    the band Cholesky of the parts' build, or from ZHEGVX's Cholesky of B.
     """
     if op.medium.family == "schrodinger":
         return (*scipy.linalg.eigh(op.A, subset_by_index=subset), None)
     if op.parts.b_info:
         raise _b_indefinite(op.parts.b_info)
     n, nev = op.size, subset[1] + 1
-    if n >= LANCZOS_MIN_SIZE and nev <= _LANCZOS_MAX_PAIRS:
+    if op.band is not None and nev <= _LANCZOS_MAX_PAIRS:
         found = _lanczos(op, nev)
         certified = None if found is None else _certified(op, *found)
         if certified is not None:
@@ -782,6 +754,8 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     convention, phase-fixed, and carry their spectral gap and residual.  A
     residual above max(1e-9, 1e-13 * rho), or NaN, raises; rho is bounded
     from below by the computed eigenvalues and the diagonal Rayleigh quotients.
+    An indefinite B raises without cond(B); any other eigensolver failure
+    names cond(B).
     """
     if n_bands < 1 or n_bands > op.size:
         raise ValidationError(f"n_bands must be in 1..{op.size}")
@@ -833,8 +807,8 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
 
 
 def solve_at(medium, k, cutoff: int, n_bands: int) -> list:
-    """Assemble and solve in one call, in the medium's work arrays."""
-    return solve_bands(assemble_operator(medium, k, cutoff, _into_work=True), n_bands)
+    """Assemble and solve in one call."""
+    return solve_bands(assemble_operator(medium, k, cutoff), n_bands)
 
 
 def check_nondegenerate(mode: BlochMode) -> bool:

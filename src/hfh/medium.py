@@ -179,12 +179,6 @@ class Medium:
     def __hash__(self):
         return hash(self._key())
 
-    def __getstate__(self):
-        """A pickle (or copy) leaves out the solver's cache, which ``hfh.bloch`` rebuilds on first use."""
-        state = dict(self.__dict__)
-        state.pop("_galerkin", None)
-        return state
-
 
 # ---------------------------------------------------------------------------
 # validation helpers

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from hfh import checks, medium
+from hfh import bloch, checks, medium
 from hfh.fourier import Cell, FourierField
 
 COS = {1: 0.5, -1: 0.5}  # cos(2 pi x / T)
 SIN = {1: -0.5j, -1: 0.5j}  # sin(2 pi x / T)
+
+
+@pytest.fixture(autouse=True)
+def fresh_galerkin_parts():
+    """Each test starts with no Galerkin parts kept, so a test that patches a constant the build
+    reads (``bloch.LANCZOS_MIN_SIZE``) or asserts on a first build sees its own build."""
+    bloch._galerkin.cache_clear()
 
 
 def signal(period, harmonics):

@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -392,7 +394,7 @@ def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
     one = FourierField.constant(cell1d, 1.0)
     neg = medium.Medium("scalar-wave", cell1d, 1, 1, {(0, 0, 0, 0): one, (0, 1, 0, 1): one},
                         fingerprint="negative-b")  # C_0000 = -b = 1
-    with pytest.raises(NumericalError, match=r"cond\(B\)"):
+    with pytest.raises(NumericalError, match=r"^B is not positive definite \(leading minor 1\)$"):
         bloch.solve_at(neg, [0.5], 2, 1)
     config = tmp_path / "medium.json"
     config.write_text('{"cell": [1.0], "kind": "scalar", "cutoff": 1, "a": 1.0, "b": 1.0}')
@@ -403,14 +405,14 @@ def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
 
 
 def test_indefinite_b_is_checked_by_the_first_dense_solve(cell1d):
-    # a pencil without band parts builds its cache without factoring B: b_info is 0, and the
-    # dense solve's ZHEGVX, which factors B, raises the message the band check gives
+    # a pencil without band parts builds its parts without factoring B: b_info is 0, and the
+    # dense solve's ZHEGVX, which factors B, raises the error the band check gives
     one = FourierField.constant(cell1d, 1.0)
     neg = medium.Medium("scalar-wave", cell1d, 1, 1, {(0, 0, 0, 0): one, (0, 1, 0, 1): one},
                         fingerprint="negative-b")  # C_0000 = -b = 1, so B = -I
     op = bloch.assemble_operator(neg, [0.5], 2)
     assert op.band is None and op.parts.b_info == 0
-    with pytest.raises(scipy.linalg.LinAlgError) as exc:
+    with pytest.raises(NumericalError) as exc:
         bloch._solve_pencil(op, [0, 1])
     assert str(exc.value) == str(bloch._b_indefinite(1))
 
@@ -434,18 +436,20 @@ def test_unconverged_dense_solve_raises(const_medium, tmp_path, monkeypatch):
 
 def test_indefinite_b_raises_on_the_band(cell1d, tmp_path, monkeypatch):
     # b = 1 + 1.6 cos 2 pi x is negative near x = 1/2.  At cutoff 64 (129 plane waves, a band of
-    # half-width 1) the cache checks B by a band Cholesky and no dense solve runs, and the
-    # solve raises what the dense path raises for the same medium
+    # half-width 1) the parts' build checks B by a band Cholesky, no dense solve runs and no dense
+    # B is formed, and the solve raises what the dense path raises for the same medium
     def negative_b():
         minus_b = FourierField(cell1d, [-0.8, -1.0, -0.8])  # C_0000 = -b
         return medium.Medium("scalar-wave", cell1d, 1, 1,
                              {(0, 0, 0, 0): minus_b, (0, 1, 0, 1): FourierField.constant(cell1d, 1.0)},
                              fingerprint="negative-b-band")
 
+    indefinite = r"^B is not positive definite \(leading minor \d+\)$"
     with monkeypatch.context() as patch:
         patch.setattr(bloch, "LANCZOS_MIN_SIZE", 1000)  # no band parts: the dense solve factors B
-        with pytest.raises(NumericalError, match=r"cond\(B\)") as dense:
+        with pytest.raises(NumericalError, match=indefinite) as dense:
             bloch.solve_at(negative_b(), [0.5], 64, 1)
+    bloch._galerkin.cache_clear()  # the parts above were built without band parts
     factors = []
 
     def spy(name):
@@ -459,9 +463,10 @@ def test_indefinite_b_raises_on_the_band(cell1d, tmp_path, monkeypatch):
         for name in ("zhegvx", "zpbtrf"):
             patch.setattr(bloch.lapack, name, spy(name))
         med = negative_b()
-        with pytest.raises(NumericalError, match=r"cond\(B\)") as band:
+        with pytest.raises(NumericalError) as band:
             bloch.solve_at(med, [0.5], 64, 1)
-    assert med.__dict__["_galerkin"].band is not None and factors == ["zpbtrf"]
+    parts = bloch._galerkin(med, 64)
+    assert parts.band is not None and factors == ["zpbtrf"] and "B" not in vars(parts)
     assert str(band.value) == str(dense.value)
     config = tmp_path / "medium.json"
     config.write_text('{"cell": [1.0], "kind": "scalar", "cutoff": 1, "a": 1.0, "b": 1.0}')
@@ -576,6 +581,7 @@ def test_cached_parts_bit_identical(family, bands, data):
     med, cutoff = _random_medium(family, data.draw)
     ks = [[data.draw(st.just(0.0) | st.floats(-3.0, 3.0)) for _ in range(med.cell.dims)]
           for _ in range(2)]
+    bloch._galerkin.cache_clear()  # an example may draw an earlier example's medium
     for first, k in zip([True, False, False], ks + [[0.0] * med.cell.dims]):  # k = 0 included
         op = bloch.assemble_operator(med, k, cutoff)
         A, B = oracle_assemble(med, k, cutoff)
@@ -584,15 +590,14 @@ def test_cached_parts_bit_identical(family, bands, data):
         assert op.band is None and op.parts.b_info == 0
         assert not first or "B" not in vars(op.parts)
         n_bands = op.size if bands == "size" else bands
-        # solve_bands on the operator, and solve_at through the medium's work arrays
+        # solve_bands on the operator, and solve_at on an operator of its own
         solved = [_outcome(lambda: bloch.solve_bands(op, n_bands)),
                   _outcome(lambda: bloch.solve_at(med, k, cutoff, n_bands))]
         # a wave pencil's first dense solve formed B, bit for bit the mirrored dense B, signed
         # zeros included; a schrodinger solve reads none
         assert not first or ("B" in vars(op.parts)) == (B is not None)
         assert (op.B is None and B is None) or op.B.tobytes() == B.tobytes()
-        ref = dataclasses.replace(op, A=A)  # its B is the cache's, checked above
-        want = _outcome(lambda: oracle_solve(ref, n_bands))
+        want = _outcome(lambda: oracle_solve(op, n_bands))  # its A and B are the oracle's, checked above
         for got in solved:
             if isinstance(want, Exception):
                 assert type(got) is type(want) and str(got) == str(want)
@@ -605,53 +610,62 @@ def test_cached_parts_bit_identical(family, bands, data):
 
 
 def test_cutoff_switch_rebuilds_same_bits():
-    med = checks._two_phase_medium(3)  # a fresh medium, so its cache starts empty
+    med = checks._two_phase_medium(3)
     first = bloch.assemble_operator(med, [0.7], 4)
     modes = bloch.solve_bands(first, 2)
     bloch.assemble_operator(med, [0.7], 9)
     again = bloch.assemble_operator(med, [0.7], 4)
-    assert again.B is not first.B  # the cache was replaced and rebuilt
+    assert again.parts is not first.parts and again.B is not first.B  # the parts were rebuilt
     for x, y in [(first.A, again.A), (first.B, again.B)]:
         assert np.array_equal(x, y)
     for m1, m2 in zip(modes, bloch.solve_bands(again, 2)):
         assert m1.omega == m2.omega and np.array_equal(m1.v0, m2.v0)
-    assert med.__dict__["_galerkin"].cutoff == 4
+    assert bloch._galerkin(med, 4) is again.parts  # the last pair asked for is kept
 
 
-def test_cached_parts_read_only(vector_medium, cell1d):
+def _arrays(obj):
+    """Every array held in ``obj``: the Galerkin parts, their band parts and their tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, bloch._Galerkin, bloch._Band)):
+        for item in (obj if isinstance(obj, tuple) else vars(obj).values()):
+            yield from _arrays(item)
+
+
+def test_cached_parts_read_only(vector_medium, cell1d, monkeypatch):
     blocks = medium.build_schrodinger_blocks(0.5, 1.0, medium.cosine(0.0, [((1,), 2.0)]), [0.7],
                                              cell1d, 4)
-    # the last pencil, 129 plane waves with a band of half-width 16, keeps band parts
+    certified = []
+    certify = bloch._certified
+
+    def spy(*args):
+        certified.append(certify(*args))
+        return certified[-1]
+    monkeypatch.setattr(bloch, "_certified", spy)
+    # the last pencil, 129 plane waves with a band of half-width 16, has band parts
     for med, cutoff in ((vector_medium, 8), (blocks, 8), (checks._two_phase_medium(16), 64)):
-        med = pickle.loads(pickle.dumps(med))  # a copy without the cache that earlier tests built
         op = bloch.assemble_operator(med, [0.3], cutoff)
-        cache = med.__dict__["_galerkin"]
-        # no cache comes with dense B: the first dense wave solve (5 bands ask for more pairs
-        # than Lanczos takes) forms it
-        assert "B" not in vars(cache)
-        bloch.solve_bands(op, 5)
-        assert ("B" in vars(cache)) == (cache.beta0 is None)
-        entries = [a for t in cache.terms for a in (t[0], *t[1])]  # flat indices and lag entries
-        parts = [cache.basis, cache.G, cache.upper, *cache.mirror, *entries]
-        parts += [a for t in cache.b_terms for a in t]
-        if cache.B is not None:
-            parts.append(cache.B)
+        cache = bloch._galerkin(med, cutoff)
+        assert op.parts is cache and op.basis is cache.basis and op.band is cache.band
+        assert (cache.band is None) == (cutoff == 8)
+        # the build forms neither dense B nor A's zero template, and no operator owns a dense A yet
+        assert "B" not in vars(cache) and "zero_A" not in vars(cache) and "A" not in vars(op)
         if cache.band is not None:
-            parts += [cache.band.B, cache.band.B_factor, cache.band.at]
-        assert len(entries) >= 4 and not any(a.flags.writeable for a in parts)
-        fields = [*vars(cache).values(), *(vars(cache.band).values() if cache.band else ())]
-        arrays = [v for v in fields if isinstance(v, np.ndarray)]
-        work = [cache.work] + ([cache.band.work] if cache.band else [])
-        assert all(any(a is p for p in parts + work) for a in arrays)  # no writable array elsewhere
-        n = len(op.A)
-        # one n x n work array, A's, in C order
-        assert cache.work.shape == (n, n) and cache.work.flags.c_contiguous and cache.work.flags.writeable
-        assert op.basis is cache.basis and op.B is cache.B and op.parts is cache
-        assert not np.shares_memory(op.A, cache.work)
-        assert op.band is cache.band and (cache.band is None) == (cutoff == 8)
+            # a certified band solve forms neither dense A nor dense B
+            bloch.solve_bands(op, 2)
+            assert certified and certified[-1] is not None
+            assert "A" not in vars(op) and "B" not in vars(cache) and "zero_A" not in vars(cache)
+        # the first dense wave solve (5 bands ask for more pairs than Lanczos takes) forms B
+        bloch.solve_bands(op, 5)
+        assert ("B" in vars(cache)) == (cache.beta0 is None) and "zero_A" in vars(cache)
+        held = list(_arrays(cache))
+        assert len(held) >= 10 and not any(a.flags.writeable for a in held)
+        n = op.size
+        assert op.A.shape == (n, n) and op.A.flags.c_contiguous and not op.A.flags.writeable
+        assert not op.values.flags.writeable and op.values.shape == cache.upper.shape
         if cache.band is not None:
             kd = cache.band.kd
-            assert kd == 16 and cache.band.upper is cache.upper
+            assert kd == 16
             # B in its own band: b = 1 makes B the identity, a band of half-width 0
             rows, cols = np.nonzero(cache.B)
             kd_B = int(np.max(rows - cols))
@@ -661,16 +675,18 @@ def test_cached_parts_read_only(vector_medium, cell1d):
             old = np.where(d + r < n, cache.B[np.minimum(d + r, n - 1), r], 0.0)
             assert cache.band.B.tobytes(order="F") == np.asfortranarray(old).tobytes(order="F")
             assert cache.band.B_factor.tobytes() == scipy.linalg.lapack.zpbtrf(old, lower=1)[0].tobytes()
-            assert cache.band.work.shape == (kd + 1, n)
-            assert cache.band.B.flags.f_contiguous and cache.band.work.flags.f_contiguous
-            assert cache.band.work.flags.writeable
-    with pytest.raises(ValueError):
-        bloch.assemble_operator(vector_medium, [0.3], 8).B[0, 0] = 2.0
+            # each operator has a band work array of its own
+            other = bloch.assemble_operator(med, [0.3], cutoff)
+            for work in (op._band_work, other._band_work):
+                assert work.shape == (kd + 1, n) and work.flags.f_contiguous and work.flags.writeable
+            assert not np.shares_memory(op._band_work, other._band_work)
+    for name in ("A", "B"):
+        with pytest.raises(ValueError):
+            getattr(bloch.assemble_operator(vector_medium, [0.3], 8), name)[0, 0] = 2.0
 
 
 def test_assembled_operator_keeps_its_A(two_phase, vector_medium, mathieu_blocks):
-    # assemble_operator's A is a copy: later solves and assemblies on the medium, which
-    # reuse its work arrays, leave it as it was
+    # each operator owns its A: later solves and assemblies on the medium leave it as it was
     for med, cutoff in ((two_phase, 16), (vector_medium, 8), (mathieu_blocks, 16)):
         op = bloch.assemble_operator(med, [0.4], cutoff)
         kept = op.A.copy()
@@ -679,7 +695,33 @@ def test_assembled_operator_keeps_its_A(two_phase, vector_medium, mathieu_blocks
         bloch.solve_bands(later, 2)
         bloch.solve_bands(op, 2)
         assert np.array_equal(op.A, kept) and not np.array_equal(later.A, kept)
-        assert not np.shares_memory(op.A, med.__dict__["_galerkin"].work)
+        assert not np.shares_memory(op.A, later.A)
+
+
+@pytest.mark.parametrize("case", ["band-2d", "dense-1d"])
+def test_two_threads_solve_one_medium(case, two_phase):
+    # solves are reentrant: two threads solving on one medium object at once get the modes a
+    # sequential run gets, bit for bit, on a band pencil (2D, 289 plane waves) and a dense one
+    if case == "band-2d":
+        med = medium.build_scalar_medium(medium.cosine(2.0, [((1, 0), 0.3, 0.4), ((1, 1), 0.2, 1.1)]),
+                                         medium.cosine(1.5, [((0, 1), 0.25, 2.0)]), Cell((1.0, 1.2)), 2)
+        cutoff, ks = 8, [(0.7 + 0.1 * i, -0.4 + 0.05 * i) for i in range(8)]
+    else:
+        med, cutoff, ks = two_phase, 16, [(0.3 + 0.2 * i,) for i in range(16)]
+    want = [bloch.solve_at(med, k, cutoff, 2) for k in ks]
+    assert (bloch._galerkin(med, cutoff).band is not None) == (case == "band-2d")
+    bloch._galerkin.cache_clear()  # both threads start without parts
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the Python parts of a solve too
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda k: bloch.solve_at(med, k, cutoff, 2), ks, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    for modes, ref in zip(got, want):
+        for m1, m2 in zip(modes, ref, strict=True):
+            assert m1.omega == m2.omega and m1.gap == m2.gap and m1.residual == m2.residual
+            assert np.array_equal(m1.v0, m2.v0)
 
 
 def test_operator_and_modes_hold_their_medium(two_phase, vector_medium, mathieu_blocks):
@@ -697,13 +739,15 @@ def test_pickled_mode_leaves_the_solver_cache_out():
                                      medium.cosine(1.5, [((0, 1), 0.25, 2.0)]), cell, 2)
     k = [0.7, -0.4]
     modes = bloch.solve_at(med, k, 8, 2)
-    assert modes[0].v0.size == 289 and med.__dict__["_galerkin"].band is not None
+    assert modes[0].v0.size == 289 and bloch._galerkin(med, 8).band is not None
     fields = {id(f): f for f in (*med.C.values(), *med.M.values(), *med.c.values())}
     tables = sum(f.coeffs.nbytes for f in fields.values())
     blob = pickle.dumps(modes[0])
     assert len(blob) <= 2 * (modes[0].v0.nbytes + tables)
     again = pickle.loads(blob)
-    assert "_galerkin" in med.__dict__ and "_galerkin" not in again.medium.__dict__
+    # a medium holds its fields only: the parts live in the solver's cache, not in the medium
+    names = {f.name for f in dataclasses.fields(medium.Medium)}
+    assert set(vars(med)) == set(vars(again.medium)) == names
     assert again.medium == med
     for m1, m2 in zip(modes, bloch.solve_at(again.medium, k, 8, 2)):
         assert m1.omega == m2.omega and m1.gap == m2.gap and m1.residual == m2.residual

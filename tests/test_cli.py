@@ -532,26 +532,39 @@ def _session_commands(config, spec):
 
 
 def test_one_process_matches_fresh_interpreters(tmp_path, monkeypatch):
-    # the parser is built once per process: commands run one after another in one process,
-    # with a usage error among them, write the same bytes as each command run alone
+    # the parser is built once per process and the Galerkin parts of the last (medium, cutoff)
+    # are kept: commands on two configs (1D, dense solves; 2D at cutoff 8, band solves) run
+    # alternately in one process, with a usage error among them, so the kept parts are both
+    # reused and replaced, and write the same bytes as each command run alone
     config = tmp_path / "medium.json"
     config.write_text(json.dumps(dict(MEDIUM, cutoff=6)))
+    config2d = tmp_path / "medium2d.json"
+    config2d.write_text(json.dumps(MEDIUM_2D))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"op": "product", "f": _SIGNAL, "g": _SIGNAL, "windows": _WINDOWS}))
-    commands = _session_commands(str(config), str(spec))
+    bands, couple, effective, ergodic = _session_commands(str(config), str(spec))
+    in2d = ["--config", str(config2d), "--cutoff", "8"]
+    commands = [bands, ["bands", *in2d, "--k-start=0.6,-0.4", "--k-end=2.1,-1.9", "--samples", "4",
+                        "--out", "bands2d.csv"],
+                couple, effective, ["effective", *in2d, "--k=1.2,0.3", "--out-prefix", "eff2d"],
+                ["groupvel", *in2d, "--k=1.2,0.3", "--out", "groupvel2d.csv"], ergodic]
     together, alone = tmp_path / "together", tmp_path / "alone"
     together.mkdir()
     alone.mkdir()
     monkeypatch.chdir(together)
     with contextlib.redirect_stderr(io.StringIO()):
         codes = [run_cli(argv)[0] for argv in commands[:1] + [["bands", "--bogus"]] + commands[1:]]
-    assert codes == [0, 64, 0, 0, 0]
+    assert codes == [0, 64, 0, 0, 0, 0, 0, 0]
+    kept = bloch._galerkin.cache_info()
+    assert kept.misses == 4 and kept.hits > 0  # one build per change of config
+    assert bloch._galerkin(medium.medium_from_descriptor(MEDIUM_2D), 8).band is not None  # kept: a hit
+    assert bloch._galerkin.cache_info().hits == kept.hits + 1
     for argv in commands:
         proc = _fresh_interpreter(_MAIN, *argv, cwd=alone)
         assert proc.returncode == 0, proc.stderr
     names = sorted(p.name for p in alone.iterdir())
     assert names == sorted(p.name for p in together.iterdir())
-    assert len(names) == 5
+    assert len(names) == 9
     for name in names:
         assert (together / name).read_bytes() == (alone / name).read_bytes(), name
 

@@ -28,10 +28,15 @@ from hfh.fourier import Cell
 
 
 def _dense(fn, op):
-    """``fn()`` with every solve of ``op``'s size on the dense path."""
+    """``fn()`` with every operator of ``op``'s size that it assembles on the dense path: the
+    Galerkin parts are rebuilt without band parts, and dropped again afterwards."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bloch, "LANCZOS_MIN_SIZE", op.size + 1)
-        return fn()
+        bloch._galerkin.cache_clear()
+        try:
+            return fn()
+        finally:
+            bloch._galerkin.cache_clear()
 
 
 def _pins(negatives):
@@ -117,12 +122,13 @@ def _assert_band_holds(op, shift):
 
 
 def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
-    """Build a fresh medium's cache, solve at k twice, then on the dense path: a multiplet among the
-    lowest n_bands + 2 eigenvalues must give the dense bits, anything else certified Lanczos pairs
-    that agree with the dense ones.  The cache must check B by a band Cholesky, Lanczos must factor
-    A + s B in band storage and the count run on the band, and each dense solve must be one ZHEGVX
-    call; certified solves make none and form no dense B.  Returns whether the solves fell back."""
-    assert "_galerkin" not in vars(med)  # the spy below sees the cache built
+    """Build the medium's Galerkin parts afresh, solve at k twice, then on the dense path: a multiplet
+    among the lowest n_bands + 2 eigenvalues must give the dense bits, anything else certified
+    Lanczos pairs that agree with the dense ones.  The parts' build must check B by a band Cholesky,
+    Lanczos must factor A + s B in band storage and the count run on the band, and each dense solve
+    must be one ZHEGVX call; certified solves make none and form no dense B.  Returns whether the
+    solves fell back."""
+    bloch._galerkin.cache_clear()  # the spy below sees the parts built
     verdicts = []
     formed = []  # what the certificate formed: values, residuals and the gap value's bound
     factors = []  # the LAPACK factorizations and dense eigensolves called, by name
@@ -151,7 +157,7 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
         first = taken()
         again = bloch.solve_at(med, k, cutoff, n_bands)
         second = taken()
-        kept = set(vars(med.__dict__["_galerkin"]))  # before the dense solve below
+        kept = set(vars(op.parts))  # before the dense solve below
         want = _dense(lambda: bloch.solve_at(med, k, cutoff, n_bands), op)
         dense = taken()
     assert op.size >= bloch.LANCZOS_MIN_SIZE
@@ -160,7 +166,7 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     low = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, nev])
     rho = bloch._spectral_radius_bound(op, low)
     _assert_band_holds(op, 0.37 * rho)
-    # the cache checks B with a band Cholesky; Lanczos factors A + s B, then the inertia count
+    # the parts' build checks B with a band Cholesky; Lanczos factors A + s B, then the inertia count
     # factors the pinned A - tau B, both on the band; a dense solve is one ZHEGVX call
     assert built == ["zpbtrf"]
     if np.min(np.diff(low)) < 1e-9 * rho:  # a multiplet: its eigenvectors are not unique
@@ -179,7 +185,7 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     op = bloch.assemble_operator(med, k, cutoff)
     mu, X = bloch._lanczos(op, nev)
     values, _, bound = bloch._certified(op, mu, X)
-    w, x, _ = _dense(lambda: bloch._solve_pencil(op, [0, n_bands]), op)
+    w, x, _ = _dense(lambda: bloch._solve_pencil(bloch.assemble_operator(med, k, cutoff), [0, n_bands]), op)
     gate = bloch._residual_gate(op, w)
     # compare omega^2: at an omega = 0 mode the square root turns roundoff into ~1e-7 in omega.
     # The returned pairs: Ritz values and vectors; the gap pair, which only sets the spectral gap:
