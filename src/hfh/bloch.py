@@ -24,8 +24,10 @@ A wave pencil of size ``LANCZOS_MIN_SIZE`` or more has band parts, and its
 lowest pairs come from shift-invert Lanczos on the band (:func:`_lanczos`),
 kept only if :func:`_certified` certifies them.  Any other solve, and any
 Lanczos solve that is not certified, is dense: one ZHEGVX call for a wave
-pencil, bit for bit ``scipy.linalg.eigh(A, B)``, and ``scipy.linalg.eigh``
-for the schrodinger family.  README "Eigensolve" describes the method.
+pencil and one ZHEEVR call for the schrodinger family, each bit for bit the
+solve ``scipy.linalg.eigh`` makes.  README "Eigensolve" describes the method.
+The LAPACK and BLAS routines are scipy's f2py wrappers, loaded without the
+``scipy.linalg`` package (:func:`_scipy_linalg_wrappers`).
 
 Carrier conventions for the stored cell-periodic amplitudes:
 
@@ -40,17 +42,52 @@ Carrier conventions for the stored cell-periodic amplitudes:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
+from numpy.linalg import LinAlgError
 
 from .errors import NumericalError, UnsupportedScaleError, ValidationError
 from .fourier import TWO_PI, Cell, FourierField
 from .medium import Medium
+
+
+def _scipy_linalg_wrappers(name: str):
+    """scipy's compiled f2py module ``scipy.linalg.<name>``, loaded from its file.
+
+    Importing the ``scipy.linalg`` package would run its ``__init__``, whose
+    array-API shim imports ``numpy.f2py`` and ``numpy.testing``: more than
+    half of each CLI command's start-up (README "Start-up"), while the
+    wrappers alone load in a few milliseconds.  The module is registered
+    under its own name (or reused if a caller imported it first), so a later
+    ``import scipy.linalg`` shares it: ``scipy.linalg.lapack`` and
+    ``scipy.linalg.blas`` re-export these very routines.  Without the file
+    it is imported through the package.
+    """
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    scipy_spec = importlib.util.find_spec("scipy")  # finds the package without importing it
+    for root in getattr(scipy_spec, "submodule_search_locations", None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", name + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(full, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[full] = module
+                return module
+    return importlib.import_module(full)
+
+
+lapack = _scipy_linalg_wrappers("_flapack")
+blas = _scipy_linalg_wrappers("_fblas")
 
 RESIDUAL_TOL = 1e-9
 EIG_CLAMP = -1e-10
@@ -68,7 +105,7 @@ _LANCZOS_SPLIT = 1e-9
 _CERTIFICATE_PINS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochOperator:
     """Assembled Bloch pencil of ``medium`` at one crystal wavevector.
 
@@ -77,6 +114,7 @@ class BlochOperator:
     component-major: ``medium.n_comp`` blocks of ``basis``.  ``values``
     holds A's entries at ``parts.upper``; dense A and B are read-only and
     formed on first read, which a certified Lanczos solve never makes.
+    Operators compare by identity, as their array fields have no truth value.
     """
 
     medium: Medium = field(repr=False)
@@ -142,7 +180,7 @@ class BlochOperator:
         return err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochMode:
     """One point (k, omega, band) of ``medium``'s dispersion diagram with its cell-periodic amplitude.
 
@@ -151,7 +189,7 @@ class BlochMode:
     ((1/|cell|) integral of V0^dag b V0 = 1; plain L2 for schrodinger) and the
     largest-modulus coefficient is made real positive.  The family, the
     cell and the coefficients every cell integral of the mode reads are
-    those of ``medium``.
+    those of ``medium``.  Modes compare by identity, like operators.
     """
 
     medium: Medium = field(repr=False)
@@ -712,7 +750,9 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     """Eigenpairs subset[0]..subset[1] of A v = mu B v (subset[0] == 0; B = I for the schrodinger
     family), and their residuals or None.
 
-    The schrodinger family solves with ``scipy.linalg.eigh`` (HEEVR).  For a
+    The schrodinger family solves with one ZHEEVR call on a copy of A, with
+    the arguments and the rounded workspace query ``scipy.linalg.eigh(A,
+    subset_by_index=subset)`` passes, so the bits are ``eigh``'s.  For a
     wave pencil with band parts (and few pairs) the pairs come from
     :func:`_lanczos` on the band when :func:`_certified` accepts them, with
     the values it certified and the residuals it formed (for all but the
@@ -723,11 +763,16 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     raises :func:`_b_indefinite`'s ``NumericalError`` on either path: from
     the band Cholesky of the parts' build, or from ZHEGVX's Cholesky of B.
     """
+    n, nev = op.size, subset[1] + 1
     if op.medium.family == "schrodinger":
-        return (*scipy.linalg.eigh(op.A, subset_by_index=subset), None)
+        lwork, lrwork, liwork = (int(x.real) for x in lapack.zheevr_lwork(n, lower=1)[:3])
+        w, x, m, _, info = lapack.zheevr(op.A, compute_v=1, range="I", il=1, iu=nev, lower=1,
+                                         lwork=lwork, lrwork=lrwork, liwork=liwork)
+        if info:
+            raise LinAlgError(f"ZHEEVR failed (info {info}).")
+        return w[:m], x[:, :m], None
     if op.parts.b_info:
         raise _b_indefinite(op.parts.b_info)
-    n, nev = op.size, subset[1] + 1
     if op.band is not None and nev <= _LANCZOS_MAX_PAIRS:
         found = _lanczos(op, nev)
         certified = None if found is None else _certified(op, *found)
@@ -738,7 +783,7 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     if info > n:
         raise _b_indefinite(info - n)
     if info:
-        raise scipy.linalg.LinAlgError(f"{info} eigenvectors failed to converge.")
+        raise LinAlgError(f"{info} eigenvectors failed to converge.")
     return w[:m], x, None
 
 
@@ -765,7 +810,7 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
         raise UnsupportedScaleError("3D vector eigensolves are out of scope (assembly only)")
     try:
         evals, evecs, residuals = _solve_pencil(op, [0, min(n_bands, op.size - 1)])
-    except scipy.linalg.LinAlgError as exc:
+    except LinAlgError as exc:
         diag = ""
         if wave:
             diag = f"; cond(B) ~ {np.linalg.cond(op.B):.3e}"

@@ -363,7 +363,7 @@ def test_vector_3d_assembly_allowed_solve_refused(monkeypatch):
     op = bloch.assemble_operator(vmed, [0.2, 0.1, 0.0], 1)
     assert op.hermiticity_defect() < 1e-12
     assert op.parts.b_info == 0 and op.band is None  # assembly only: B is never factored
-    monkeypatch.setattr(scipy.linalg.lapack, "zhegvx", lambda *args, **kwargs: pytest.fail("a 3D solve"))
+    monkeypatch.setattr(bloch.lapack, "zhegvx", lambda *args, **kwargs: pytest.fail("a 3D solve"))
     with pytest.raises(UnsupportedScaleError):
         bloch.solve_bands(op, 2)
 
@@ -374,17 +374,19 @@ def test_nan_residual_raises(const_medium, monkeypatch):
     evals = np.zeros(op.size)
     evals[:2] = np.linalg.eigvalsh(op.A)[:2]
     nan_vectors = np.full((op.size, 2), np.nan + 0j, order="F")
-    monkeypatch.setattr(scipy.linalg.lapack, "zhegvx",
+    monkeypatch.setattr(bloch.lapack, "zhegvx",
                         lambda *args, **kwargs: (evals, nan_vectors, 2, np.zeros(op.size, int), 0))
     with pytest.raises(NumericalError, match="residual"):
         bloch.solve_bands(op, 1)
 
 
 def test_nan_residual_raises_schrodinger(mathieu_blocks, monkeypatch):
+    # the schrodinger family's eigensolve is one ZHEEVR call
     op = bloch.assemble_operator(mathieu_blocks, [0.5], 16)
     evals = np.linalg.eigvalsh(op.A)[:2]
     nan_vectors = np.full((op.size, 2), np.nan + 0j)
-    monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: (evals, nan_vectors))
+    monkeypatch.setattr(bloch.lapack, "zheevr",
+                        lambda *args, **kwargs: (evals, nan_vectors, 2, np.zeros(4, np.int32), 0))
     with pytest.raises(NumericalError, match="residual"):
         bloch.solve_bands(op, 1)
 
@@ -424,7 +426,7 @@ def test_unconverged_dense_solve_raises(const_medium, tmp_path, monkeypatch):
         n = len(a)
         return np.zeros(n), np.zeros((n, kwargs["iu"]), dtype=complex), 0, np.zeros(n, int), 1
 
-    monkeypatch.setattr(scipy.linalg.lapack, "zhegvx", unconverged)
+    monkeypatch.setattr(bloch.lapack, "zhegvx", unconverged)
     with pytest.raises(NumericalError, match=r"1 eigenvectors failed to converge.*cond\(B\)"):
         bloch.solve_at(const_medium, [0.5], 2, 1)
     config = tmp_path / "medium.json"
@@ -559,6 +561,38 @@ def test_partial_solve_matches_full_eigh(family, bands, data):
         others[idx] = np.inf
         assert abs(mode.gap - others.min()) <= 2e-10 * (scale + others.min())
         assert mode.residual <= gate
+
+
+@pytest.mark.parametrize("family", ["schrodinger-1d", "schrodinger-2d-magnetic"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@given(data=st.data())
+def test_schrodinger_zheevr_is_eighs_bits(family, data):
+    # the schrodinger solve is one direct ZHEEVR call: scipy.linalg.eigh's solve, bit for bit,
+    # for every subset [0, hi]
+    op = _random_operator(family, data.draw)
+    for hi in range(op.size):
+        w, x, residuals = bloch._solve_pencil(op, [0, hi])
+        want_w, want_x = scipy.linalg.eigh(op.A, subset_by_index=[0, hi])
+        assert residuals is None
+        assert np.array_equal(w, want_w) and np.array_equal(x, want_x)
+
+
+def test_zheevr_failure_raises(mathieu_blocks, monkeypatch):
+    # a nonzero ZHEEVR info is a NumericalError, without the wave family's cond(B)
+    op = bloch.assemble_operator(mathieu_blocks, [0.5], 16)
+    monkeypatch.setattr(bloch.lapack, "zheevr", lambda a, **kwargs: (
+        np.zeros(len(a)), np.zeros((len(a), kwargs["iu"]), complex), 0, np.zeros(4, np.int32), 3))
+    with pytest.raises(NumericalError, match=r"^eigensolver failed: ZHEEVR failed \(info 3\)\.$"):
+        bloch.solve_bands(op, 1)
+
+
+def test_operators_and_modes_compare_by_identity(two_phase):
+    # their fields are arrays, so == answers by identity instead of raising
+    ops = [bloch.assemble_operator(two_phase, [0.7], 16) for _ in range(2)]
+    modes = [bloch.solve_bands(op, 1)[0] for op in ops]
+    for x, y in (ops, modes):
+        assert (x == y) is False and (x != y) is True
+        assert (x == x) is True
 
 
 # ---------------------------------------------------------------------------

@@ -569,11 +569,15 @@ def test_one_process_matches_fresh_interpreters(tmp_path, monkeypatch):
         assert (together / name).read_bytes() == (alone / name).read_bytes(), name
 
 
-_HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+# scipy.signal and the rest: field products use numpy's FFT.  scipy.linalg._decomp and what the
+# scipy.linalg package imports at start-up (its array-API shim, numpy.f2py): bloch loads scipy's
+# LAPACK and BLAS wrappers without the package
+_HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
+          "scipy.linalg._decomp", "scipy._lib._array_api", "numpy.f2py")
 
 
 def test_commands_import_no_heavy_scipy(tmp_path):
-    # field products use numpy's FFT: no command pulls in scipy.signal and what it imports
+    # no command pulls in a module of _HEAVY
     coarse = tmp_path / "coarse.json"
     coarse.write_text(json.dumps(dict(MEDIUM, cutoff=8)))
     config = tmp_path / "medium.json"
@@ -581,10 +585,12 @@ def test_commands_import_no_heavy_scipy(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD,
                                 "lambda": [0.5, 0.7], "boxes": _WINDOWS}))
-    commands = _session_commands(str(config), str(spec))[1:] + [
+    commands = _session_commands(str(config), str(spec)) + [
+        ["groupvel", "--config", str(config), "--k", "1.2", "--cutoff", "6", "--out", "gv.csv"],
         ["simulate", "--config", str(coarse), "--k", "1.5707963267948966", "--epsilon", "0.125",
          "--sigma", "0.4", "--center", "2.0", "--length", "8.0", "--points-per-cell", "16",
-         "--t-final", "0.5", "--frames", "5", "--out-prefix", "sim"]]
+         "--t-final", "0.5", "--frames", "5", "--out-prefix", "sim"],
+        ["check"]]
     script = ("import json, sys\nimport hfh.cli\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    assert hfh.cli.main(argv) == 0, argv\n"
@@ -593,6 +599,48 @@ def test_commands_import_no_heavy_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert (tmp_path / "sim_run.json").is_file() and (tmp_path / "eff.json").is_file()
+    assert (tmp_path / "bands.csv").is_file() and (tmp_path / "gv.csv").is_file()
+
+
+def test_artifacts_do_not_depend_on_scipy_linalg_being_imported(tmp_path):
+    # bloch loads scipy's LAPACK and BLAS wrappers without the scipy.linalg package; an import
+    # of the package before or after hfh shares them, and without the wrapper files bloch
+    # imports them through the package: a 2D band-path sweep and a schrodinger effective write
+    # the same bytes every way
+    config2d = tmp_path / "medium2d.json"
+    config2d.write_text(json.dumps(MEDIUM_2D))
+    schrodinger = tmp_path / "schrodinger.json"
+    schrodinger.write_text(json.dumps(dict(
+        _SCHRODINGER, cell=[1.0], cutoff=6,
+        potential={"type": "cosine", "mean": 0.0, "harmonics": [{"n": [1], "amp": 2.0}]})))
+    commands = [["bands", "--config", str(config2d), "--cutoff", "8", "--k-start=0.6,-0.4",
+                 "--k-end=2.1,-1.9", "--samples", "4", "--out", "bands2d.csv"],
+                ["effective", "--config", str(schrodinger), "--k", "1.2", "--cutoff", "8",
+                 "--out-prefix", "eff"]]
+    script = ("import importlib.machinery, json, sys\n"
+              "if sys.argv[1] == 'before':\n"
+              "    import scipy.linalg\n"
+              "if sys.argv[1] == 'missing':\n"
+              "    importlib.machinery.EXTENSION_SUFFIXES = ['.missing']\n"
+              "import hfh.cli\n"
+              "from hfh import bloch\n"
+              "assert ('scipy.linalg._decomp' in sys.modules) == (sys.argv[1] in ('before', 'missing'))\n"
+              "if sys.argv[1] != 'never':\n"
+              "    import scipy.linalg\n"
+              "    assert scipy.linalg.lapack.zheevr is bloch.lapack.zheevr\n"
+              "    assert scipy.linalg.blas.zhbmv is bloch.blas.zhbmv\n"
+              "else:\n"
+              "    assert 'scipy.linalg' not in sys.modules\n"
+              "for argv in json.loads(sys.argv[2]):\n"
+              "    assert hfh.cli.main(argv) == 0, argv\n")
+    written = {}
+    for order in ("never", "before", "after", "missing"):
+        (tmp_path / order).mkdir()
+        proc = _fresh_interpreter(script, order, json.dumps(commands), cwd=tmp_path / order)
+        assert proc.returncode == 0, proc.stderr
+        written[order] = {p.name: p.read_bytes() for p in (tmp_path / order).iterdir()}
+    assert sorted(written["never"]) == ["bands2d.csv", "eff.csv", "eff.json"]
+    assert all(written[order] == written["never"] for order in ("before", "after", "missing"))
 
 
 def test_check_stdout_unchanged_times_on_stderr():
