@@ -560,6 +560,24 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray, conj: np.ndarray) -> tuple:
     return removed, norm
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """Lanczos's unit start vector of size n, from the SplitMix64 hash of the indices 1..2n.
+
+    SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) mixes the i-th multiple
+    of its odd increment; the top 53 bits of each hash, times 2^-53, minus
+    1/2, give a value in [-1/2, 1/2).  The first n are the real parts and
+    the next n the imaginary parts.  uint64 array arithmetic wraps without
+    a warning, and the scaling is exact, so the bits are the same on every
+    platform.
+    """
+    z = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 - 0.5
+    v = x[:n] + 1j * x[n:]
+    return v / np.linalg.norm(v)
+
+
 def _lanczos(op: BlochOperator, nev: int):
     """The nev lowest eigenpairs of A v = mu B v by shift-invert Lanczos, and the next Ritz value; or None.
 
@@ -571,11 +589,12 @@ def _lanczos(op: BlochOperator, nev: int):
     v = L^-H y, so the lowest mu are the largest theta.  PBTRF factors
     A + s B in the operator's band work array, and a step applies T by
     two TBSV and one HBMV on B's own band, which also B-normalizes the Ritz
-    vectors.  Lanczos on T starts from a fixed pseudo-random vector, which
-    no symmetry of the medium keeps out of any eigenspace.  A step
-    subtracts the three-term recurrence alpha_m q_m + beta_(m-1) q_(m-1),
-    then orthogonalizes against all earlier vectors (kept conjugated too)
-    by :func:`_orthogonalize`, whose second pass thus sees only the loss of
+    vectors.  Lanczos on T starts from a fixed pseudo-random vector, an
+    integer hash (:func:`_start_vector`), which no symmetry of the medium
+    keeps out of any eigenspace.  A step subtracts the three-term
+    recurrence alpha_m q_m + beta_(m-1) q_(m-1), then orthogonalizes
+    against all earlier vectors (kept conjugated too) by
+    :func:`_orthogonalize`, whose second pass thus sees only the loss of
     orthogonality to older vectors.  With Ritz values theta_1 > theta_2 >
     ... and Ritz residual estimates e_i = beta_m |z_mi|, it stops when the
     first nev - 1, whose vectors are returned, meet e_i <= ``_LANCZOS_TOL``
@@ -604,9 +623,7 @@ def _lanczos(op: BlochOperator, nev: int):
     # Qc holds conj(Q) row by row.  One block for both: once freed, it lifts glibc's dynamic mmap
     # threshold above a solve's scratch, so the heap is not trimmed and refaulted between solves
     Q, Qc = np.empty((2, steps, n), dtype=np.complex128)
-    start = np.random.default_rng(0).standard_normal((2, n))
-    Q[0] = start[0] + 1j * start[1]
-    Q[0] /= np.linalg.norm(Q[0])
+    Q[0] = _start_vector(n)
     np.conjugate(Q[0], out=Qc[0])
     alpha = np.zeros(steps)
     beta = np.zeros(steps)

@@ -25,13 +25,22 @@ Field specs accepted by the builders (and by the JSON descriptor):
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError, need, reading
 from .fourier import TWO_PI, Cell, FourierField
+
+# CPython's builtin SHA-256 (the stdlib's random.py takes _sha512 the same way): the
+# same digests as hashlib's, without loading OpenSSL.  cli's config digest uses it too.
+try:
+    from _sha256 import sha256  # Python <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 CONJ_SYMMETRY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
@@ -128,7 +137,7 @@ def build_field(spec, cell: Cell, cutoff, name: str = "field") -> FourierField:
 
 
 def _digest(kind: str, cell: Cell, parts) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     h.update(kind.encode())
     h.update(np.asarray(cell.lengths).tobytes())
     for tag, f in parts:

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from hfh import bloch, checks, cli, medium
+from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_golden import FINGERPRINTS
 
 ROOT = Path(__file__).resolve().parents[1]
 MEDIUM = {
@@ -576,30 +578,73 @@ _HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
           "scipy.linalg._decomp", "scipy._lib._array_api", "numpy.f2py")
 
 
+# loaded by `check` (its fixtures draw from numpy.random) but by no solve command
+_CHECK_ONLY = ("numpy.random", "hashlib", "_hashlib", "hfh.checks")
+
+
 def test_commands_import_no_heavy_scipy(tmp_path):
-    # no command pulls in a module of _HEAVY
+    # no command pulls in a module of _HEAVY, and the solve commands, a 2D band-path sweep
+    # among them, pull in none of _CHECK_ONLY either
     coarse = tmp_path / "coarse.json"
     coarse.write_text(json.dumps(dict(MEDIUM, cutoff=8)))
     config = tmp_path / "medium.json"
     config.write_text(json.dumps(dict(MEDIUM, cutoff=6)))
+    config2d = tmp_path / "medium2d.json"
+    config2d.write_text(json.dumps(MEDIUM_2D))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"op": "modulated_dd", "cell": [1.0, 1.0], "f": _FIELD,
                                 "lambda": [0.5, 0.7], "boxes": _WINDOWS}))
-    commands = _session_commands(str(config), str(spec)) + [
+    solves = _session_commands(str(config), str(spec)) + [
         ["groupvel", "--config", str(config), "--k", "1.2", "--cutoff", "6", "--out", "gv.csv"],
         ["simulate", "--config", str(coarse), "--k", "1.5707963267948966", "--epsilon", "0.125",
          "--sigma", "0.4", "--center", "2.0", "--length", "8.0", "--points-per-cell", "16",
          "--t-final", "0.5", "--frames", "5", "--out-prefix", "sim"],
-        ["check"]]
+        ["bands", "--config", str(config2d), "--cutoff", "8", "--k-start=0.6,-0.4",
+         "--k-end=2.1,-1.9", "--samples", "4", "--out", "bands2d.csv"]]
     script = ("import json, sys\nimport hfh.cli\n"
+              "def loaded(names):\n"
+              "    print('loaded:', json.dumps(sorted(m for m in names if m in sys.modules)))\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    assert hfh.cli.main(argv) == 0, argv\n"
-              f"print(json.dumps(sorted(m for m in {_HEAVY!r} if m in sys.modules)))")
-    proc = _fresh_interpreter(script, json.dumps(commands), cwd=tmp_path)
+              f"loaded({_HEAVY + _CHECK_ONLY!r})\n"
+              "assert hfh.cli.main(['check']) == 0\n"
+              f"loaded({_HEAVY!r})\n")
+    proc = _fresh_interpreter(script, json.dumps(solves), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded: ")]
+    assert loaded == ["loaded: []", "loaded: []"]
     assert (tmp_path / "sim_run.json").is_file() and (tmp_path / "eff.json").is_file()
     assert (tmp_path / "bands.csv").is_file() and (tmp_path / "gv.csv").is_file()
+    assert (tmp_path / "bands2d.csv").is_file()
+
+
+def test_digests_do_not_depend_on_the_sha256_module(tmp_path):
+    # media fingerprints and config digests come from CPython's builtin SHA-256 module, which
+    # spares loading OpenSSL; where that module is missing, hashlib's SHA-256 gives the same
+    # fingerprints and an effective run writes the same bytes
+    config = tmp_path / "medium.json"
+    config.write_text(json.dumps(MEDIUM))
+    script = ("import json, sys\n"
+              "if sys.argv[1] == 'hashlib':\n"
+              "    sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+              "import hfh.cli\n"
+              "from hfh.medium import medium_from_descriptor\n"
+              "assert ('hashlib' in sys.modules) == (sys.argv[1] == 'hashlib')\n"
+              "print(json.dumps({name: medium_from_descriptor(desc).fingerprint\n"
+              "                  for name, desc in json.loads(sys.argv[2]).items()}))\n"
+              "assert hfh.cli.main(json.loads(sys.argv[3])) == 0\n")
+    argv = ["effective", "--config", str(config), "--k", "1.2", "--cutoff", "8",
+            "--out-prefix", "eff"]
+    written = {}
+    for sha in ("builtin", "hashlib"):
+        (tmp_path / sha).mkdir()
+        proc = _fresh_interpreter(script, sha, json.dumps(GOLDEN_CONFIGS), json.dumps(argv),
+                                  cwd=tmp_path / sha)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[0]) == FINGERPRINTS
+        written[sha] = {p.name: p.read_bytes() for p in (tmp_path / sha).iterdir()}
+    assert sorted(written["builtin"]) == ["eff.csv", "eff.json"]
+    assert written["hashlib"] == written["builtin"]
 
 
 def test_artifacts_do_not_depend_on_scipy_linalg_being_imported(tmp_path):

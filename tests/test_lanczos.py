@@ -415,12 +415,40 @@ def test_sweep2d_bands_count_on_the_band(tmp_path, monkeypatch):
                          "--out", str(tmp_path / "bands.csv")])
     assert code == 0
     assert certified == [True] * 9 and counts == [2] * 9 and dense == []
-    # Lanczos converges the gap pair by value, not by vector: 138 steps here (190, 21 a solve, when
+    # Lanczos converges the gap pair by value, not by vector: 137 steps here (190, 21 a solve, when
     # the gap pair's vector was converged too); DSTEV runs from step nev = 2 on.  Each step makes
     # one orthogonalization pass after the three-term recurrence, and the DGKS test never asks for
     # a second (181 second passes when the test also saw alpha and beta)
     steps = len(tridiagonal) + 2 * 9
     assert steps <= 16 * 9 and len(norms) == 2 * steps
+
+
+def _splitmix64(i: int) -> int:
+    """SplitMix64's hash of index i, in Python integers: the reference for ``bloch._start_vector``."""
+    mask = 2 ** 64 - 1
+    z = i * 0x9E3779B97F4A7C15 & mask
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+    return z ^ z >> 31
+
+
+@pytest.mark.parametrize("n", [33, 129, 289, 1089])  # 1D cutoffs 16 and 64, 2D cutoffs 8 and 16
+def test_start_vector_is_the_hash_with_both_inversion_parities(n):
+    # the start vector is SplitMix64 of the indices 1..2n (index 1 hashes to the generator's
+    # first output from seed 0), the same bits on every call, and no uint64 wrap warns.  Every
+    # component is nonzero, and its even and odd parts under the inversion n -> -n, which
+    # reverses the lexicographic basis, are both far from zero: no symmetry of the medium keeps
+    # it out of an eigenspace
+    assert _splitmix64(1) == 0xE220A8397B1DCDAF
+    x = np.array([_splitmix64(i) >> 11 for i in range(1, 2 * n + 1)]) * 2.0 ** -53 - 0.5
+    want = x[:n] + 1j * x[n:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = bloch._start_vector(n)
+    assert np.array_equal(v, want / np.linalg.norm(want))
+    assert np.array_equal(v, bloch._start_vector(n))
+    assert np.all(v.real != 0.0) and np.all(v.imag != 0.0)
+    assert np.linalg.norm(v + v[::-1]) / 2 > 0.5 and np.linalg.norm(v - v[::-1]) / 2 > 0.5
 
 
 def test_a_is_gathered_once_per_operator(monkeypatch):
