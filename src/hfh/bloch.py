@@ -8,9 +8,10 @@ spatial entries give the stiffness
 
     A[n, n'] = (k + 2*pi*n/lambda) . a_hat[n - n'] . (k + 2*pi*n'/lambda)
 
-and, for the wave families, its time entries the mass matrix
-B[n, n'] = b_hat[n - n'], both Hermitian by construction.  The schrodinger
-family's first- and zeroth-order terms join A, which becomes H(k).
+and every family solves one Hermitian pencil A v = mu B v.  For the wave
+families the time entries give the mass matrix B[n, n'] = b_hat[n - n'] and
+mu = omega^2.  The schrodinger family's first- and zeroth-order terms join
+A, which becomes H(k), B = I and mu is the energy.
 
 Only A depends on k.  The k-independent parts (:class:`_Galerkin`) are
 read-only and kept for the last (medium, cutoff) asked for in the process
@@ -20,11 +21,11 @@ operator, and each mode solved from it, holds its medium, so what consumes
 a mode (transport coefficients, coupling, wave packets) reads the medium
 from the mode.
 
-A wave pencil of size ``LANCZOS_MIN_SIZE`` or more has band parts, and its
-lowest pairs come from shift-invert Lanczos on the band (:func:`_lanczos`),
-kept only if :func:`_certified` certifies them.  Any other solve, and any
-Lanczos solve that is not certified, is dense: one ZHEGVX call for a wave
-pencil and one ZHEEVR call for the schrodinger family, each bit for bit the
+A pencil of size ``LANCZOS_MIN_SIZE`` or more (but no 3D vector one, which
+is only assembled) has band parts, and its lowest pairs come from shift-invert
+Lanczos on the band (:func:`_lanczos`), kept only if :func:`_certified`
+certifies them.  Any other solve is dense: one ZHEEVR call on H for the
+schrodinger family, one ZHEGVX call for a wave pencil, each bit for bit the
 solve ``scipy.linalg.eigh`` makes.  README "Eigensolve" describes the method.
 The LAPACK and BLAS routines are scipy's f2py wrappers, loaded without the
 ``scipy.linalg`` package (:func:`_scipy_linalg_wrappers`).
@@ -91,7 +92,7 @@ blas = _scipy_linalg_wrappers("_fblas")
 
 RESIDUAL_TOL = 1e-9
 EIG_CLAMP = -1e-10
-# Wave pencils of this size or more, asked for at most _LANCZOS_MAX_PAIRS
+# Pencils of this size or more, asked for at most _LANCZOS_MAX_PAIRS
 # pairs, solve by certified shift-invert Lanczos (:func:`_lanczos`): the
 # measured crossover (README "Eigensolve").  Near it, more pairs take more
 # Lanczos steps than a dense solve costs.
@@ -109,8 +110,8 @@ _CERTIFICATE_PINS = 4
 class BlochOperator:
     """Assembled Bloch pencil of ``medium`` at one crystal wavevector.
 
-    Wave families solve A v = omega^2 B v; the schrodinger family solves
-    A v = omega v with B = None (identity weighting).  The basis is
+    Every family solves A v = mu B v: mu = omega^2 for the wave families,
+    and the energy omega with B = I for the schrodinger family.  The basis is
     component-major: ``medium.n_comp`` blocks of ``basis``.  ``values``
     holds A's entries at ``parts.upper``; dense A and B are read-only and
     formed on first read, which a certified Lanczos solve never makes.
@@ -139,8 +140,8 @@ class BlochOperator:
         return A
 
     @property
-    def B(self) -> np.ndarray | None:
-        """The parts' dense B (None for the schrodinger family), formed on first read."""
+    def B(self) -> np.ndarray:
+        """The parts' dense B, formed on first read."""
         return self.parts.B
 
     @property
@@ -160,12 +161,9 @@ class BlochOperator:
 
     @cached_property
     def _quotients(self) -> np.ndarray:
-        """The diagonal quotients A_ii / B_ii (H_ii without B), B's diagonal read from its band if
-        there is one."""
+        """The diagonal quotients A_ii / B_ii, B's diagonal read from its band if there is one."""
         diag = np.zeros(self.size)
         diag[self.parts.diagonal[0]] = self.values[self.parts.diagonal[1]].real
-        if self.medium.family == "schrodinger":
-            return diag
         return diag / (self.band.B[0].real if self.band is not None else np.diag(self.B).real)
 
     @property
@@ -174,10 +172,7 @@ class BlochOperator:
         return self.medium.fingerprint
 
     def hermiticity_defect(self) -> float:
-        err = float(np.max(np.abs(self.A - self.A.conj().T)))
-        if self.B is not None:
-            err = max(err, float(np.max(np.abs(self.B - self.B.conj().T))))
-        return err
+        return max(float(np.max(np.abs(m - m.conj().T))) for m in (self.A, self.B))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +251,7 @@ def _assembly_only(medium: Medium) -> bool:
 
 @dataclass(frozen=True)
 class _Band:
-    """A wave pencil's band parts in LAPACK's lower band storage, all read-only.
+    """A pencil's band parts in LAPACK's lower band storage, all read-only.
 
     Every nonzero entry of A and B lies within ``kd`` of the diagonal.
     ``B`` holds B[r + d, r] at [d, r] over B's own band, (kd_B + 1) x n in
@@ -317,15 +312,15 @@ class _Galerkin:
     from :func:`_lag_entries` on or above A's diagonal, and ``at`` their
     positions in ``upper``.  The term adds (k+G)_j f_hat (k+G')_l there
     (slot 0 gives a factor 1), with the transposed slots in the same pass
-    if ``paired``.  ``beta0`` is the schrodinger family's divisor (None for
-    the wave families).  ``b_terms`` holds (at, values) per block of B on
-    and above its diagonal: B is -values at the flat indices ``at`` and
-    zero elsewhere (empty for the schrodinger family).  ``band`` holds the
-    band parts (:func:`_band`) of a wave pencil with n >=
-    ``LANCZOS_MIN_SIZE`` that is not assembly only, else None.  ``b_info``
-    is ZPBTRF's info on ``band.B`` (0 if B is positive definite, else the
-    order of its first leading minor that is not), and 0 without band
-    parts, where the dense solve checks B.
+    if ``paired``.  ``beta0`` divides the schrodinger family's A, which is
+    then H (1 for the wave families).  ``b_terms`` holds (at, values) per
+    block of B on and above its diagonal: B is -values at the flat indices
+    ``at`` and zero elsewhere (one diagonal block of -1 for the schrodinger
+    family, whose B is I).  ``band`` holds the band parts (:func:`_band`)
+    of a pencil with n >= ``LANCZOS_MIN_SIZE`` that is not assembly only,
+    else None.  ``b_info`` is ZPBTRF's info on ``band.B`` (0 if B is
+    positive definite, else the order of its first leading minor that is
+    not), and 0 without band parts, where the dense solve checks B.
     """
 
     n: int
@@ -335,20 +330,18 @@ class _Galerkin:
     upper: np.ndarray
     mirror: tuple
     diagonal: tuple
-    beta0: float | None
+    beta0: float
     b_terms: tuple
     b_info: int
     band: _Band | None
 
     @cached_property
-    def B(self) -> np.ndarray | None:
-        """B, dense and read-only (None for the schrodinger family), formed on first read.
+    def B(self) -> np.ndarray:
+        """B, dense and read-only, formed on first read.
 
         Each entry above the diagonal is evaluated once and mirrored, so B is
         Hermitian bit for bit, and the diagonal loses its imaginary part.
         """
-        if self.beta0 is not None:
-            return None
         n = self.n
         B = np.zeros((n, n), dtype=np.complex128)
         for at, values in self.b_terms:
@@ -362,9 +355,7 @@ class _Galerkin:
     def zero_A(self) -> np.ndarray:
         """A with every term zero, mirrored, read-only: the value each entry no term writes has at
         every k (+0 divided by beta0, conjugated below the diagonal, real on it)."""
-        zero = np.zeros(1, dtype=np.complex128)
-        if self.beta0 is not None:
-            zero /= self.beta0
+        zero = np.zeros(1, dtype=np.complex128) / self.beta0
         A = np.where(np.greater.outer(np.arange(self.n), np.arange(self.n)), zero.conj(), zero)
         np.fill_diagonal(A.imag, 0.0)
         A.flags.writeable = False
@@ -377,15 +368,11 @@ def _galerkin(medium: Medium, cutoff: int) -> _Galerkin:
 
     Media hash and compare by family, cutoff and fingerprint, so equal media
     share one entry.  Only blocks on and above the diagonal are formed, since
-    the mirror fills the others, and B only in band storage.
+    the mirror fills the others, and B only in band storage.  A schrodinger
+    medium whose M_0 is not constant is refused: only its mean divides A.
     """
     cell = medium.cell
     wave = medium.family != "schrodinger"
-    beta0 = None
-    if not wave:
-        beta0 = float((medium.M[0].mean() / 1j).real)
-        if beta0 == 0.0:
-            raise ValidationError("M_0 has a zero mean; omega cannot be isolated")
     basis = _basis_indices(cell.dims, cutoff)
     nb = len(basis)
     n = medium.n_comp * nb
@@ -402,6 +389,16 @@ def _galerkin(medium: Medium, cutoff: int) -> _Galerkin:
     for idx, f in medium.C.items():
         uses.setdefault(id(f), (f, []))[1].append(idx)
     b_terms = []
+    beta0 = 1.0
+    if not wave:  # H = A / beta0, and B = I: the B a time entry C_0000 = -1 would give
+        m0 = medium.M[0]
+        if np.count_nonzero(m0.coeffs) > (m0.mean() != 0):  # a nonzero harmonic besides the mean
+            raise ValidationError("M_0 must be constant: only its mean divides the Hamiltonian")
+        beta0 = float((m0.mean() / 1j).real)
+        if beta0 == 0.0:
+            raise ValidationError("M_0 has a zero mean; omega cannot be isolated")
+        at, (_, _, values) = on_block(FourierField.constant(cell, -1.0), 0, 0)
+        b_terms.append((at, values))
     terms = []
     for f, entries in uses.values():
         for (i, j, kk, l) in entries:
@@ -431,7 +428,7 @@ def _galerkin(medium: Medium, cutoff: int) -> _Galerkin:
     diagonal = (rows[on], on)
     band = None
     b_info = 0
-    if wave and n >= LANCZOS_MIN_SIZE and not _assembly_only(medium):
+    if n >= LANCZOS_MIN_SIZE and not _assembly_only(medium):
         band, b_info = _band(n, upper, b_terms)
     G = TWO_PI * basis.T / cell.diag[:, None]
     for arr in [basis, G, upper, *mirror, *diagonal, *(t[0] for t in terms), *(at for at, _ in b_terms)]:
@@ -445,7 +442,7 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
     A C entry with spatial slots j, l >= 1 adds (k+G)_j f_hat[n - n'] (k+G')_l
     to the (i, k) component block of A (in one pass with its transposed
     entry C_ilkj when the two share one field); the wave families' time entries
-    C_i0k0 = -b_ik give B = -C_hat.  The schrodinger family has no B: its
+    C_i0k0 = -b_ik give B = -C_hat.  The schrodinger family's B is I: its
     first-order terms (M_l / i)_hat (k+G')_l and its c_hat join A, which is
     then divided by beta0 = (mean M_0) / i, so A is the Hamiltonian H(k).
     The operator's ``values`` are new and read-only, and its A gets, entry
@@ -457,10 +454,7 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
         raise ValidationError(f"unknown medium type {type(medium).__name__}")
     if cutoff < 1:
         raise ValidationError("cutoff must be at least 1")
-    cell = medium.cell
-    if medium.family == "schrodinger" and cell.dims > 2:
-        raise UnsupportedScaleError("schrodinger solves support d <= 2")
-    k = _as_k(cell, k)
+    k = _as_k(medium.cell, k)
     g = _galerkin(medium, cutoff)
     kg = k[:, None] + g.G
     values = np.zeros(len(g.upper), dtype=np.complex128)
@@ -476,7 +470,7 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
             twin *= kg[j - 1][cols]
             term += twin
         np.add.at(values, at, term)
-    if g.beta0 is not None:
+    if medium.family == "schrodinger":
         values /= g.beta0
     values.imag[g.diagonal[1]] = 0.0
     values.flags.writeable = False
@@ -501,7 +495,7 @@ def _spectral_radius_bound(op: BlochOperator, evals: np.ndarray) -> float:
     """Lower bound on the spectral radius from a partial solve.
 
     The computed eigenvalues and the diagonal Rayleigh quotients A_ii / B_ii
-    (H_ii without B) all lie in the range of the spectrum.
+    all lie in the range of the spectrum.
     """
     return max(float(np.max(np.abs(evals))), float(np.max(np.abs(op._quotients))))
 
@@ -520,8 +514,8 @@ def _residual_gate(op: BlochOperator, evals: np.ndarray) -> float:
 def _shift_into_band(op: BlochOperator, shift: float) -> np.ndarray:
     """Write A + shift*B into the operator's band work array, in lower band storage, and return it.
 
-    A's entries outside ``parts.upper`` are zero (a wave family's A holds
-    only what its terms write), so shift*B plus A's written entries,
+    A's entries outside ``parts.upper`` are zero (A holds only what its
+    terms write), so shift*B plus A's written entries,
     conjugated into the lower triangle, is the whole band, entry for entry
     the lower triangle of A + shift*B.  B's own band fills the first
     kd_B + 1 rows, and the rows below it start at zero.
@@ -767,27 +761,20 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
     """Eigenpairs subset[0]..subset[1] of A v = mu B v (subset[0] == 0; B = I for the schrodinger
     family), and their residuals or None.
 
-    The schrodinger family solves with one ZHEEVR call on a copy of A, with
-    the arguments and the rounded workspace query ``scipy.linalg.eigh(A,
-    subset_by_index=subset)`` passes, so the bits are ``eigh``'s.  For a
-    wave pencil with band parts (and few pairs) the pairs come from
+    For a pencil with band parts (and few pairs) the pairs come from
     :func:`_lanczos` on the band when :func:`_certified` accepts them, with
     the values it certified and the residuals it formed (for all but the
     last pair, whose vector is converged only far enough for its value).
-    Otherwise, and whenever either declines, one ZHEGVX call with its
-    queried optimal workspace solves copies of dense A and B, bit for bit
-    ``scipy.linalg.eigh(A, B, subset_by_index=subset)``.  An indefinite B
-    raises :func:`_b_indefinite`'s ``NumericalError`` on either path: from
-    the band Cholesky of the parts' build, or from ZHEGVX's Cholesky of B.
+    Otherwise, and whenever either declines, the solve is dense: for the
+    schrodinger family one ZHEEVR call on a copy of A with the arguments and
+    rounded workspace query of ``scipy.linalg.eigh(A, subset_by_index=subset)``,
+    for a wave pencil one ZHEGVX call with its queried optimal workspace on
+    copies of dense A and B, bit for bit ``scipy.linalg.eigh(A, B,
+    subset_by_index=subset)``, whose failure to converge names cond(B).  An
+    indefinite B raises :func:`_b_indefinite`'s ``NumericalError``: from the
+    band Cholesky of the parts' build, or from ZHEGVX's Cholesky of B.
     """
     n, nev = op.size, subset[1] + 1
-    if op.medium.family == "schrodinger":
-        lwork, lrwork, liwork = (int(x.real) for x in lapack.zheevr_lwork(n, lower=1)[:3])
-        w, x, m, _, info = lapack.zheevr(op.A, compute_v=1, range="I", il=1, iu=nev, lower=1,
-                                         lwork=lwork, lrwork=lrwork, liwork=liwork)
-        if info:
-            raise LinAlgError(f"ZHEEVR failed (info {info}).")
-        return w[:m], x[:, :m], None
     if op.parts.b_info:
         raise _b_indefinite(op.parts.b_info)
     if op.band is not None and nev <= _LANCZOS_MAX_PAIRS:
@@ -795,17 +782,25 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
         certified = None if found is None else _certified(op, *found)
         if certified is not None:
             return certified[0], found[1], certified[1]
+    if op.medium.family == "schrodinger":
+        lwork, lrwork, liwork = (int(x.real) for x in lapack.zheevr_lwork(n, lower=1)[:3])
+        w, x, m, _, info = lapack.zheevr(op.A, compute_v=1, range="I", il=1, iu=nev, lower=1,
+                                         lwork=lwork, lrwork=lrwork, liwork=liwork)
+        if info:
+            raise LinAlgError(f"ZHEEVR failed (info {info}).")
+        return w[:m], x[:, :m], None
     w, x, m, _, info = lapack.zhegvx(op.A, op.B, uplo="L", range="I", il=1, iu=nev, abstol=0.0,
                                      lwork=int(lapack.zhegvx_lwork(n, uplo="L")[0].real))
     if info > n:
         raise _b_indefinite(info - n)
     if info:
-        raise LinAlgError(f"{info} eigenvectors failed to converge.")
+        raise LinAlgError(f"{info} eigenvectors failed to converge; cond(B) ~ {np.linalg.cond(op.B):.3e}")
     return w[:m], x, None
 
 
 def solve_bands(op: BlochOperator, n_bands: int) -> list:
-    """Solve the assembled pencil and return the lowest n_bands normalized modes.
+    """Solve the assembled pencil A v = mu B v (B = I for the schrodinger family) and return the
+    lowest n_bands normalized modes.
 
     Only the lowest n_bands + 1 eigenpairs are computed (all of them when
     n_bands is the basis size); the extra pair's eigenvalue makes each
@@ -816,8 +811,8 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     convention, phase-fixed, and carry their spectral gap and residual.  A
     residual above max(1e-9, 1e-13 * rho), or NaN, raises; rho is bounded
     from below by the computed eigenvalues and the diagonal Rayleigh quotients.
-    An indefinite B raises without cond(B); any other eigensolver failure
-    names cond(B).
+    An eigensolver failure raises :func:`_solve_pencil`'s error as a
+    ``NumericalError``.
     """
     if n_bands < 1 or n_bands > op.size:
         raise ValidationError(f"n_bands must be in 1..{op.size}")
@@ -828,10 +823,7 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     try:
         evals, evecs, residuals = _solve_pencil(op, [0, min(n_bands, op.size - 1)])
     except LinAlgError as exc:
-        diag = ""
-        if wave:
-            diag = f"; cond(B) ~ {np.linalg.cond(op.B):.3e}"
-        raise NumericalError(f"eigensolver failed: {exc}{diag}") from exc
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
 
     if wave:
         if evals.min() < EIG_CLAMP:
@@ -848,7 +840,7 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
     for idx in range(n_bands):
         v = evecs[:, idx]
         if residuals is None:
-            r = op.A @ v - evals[idx] * (op.B @ v if wave else v)
+            r = op.A @ v - evals[idx] * (op.B @ v)
             residual = float(np.linalg.norm(r) / np.linalg.norm(v))
         else:
             residual = float(residuals[idx])

@@ -319,10 +319,12 @@ _LEVI_CIVITA = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
 
 
 def maxwell_tensor_from_permeability(mu_inverse, cell: Cell, cutoff: int) -> dict:
-    """Rank-4 stiffness {(i, j, k, l): field} for the Maxwell system from an inverse-permeability matrix.
+    """Minus the Maxwell curl-curl stiffness {(i, j, k, l): field} from an inverse-permeability matrix.
 
     a_ijkl = -e_ijp e_klq (mu^-1)_pq componentwise in Fourier space, where e is
-    the Levi-Civita tensor.  (i, j) fixes p and (k, l) fixes q, so each entry
+    the Levi-Civita tensor; in hfh's convention A = (k+G).a.(k+G) the
+    stiffness of curl(mu^-1 curl H) is +e_ijp e_klq (mu^-1)_pq, so mu^-1 = I
+    gives a_0101 = -1.  (i, j) fixes p and (k, l) fixes q, so each entry
     is one term, and a_ijkl = a_klij holds exactly because mu^-1 must be
     exactly symmetric.  Identically zero entries are left out.  The output is
     construction-only (the curl-curl form is not elliptic), so no ellipticity

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfh import bloch, checks, cli, medium
+from hfh import bands, bloch, checks, cli, effective, medium
 from hfh.errors import NumericalError, UnsupportedScaleError, ValidationError
 from hfh.fourier import Cell, FourierField
 
@@ -88,7 +88,8 @@ def oracle_basis(dims, cutoff):
 def oracle_assemble(med, k, cutoff):
     """A and B built densely per call: every lag block f_hat[n - n'] gathered whole by
     ``gather_oracle`` and every term formed on the whole block, in the assembler's term order
-    and with its float operations per entry, then the upper triangles mirrored."""
+    and with its float operations per entry, then the upper triangles mirrored.  The schrodinger
+    family's B is the mirrored identity."""
     cell = med.cell
     wave = med.family != "schrodinger"
     k = np.asarray(k, dtype=float)
@@ -108,7 +109,7 @@ def oracle_assemble(med, k, cutoff):
 
     nb = len(basis)
     A = np.zeros((med.n_comp * nb,) * 2, dtype=np.complex128)
-    B = np.zeros(A.shape, dtype=np.complex128) if wave else None
+    B = np.zeros(A.shape, dtype=np.complex128) if wave else np.eye(len(A), dtype=np.complex128)
     uses = {}
     for idx, f in med.C.items():
         uses.setdefault(id(f), (f, []))[1].append(idx)
@@ -132,16 +133,17 @@ def oracle_assemble(med, k, cutoff):
             A += gather_oracle(f, lags)
         A /= (med.M[0].mean() / 1j).real
     mirror(A)
-    if wave:
-        mirror(B)
+    mirror(B)
     return A, B
 
 
 def oracle_solve(op, n_bands):
-    """``solve_bands`` with the generalized problem handed to ``scipy.linalg.eigh`` whole."""
+    """``solve_bands`` with the problem handed to ``scipy.linalg.eigh`` whole: the generalized one
+    for a wave pencil, the standard one on H for the schrodinger family."""
+    B = None if op.medium.family == "schrodinger" else op.B
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bloch, "_solve_pencil",
-                      lambda op, subset: (*scipy.linalg.eigh(op.A, op.B, subset_by_index=subset), None))
+                      lambda op, subset: (*scipy.linalg.eigh(op.A, B, subset_by_index=subset), None))
         return bloch.solve_bands(op, n_bands)
 
 
@@ -287,7 +289,7 @@ def test_free_particle_operator_and_bands(cell1d):
     op = bloch.assemble_operator(free, [k], 1)
     expected = np.array([(k - 2 * np.pi) ** 2, k ** 2, (k + 2 * np.pi) ** 2])
     assert np.allclose(np.diag(op.A).real, expected, atol=1e-13)
-    assert op.B is None
+    assert op.medium.family == "schrodinger" and np.array_equal(op.B, np.eye(3))
     mode = bloch.solve_bands(op, 1)[0]
     assert abs(mode.omega - k ** 2) < 1e-12
 
@@ -323,6 +325,62 @@ def test_schrodinger_hermiticity_with_2d_magnetic():
                                              cell, 3)
     op = bloch.assemble_operator(blocks, [0.4, -0.7], 3)
     assert op.hermiticity_defect() < 1e-12
+
+
+def test_schrodinger_m0_with_harmonics_refused(cell1d):
+    # the Bloch operator divides by the mean of M_0 alone, while the transport integrals read the
+    # whole field: a directly built medium whose M_0 varies would get its mode and its transport
+    # coefficients from two different operators
+    built = medium.build_schrodinger_blocks(0.5, 1.0, medium.cosine(0.0, [((1,), 2.0)]), None, cell1d, 4)
+    varying = dataclasses.replace(built, M={**built.M, 0: FourierField(cell1d, [0.1j, -1j, 0.1j])},
+                                  fingerprint="varying-m0")
+    with pytest.raises(ValidationError, match="M_0 must be constant"):
+        bloch.assemble_operator(varying, [0.5], 4)
+    assert bloch.solve_at(built, [0.5], 4, 1)[0].residual <= bloch.RESIDUAL_TOL
+
+
+def _schrodinger_3d(magnetic=None):
+    """A 3D schrodinger medium whose default magnetic potential is divergence free: each component
+    is constant along its own axis."""
+    if magnetic is None:
+        magnetic = [medium.cosine(0.0, [((0, 1, 0), 0.3)]), medium.cosine(0.0, [((0, 0, 1), 0.2, 0.5)]),
+                    medium.cosine(0.1, [((1, 0, 0), 0.25)])]
+    potential = medium.cosine(0.5, [((1, 0, 0), 0.4), ((0, 1, 1), 0.3, 1.0)])
+    return medium.build_schrodinger_blocks(0.8, 1.0, potential, magnetic, Cell((1.0, 1.0, 1.0)), 1)
+
+
+_K3 = [0.4, -0.7, 0.9]
+
+
+def test_schrodinger_3d_small_basis_is_zheevr():
+    # 125 plane waves: below the band threshold, one ZHEEVR call with eigh's bits
+    op = bloch.assemble_operator(_schrodinger_3d(), _K3, 2)
+    assert op.size == 125 and op.band is None and op.hermiticity_defect() < 1e-12
+    w, x, residuals = bloch._solve_pencil(op, [0, 2])
+    want_w, want_x = scipy.linalg.eigh(op.A, subset_by_index=[0, 2])
+    assert residuals is None and np.array_equal(w, want_w) and np.array_equal(x, want_x)
+
+
+def test_schrodinger_3d_solves_on_the_band(monkeypatch):
+    # 343 plane waves: certified on the band, no dense solve, within the gate of eigh's energies
+    op = bloch.assemble_operator(_schrodinger_3d(), _K3, 3)
+    assert op.size == 343 and op.band is not None
+    monkeypatch.setattr(bloch.lapack, "zheevr", lambda *args, **kwargs: pytest.fail("a dense solve"))
+    modes = bloch.solve_bands(op, 3)
+    want = scipy.linalg.eigh(op.A, eigvals_only=True, subset_by_index=[0, 3])
+    gate = bloch._residual_gate(op, want)
+    assert all(abs(mode.omega - w) <= gate and mode.residual <= gate for mode, w in zip(modes, want))
+
+
+def test_schrodinger_3d_transport_matches_fd():
+    med = _schrodinger_3d()
+    co = effective.effective_coefficients(bloch.solve_at(med, _K3, 3, 1)[0])
+    assert np.max(np.abs(co.v - bands.group_velocity_fd(med, _K3, 1, 3))) < 1e-6
+
+
+def test_schrodinger_3d_divergent_magnetic_refused():
+    with pytest.raises(ValidationError, match="divergence free"):
+        _schrodinger_3d([medium.cosine(0.0, [((1, 0, 0), 0.3)]), 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +606,7 @@ def test_partial_solve_matches_full_eigh(family, bands, data):
     op = _random_operator(family, data.draw)
     n_bands = op.size if bands == "size" else bands
     full = scipy.linalg.eigh(op.A, op.B, eigvals_only=True)  # the dense oracle
-    ref = full if op.B is None else np.sqrt(np.clip(full, 0.0, None))
+    ref = full if op.medium.family == "schrodinger" else np.sqrt(np.clip(full, 0.0, None))
     modes = bloch.solve_bands(op, n_bands)
     assert len(modes) == n_bands
     rho = bloch._spectral_radius_bound(op, full[:min(n_bands, op.size - 1) + 1])
@@ -627,10 +685,10 @@ def test_cached_parts_bit_identical(family, bands, data):
         # solve_bands on the operator, and solve_at on an operator of its own
         solved = [_outcome(lambda: bloch.solve_bands(op, n_bands)),
                   _outcome(lambda: bloch.solve_at(med, k, cutoff, n_bands))]
-        # a wave pencil's first dense solve formed B, bit for bit the mirrored dense B, signed
-        # zeros included; a schrodinger solve reads none
-        assert not first or ("B" in vars(op.parts)) == (B is not None)
-        assert (op.B is None and B is None) or op.B.tobytes() == B.tobytes()
+        # the first dense solve formed B (a schrodinger solve reads its diagonal and B v), bit for
+        # bit the mirrored dense B, signed zeros included
+        assert not first or "B" in vars(op.parts)
+        assert op.B.tobytes() == B.tobytes()
         want = _outcome(lambda: oracle_solve(op, n_bands))  # its A and B are the oracle's, checked above
         for got in solved:
             if isinstance(want, Exception):
@@ -689,9 +747,9 @@ def test_cached_parts_read_only(vector_medium, cell1d, monkeypatch):
             bloch.solve_bands(op, 2)
             assert certified and certified[-1] is not None
             assert "A" not in vars(op) and "B" not in vars(cache) and "zero_A" not in vars(cache)
-        # the first dense wave solve (5 bands ask for more pairs than Lanczos takes) forms B
+        # the first dense solve (5 bands ask for more pairs than Lanczos takes) forms B
         bloch.solve_bands(op, 5)
-        assert ("B" in vars(cache)) == (cache.beta0 is None) and "zero_A" in vars(cache)
+        assert "B" in vars(cache) and "zero_A" in vars(cache)
         held = list(_arrays(cache))
         assert len(held) >= 10 and not any(a.flags.writeable for a in held)
         n = op.size

@@ -1,12 +1,14 @@
 """Certified shift-invert Lanczos against the dense pencil solve it replaces on large bases.
 
-Wave pencils of size ``bloch.LANCZOS_MIN_SIZE`` or more take their lowest
-pairs from ``bloch._lanczos`` when ``bloch._certified`` accepts them; the
-dense ZHEGVX solve is the oracle, reached here by raising the threshold
-above the pencil size.  Every such pencil, narrow or as wide as the basis,
-factors A + s B in band storage and counts the inertia of A - tau B from a
-pinned band Cholesky; ``numpy.linalg.eigvalsh`` is the count's oracle.  A
-count that declines rejects the pairs, and the solve gives the dense bits.
+Pencils of size ``bloch.LANCZOS_MIN_SIZE`` or more, schrodinger ones (B = I)
+included, take their lowest pairs from ``bloch._lanczos`` when
+``bloch._certified`` accepts them; the dense solve (ZHEGVX, or ZHEEVR for
+the schrodinger family) is the oracle, reached here by raising the
+threshold above the pencil size.  Every such pencil, narrow or as wide as
+the basis, factors A + s B in band storage and counts the inertia of
+A - tau B from a pinned band Cholesky; ``numpy.linalg.eigvalsh`` is the
+count's oracle.  A count that declines rejects the pairs, and the solve
+gives the dense bits.
 Random media come from hypothesis with ``derandomize=True``, so every run
 draws the same cases.
 """
@@ -64,11 +66,25 @@ _kcomp = st.floats(0.3, 2.8) | st.floats(-2.8, -0.3)  # away from the symmetry p
 
 
 def _random_medium(family, draw):
-    """A random wave medium of the family and an operator cutoff whose pencil takes the Lanczos path."""
+    """A random medium of the family and an operator cutoff whose pencil takes the Lanczos path."""
     def harmonics(*modes):
         return [(n, draw(_amp), draw(_phase)) for n in modes]
 
-    if family == "scalar-2d":
+    if family.startswith("schrodinger-2d"):  # a mean-0 potential; -magnetic: a divergence-free Phi
+        cell, cutoff = Cell((1.0, draw(st.floats(0.8, 1.3)))), draw(st.sampled_from([7, 8]))
+        magnetic = None
+        if family.endswith("-magnetic"):
+            magnetic = [medium.cosine(0.0, harmonics((0, 1))), medium.cosine(0.1, harmonics((1, 0)))]
+        med = medium.build_schrodinger_blocks(draw(st.floats(0.5, 2.0)), 1.0,
+                                              medium.cosine(0.0, harmonics((1, 0), (1, 1), (0, 2))),
+                                              magnetic, cell, 2)
+    elif family == "schrodinger-1d":  # a piecewise potential at the operator cutoff
+        cutoff = draw(st.integers(64, 100))
+        breaks = [0.0] + sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3, unique=True)))
+        potential = medium.piecewise(breaks, [draw(st.floats(0.0, 4.0)) for _ in breaks])
+        med = medium.build_schrodinger_blocks(draw(st.floats(0.5, 2.0)), 1.0, potential, None,
+                                              Cell((1.0,)), cutoff)
+    elif family == "scalar-2d":
         cell = Cell((1.0, draw(st.floats(0.8, 1.3))))
         cutoff = draw(st.sampled_from([7, 8]))
         med = medium.build_scalar_medium(
@@ -96,7 +112,8 @@ def _random_medium(family, draw):
 
 # every family's Lanczos solves run in band storage; the component-major blocks of a vector medium,
 # and a 1D table that reaches every lag (kd = n - 1), make the band wide
-BAND_FAMILIES = ["scalar-2d", "vector-2d", "scalar-1d", "scalar-1d-band", "scalar-1d-full"]
+BAND_FAMILIES = ["scalar-2d", "vector-2d", "scalar-1d", "scalar-1d-band", "scalar-1d-full",
+                 "schrodinger-1d", "schrodinger-2d", "schrodinger-2d-magnetic"]
 
 
 @contextlib.contextmanager
@@ -126,8 +143,8 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     among the lowest n_bands + 2 eigenvalues must give the dense bits, anything else certified
     Lanczos pairs that agree with the dense ones.  The parts' build must check B by a band Cholesky,
     Lanczos must factor A + s B in band storage and the count run on the band, and each dense solve
-    must be one ZHEGVX call; certified solves make none and form no dense B.  Returns whether the
-    solves fell back."""
+    must be one ZHEGVX call (ZHEEVR for the schrodinger family); certified solves make none and form
+    no dense B.  Returns whether the solves fell back."""
     bloch._galerkin.cache_clear()  # the spy below sees the parts built
     verdicts = []
     formed = []  # what the certificate formed: values, residuals and the gap value's bound
@@ -149,7 +166,7 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(bloch, "_certified", spy)
-        for name in ("zpbtrf", "zpotrf", "zhegst", "zheevx", "zhegvx"):
+        for name in ("zpbtrf", "zpotrf", "zhegst", "zheevx", "zhegvx", "zheevr"):
             _spy(patch, bloch.lapack, name, factors, lambda result, name=name: name)
         op = bloch.assemble_operator(med, k, cutoff)
         built = taken()
@@ -161,25 +178,27 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
         want = _dense(lambda: bloch.solve_at(med, k, cutoff, n_bands), op)
         dense = taken()
     assert op.size >= bloch.LANCZOS_MIN_SIZE
+    schrodinger = med.family == "schrodinger"
+    dense_solve = "zheevr" if schrodinger else "zhegvx"
     _same_modes(again, got)
     nev = n_bands + 1
     low = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, nev])
     rho = bloch._spectral_radius_bound(op, low)
     _assert_band_holds(op, 0.37 * rho)
     # the parts' build checks B with a band Cholesky; Lanczos factors A + s B, then the inertia count
-    # factors the pinned A - tau B, both on the band; a dense solve is one ZHEGVX call
+    # factors the pinned A - tau B, both on the band; a dense solve is one LAPACK call
     assert built == ["zpbtrf"]
     if np.min(np.diff(low)) < 1e-9 * rho:  # a multiplet: its eigenvectors are not unique
         assert True not in verdicts and splits[0] == splits[1]
         # split Ritz values mean Lanczos saw one vector of the multiplet and the count rejects;
         # the split test rejects a resolved multiplet before any count
         attempt = ["zpbtrf", "zpbtrf"] if splits[0] else ["zpbtrf"]
-        assert first == second == attempt + ["zhegvx"] and dense == ["zhegvx"]
+        assert first == second == attempt + [dense_solve] and dense == [dense_solve]
         _same_modes(got, want)
         return True
     assert verdicts == [True, True]
     # no dense B or dense solve until the dense path
-    assert first == second == ["zpbtrf", "zpbtrf"] and dense == ["zhegvx"]
+    assert first == second == ["zpbtrf", "zpbtrf"] and dense == [dense_solve]
     assert "B" not in kept
     assert [m.residual for m in got] == list(formed[0][1])  # reported as formed
     op = bloch.assemble_operator(med, k, cutoff)
@@ -187,7 +206,8 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     values, _, bound = bloch._certified(op, mu, X)
     w, x, _ = _dense(lambda: bloch._solve_pencil(bloch.assemble_operator(med, k, cutoff), [0, n_bands]), op)
     gate = bloch._residual_gate(op, w)
-    # compare omega^2: at an omega = 0 mode the square root turns roundoff into ~1e-7 in omega.
+    # compare the eigenvalues, omega^2 for a wave pencil: at an omega = 0 mode the square root turns
+    # roundoff into ~1e-7 in omega.
     # The returned pairs: Ritz values and vectors; the gap pair, which only sets the spectral gap:
     # its certified value, within its Kato-Temple bound, and the dense solve's rounding
     assert np.array_equal(values[:-1], mu[:-2])
@@ -199,8 +219,9 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
             assert abs(abs(X[:, i].conj() @ op.B @ x[:, i]) - 1.0) <= 1e-10
         r = op.A @ X[:, i] - mu[i] * (op.B @ X[:, i])
         assert np.linalg.norm(r) / np.linalg.norm(X[:, i]) <= gate
+    power = 1 if schrodinger else 2
     for m1, m2 in zip(got, want):
-        assert abs(m1.omega ** 2 - m2.omega ** 2) <= 1e-13 * rho
+        assert abs(m1.omega ** power - m2.omega ** power) <= 1e-13 * rho
         assert m1.residual <= gate
     # B's band holds the bits of the mirrored dense B's band, signed zeros included
     kd_B, n = len(op.band.B) - 1, op.size
@@ -526,9 +547,59 @@ def test_missed_eigenvalue_fails_certificate(monkeypatch):
     assert counts == [4]
 
 
-def test_small_pencils_keep_the_dense_path(monkeypatch):
-    med = _c4_medium()
-    op = bloch.assemble_operator(med, (0.7, -1.3), 4)  # 81 plane waves
+def _small_medium(family):
+    """A medium of the family and an operator cutoff just below the Lanczos threshold."""
+    if family == "scalar-2d":
+        return _c4_medium(), (0.7, -1.3), 4  # 81 plane waves
+    if family == "schrodinger-1d":  # 127 plane waves
+        potential = medium.piecewise([0.0, 0.3, 0.7], [1.0, 3.0, 0.5])
+        return medium.build_schrodinger_blocks(0.8, 1.0, potential, None, Cell((1.0,)), 63), (0.7,), 63
+    magnetic = None
+    if family == "schrodinger-2d-magnetic":
+        magnetic = [medium.cosine(0.0, [((0, 1), 0.2)]), medium.cosine(0.1, [((1, 0), 0.3)])]
+    med = medium.build_schrodinger_blocks(0.7, 1.0, medium.cosine(0.0, [((1, 0), 0.3), ((1, 1), 0.2)]),
+                                          magnetic, Cell((1.0, 1.1)), 1)
+    return med, (0.7, -1.3), 5  # 121 plane waves
+
+
+@pytest.mark.parametrize("family", ["scalar-2d", "schrodinger-1d", "schrodinger-2d",
+                                    "schrodinger-2d-magnetic"])
+def test_small_pencils_keep_the_dense_path(family, monkeypatch):
+    med, k, cutoff = _small_medium(family)
+    op = bloch.assemble_operator(med, k, cutoff)
     assert op.size < bloch.LANCZOS_MIN_SIZE
     monkeypatch.setattr(bloch, "_lanczos", lambda op, nev: pytest.fail("Lanczos below the crossover"))
     bloch.solve_bands(op, 2)
+
+
+def _schrodinger_well(amplitudes):
+    """A 2D schrodinger medium: mass 0.7 and a mean-0 potential with the given amplitudes on the
+    harmonics (1, 0), (1, 1) and (0, 2)."""
+    potential = medium.cosine(0.0, list(zip([(1, 0), (1, 1), (0, 2)], amplitudes)))
+    return medium.build_schrodinger_blocks(0.7, 1.0, potential, None, Cell((1.0, 1.0)), 2)
+
+
+def test_shallow_well_certifies_on_the_band():
+    # no shift beyond the one Lanczos takes: a well with amplitudes 4, 3 and 2 certifies, within the
+    # gate of ZHEEVR's energies
+    med, k = _schrodinger_well((4.0, 3.0, 2.0)), (0.9, -0.6)
+    op = bloch.assemble_operator(med, k, 8)
+    mu, X = bloch._lanczos(op, 4)
+    values, _, _ = bloch._certified(op, mu, X)
+    want = _dense(lambda: bloch.solve_at(med, k, 8, 3), op)
+    gate = bloch._residual_gate(op, values)
+    assert all(abs(value - mode.omega) <= gate for value, mode in zip(values, want))
+
+
+def test_deep_well_declines_to_zheevr(monkeypatch):
+    # a well with amplitudes 30, 20 and 10 has E_0 near -15.6, below minus the shift Lanczos takes:
+    # A + s B is not positive definite, _lanczos declines, and the solve returns ZHEEVR's bits
+    med, k = _schrodinger_well((30.0, 20.0, 10.0)), (0.9, -0.6)
+    op = bloch.assemble_operator(med, k, 8)
+    assert op.band is not None and bloch._lanczos(op, 4) is None
+    want = _dense(lambda: bloch.solve_at(med, k, 8, 3), op)
+    assert want[0].omega < -15.0
+    solves = []
+    _spy(monkeypatch, bloch.lapack, "zheevr", solves, lambda result: "zheevr")
+    _same_modes(bloch.solve_at(med, k, 8, 3), want)
+    assert solves == ["zheevr"]
