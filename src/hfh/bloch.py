@@ -13,22 +13,20 @@ families the time entries give the mass matrix B[n, n'] = b_hat[n - n'] and
 mu = omega^2.  The schrodinger family's first- and zeroth-order terms join
 A, which becomes H(k), B = I and mu is the energy.
 
-Only A depends on k.  The k-independent parts (:class:`_Galerkin`) are
-read-only and kept for the last (medium, cutoff) asked for in the process
-(:func:`_galerkin`); each operator owns its A.  A solve writes only to
-arrays of its own, so solves are reentrant, on one medium too.  An
-operator, and each mode solved from it, holds its medium, so what consumes
-a mode (transport coefficients, coupling, wave packets) reads the medium
-from the mode.
+Only A depends on k.  The k-independent parts (:class:`_Galerkin`), which
+hold every pencil's B in band storage (:class:`_Band`), are read-only and
+kept for the last (medium, cutoff) asked for (:func:`_galerkin`); each
+operator owns its A.  A solve writes only to arrays of its own, so solves
+are reentrant, on one medium too.  Operators and modes hold their medium,
+which is what consumes a mode (transport coefficients, coupling, wave
+packets) reads.
 
-A pencil of size ``LANCZOS_MIN_SIZE`` or more (but no 3D vector one, which
-is only assembled) has band parts, and its lowest pairs come from shift-invert
-Lanczos on the band (:func:`_lanczos`), kept only if :func:`_certified`
-certifies them.  Any other solve is dense: one ZHEEVR call on H for the
-schrodinger family, one ZHEGVX call for a wave pencil, each bit for bit the
-solve ``scipy.linalg.eigh`` makes.  README "Eigensolve" describes the method.
-The LAPACK and BLAS routines are scipy's f2py wrappers, loaded without the
-``scipy.linalg`` package (:func:`_scipy_linalg_wrappers`).
+Each solve picks its path from its size and pair count
+(:func:`_solve_pencil`): certified shift-invert Lanczos on the band, or one
+dense LAPACK call with ``scipy.linalg.eigh``'s bits.  3D vector media are
+only assembled.  README "Eigensolve" describes the method.  The LAPACK and
+BLAS routines are scipy's f2py wrappers, loaded without the ``scipy.linalg``
+package (:func:`_scipy_linalg_wrappers`).
 
 Carrier conventions for the stored cell-periodic amplitudes:
 
@@ -131,13 +129,9 @@ class BlochOperator:
 
     @cached_property
     def A(self) -> np.ndarray:
-        """A, dense and read-only: the parts' zero template with ``values`` put at ``upper`` and
-        mirrored below the diagonal."""
-        A = self.parts.zero_A.copy()
-        A.put(self.parts.upper, self.values)
-        A.put(self.parts.mirror[1], np.conjugate(self.values[self.parts.mirror[0]]))
-        A.flags.writeable = False
-        return A
+        """A, dense and read-only (:func:`_hermitian`); every entry no term writes holds +0 / beta0."""
+        return _hermitian(self.size, self.parts.upper, self.values,
+                          np.zeros(1, dtype=np.complex128) / self.parts.beta0)
 
     @property
     def B(self) -> np.ndarray:
@@ -145,8 +139,8 @@ class BlochOperator:
         return self.parts.B
 
     @property
-    def band(self) -> _Band | None:
-        """The parts' band parts when Lanczos solves the pencil, else None."""
+    def band(self) -> _Band:
+        """The parts' band parts, built on first read."""
         return self.parts.band
 
     @cached_property
@@ -161,10 +155,10 @@ class BlochOperator:
 
     @cached_property
     def _quotients(self) -> np.ndarray:
-        """The diagonal quotients A_ii / B_ii, B's diagonal read from its band if there is one."""
+        """The diagonal quotients A_ii / B_ii, B's diagonal read from its band."""
         diag = np.zeros(self.size)
         diag[self.parts.diagonal[0]] = self.values[self.parts.diagonal[1]].real
-        return diag / (self.band.B[0].real if self.band is not None else np.diag(self.B).real)
+        return diag / self.band.B[0].real
 
     @property
     def medium_key(self) -> str:
@@ -239,14 +233,22 @@ def _as_k(cell: Cell, k) -> np.ndarray:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape != (cell.dims,):
         raise ValidationError(f"k must have {cell.dims} component(s)")
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         raise ValidationError(f"k must be finite, got {k}")
     return k
 
 
-def _assembly_only(medium: Medium) -> bool:
-    """3D vector media are assembled but never solved."""
-    return medium.family == "vector-wave" and medium.cell.dims > 2
+def _hermitian(n: int, at: np.ndarray, values: np.ndarray, zero) -> np.ndarray:
+    """The Hermitian n x n matrix, dense and read-only, with ``values`` at the flat indices ``at`` (C
+    order, on or above the diagonal) and ``zero`` at the other entries on or above it; each entry
+    above the diagonal is mirrored conjugated, bit for bit, and the diagonal loses its imaginary part."""
+    M = np.full((n, n), zero, dtype=np.complex128)
+    M.put(at, values)
+    r = np.arange(n)
+    np.copyto(M, M.conj().T, where=r[:, None] > r)  # below the diagonal
+    M.ravel()[::n + 1].imag = 0.0
+    M.flags.writeable = False
+    return M
 
 
 @dataclass(frozen=True)
@@ -256,43 +258,44 @@ class _Band:
     Every nonzero entry of A and B lies within ``kd`` of the diagonal.
     ``B`` holds B[r + d, r] at [d, r] over B's own band, (kd_B + 1) x n in
     Fortran order with kd_B <= kd, and ``B_factor`` its lower Cholesky
-    factor by ZPBTRF (meaningful only if B is positive definite).  ``at``
-    gives, for each entry of :attr:`_Galerkin.upper`, its flat index in a
-    (kd + 1) x n band in Fortran order, where A's entry (r, c), r <= c,
-    lands conjugated.
+    factor by ZPBTRF, whose ``info`` is 0 if B is positive definite, else
+    the order of its first leading minor that is not (the factor is then
+    meaningless).  ``at`` gives, for each entry of :attr:`_Galerkin.upper`,
+    its flat index in a (kd + 1) x n band in Fortran order, where A's entry
+    (r, c), r <= c, lands conjugated.
     """
 
     kd: int
     B: np.ndarray
     B_factor: np.ndarray
     at: np.ndarray
+    info: int
 
 
-def _band(n: int, upper: np.ndarray, b_terms: tuple) -> tuple:
+def _band(n: int, upper: np.ndarray, b_at: np.ndarray, b_values: np.ndarray) -> _Band:
     """The band parts of a pencil of size n whose A entries on and above the diagonal sit at the flat
-    indices ``upper`` and whose B entries there are -values at the flat indices ``at``, for each
-    (at, values) in ``b_terms``; and the info of ZPBTRF on B's band (0 if B is positive definite).
+    indices ``upper`` and whose B holds ``b_values`` at the flat indices ``b_at`` there.
 
-    B's band gets the bits the mirrored dense B (:attr:`_Galerkin.B`) holds below its diagonal:
-    conj(-value) at a written entry, conj(+0) = 0 - 0i where B has none, and a diagonal with a
-    zero imaginary part.
+    B's band gets the bits the mirrored dense B (:func:`_hermitian`) holds below its diagonal:
+    conj(value) at a written entry, conj(+0) = 0 - 0i where B has none, and a diagonal with a
+    zero imaginary part; the entries past the matrix's end are +0.
     """
-    at_B = np.concatenate([upper[:0], *(at for at, _ in b_terms)])  # upper[:0]: none if B has no entry
-    values = np.concatenate([np.zeros(0, dtype=np.complex128), *(v for _, v in b_terms)])
-    rows, cols = np.divmod(at_B, n)
-    kd_B = int(np.max(cols - rows, initial=0))
+    rows, cols = np.divmod(b_at, n)
+    lag = cols - rows
+    kd_B = int(lag.max(initial=0))
     B_band = np.zeros((kd_B + 1, n), dtype=np.complex128, order="F")
-    for d in range(1, kd_B + 1):
-        B_band.imag[d, :n - d] = -0.0
-    B_band.T.reshape(-1)[(cols - rows) + rows * (kd_B + 1)] = np.conjugate(-values)
+    r = np.arange(n)
+    np.copyto(B_band.imag[1:], -0.0, where=r < n - r[1:kd_B + 1, None])  # row d: columns r < n - d
+    B_band.T.reshape(-1)[lag + rows * (kd_B + 1)] = np.conjugate(b_values)
     B_band.imag[0] = 0.0
     B_factor, info = lapack.zpbtrf(B_band, lower=1)
     rows, cols = np.divmod(upper, n)
-    kd = max(kd_B, int(np.max(cols - rows, initial=0)))
-    at = (cols - rows) + rows * (kd + 1)
+    lag = cols - rows
+    kd = max(kd_B, int(lag.max(initial=0)))
+    at = lag + rows * (kd + 1)
     for arr in (B_band, B_factor, at):
         arr.flags.writeable = False
-    return _Band(kd, B_band, B_factor, at), info
+    return _Band(kd, B_band, B_factor, at, info)
 
 
 def _b_indefinite(info: int) -> NumericalError:
@@ -304,23 +307,17 @@ class _Galerkin:
     """The k-independent parts of a medium's Bloch operators at one cutoff, all read-only.
 
     ``upper`` lists, ascending, the flat indices of A (n x n, C order) that
-    the terms write, all on or above the diagonal.  ``mirror`` holds the
-    positions in ``upper`` of those above the diagonal and their transposed
-    flat indices; ``diagonal`` the rows and positions in ``upper`` of those
-    on it.  ``terms`` holds (at, entries, j, l, paired) per term of A in
-    assembly order: ``entries`` are the (rows, cols, values) of its field
-    from :func:`_lag_entries` on or above A's diagonal, and ``at`` their
-    positions in ``upper``.  The term adds (k+G)_j f_hat (k+G')_l there
-    (slot 0 gives a factor 1), with the transposed slots in the same pass
-    if ``paired``.  ``beta0`` divides the schrodinger family's A, which is
-    then H (1 for the wave families).  ``b_terms`` holds (at, values) per
-    block of B on and above its diagonal: B is -values at the flat indices
-    ``at`` and zero elsewhere (one diagonal block of -1 for the schrodinger
-    family, whose B is I).  ``band`` holds the band parts (:func:`_band`)
-    of a pencil with n >= ``LANCZOS_MIN_SIZE`` that is not assembly only,
-    else None.  ``b_info`` is ZPBTRF's info on ``band.B`` (0 if B is
-    positive definite, else the order of its first leading minor that is
-    not), and 0 without band parts, where the dense solve checks B.
+    the terms write, all on or above the diagonal, and ``diagonal`` the rows
+    and positions in ``upper`` of those on it.  ``terms`` holds (at,
+    entries, j, l, paired) per term of A in assembly order: ``entries`` are
+    the (rows, cols, values) of its field from :func:`_lag_entries` on or
+    above A's diagonal, and ``at`` their positions in ``upper``.  The term
+    adds (k+G)_j f_hat (k+G')_l there (slot 0 gives a factor 1), with the
+    transposed slots in the same pass if ``paired``.  ``beta0`` divides the
+    schrodinger family's A, which is then H (1 for the wave families).  On
+    and above its diagonal B holds ``b_values`` at the flat indices ``b_at``
+    and zero elsewhere (the schrodinger family's B is I).  The band parts
+    and dense B are built on first read.
     """
 
     n: int
@@ -328,38 +325,20 @@ class _Galerkin:
     G: np.ndarray  # 2*pi*n/lambda, one row per axis
     terms: tuple
     upper: np.ndarray
-    mirror: tuple
     diagonal: tuple
     beta0: float
-    b_terms: tuple
-    b_info: int
-    band: _Band | None
+    b_at: np.ndarray
+    b_values: np.ndarray
+
+    @cached_property
+    def band(self) -> _Band:
+        """The band parts (:func:`_band`)."""
+        return _band(self.n, self.upper, self.b_at, self.b_values)
 
     @cached_property
     def B(self) -> np.ndarray:
-        """B, dense and read-only, formed on first read.
-
-        Each entry above the diagonal is evaluated once and mirrored, so B is
-        Hermitian bit for bit, and the diagonal loses its imaginary part.
-        """
-        n = self.n
-        B = np.zeros((n, n), dtype=np.complex128)
-        for at, values in self.b_terms:
-            B.put(at, -values)  # the entries are nonzero, so -v is 0 - v
-        np.copyto(B, B.conj().T, where=np.greater.outer(np.arange(n), np.arange(n)))
-        np.fill_diagonal(B.imag, 0.0)
-        B.flags.writeable = False
-        return B
-
-    @cached_property
-    def zero_A(self) -> np.ndarray:
-        """A with every term zero, mirrored, read-only: the value each entry no term writes has at
-        every k (+0 divided by beta0, conjugated below the diagonal, real on it)."""
-        zero = np.zeros(1, dtype=np.complex128) / self.beta0
-        A = np.where(np.greater.outer(np.arange(self.n), np.arange(self.n)), zero.conj(), zero)
-        np.fill_diagonal(A.imag, 0.0)
-        A.flags.writeable = False
-        return A
+        """B, dense and read-only (:func:`_hermitian`)."""
+        return _hermitian(self.n, self.b_at, self.b_values, 0.0)
 
 
 @lru_cache(maxsize=1)
@@ -368,8 +347,8 @@ def _galerkin(medium: Medium, cutoff: int) -> _Galerkin:
 
     Media hash and compare by family, cutoff and fingerprint, so equal media
     share one entry.  Only blocks on and above the diagonal are formed, since
-    the mirror fills the others, and B only in band storage.  A schrodinger
-    medium whose M_0 is not constant is refused: only its mean divides A.
+    the mirror fills the others.  A schrodinger medium whose M_0 is not
+    constant is refused: only its mean divides A.
     """
     cell = medium.cell
     wave = medium.family != "schrodinger"
@@ -388,7 +367,7 @@ def _galerkin(medium: Medium, cutoff: int) -> _Galerkin:
     uses = {}  # id(field) -> (field, its C entries): the terms of one field are added together
     for idx, f in medium.C.items():
         uses.setdefault(id(f), (f, []))[1].append(idx)
-    b_terms = []
+    b_terms = []  # (at, values) per block of -B on and above its diagonal
     beta0 = 1.0
     if not wave:  # H = A / beta0, and B = I: the B a time entry C_0000 = -1 would give
         m0 = medium.M[0]
@@ -423,17 +402,14 @@ def _galerkin(medium: Medium, cutoff: int) -> _Galerkin:
     upper = upper[np.diff(upper, prepend=-1) > 0]  # each written index once
     terms = tuple((np.searchsorted(upper, at), *rest) for at, *rest in terms)
     rows, cols = np.divmod(upper, n)
-    above, on = np.flatnonzero(rows < cols), np.flatnonzero(rows == cols)
-    mirror = (above, cols[above] * n + rows[above])
+    on = np.flatnonzero(rows == cols)
     diagonal = (rows[on], on)
-    band = None
-    b_info = 0
-    if n >= LANCZOS_MIN_SIZE and not _assembly_only(medium):
-        band, b_info = _band(n, upper, b_terms)
+    b_at = np.concatenate([upper[:0], *(at for at, _ in b_terms)])  # upper[:0]: none if B has no entry
+    b_values = -np.concatenate([np.zeros(0, dtype=np.complex128), *(v for _, v in b_terms)])
     G = TWO_PI * basis.T / cell.diag[:, None]
-    for arr in [basis, G, upper, *mirror, *diagonal, *(t[0] for t in terms), *(at for at, _ in b_terms)]:
+    for arr in [basis, G, upper, *diagonal, *(t[0] for t in terms), b_at, b_values]:
         arr.flags.writeable = False
-    return _Galerkin(n, basis, G, terms, upper, mirror, diagonal, beta0, tuple(b_terms), b_info, band)
+    return _Galerkin(n, basis, G, terms, upper, diagonal, beta0, b_at, b_values)
 
 
 def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
@@ -482,11 +458,12 @@ def assemble_operator(medium, k, cutoff: int) -> BlochOperator:
 
 def _phase_fix(v0: np.ndarray) -> np.ndarray:
     flat = v0.ravel()
-    imax = int(np.argmax(np.abs(flat)))
-    mag = np.abs(flat[imax])
+    moduli = np.abs(flat)
+    imax = int(moduli.argmax())
+    mag = moduli[imax]
     if mag == 0.0:
         return v0
-    out = v0 * (np.conj(flat[imax]) / mag)
+    out = v0 * (flat[imax].conjugate() / mag)
     out.ravel()[imax] = mag  # exact by convention
     return out
 
@@ -497,7 +474,7 @@ def _spectral_radius_bound(op: BlochOperator, evals: np.ndarray) -> float:
     The computed eigenvalues and the diagonal Rayleigh quotients A_ii / B_ii
     all lie in the range of the spectrum.
     """
-    return max(float(np.max(np.abs(evals))), float(np.max(np.abs(op._quotients))))
+    return max(float(np.abs(evals).max()), float(np.abs(op._quotients).max()))
 
 
 def _residual_gate(op: BlochOperator, evals: np.ndarray) -> float:
@@ -531,7 +508,10 @@ def _shift_into_band(op: BlochOperator, shift: float) -> np.ndarray:
 
 def _band_times(ab: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The Hermitian matrix held in lower band storage ``ab`` times each column of X, by ZHBMV."""
-    return np.column_stack([blas.zhbmv(len(ab) - 1, 1.0, ab, x, lower=1) for x in X.T])
+    out = np.zeros(X.shape, dtype=np.complex128, order="F")
+    for x, y in zip(X.T, out.T):
+        blas.zhbmv(len(ab) - 1, 1.0, ab, x, y=y, overwrite_y=1, lower=1)
+    return out
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray, conj: np.ndarray) -> tuple:
@@ -711,6 +691,14 @@ def _kato_temple(op: BlochOperator, x: np.ndarray, Ax: np.ndarray, Bx: np.ndarra
     return rho, (eps2 / delta if delta > 0.0 else np.inf)
 
 
+def _residuals(op: BlochOperator, AX: np.ndarray, mu: np.ndarray, X: np.ndarray) -> tuple:
+    """The residuals |A x - mu B x| / |x| of the pairs (mu, X), given AX = A X, and B X, formed by
+    ZHBMV on B's own band."""
+    BX = _band_times(op.band.B, X)
+    R = AX - BX * mu
+    return np.sqrt(np.einsum("ij,ij->j", R.conj(), R).real / np.einsum("ij,ij->j", X.conj(), X).real), BX
+
+
 def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
     """The pencil's lowest len(mu) - 1 eigenvalues, the residuals |A x - mu B x| / |x| of all but
     the last of the Lanczos pairs (mu[:-1], X), and the last value's Kato-Temple bound, if the
@@ -730,8 +718,8 @@ def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
     eigenvalues, so that no eigenvalue below tau was missed and (alpha,
     tau) holds exactly the last pair's.  Held to half the gate, the bound
     certifies that value at least as tightly as the Weyl bound of a
-    half-gate residual would.  The residuals come from band products (A
-    scattered into the band work array, B's own band), and
+    half-gate residual would.  The residuals come from :func:`_residuals`,
+    A X by ZHBMV on A scattered into the band work array, and
     :func:`_band_negative_count` counts with ``_CERTIFICATE_PINS`` pins per
     Ritz value.  A failed check, or a count that declines, rejects the
     pairs, and the dense solve runs instead.
@@ -741,43 +729,39 @@ def _certified(op: BlochOperator, mu: np.ndarray, X: np.ndarray):
         return None
     # A scattered over the Lanczos factor, which is no longer read
     AX = _band_times(_shift_into_band(op, 0.0), X)
-    BX = _band_times(op.band.B, X)
-    R = AX[:, :-1] - BX[:, :-1] * mu[:-2]
+    residuals, BX = _residuals(op, AX, mu[:-1], X)
     gate = _residual_gate(op, mu[:-1])
-    r_norm, x_norm = np.linalg.norm(R, axis=0), np.linalg.norm(X[:, :-1], axis=0)
-    if not np.all(r_norm <= 0.5 * gate * x_norm):
+    if not np.all(residuals[:-1] <= 0.5 * gate):
         return None
-    alpha = mu[-3] + _b_inverse_norm(op, R[:, -1])
+    alpha = mu[-3] + _b_inverse_norm(op, AX[:, -2] - BX[:, -2] * mu[-3])
     tau = mu[-2] + 0.25 * (mu[-1] - mu[-2])
     value, bound = _kato_temple(op, X[:, -1], AX[:, -1], BX[:, -1], alpha, tau)
     if not bound <= 0.5 * gate:
         return None
     if _band_negative_count(op, tau, min(_CERTIFICATE_PINS * len(mu), op.size)) != len(mu) - 1:
         return None
-    return np.append(mu[:-2], value), r_norm / x_norm, bound
+    return np.append(mu[:-2], value), residuals[:-1], bound
 
 
 def _solve_pencil(op: BlochOperator, subset) -> tuple:
     """Eigenpairs subset[0]..subset[1] of A v = mu B v (subset[0] == 0; B = I for the schrodinger
-    family), and their residuals or None.
+    family), with the residuals (:func:`_residuals`) of all but the last pair, which only sets a
+    spectral gap (Lanczos converges only its value), or of all when the last is the pencil's.
 
-    For a pencil with band parts (and few pairs) the pairs come from
-    :func:`_lanczos` on the band when :func:`_certified` accepts them, with
-    the values it certified and the residuals it formed (for all but the
-    last pair, whose vector is converged only far enough for its value).
-    Otherwise, and whenever either declines, the solve is dense: for the
-    schrodinger family one ZHEEVR call on a copy of A with the arguments and
-    rounded workspace query of ``scipy.linalg.eigh(A, subset_by_index=subset)``,
-    for a wave pencil one ZHEGVX call with its queried optimal workspace on
-    copies of dense A and B, bit for bit ``scipy.linalg.eigh(A, B,
-    subset_by_index=subset)``, whose failure to converge names cond(B).  An
-    indefinite B raises :func:`_b_indefinite`'s ``NumericalError``: from the
-    band Cholesky of the parts' build, or from ZHEGVX's Cholesky of B.
+    A pencil of size ``LANCZOS_MIN_SIZE`` or more, asked for at most
+    ``_LANCZOS_MAX_PAIRS`` pairs, takes them from :func:`_lanczos` with the
+    values :func:`_certified` certifies, if both accept.  Any other solve is
+    dense: one ZHEEVR call on A for the schrodinger family, one ZHEGVX call
+    on A and B for a wave pencil, bit for bit ``scipy.linalg.eigh(A,
+    subset_by_index=subset)`` and ``scipy.linalg.eigh(A, B,
+    subset_by_index=subset)``.  An indefinite B raises
+    :func:`_b_indefinite`'s ``NumericalError``; another LAPACK failure
+    raises ``LinAlgError``, ZHEGVX's naming cond(B).
     """
     n, nev = op.size, subset[1] + 1
-    if op.parts.b_info:
-        raise _b_indefinite(op.parts.b_info)
-    if op.band is not None and nev <= _LANCZOS_MAX_PAIRS:
+    if op.band.info:
+        raise _b_indefinite(op.band.info)
+    if n >= LANCZOS_MIN_SIZE and nev <= _LANCZOS_MAX_PAIRS:
         found = _lanczos(op, nev)
         certified = None if found is None else _certified(op, *found)
         if certified is not None:
@@ -788,37 +772,35 @@ def _solve_pencil(op: BlochOperator, subset) -> tuple:
                                          lwork=lwork, lrwork=lrwork, liwork=liwork)
         if info:
             raise LinAlgError(f"ZHEEVR failed (info {info}).")
-        return w[:m], x[:, :m], None
-    w, x, m, _, info = lapack.zhegvx(op.A, op.B, uplo="L", range="I", il=1, iu=nev, abstol=0.0,
-                                     lwork=int(lapack.zhegvx_lwork(n, uplo="L")[0].real))
-    if info > n:
-        raise _b_indefinite(info - n)
-    if info:
-        raise LinAlgError(f"{info} eigenvectors failed to converge; cond(B) ~ {np.linalg.cond(op.B):.3e}")
-    return w[:m], x, None
+    else:
+        w, x, m, _, info = lapack.zhegvx(op.A, op.B, uplo="L", range="I", il=1, iu=nev, abstol=0.0,
+                                         lwork=int(lapack.zhegvx_lwork(n, uplo="L")[0].real))
+        if info > n:  # ZHEGVX's own Cholesky of B failed
+            raise _b_indefinite(info - n)
+        if info:
+            raise LinAlgError(f"{info} eigenvectors failed to converge; cond(B) ~ {np.linalg.cond(op.B):.3e}")
+    read = m - (m < n)  # the last pair is a mode only when every pair is
+    return w[:m], x[:, :m], _residuals(op, op.A @ x[:, :read], w[:read], x[:, :read])[0]
 
 
 def solve_bands(op: BlochOperator, n_bands: int) -> list:
-    """Solve the assembled pencil A v = mu B v (B = I for the schrodinger family) and return the
-    lowest n_bands normalized modes.
+    """The lowest n_bands normalized modes of the assembled pencil A v = mu B v (B = I for the
+    schrodinger family).
 
-    Only the lowest n_bands + 1 eigenpairs are computed (all of them when
-    n_bands is the basis size); the extra pair's eigenvalue makes each
-    mode's gap to its nearest neighbour exact (the Lanczos path converges
-    and certifies only that value, not its vector).  Wave families: eigenvalues are omega^2 (clamped
-    at 0 down to -1e-10; anything lower raises an ellipticity violation) and
-    omega = +sqrt.  Modes are b-normalized, converted to the stored carrier
-    convention, phase-fixed, and carry their spectral gap and residual.  A
-    residual above max(1e-9, 1e-13 * rho), or NaN, raises; rho is bounded
-    from below by the computed eigenvalues and the diagonal Rayleigh quotients.
-    An eigensolver failure raises :func:`_solve_pencil`'s error as a
-    ``NumericalError``.
+    The lowest n_bands + 1 eigenvalues are solved (all of them when n_bands
+    is the basis size), so each mode's gap to its nearest neighbour is
+    exact.  Wave families: omega = +sqrt(mu), mu clamped at 0 down to
+    ``EIG_CLAMP``, below which an ellipticity violation raises.  Modes are
+    b-normalized, converted to the stored carrier convention, phase-fixed,
+    and carry their spectral gap and residual.  A residual above
+    :func:`_residual_gate`, or NaN, raises, and so does an eigensolver
+    failure (:func:`_solve_pencil`'s, as a ``NumericalError``).
     """
     if n_bands < 1 or n_bands > op.size:
         raise ValidationError(f"n_bands must be in 1..{op.size}")
     cell = op.medium.cell
     wave = op.medium.family != "schrodinger"
-    if _assembly_only(op.medium):
+    if op.medium.family == "vector-wave" and cell.dims > 2:
         raise UnsupportedScaleError("3D vector eigensolves are out of scope (assembly only)")
     try:
         evals, evecs, residuals = _solve_pencil(op, [0, min(n_bands, op.size - 1)])
@@ -830,33 +812,25 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
             raise NumericalError(
                 f"negative eigenvalue {evals.min():.3e} below the clamp bound; ellipticity violated"
             )
-        omegas = np.sqrt(np.clip(evals, 0.0, None))
+        omegas = np.sqrt(np.maximum(evals, 0.0))
     else:
         omegas = evals
 
     shape = (op.medium.n_comp,) + tuple(2 * op.cutoff + 1 for _ in range(cell.dims))
+    flip = (slice(None),) + (slice(None, None, -1),) * cell.dims
     gate = _residual_gate(op, evals)
+    others = np.abs(omegas[:n_bands, None] - omegas)
+    others[np.arange(n_bands), np.arange(n_bands)] = np.inf
     modes = []
     for idx in range(n_bands):
-        v = evecs[:, idx]
-        if residuals is None:
-            r = op.A @ v - evals[idx] * (op.B @ v)
-            residual = float(np.linalg.norm(r) / np.linalg.norm(v))
-        else:
-            residual = float(residuals[idx])
+        residual = float(residuals[idx])
         if not residual <= gate:
             raise NumericalError(f"band {idx + 1} residual {residual:.3e} exceeds {gate:.3e}")
-        v0 = v.reshape(shape).copy()
-        if wave:
-            # antiunitary map to the e^{-i(k.xi - omega t)} carrier
-            flip = (slice(None),) + tuple(slice(None, None, -1) for _ in range(cell.dims))
+        v0 = evecs[:, idx].reshape(shape).copy()
+        if wave:  # antiunitary map to the e^{-i(k.xi - omega t)} carrier
             v0 = np.conj(v0[flip])
-        v0 = _phase_fix(v0)
-        others = np.abs(omegas - omegas[idx])
-        others[idx] = np.inf
-        gap = float(others.min())
-        modes.append(BlochMode(op.medium, op.k.copy(), float(omegas[idx]), idx + 1, v0, op.cutoff,
-                               gap, residual))
+        modes.append(BlochMode(op.medium, op.k.copy(), float(omegas[idx]), idx + 1, _phase_fix(v0),
+                               op.cutoff, float(others[idx].min()), residual))
     return modes
 
 

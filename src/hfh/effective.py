@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import EIG_CLAMP, BlochMode, check_nondegenerate
-from .ergodic import _drift_rate, _frequencies, box_means
+from .ergodic import box_means
 from .errors import NumericalError, ValidationError
 from .fourier import RESONANCE_TOL, TWO_PI, FourierField, SpacetimeCell, from_grid, resonant_point, to_grid
 from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
@@ -259,8 +259,7 @@ def coupling_coefficients(mode1: BlochMode, mode2: BlochMode, supercell_counts,
         for j, slot in enumerate(g_fields):
             key = (j, p + 1, l + 1)
             G = FourierField(spacetime, slot.coeffs[np.newaxis])
-            averages[key], limits[key], mask, _ = box_means(G, lam, boxes)
-            drift_rates[key] = _drift_rate(G.coeffs, _frequencies(G, lam), mask) if mask.any() else 0.0
+            averages[key], limits[key], _, _, drift_rates[key] = box_means(G, lam, boxes)
             slopes[key] = _slope(ns, averages[key] - limits[key])
 
     return CouplingReport(are_equivalent(mode1, mode2), counts, float(time_window),

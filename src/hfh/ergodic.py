@@ -83,15 +83,12 @@ def _drift_rate(coeffs, qs, resonant) -> float:
     return float(np.sum(np.abs(coeffs[at]) * sum(np.abs(q[i]) for q, i in zip(qs, at))) / 2.0)
 
 
-def _certificate(coeffs, qs, resonant) -> tuple:
-    """C and D of :class:`WindowAverageResult`; ``qs[ax]`` holds the frequencies along axis ax.
-
-    In d dimensions C takes each harmonic's fastest axis and D sums its axes.
-    """
+def _certificate(coeffs, qs, resonant) -> float:
+    """C of :class:`WindowAverageResult`, from each harmonic's fastest axis; ``qs[ax]`` holds the
+    frequencies along axis ax."""
     q = np.broadcast_arrays(*np.ix_(*[np.abs(q) for q in qs]))
     keep = ~resonant & (coeffs != 0)
-    cert = float(np.sum(2.0 * np.abs(coeffs)[keep] / np.max(q, axis=0)[keep]))
-    return cert, _drift_rate(coeffs, qs, resonant)
+    return float(np.sum(2.0 * np.abs(coeffs)[keep] / np.max(q, axis=0)[keep]))
 
 
 def box_means(f: FourierField, lam, sizes: np.ndarray) -> tuple:
@@ -99,13 +96,15 @@ def box_means(f: FourierField, lam, sizes: np.ndarray) -> tuple:
 
     ``sizes`` has shape (n_boxes, d).  Returns the means, their limit (f's
     harmonic -n for n = resonant_point(lambda), else 0), the mask of that
-    harmonic in f's table, and whether n exists.  An axis with lambda = 0 and
-    whole-cell boxes or index 0 alone keeps only index 0: the cell mean, exactly.
+    harmonic in f's table, whether n exists, and D (:func:`_drift_rate`) of
+    the mask.  An axis with lambda = 0 and whole-cell boxes or index 0 alone
+    keeps only index 0: the cell mean, exactly.
     """
     cell = f.cell
     n = resonant_point(lam, cell)
+    qs = _frequencies(f, lam)
     factors = []
-    for ax, (length, q) in enumerate(zip(cell.lengths, _frequencies(f, lam))):
+    for ax, (length, q) in enumerate(zip(cell.lengths, qs)):
         m, a = f.index_grid(ax), sizes[:, ax]
         if lam[ax] == 0 and (f.cutoffs[ax] == 0 or np.all(np.rint(a / length) * length == a)):
             factors.append(np.broadcast_to(m == 0, (len(a), len(m))).astype(np.complex128))
@@ -116,7 +115,7 @@ def box_means(f: FourierField, lam, sizes: np.ndarray) -> tuple:
     if n is not None and all(abs(v) <= c for v, c in zip(n, f.cutoffs)):
         at = tuple(c - v for v, c in zip(n, f.cutoffs))  # the harmonic -n
         resonant[at], limit = True, complex(f.coeffs[at])
-    return values, limit, resonant, n is not None
+    return values, limit, resonant, n is not None, _drift_rate(f.coeffs, qs, resonant)
 
 
 def avg_modulated_dd(f: FourierField, lam, boxes) -> WindowAverageResult:
@@ -135,8 +134,8 @@ def avg_modulated_dd(f: FourierField, lam, boxes) -> WindowAverageResult:
         raise ValidationError(f"lambda must be finite, got {lam}")
     _check_finite(f, "f")
     sizes = _box_sizes(boxes, cell.dims)
-    values, limit, mask, resonant = box_means(f, lam, sizes)
-    cert, drift = _certificate(f.coeffs, _frequencies(f, lam), mask)
+    values, limit, mask, resonant, drift = box_means(f, lam, sizes)
+    cert = _certificate(f.coeffs, _frequencies(f, lam), mask)
     widths = sizes.min(axis=1)  # decay is against the slowest-growing axis
     return WindowAverageResult(tuple(float(a) for a in widths), tuple(complex(v) for v in values),
                                limit, cert, resonant, drift)
@@ -189,9 +188,9 @@ def avg_product_periodic(f: FourierField, g: FourierField, windows) -> WindowAve
     limit = 0.0 + 0.0j
     for i, j in zip(*np.nonzero(pairs)):  # scalar products, in table order
         limit += c1[i] * c2[j]
-    cert, drift = _certificate(c, [nu], pairs.ravel())
     return WindowAverageResult(tuple(float(a) for a in win), tuple(complex(v) for v in values),
-                               complex(limit), cert, frac is not None, drift)
+                               complex(limit), _certificate(c, [nu], pairs.ravel()), frac is not None,
+                               _drift_rate(c, [nu], pairs.ravel()))
 
 
 def avg_derivative_product(f: FourierField, g: FourierField, windows) -> WindowAverageResult:

@@ -10,8 +10,8 @@ SIN = {1: -0.5j, -1: 0.5j}  # sin(2 pi x / T)
 
 @pytest.fixture(autouse=True)
 def fresh_galerkin_parts():
-    """Each test starts with no Galerkin parts kept, so a test that patches a constant the build
-    reads (``bloch.LANCZOS_MIN_SIZE``) or asserts on a first build sees its own build."""
+    """Each test starts with no Galerkin parts kept, so a test that asserts on a first build sees its
+    own build."""
     bloch._galerkin.cache_clear()
 
 

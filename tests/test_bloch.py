@@ -139,11 +139,16 @@ def oracle_assemble(med, k, cutoff):
 
 def oracle_solve(op, n_bands):
     """``solve_bands`` with the problem handed to ``scipy.linalg.eigh`` whole: the generalized one
-    for a wave pencil, the standard one on H for the schrodinger family."""
+    for a wave pencil, the standard one on H for the schrodinger family.  The residuals are
+    ``bloch._residuals``'s."""
     B = None if op.medium.family == "schrodinger" else op.B
+
+    def solve(op, subset):
+        w, x = scipy.linalg.eigh(op.A, B, subset_by_index=subset)
+        k = len(w) - (len(w) < op.size)  # the gap pair's residual is not read, unless it is a mode
+        return w, x, bloch._residuals(op, op.A @ x[:, :k], w[:k], x[:, :k])[0]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bloch, "_solve_pencil",
-                      lambda op, subset: (*scipy.linalg.eigh(op.A, B, subset_by_index=subset), None))
+        patch.setattr(bloch, "_solve_pencil", solve)
         return bloch.solve_bands(op, n_bands)
 
 
@@ -353,21 +358,24 @@ _K3 = [0.4, -0.7, 0.9]
 
 
 def test_schrodinger_3d_small_basis_is_zheevr():
-    # 125 plane waves: below the band threshold, one ZHEEVR call with eigh's bits
+    # 125 plane waves: below the Lanczos threshold, one ZHEEVR call with eigh's bits
     op = bloch.assemble_operator(_schrodinger_3d(), _K3, 2)
-    assert op.size == 125 and op.band is None and op.hermiticity_defect() < 1e-12
+    assert op.size == 125 < bloch.LANCZOS_MIN_SIZE and op.hermiticity_defect() < 1e-12
     w, x, residuals = bloch._solve_pencil(op, [0, 2])
     want_w, want_x = scipy.linalg.eigh(op.A, subset_by_index=[0, 2])
-    assert residuals is None and np.array_equal(w, want_w) and np.array_equal(x, want_x)
+    assert np.array_equal(w, want_w) and np.array_equal(x, want_x)
+    # the residuals of all but the last pair, which only sets the spectral gap
+    want_x = want_x[:, :-1]
+    assert np.array_equal(residuals, bloch._residuals(op, op.A @ want_x, want_w[:-1], want_x)[0])
 
 
 def test_schrodinger_3d_solves_on_the_band(monkeypatch):
     # 343 plane waves: certified on the band, no dense solve, within the gate of eigh's energies
     op = bloch.assemble_operator(_schrodinger_3d(), _K3, 3)
-    assert op.size == 343 and op.band is not None
+    assert op.size == 343 >= bloch.LANCZOS_MIN_SIZE
+    want = scipy.linalg.eigh(op.A, eigvals_only=True, subset_by_index=[0, 3])  # before the patch below
     monkeypatch.setattr(bloch.lapack, "zheevr", lambda *args, **kwargs: pytest.fail("a dense solve"))
     modes = bloch.solve_bands(op, 3)
-    want = scipy.linalg.eigh(op.A, eigvals_only=True, subset_by_index=[0, 3])
     gate = bloch._residual_gate(op, want)
     assert all(abs(mode.omega - w) <= gate and mode.residual <= gate for mode, w in zip(modes, want))
 
@@ -420,10 +428,10 @@ def test_vector_3d_assembly_allowed_solve_refused(monkeypatch):
     vmed = medium.Medium("vector-wave", cell, 1, 3, C, fingerprint="maxwell-demo")
     op = bloch.assemble_operator(vmed, [0.2, 0.1, 0.0], 1)
     assert op.hermiticity_defect() < 1e-12
-    assert op.parts.b_info == 0 and op.band is None  # assembly only: B is never factored
     monkeypatch.setattr(bloch.lapack, "zhegvx", lambda *args, **kwargs: pytest.fail("a 3D solve"))
     with pytest.raises(UnsupportedScaleError):
         bloch.solve_bands(op, 2)
+    assert "band" not in vars(op.parts)  # assembly only: B is never factored
 
 
 def test_nan_residual_raises(const_medium, monkeypatch):
@@ -464,16 +472,26 @@ def test_indefinite_b_raises(cell1d, tmp_path, monkeypatch):
     assert not (tmp_path / "gv.csv").exists()
 
 
-def test_indefinite_b_is_checked_by_the_first_dense_solve(cell1d):
-    # a pencil without band parts builds its parts without factoring B: b_info is 0, and the
-    # dense solve's ZHEGVX, which factors B, raises the error the band check gives
+def test_indefinite_b_is_checked_by_the_first_dense_solve(cell1d, monkeypatch):
+    # a pencil below the Lanczos threshold assembles without factoring B; its first solve builds the
+    # band parts, whose Cholesky of B raises before ZHEGVX runs.  Were that check to pass B,
+    # ZHEGVX's own Cholesky would raise the same error
     one = FourierField.constant(cell1d, 1.0)
     neg = medium.Medium("scalar-wave", cell1d, 1, 1, {(0, 0, 0, 0): one, (0, 1, 0, 1): one},
                         fingerprint="negative-b")  # C_0000 = -b = 1, so B = -I
     op = bloch.assemble_operator(neg, [0.5], 2)
-    assert op.band is None and op.parts.b_info == 0
+    assert op.size < bloch.LANCZOS_MIN_SIZE and "band" not in vars(op.parts)
+    solves = []
+    with monkeypatch.context() as patch:
+        patch.setattr(bloch.lapack, "zhegvx", lambda *args, **kwargs: solves.append(args))
+        with pytest.raises(NumericalError) as exc:
+            bloch._solve_pencil(op, [0, 1])
+    assert str(exc.value) == str(bloch._b_indefinite(1)) and op.band.info == 1 and solves == []
+    band = bloch._band
+    monkeypatch.setattr(bloch, "_band", lambda *args: dataclasses.replace(band(*args), info=0))
+    bloch._galerkin.cache_clear()
     with pytest.raises(NumericalError) as exc:
-        bloch._solve_pencil(op, [0, 1])
+        bloch._solve_pencil(bloch.assemble_operator(neg, [0.5], 2), [0, 1])
     assert str(exc.value) == str(bloch._b_indefinite(1))
 
 
@@ -506,10 +524,10 @@ def test_indefinite_b_raises_on_the_band(cell1d, tmp_path, monkeypatch):
 
     indefinite = r"^B is not positive definite \(leading minor \d+\)$"
     with monkeypatch.context() as patch:
-        patch.setattr(bloch, "LANCZOS_MIN_SIZE", 1000)  # no band parts: the dense solve factors B
+        patch.setattr(bloch, "LANCZOS_MIN_SIZE", 1000)  # the dense path
         with pytest.raises(NumericalError, match=indefinite) as dense:
             bloch.solve_at(negative_b(), [0.5], 64, 1)
-    bloch._galerkin.cache_clear()  # the parts above were built without band parts
+    bloch._galerkin.cache_clear()  # the spy below sees the band parts built
     factors = []
 
     def spy(name):
@@ -526,7 +544,7 @@ def test_indefinite_b_raises_on_the_band(cell1d, tmp_path, monkeypatch):
         with pytest.raises(NumericalError) as band:
             bloch.solve_at(med, [0.5], 64, 1)
     parts = bloch._galerkin(med, 64)
-    assert parts.band is not None and factors == ["zpbtrf"] and "B" not in vars(parts)
+    assert parts.band.info and factors == ["zpbtrf"] and "B" not in vars(parts)
     assert str(band.value) == str(dense.value)
     config = tmp_path / "medium.json"
     config.write_text('{"cell": [1.0], "kind": "scalar", "cutoff": 1, "a": 1.0, "b": 1.0}')
@@ -631,8 +649,10 @@ def test_schrodinger_zheevr_is_eighs_bits(family, data):
     for hi in range(op.size):
         w, x, residuals = bloch._solve_pencil(op, [0, hi])
         want_w, want_x = scipy.linalg.eigh(op.A, subset_by_index=[0, hi])
-        assert residuals is None
         assert np.array_equal(w, want_w) and np.array_equal(x, want_x)
+        k = hi + (hi + 1 == op.size)  # all but the gap pair, or all when every pair is asked for
+        want_x = want_x[:, :k]
+        assert np.array_equal(residuals, bloch._residuals(op, op.A @ want_x, want_w[:k], want_x)[0])
 
 
 def test_zheevr_failure_raises(mathieu_blocks, monkeypatch):
@@ -678,16 +698,17 @@ def test_cached_parts_bit_identical(family, bands, data):
         op = bloch.assemble_operator(med, k, cutoff)
         A, B = oracle_assemble(med, k, cutoff)
         assert op.A.tobytes() == A.tobytes()
-        # these pencils have no band parts, and the build forms no dense B
-        assert op.band is None and op.parts.b_info == 0
-        assert not first or "B" not in vars(op.parts)
+        # these pencils take the dense path, and the build forms neither band parts nor dense B
+        assert op.size < bloch.LANCZOS_MIN_SIZE
+        assert not first or not {"band", "B"} & set(vars(op.parts))
         n_bands = op.size if bands == "size" else bands
         # solve_bands on the operator, and solve_at on an operator of its own
         solved = [_outcome(lambda: bloch.solve_bands(op, n_bands)),
                   _outcome(lambda: bloch.solve_at(med, k, cutoff, n_bands))]
-        # the first dense solve formed B (a schrodinger solve reads its diagonal and B v), bit for
-        # bit the mirrored dense B, signed zeros included
-        assert not first or "B" in vars(op.parts)
+        # the first solve built the band parts, and formed dense B for ZHEGVX alone (a schrodinger
+        # solve forms none): bit for bit the mirrored dense B, signed zeros included
+        assert not first or ("band" in vars(op.parts)
+                             and ("B" in vars(op.parts)) == (med.family != "schrodinger"))
         assert op.B.tobytes() == B.tobytes()
         want = _outcome(lambda: oracle_solve(op, n_bands))  # its A and B are the oracle's, checked above
         for got in solved:
@@ -734,28 +755,28 @@ def test_cached_parts_read_only(vector_medium, cell1d, monkeypatch):
         certified.append(certify(*args))
         return certified[-1]
     monkeypatch.setattr(bloch, "_certified", spy)
-    # the last pencil, 129 plane waves with a band of half-width 16, has band parts
+    # the last pencil, 129 plane waves with a band of half-width 16, takes the Lanczos path
     for med, cutoff in ((vector_medium, 8), (blocks, 8), (checks._two_phase_medium(16), 64)):
         op = bloch.assemble_operator(med, [0.3], cutoff)
         cache = bloch._galerkin(med, cutoff)
-        assert op.parts is cache and op.basis is cache.basis and op.band is cache.band
-        assert (cache.band is None) == (cutoff == 8)
-        # the build forms neither dense B nor A's zero template, and no operator owns a dense A yet
-        assert "B" not in vars(cache) and "zero_A" not in vars(cache) and "A" not in vars(op)
-        if cache.band is not None:
+        assert op.parts is cache and op.basis is cache.basis
+        # the build forms neither band parts nor dense B, and no operator owns a dense A yet
+        assert "band" not in vars(cache) and "B" not in vars(cache) and "A" not in vars(op)
+        assert op.band is cache.band
+        if cutoff == 64:
             # a certified band solve forms neither dense A nor dense B
             bloch.solve_bands(op, 2)
             assert certified and certified[-1] is not None
-            assert "A" not in vars(op) and "B" not in vars(cache) and "zero_A" not in vars(cache)
-        # the first dense solve (5 bands ask for more pairs than Lanczos takes) forms B
+            assert "A" not in vars(op) and "B" not in vars(cache)
+        # a dense solve (5 bands ask for more pairs than Lanczos takes) forms B for a wave pencil
         bloch.solve_bands(op, 5)
-        assert "B" in vars(cache) and "zero_A" in vars(cache)
+        assert ("B" in vars(cache)) == (med.family != "schrodinger")
         held = list(_arrays(cache))
         assert len(held) >= 10 and not any(a.flags.writeable for a in held)
         n = op.size
         assert op.A.shape == (n, n) and op.A.flags.c_contiguous and not op.A.flags.writeable
         assert not op.values.flags.writeable and op.values.shape == cache.upper.shape
-        if cache.band is not None:
+        if cutoff == 64:
             kd = cache.band.kd
             assert kd == 16
             # B in its own band: b = 1 makes B the identity, a band of half-width 0
@@ -801,7 +822,7 @@ def test_two_threads_solve_one_medium(case, two_phase):
     else:
         med, cutoff, ks = two_phase, 16, [(0.3 + 0.2 * i,) for i in range(16)]
     want = [bloch.solve_at(med, k, cutoff, 2) for k in ks]
-    assert (bloch._galerkin(med, cutoff).band is not None) == (case == "band-2d")
+    assert (bloch._galerkin(med, cutoff).n >= bloch.LANCZOS_MIN_SIZE) == (case == "band-2d")
     bloch._galerkin.cache_clear()  # both threads start without parts
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the Python parts of a solve too
@@ -831,7 +852,7 @@ def test_pickled_mode_leaves_the_solver_cache_out():
                                      medium.cosine(1.5, [((0, 1), 0.25, 2.0)]), cell, 2)
     k = [0.7, -0.4]
     modes = bloch.solve_at(med, k, 8, 2)
-    assert modes[0].v0.size == 289 and bloch._galerkin(med, 8).band is not None
+    assert modes[0].v0.size == 289 and "band" in vars(bloch._galerkin(med, 8))
     fields = {id(f): f for f in (*med.C.values(), *med.M.values(), *med.c.values())}
     tables = sum(f.coeffs.nbytes for f in fields.values())
     blob = pickle.dumps(modes[0])

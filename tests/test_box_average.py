@@ -206,7 +206,7 @@ def test_supercell_average_matches_oracle(G, data):
                    _offset(data.draw, TWO_PI / lam, data.draw(st.integers(-G.cutoffs[ax], G.cutoffs[ax])),
                            counts[0] * lam)
                    for ax, lam in enumerate(cell.lengths)])
-    values, limit, _, _ = ergodic.box_means(G, -dk, ns[:, np.newaxis] * cell.diag)
+    values, limit, _, _, _ = ergodic.box_means(G, -dk, ns[:, np.newaxis] * cell.diag)
     _assert_close(values, [_oracle_supercell_average(G, dk, n) for n in counts])
     _assert_close(limit, _oracle_structural_limit(G, dk))
 
@@ -327,5 +327,5 @@ def test_supercell_self_terms_collapse_exactly(dims):
     shape = (5,) * dims
     G = FourierField(Cell((1.0, 1.3, 0.8)[:dims]), rng.normal(size=shape) + 1j * rng.normal(size=shape))
     ns = np.array([1.0, 4.0, 64.0])
-    got, limit, _, _ = ergodic.box_means(G, np.zeros(dims), ns[:, np.newaxis] * G.cell.diag)
+    got, limit, _, _, _ = ergodic.box_means(G, np.zeros(dims), ns[:, np.newaxis] * G.cell.diag)
     assert np.all(got == G.mean()) and limit == G.mean()

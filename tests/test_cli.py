@@ -559,7 +559,7 @@ def test_one_process_matches_fresh_interpreters(tmp_path, monkeypatch):
     assert codes == [0, 64, 0, 0, 0, 0, 0, 0]
     kept = bloch._galerkin.cache_info()
     assert kept.misses == 4 and kept.hits > 0  # one build per change of config
-    assert bloch._galerkin(medium.medium_from_descriptor(MEDIUM_2D), 8).band is not None  # kept: a hit
+    assert "band" in vars(bloch._galerkin(medium.medium_from_descriptor(MEDIUM_2D), 8))  # kept: a hit
     assert bloch._galerkin.cache_info().hits == kept.hits + 1
     for argv in commands:
         proc = _fresh_interpreter(_MAIN, *argv, cwd=alone)

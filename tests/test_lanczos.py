@@ -30,15 +30,10 @@ from hfh.fourier import Cell
 
 
 def _dense(fn, op):
-    """``fn()`` with every operator of ``op``'s size that it assembles on the dense path: the
-    Galerkin parts are rebuilt without band parts, and dropped again afterwards."""
+    """``fn()`` with every solve of an operator of ``op``'s size on the dense path."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bloch, "LANCZOS_MIN_SIZE", op.size + 1)
-        bloch._galerkin.cache_clear()
-        try:
-            return fn()
-        finally:
-            bloch._galerkin.cache_clear()
+        return fn()
 
 
 def _pins(negatives):
@@ -141,11 +136,11 @@ def _assert_band_holds(op, shift):
 def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     """Build the medium's Galerkin parts afresh, solve at k twice, then on the dense path: a multiplet
     among the lowest n_bands + 2 eigenvalues must give the dense bits, anything else certified
-    Lanczos pairs that agree with the dense ones.  The parts' build must check B by a band Cholesky,
-    Lanczos must factor A + s B in band storage and the count run on the band, and each dense solve
-    must be one ZHEGVX call (ZHEEVR for the schrodinger family); certified solves make none and form
-    no dense B.  Returns whether the solves fell back."""
-    bloch._galerkin.cache_clear()  # the spy below sees the parts built
+    Lanczos pairs that agree with the dense ones.  The band parts' build must check B by a band
+    Cholesky, Lanczos must factor A + s B in band storage and the count run on the band, and each
+    dense solve must be one ZHEGVX call (ZHEEVR for the schrodinger family); certified solves make
+    none and form no dense B.  Returns whether the solves fell back."""
+    bloch._galerkin.cache_clear()  # the spy below sees the band parts built
     verdicts = []
     formed = []  # what the certificate formed: values, residuals and the gap value's bound
     factors = []  # the LAPACK factorizations and dense eigensolves called, by name
@@ -169,6 +164,7 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
         for name in ("zpbtrf", "zpotrf", "zhegst", "zheevx", "zhegvx", "zheevr"):
             _spy(patch, bloch.lapack, name, factors, lambda result, name=name: name)
         op = bloch.assemble_operator(med, k, cutoff)
+        assert taken() == [] and op.band.info == 0  # the band parts are built on first read
         built = taken()
         got = bloch.solve_at(med, k, cutoff, n_bands)
         first = taken()
@@ -185,8 +181,8 @@ def _check_against_dense(med, k, cutoff, n_bands, monkeypatch):
     low = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=[0, nev])
     rho = bloch._spectral_radius_bound(op, low)
     _assert_band_holds(op, 0.37 * rho)
-    # the parts' build checks B with a band Cholesky; Lanczos factors A + s B, then the inertia count
-    # factors the pinned A - tau B, both on the band; a dense solve is one LAPACK call
+    # the band parts' build checks B with a band Cholesky; Lanczos factors A + s B, then the inertia
+    # count factors the pinned A - tau B, both on the band; a dense solve is one LAPACK call
     assert built == ["zpbtrf"]
     if np.min(np.diff(low)) < 1e-9 * rho:  # a multiplet: its eigenvectors are not unique
         assert True not in verdicts and splits[0] == splits[1]
@@ -276,6 +272,32 @@ def test_band_residuals_match_dense(family, n_bands, data):
     certified = bloch._certified(op, mu, X)
     assert certified is not None
     got, mu, X = certified[1], mu[:-2], X[:, :-1]  # the returned pairs
+    want = np.linalg.norm(op.A @ X - (op.B @ X) * mu, axis=0) / np.linalg.norm(X, axis=0)
+    u = np.finfo(float).eps / 2
+    bound = (op.size + 2 * op.band.kd + 3) * u * (np.linalg.norm(np.abs(op.A), 2)
+                                                  + np.abs(mu) * np.linalg.norm(np.abs(op.B), 2))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("path", ["dense", "band"])
+@pytest.mark.parametrize("family", BAND_FAMILIES)
+@settings(derandomize=True, database=None, deadline=None, max_examples=3)
+@given(data=st.data())
+def test_residuals_match_dense(family, path, data):
+    # every solve takes its residuals from _residuals, which forms B X by ZHBMV on B's own band.  On
+    # the dense solve's lowest pairs of a pencil below the Lanczos threshold and of one above it,
+    # given A X, they must be the dense |A x - mu B x| / |x| to within the rounding error bound of
+    # test_band_residuals_match_dense
+    med, cutoff = _random_medium(family, data.draw)
+    k = [data.draw(_kcomp) for _ in range(med.cell.dims)]
+    if path == "dense":
+        cutoff = 2 if med.cell.dims == 2 else 16
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "operator cutoff .* below medium cutoff")
+        op = bloch.assemble_operator(med, k, cutoff)
+    assert (op.size >= bloch.LANCZOS_MIN_SIZE) == (path == "band")
+    mu, X = scipy.linalg.eigh(op.A, op.B, subset_by_index=[0, 3])
+    got, _ = bloch._residuals(op, op.A @ X, mu, X)
     want = np.linalg.norm(op.A @ X - (op.B @ X) * mu, axis=0) / np.linalg.norm(X, axis=0)
     u = np.finfo(float).eps / 2
     bound = (op.size + 2 * op.band.kd + 3) * u * (np.linalg.norm(np.abs(op.A), 2)
@@ -591,12 +613,28 @@ def test_shallow_well_certifies_on_the_band():
     assert all(abs(value - mode.omega) <= gate for value, mode in zip(values, want))
 
 
+def test_schrodinger_solves_form_no_dense_b(monkeypatch):
+    # B = I: a schrodinger solve reads B's band alone, and forms no dense identity.  The 1D pencil
+    # (33 plane waves) takes the dense path; the deep well's (1,089) Lanczos attempt declines and
+    # falls back to ZHEEVR
+    potential = medium.piecewise([0.0, 0.3, 0.7], [1.0, 3.0, 0.5])
+    cases = [(medium.build_schrodinger_blocks(0.8, 1.0, potential, None, Cell((1.0,)), 16), (0.7,), 16),
+             (_schrodinger_well((30.0, 20.0, 10.0)), (0.9, -0.6), 16)]
+    dense = []
+    _spy(monkeypatch, bloch.lapack, "zheevr", dense, lambda result: "zheevr")
+    for med, k, cutoff in cases:
+        for _ in range(2):
+            bloch.solve_at(med, k, cutoff, 2)
+            assert "B" not in vars(bloch._galerkin(med, cutoff))
+    assert dense == ["zheevr"] * 4
+
+
 def test_deep_well_declines_to_zheevr(monkeypatch):
     # a well with amplitudes 30, 20 and 10 has E_0 near -15.6, below minus the shift Lanczos takes:
     # A + s B is not positive definite, _lanczos declines, and the solve returns ZHEEVR's bits
     med, k = _schrodinger_well((30.0, 20.0, 10.0)), (0.9, -0.6)
     op = bloch.assemble_operator(med, k, 8)
-    assert op.band is not None and bloch._lanczos(op, 4) is None
+    assert op.size >= bloch.LANCZOS_MIN_SIZE and bloch._lanczos(op, 4) is None
     want = _dense(lambda: bloch.solve_at(med, k, 8, 3), op)
     assert want[0].omega < -15.0
     solves = []
