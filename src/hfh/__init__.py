@@ -9,7 +9,7 @@ from .bloch import (BlochMode, BlochOperator, assemble_operator, check_nondegene
 from .effective import (CouplingReport, EffectiveCoefficients, are_equivalent, coupling_coefficients,
                         effective_coefficients)
 from .ergodic import WindowAverageResult, avg_derivative_product, avg_modulated_dd, avg_product_periodic
-from .errors import NumericalError, UnsupportedScaleError, ValidationError
+from .errors import NumericalError, ValidationError
 from .fourier import Cell, FourierField
 from .medium import (Medium, build_scalar_medium, build_schrodinger_blocks, build_vector_medium,
                      maxwell_tensor_from_permeability, medium_from_descriptor)

@@ -23,10 +23,10 @@ packets) reads.
 
 Each solve picks its path from its size and pair count
 (:func:`_solve_pencil`): certified shift-invert Lanczos on the band, or one
-dense LAPACK call with ``scipy.linalg.eigh``'s bits.  3D vector media are
-only assembled.  README "Eigensolve" describes the method.  The LAPACK and
-BLAS routines are scipy's f2py wrappers, loaded without the ``scipy.linalg``
-package (:func:`_scipy_linalg_wrappers`).
+dense LAPACK call with ``scipy.linalg.eigh``'s bits.  README "Eigensolve"
+describes the method.  The LAPACK and BLAS routines are scipy's f2py
+wrappers, loaded without the ``scipy.linalg`` package
+(:func:`_scipy_linalg_wrappers`).
 
 Carrier conventions for the stored cell-periodic amplitudes:
 
@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import NumericalError, UnsupportedScaleError, ValidationError
+from .errors import NumericalError, ValidationError
 from .fourier import TWO_PI, Cell, FourierField
 from .medium import Medium
 
@@ -534,8 +534,10 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray, conj: np.ndarray) -> tuple:
     return removed, norm
 
 
+@lru_cache(maxsize=8)
 def _start_vector(n: int) -> np.ndarray:
-    """Lanczos's unit start vector of size n, from the SplitMix64 hash of the indices 1..2n.
+    """Lanczos's unit start vector of size n, read-only and built once per size, from the SplitMix64
+    hash of the indices 1..2n.
 
     SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) mixes the i-th multiple
     of its odd increment; the top 53 bits of each hash, times 2^-53, minus
@@ -549,7 +551,9 @@ def _start_vector(n: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     x = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 - 0.5
     v = x[:n] + 1j * x[n:]
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def _lanczos(op: BlochOperator, nev: int):
@@ -800,8 +804,6 @@ def solve_bands(op: BlochOperator, n_bands: int) -> list:
         raise ValidationError(f"n_bands must be in 1..{op.size}")
     cell = op.medium.cell
     wave = op.medium.family != "schrodinger"
-    if op.medium.family == "vector-wave" and cell.dims > 2:
-        raise UnsupportedScaleError("3D vector eigensolves are out of scope (assembly only)")
     try:
         evals, evecs, residuals = _solve_pencil(op, [0, min(n_bands, op.size - 1)])
     except LinAlgError as exc:

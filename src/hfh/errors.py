@@ -11,10 +11,6 @@ class NumericalError(RuntimeError):
     """A computation ran but its result fails a numerical quality gate."""
 
 
-class UnsupportedScaleError(ValidationError):
-    """The request is structurally valid but outside the supported problem sizes."""
-
-
 @contextlib.contextmanager
 def reading(key: str):
     """Re-raise a TypeError, ValueError or OverflowError as a ValidationError naming ``key``."""

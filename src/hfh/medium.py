@@ -415,8 +415,6 @@ def _whole(value) -> int:
 def _matrix_or_field(spec):
     if isinstance(spec, dict) and spec.get("type") == "matrix":
         return spec["entries"]
-    if isinstance(spec, dict) and spec.get("type") == "isotropic":
-        return spec["field"]
     return spec
 
 

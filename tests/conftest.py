@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hfh import bloch, checks, medium
 from hfh.fourier import Cell, FourierField
@@ -18,6 +19,31 @@ def fresh_galerkin_parts():
 def signal(period, harmonics):
     """1D field of period ``period`` with the {n: c} coefficients of e^{2 pi i n x / period}."""
     return FourierField.from_terms(Cell((period,)), max(map(abs, harmonics), default=0), harmonics)
+
+
+def elastic_terms(lam, mu) -> dict:
+    """The 3-component tensor a_ijkl = lam delta_ij delta_kl + mu delta_ik delta_jl as {(i, j, k, l):
+    field spec}, from (mean, harmonics) pairs of cosine specs: Gram elliptic where mu > 0 and
+    lam > -mu / 3."""
+    both = medium.cosine(lam[0] + mu[0], list(lam[1]) + list(mu[1]))  # cosine harmonics add up
+    terms = {(i, i, i, i): both for i in range(3)}
+    for i in range(3):
+        for k in range(3):
+            if i != k:
+                terms[(i, i, k, k)] = medium.cosine(*lam)
+                terms[(i, k, i, k)] = medium.cosine(*mu)
+    return terms
+
+
+def random_elastic_3d(draw):
+    """A random elastic_terms medium on the unit cube with b = 1, from hypothesis's ``draw``: lam and
+    mu have harmonics up to 1 per axis and stay above 0 and 0.1, so the medium is Gram elliptic."""
+    def field(mean, *modes):
+        return draw(mean), [(n, draw(st.floats(0.05, 0.3)), draw(st.floats(0.0, 2 * np.pi))) for n in modes]
+
+    terms = elastic_terms(field(st.floats(0.6, 1.5), (1, 0, 0), (0, 1, 1)),
+                          field(st.floats(1.0, 2.0), (0, 1, 0), (1, 0, -1), (0, 0, 1)))
+    return medium.build_vector_medium(3, terms, 1.0, Cell((1.0, 1.0, 1.0)), 1)
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_elastic_3d
 from hfh import bands, bloch, checks, cli, effective, medium
-from hfh.errors import NumericalError, UnsupportedScaleError, ValidationError
+from hfh.errors import NumericalError, ValidationError
 from hfh.fourier import Cell, FourierField
 
 
@@ -394,6 +395,25 @@ def test_schrodinger_3d_divergent_magnetic_refused():
 # ---------------------------------------------------------------------------
 # vector solves
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_vector_3d_transport_matches_fd(data):
+    # 3D elastic-type media solve like every other medium: at cutoff 1 (81 plane waves) one ZHEGVX
+    # call with eigh's bits; at cutoff 2 (375) every solve, the FD stencil's included, certified on
+    # the band, and effective's v within 1e-6 of the FD group velocity
+    med = random_elastic_3d(data.draw)
+    k = [data.draw(st.floats(0.3, 2.8) | st.floats(-2.8, -0.3)) for _ in range(3)]
+    op = bloch.assemble_operator(med, k, 1)
+    w, x, _ = bloch._solve_pencil(op, [0, 2])
+    want_w, want_x = scipy.linalg.eigh(op.A, op.B, subset_by_index=[0, 2])
+    assert op.size == 81 and np.array_equal(w, want_w) and np.array_equal(x, want_x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bloch.lapack, "zhegvx", lambda *args, **kwargs: pytest.fail("a dense solve"))
+        co = effective.effective_coefficients(bloch.solve_at(med, k, 2, 1)[0])
+        v_fd = bands.group_velocity_fd(med, k, 1, 2)
+    assert np.max(np.abs(co.v - v_fd)) < 1e-6
+
+
 def test_vector_decoupled_equals_scalar(const_medium, cell1d):
     a_terms = {(0, 0, 0, 0): 1.0, (1, 0, 1, 0): 1.0}
     vmed = medium.build_vector_medium(2, a_terms, 1.0, cell1d, 1)
@@ -419,8 +439,11 @@ def test_vector_hermiticity(vector_medium):
     assert op.hermiticity_defect() < 1e-12
 
 
-def test_vector_3d_assembly_allowed_solve_refused(monkeypatch):
-    from hfh.fourier import FourierField
+def test_vector_3d_assembly_allowed_solve_refused():
+    # a 3D vector pencil built past the Gram check straight from maxwell_tensor_from_permeability,
+    # which returns minus the curl-curl stiffness: assembly builds no band parts, and the solve,
+    # like any other medium's, finds the negative eigenvalues of -curl curl (near -1.2e2 at
+    # cutoff 1) and refuses them.  The curl-curl form needs a grad-div penalty to solve
     cell = Cell((1.0, 1.0, 1.0))
     tensor = medium.maxwell_tensor_from_permeability(1.0, cell, 1)
     C = {(i, 0, i, 0): FourierField.constant(cell, -1.0) for i in range(3)}  # b = I
@@ -428,10 +451,9 @@ def test_vector_3d_assembly_allowed_solve_refused(monkeypatch):
     vmed = medium.Medium("vector-wave", cell, 1, 3, C, fingerprint="maxwell-demo")
     op = bloch.assemble_operator(vmed, [0.2, 0.1, 0.0], 1)
     assert op.hermiticity_defect() < 1e-12
-    monkeypatch.setattr(bloch.lapack, "zhegvx", lambda *args, **kwargs: pytest.fail("a 3D solve"))
-    with pytest.raises(UnsupportedScaleError):
+    assert "band" not in vars(op.parts)  # assembly alone: B is never factored
+    with pytest.raises(NumericalError, match=r"eigenvalue -1\.2\d*e\+02 .*ellipticity violated"):
         bloch.solve_bands(op, 2)
-    assert "band" not in vars(op.parts)  # assembly only: B is never factored
 
 
 def test_nan_residual_raises(const_medium, monkeypatch):

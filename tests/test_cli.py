@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import elastic_terms
 from hfh import bloch, checks, cli, medium
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 from test_golden import FINGERPRINTS
@@ -95,6 +96,25 @@ def test_effective_matches_groupvel(config, tmp_path):
     gv_line = [ln for ln in gv_out.read_text().splitlines() if not ln.startswith("#")][1]
     v_fd = float(gv_line.split(",")[1])
     assert abs(eff["group_velocity"][0] - v_fd) < 1e-6
+
+
+def test_3d_vector_effective_matches_groupvel(tmp_path):
+    # a 3D elastic-type vector medium solves like any other: at cutoff 2 (375 plane waves, on the
+    # band) effective's velocity and groupvel's FD one agree within the bench checker's 1e-6
+    terms = elastic_terms((1.0, [((1, 0, 0), 0.3, 0.2), ((0, 1, 1), 0.2, 1.0)]),
+                          (1.5, [((0, 1, 0), 0.4, 0.5), ((1, 0, -1), 0.3, 2.0)]))
+    config = tmp_path / "elastic.json"
+    config.write_text(json.dumps({
+        "cell": [1.0, 1.0, 1.0], "kind": "vector", "n": 3, "cutoff": 1, "b": 1.0,
+        "a": {"type": "tensor4", "terms": [{"ijkl": ijkl, "field": spec} for ijkl, spec in terms.items()]},
+    }, default=int))  # the cosine specs' harmonic indices are numpy integers
+    at = ["--config", str(config), "--k=0.4,-0.7,0.9", "--cutoff", "2"]
+    assert run_cli(["effective", *at, "--out-prefix", str(tmp_path / "eff")])[0] == 0
+    assert run_cli(["groupvel", *at, "--out", str(tmp_path / "gv.csv")])[0] == 0
+    v = json.loads((tmp_path / "eff.json").read_text())["group_velocity"]
+    rows = [ln for ln in (tmp_path / "gv.csv").read_text().splitlines() if not ln.startswith("#")][1:]
+    v_fd = [float(row.split(",")[1]) for row in rows]
+    assert len(v) == len(v_fd) == 3 and max(abs(a - b) for a, b in zip(v, v_fd)) <= 1e-6
 
 
 def test_couple_command(config, tmp_path):

@@ -242,6 +242,9 @@ def test_descriptor_roundtrip_scalar(two_phase):
     }
     med = medium.medium_from_descriptor(desc)
     assert med.fingerprint == two_phase.fingerprint
+    # a is one field spec or a matrix: there is no isotropic wrapper around a field spec
+    with pytest.raises(ValidationError, match="unknown field spec type 'isotropic'"):
+        medium.medium_from_descriptor(dict(desc, a={"type": "isotropic", "field": desc["a"]}))
 
 
 def test_descriptor_schrodinger_and_errors(mathieu_blocks):
