@@ -534,10 +534,8 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray, conj: np.ndarray) -> tuple:
     return removed, norm
 
 
-@lru_cache(maxsize=8)
 def _start_vector(n: int) -> np.ndarray:
-    """Lanczos's unit start vector of size n, read-only and built once per size, from the SplitMix64
-    hash of the indices 1..2n.
+    """Lanczos's unit start vector of size n, from the SplitMix64 hash of the indices 1..2n.
 
     SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) mixes the i-th multiple
     of its odd increment; the top 53 bits of each hash, times 2^-53, minus
@@ -551,9 +549,7 @@ def _start_vector(n: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     x = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 - 0.5
     v = x[:n] + 1j * x[n:]
-    v /= np.linalg.norm(v)
-    v.flags.writeable = False
-    return v
+    return v / np.linalg.norm(v)
 
 
 def _lanczos(op: BlochOperator, nev: int):

@@ -489,19 +489,18 @@ def _splitmix64(i: int) -> int:
 @pytest.mark.parametrize("n", [33, 129, 289, 1089])  # 1D cutoffs 16 and 64, 2D cutoffs 8 and 16
 def test_start_vector_is_the_hash_with_both_inversion_parities(n):
     # the start vector is SplitMix64 of the indices 1..2n (index 1 hashes to the generator's
-    # first output from seed 0), built once per size and read-only, and no uint64 wrap warns.
-    # Every component is nonzero, and its even and odd parts under the inversion n -> -n, which
+    # first output from seed 0), the same bits on every call, and no uint64 wrap warns.  Every
+    # component is nonzero, and its even and odd parts under the inversion n -> -n, which
     # reverses the lexicographic basis, are both far from zero: no symmetry of the medium keeps
     # it out of an eigenspace
     assert _splitmix64(1) == 0xE220A8397B1DCDAF
     x = np.array([_splitmix64(i) >> 11 for i in range(1, 2 * n + 1)]) * 2.0 ** -53 - 0.5
     want = x[:n] + 1j * x[n:]
-    bloch._start_vector.cache_clear()  # the hash runs here
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = bloch._start_vector(n)
     assert np.array_equal(v, want / np.linalg.norm(want))
-    assert bloch._start_vector(n) is v and not v.flags.writeable
+    assert np.array_equal(v, bloch._start_vector(n))
     assert np.all(v.real != 0.0) and np.all(v.imag != 0.0)
     assert np.linalg.norm(v + v[::-1]) / 2 > 0.5 and np.linalg.norm(v - v[::-1]) / 2 > 0.5
 
