@@ -29,7 +29,8 @@ import numpy as np
 from .bloch import EIG_CLAMP, BlochMode, check_nondegenerate
 from .ergodic import box_means
 from .errors import NumericalError, ValidationError
-from .fourier import RESONANCE_TOL, TWO_PI, FourierField, SpacetimeCell, from_grid, resonant_point, to_grid
+from .fourier import (RESONANCE_TOL, TWO_PI, FourierField, SpacetimeCell, from_grid, product_grid, resonant_point,
+                      to_grid)
 from .fourier import product_mean  # noqa: F401  (bench/tracing.py resolves hfh.effective.product_mean)
 from .fourier import window_factor  # noqa: F401  (bench/tracing.py resolves hfh.effective.window_factor)
 
@@ -118,7 +119,7 @@ def _integrands(modes, pairs) -> tuple:
             tables.append(f.derivative(p - 1).coeffs)
     mode_w = np.max([mode.v0.shape[1:] for mode in modes], axis=0)
     field_w = np.max([f.coeffs.shape for f in fields.values()], axis=0)
-    grid = to_grid(tables, [mode_w, mode_w, field_w])
+    grid = to_grid(tables, product_grid([mode_w, mode_w, field_w]))
     mode_cut = [(np.array(mode.v0.shape[1:]) - 1) // 2 for mode in modes]
 
     slots, cutoffs = [], []

@@ -5,11 +5,14 @@ coefficients c[n], n in Z^d, representing
 
     f(xi) = sum_n c[n] * exp(2*pi*i * n . (xi / lambda))
 
-on the cell [0, lambda_1] x ... x [0, lambda_d].  Products are formed on
-a uniform grid wide enough to hold their whole linear convolution
-(:func:`to_grid`, :func:`from_grid`), so they are exact up to roundoff, and
-cell averages are exact coefficient sums: no quadrature or aliasing error
-enters any cell integral built from these fields.
+on the cell [0, lambda_1] x ... x [0, lambda_d].  Tables are filled from
+harmonic terms by :meth:`FourierField.from_terms`, the one place that checks
+an index against the cutoff and the cell dimension.  :func:`to_grid` is the
+one evaluator of tables on a uniform grid, and :func:`from_grid` its
+inverse.  Products are formed on a :func:`product_grid`, wide enough to hold
+their whole linear convolution, so they are exact up to roundoff, and cell
+averages are exact coefficient sums: no quadrature or aliasing error enters
+any cell integral built from these fields.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ class FourierField:
 
     @classmethod
     def from_terms(cls, cell: Cell, cutoff, terms: dict) -> "FourierField":
-        """Build from a {multi-index: coefficient} table; indices beyond cutoff are rejected."""
+        """Build from a {multi-index: coefficient} table; refuses an index past the cutoff or of wrong length."""
         field = cls.zeros(cell, cutoff)
         for n, c in terms.items():
             idx = np.atleast_1d(np.asarray(n, dtype=int))
@@ -152,17 +155,14 @@ class FourierField:
         return FourierField(self.cell, self._padded(cut) + other._padded(cut))
 
     def __sub__(self, other):
-        if not isinstance(other, FourierField):
-            return NotImplemented
-        cut = tuple(max(a, b) for a, b in zip(self.cutoffs, other.cutoffs))
-        return FourierField(self.cell, self._padded(cut) - other._padded(cut))
+        return self + (-other) if isinstance(other, FourierField) else NotImplemented
 
     def __neg__(self):
         return FourierField(self.cell, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, FourierField):
-            values = to_grid([self.coeffs, other.coeffs], [self.coeffs.shape, other.coeffs.shape])
+            values = to_grid([self.coeffs, other.coeffs], product_grid([self.coeffs.shape, other.coeffs.shape]))
             cut = tuple(a + b for a, b in zip(self.cutoffs, other.cutoffs))
             return FourierField(self.cell, from_grid(values[:1] * values[1:], [cut])[0])
         return FourierField(self.cell, self.coeffs * other)
@@ -198,29 +198,6 @@ class FourierField:
     # ------------------------------------------------------------------
     # evaluation
 
-    def sample_grid(self, resolution) -> np.ndarray:
-        """Synthesize on a uniform grid of the cell by inverse DFT.
-
-        The resolution must be at least 2*cutoff + 1 per axis so every stored
-        mode lands in a distinct bin (no aliasing of retained modes).
-        """
-        if np.isscalar(resolution):
-            res = (int(resolution),) * self.cell.dims
-        else:
-            res = tuple(int(r) for r in resolution)
-        if len(res) != self.cell.dims:
-            raise ValidationError("resolution must give one sample count per axis")
-        for ax, r in enumerate(res):
-            if r < 2 * self.cutoffs[ax] + 1:
-                raise ValidationError(
-                    f"resolution {r} on axis {ax} is below the Nyquist bound "
-                    f"{2 * self.cutoffs[ax] + 1} for cutoff {self.cutoffs[ax]}"
-                )
-        spec = np.zeros(res, dtype=np.complex128)
-        wrapped = [self.index_grid(ax) % res[ax] for ax in range(self.cell.dims)]
-        spec[np.ix_(*wrapped)] = self.coeffs
-        return np.fft.ifftn(spec) * np.prod(res)
-
     def sample_points_1d(self, x) -> np.ndarray:
         """Evaluate a 1D field at arbitrary points (exact synthesis of the series)."""
         if self.cell.dims != 1:
@@ -244,22 +221,30 @@ def _fft_length(n: int) -> int:
 
 def _centered(cutoffs, grid) -> tuple:
     """Slices of a centred grid (harmonic 0 at index N // 2) holding harmonics -c..c per axis."""
+    if len(cutoffs) != len(grid) or any(2 * c + 1 > n for c, n in zip(cutoffs, grid)):
+        raise ValidationError(f"a grid of shape {grid} cannot hold cutoffs {tuple(cutoffs)}")
     return tuple(slice(n // 2 - c, n // 2 + c + 1) for c, n in zip(cutoffs, grid))
 
 
-def to_grid(tables, widths) -> np.ndarray:
-    """Values of a stack of coefficient tables on one uniform grid of the cell.
+def product_grid(widths) -> tuple:
+    """Grid shape on which a pointwise product of factors with table shapes ``widths`` wraps no harmonic.
 
-    ``widths`` are the shapes of the factors of the product to be formed on
-    the grid.  Each axis gets at least sum(w[ax]) - (len(widths) - 1) points,
-    the width of the factors' linear convolution, rounded up to an FFT-friendly
-    length; a pointwise product of the returned values therefore wraps no
-    harmonic, and :func:`from_grid` gives its coefficients exactly up to
-    roundoff.  Tables are odd-sized and may differ in shape; the result has
-    shape (len(tables),) + grid, with one batched inverse FFT.
+    Each axis gets at least sum(w[ax]) - (len(widths) - 1) points, the width
+    of the factors' linear convolution, rounded up to an FFT-friendly length,
+    so :func:`from_grid` gives the product's coefficients exactly up to roundoff.
     """
-    grid = tuple(_fft_length(sum(axis) - len(widths) + 1) for axis in zip(*widths))
-    spec = np.zeros((len(tables),) + grid, dtype=np.complex128)
+    return tuple(_fft_length(sum(axis) - len(widths) + 1) for axis in zip(*widths))
+
+
+def to_grid(tables, grid) -> np.ndarray:
+    """Values of a stack of coefficient tables on the uniform grid of the cell with shape ``grid``.
+
+    Point m of axis ax sits at xi_ax = m * lambda_ax / grid[ax].  Tables are
+    odd-sized and may differ in shape; a table wider than the grid on some
+    axis is refused, since its harmonics would alias.  The result has shape
+    (len(tables),) + grid, from one batched inverse FFT.
+    """
+    spec = np.zeros((len(tables), *grid), dtype=np.complex128)
     for dest, table in zip(spec, tables):
         dest[_centered([(s - 1) // 2 for s in table.shape], grid)] = table
     axes = tuple(range(1, spec.ndim))
@@ -273,8 +258,6 @@ def from_grid(values, cutoffs) -> list:
     :func:`to_grid`, and no cutoff may exceed what the grid resolves.
     """
     grid = values.shape[1:]
-    if any(2 * c + 1 > n for cut in cutoffs for c, n in zip(cut, grid)):
-        raise ValidationError(f"a grid of shape {grid} cannot hold cutoffs {list(cutoffs)}")
     axes = tuple(range(1, values.ndim))
     spec = np.fft.fftshift(np.fft.fftn(values, axes=axes, norm="forward"), axes=axes)
     return [table[_centered(cut, grid)] for table, cut in zip(spec, cutoffs)]

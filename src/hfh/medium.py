@@ -18,8 +18,12 @@ Field specs accepted by the builders (and by the JSON descriptor):
   (1D; piece i occupies [breaks[i], breaks[i+1]) and the last piece runs to
   the cell edge; coefficients are exact indicator-function integrals)
 * ``{"type": "cosine", "mean": m, "harmonics": [{"n": [...], "amp": a, "phase": p}]}``
+  (harmonic n puts a/2 e^{ip} at n and its conjugate at -n)
 * ``{"type": "fourier", "terms": [{"n": [...], "re": x, "im": y}, ...]}``
 * an existing :class:`~hfh.fourier.FourierField`
+
+A cosine or fourier spec becomes one harmonic table, where a repeated index
+adds in spec order, built by :meth:`~hfh.fourier.FourierField.from_terms`.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, need, reading
-from .fourier import TWO_PI, Cell, FourierField
+from .errors import ValidationError, need
+from .fourier import TWO_PI, Cell, FourierField, to_grid
 
 # CPython's builtin SHA-256 (the stdlib's random.py takes _sha512 the same way): the
 # same digests as hashlib's, without loading OpenSSL.  cli's config digest uses it too.
@@ -61,7 +65,7 @@ def cosine(mean, harmonics) -> dict:
     for h in harmonics:
         n, amp = h[0], h[1]
         phase = h[2] if len(h) > 2 else 0.0
-        entries.append({"n": list(np.atleast_1d(n)), "amp": amp, "phase": phase})
+        entries.append({"n": [int(v) for v in np.atleast_1d(n)], "amp": amp, "phase": phase})
     return {"type": "cosine", "mean": mean, "harmonics": entries}
 
 
@@ -69,7 +73,7 @@ def fourier_terms(terms: dict) -> dict:
     out = []
     for n, c in terms.items():
         c = complex(c)
-        out.append({"n": list(np.atleast_1d(n)), "re": c.real, "im": c.imag})
+        out.append({"n": [int(v) for v in np.atleast_1d(n)], "re": c.real, "im": c.imag})
     return {"type": "fourier", "terms": out}
 
 
@@ -98,9 +102,9 @@ def _piecewise_coefficients(cell: Cell, cutoff: int, breaks, values) -> FourierF
 def build_field(spec, cell: Cell, cutoff, name: str = "field") -> FourierField:
     """Realize a field spec as a truncated Fourier series on the given cell.
 
-    A malformed value in the spec raises ValidationError naming ``name``.
+    A malformed or refused spec raises ValidationError naming ``name``.
     """
-    with reading(name):
+    try:
         if isinstance(spec, FourierField):
             if spec.cell != cell:
                 raise ValidationError("field was built on a different cell")
@@ -115,25 +119,24 @@ def build_field(spec, cell: Cell, cutoff, name: str = "field") -> FourierField:
         if kind == "piecewise":
             return _piecewise_coefficients(cell, cutoff, spec["breaks"], spec["values"])
         if kind == "cosine":
-            out = FourierField.zeros(cell, cutoff)
-            out.coeffs[out.cutoffs] = spec.get("mean", 0.0)
+            terms = [((0,) * cell.dims, spec.get("mean", 0.0))]
             for h in spec["harmonics"]:
-                n = tuple(int(v) for v in np.atleast_1d(h["n"]))
-                amp, phase = float(h["amp"]), float(h.get("phase", 0.0))
-                half = 0.5 * amp * np.exp(1j * phase)
-                for sign, c in ((1, half), (-1, np.conj(half))):
-                    idx = tuple(sign * v + out.cutoffs[ax] for ax, v in enumerate(n))
-                    if any(i < 0 or i >= s for i, s in zip(idx, out.coeffs.shape)):
-                        raise ValidationError(f"cosine harmonic {n} exceeds cutoff {cutoff}")
-                    out.coeffs[idx] += c
-            return out
-        if kind == "fourier":
-            table = {}
-            for t in spec["terms"]:
-                n = tuple(int(v) for v in np.atleast_1d(t["n"]))
-                table[n] = table.get(n, 0.0) + complex(t.get("re", 0.0), t.get("im", 0.0))
-            return FourierField.from_terms(cell, cutoff, table)
-        raise ValidationError(f"unknown field spec type {kind!r}")
+                n = tuple(_whole(v) for v in np.atleast_1d(h["n"]))
+                half = 0.5 * float(h["amp"]) * np.exp(1j * float(h.get("phase", 0.0)))
+                terms += [(n, half), (tuple(-v for v in n), np.conj(half))]
+        elif kind == "fourier":
+            terms = [(tuple(_whole(v) for v in np.atleast_1d(t["n"])),
+                      complex(t.get("re", 0.0), t.get("im", 0.0))) for t in spec["terms"]]
+        else:
+            raise ValidationError(f"unknown field spec type {kind!r}")
+        table = {}
+        for n, c in terms:  # a repeated index adds, in spec order
+            table[n] = table.get(n, 0.0) + c
+        return FourierField.from_terms(cell, cutoff, table)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name}: bad value: {exc}") from exc
 
 
 def _digest(kind: str, cell: Cell, parts) -> str:
@@ -203,9 +206,11 @@ def _check_positive_definite(entries: dict, n: int, cell: Cell, cutoff: int, wha
     """Sample the symmetric part of the n x n field {(i, j): f} on a grid of
     4*(2*cutoff+1) points per axis; its least eigenvalue must be positive."""
     res = (4 * (2 * cutoff + 1),) * cell.dims
+    fields = {id(f): f for f in entries.values()}
+    values = dict(zip(fields, to_grid([f.coeffs for f in fields.values()], res).real))
     mats = np.zeros(res + (n, n))
     for (i, j), f in entries.items():
-        mats[..., i, j] = np.real(f.sample_grid(res))
+        mats[..., i, j] = values[id(f)]
     least = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2))).min()
     if least <= POSITIVITY_TOL:
         raise ValidationError(f"{what}; min sampled eigenvalue {least:.3e}")

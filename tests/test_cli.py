@@ -107,7 +107,7 @@ def test_3d_vector_effective_matches_groupvel(tmp_path):
     config.write_text(json.dumps({
         "cell": [1.0, 1.0, 1.0], "kind": "vector", "n": 3, "cutoff": 1, "b": 1.0,
         "a": {"type": "tensor4", "terms": [{"ijkl": ijkl, "field": spec} for ijkl, spec in terms.items()]},
-    }, default=int))  # the cosine specs' harmonic indices are numpy integers
+    }))
     at = ["--config", str(config), "--k=0.4,-0.7,0.9", "--cutoff", "2"]
     assert run_cli(["effective", *at, "--out-prefix", str(tmp_path / "eff")])[0] == 0
     assert run_cli(["groupvel", *at, "--out", str(tmp_path / "gv.csv")])[0] == 0

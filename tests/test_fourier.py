@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfh.errors import ValidationError
-from hfh.fourier import Cell, FourierField, product_mean, resonant_point, window_factor
+from hfh.fourier import Cell, FourierField, from_grid, product_mean, resonant_point, to_grid, window_factor
 
 
 def random_real_field(cell, cutoff, rng, scale=1.0):
@@ -16,40 +16,73 @@ def random_real_field(cell, cutoff, rng, scale=1.0):
 
 def test_constant_field_samples_everywhere(cell1d):
     f = FourierField.constant(cell1d, 2.5)
-    vals = f.sample_grid(8)
+    vals = to_grid([f.coeffs], (8,))[0]
     assert np.allclose(vals, 2.5, atol=1e-15)
 
 
 def test_two_mode_synthesis(cell1d):
     # c_1 = c_-1 = 1 gives 2 cos(2 pi x)
     f = FourierField.from_terms(cell1d, 1, {(1,): 1.0, (-1,): 1.0})
-    vals = f.sample_grid(8)
+    vals = to_grid([f.coeffs], (8,))[0]
     x = np.arange(8) / 8.0
     assert np.allclose(vals, 2.0 * np.cos(2 * np.pi * x), atol=1e-14)
 
 
 def test_roundtrip_random_field(cell1d, rng):
     f = random_real_field(cell1d, 6, rng)
-    grid = f.sample_grid(24)
-    back = np.fft.fft(grid) / 24
-    recovered = np.array([back[n % 24] for n in f.index_grid(0)])
-    assert np.max(np.abs(recovered - f.coeffs)) < 1e-12
+    (back,) = from_grid(to_grid([f.coeffs], (24,)), [f.cutoffs])
+    assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
 
 def test_roundtrip_2d(rng):
     cell = Cell((1.0, 1.5))
     f = random_real_field(cell, 3, rng)
-    grid = f.sample_grid((16, 9))
+    grid = to_grid([f.coeffs], (16, 9))[0]
     back = np.fft.fft2(grid) / grid.size
     for n1 in f.index_grid(0):
         for n2 in f.index_grid(1):
             assert abs(back[n1 % 16, n2 % 9] - f.coeff((n1, n2))) < 1e-12
 
 
+def _synthesis(table, cell, grid):
+    """The series at the points m * lambda / N of each axis, by exact 1D synthesis one axis at a time."""
+    values = table
+    for ax, (lam, n) in enumerate(zip(cell.lengths, grid)):
+        x = np.arange(n) * lam / n
+        values = np.apply_along_axis(lambda row: FourierField(Cell((lam,)), row).sample_points_1d(x), ax, values)
+    return values
+
+
+@pytest.mark.parametrize("lengths, grid", [
+    ((1.0,), (13,)), ((1.3,), (16,)),
+    ((1.0, 1.5), (9, 7)), ((0.8, 1.2), (8, 12)),
+    ((1.0, 1.5, 0.7), (5, 7, 9)), ((1.2, 0.9, 1.0), (6, 8, 10)),
+], ids=["1d-odd", "1d-even", "2d-odd", "2d-even", "3d-odd", "3d-even"])
+def test_to_grid_matches_synthesis_and_round_trips(lengths, grid, rng):
+    # a stack of tables of different shapes, the widest filling the grid on its odd axes
+    cell = Cell(lengths)
+    shapes = [tuple(n - 1 + n % 2 for n in grid), tuple(min(3, n - 1 + n % 2) for n in grid)]
+    tables = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+    values = to_grid(tables, grid)
+    assert values.shape == (2, *grid)
+    for got, table in zip(values, tables):
+        assert np.max(np.abs(got - _synthesis(table, cell, grid))) <= 1e-13 * np.abs(table).sum()
+    back = from_grid(values, [tuple((s - 1) // 2 for s in shape) for shape in shapes])
+    for got, table in zip(back, tables):
+        assert got.shape == table.shape
+        assert np.max(np.abs(got - table)) <= 1e-13 * np.abs(table).sum()
+
+
 def test_nyquist_bound_enforced(cell1d, rng):
+    # to_grid refuses a grid narrower than a table on any axis: its harmonics would alias
     f = random_real_field(cell1d, 6, rng)
-    with pytest.raises(ValidationError):
-        f.sample_grid(12)  # needs >= 13
+    assert to_grid([f.coeffs], (13,)).shape == (1, 13)
+    with pytest.raises(ValidationError, match="cannot hold"):
+        to_grid([f.coeffs], (12,))  # needs >= 13
+    with pytest.raises(ValidationError, match="cannot hold"):
+        to_grid([np.ones(3), np.ones((3, 5))], (8, 4))  # the second table is 5 wide on axis 1
+    with pytest.raises(ValidationError, match="cannot hold"):
+        to_grid([np.ones(3)], (8, 8))  # a 1D table on a 2D grid
 
 
 def test_product_matches_pointwise(cell1d, rng):

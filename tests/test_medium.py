@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -260,6 +261,56 @@ def test_descriptor_schrodinger_and_errors(mathieu_blocks):
         medium.medium_from_descriptor({"cell": [1.0], "kind": "fluid", "cutoff": 4})
     with pytest.raises(ValidationError, match="missing"):
         medium.medium_from_descriptor({"kind": "scalar"})
+
+
+def test_helper_descriptor_survives_json():
+    # the helpers store harmonic indices as Python ints, whatever integer type they are given
+    b_terms = {tuple(np.array([0, 0])): 1.5, tuple(np.array([1, 1])): 0.1 + 0.05j,
+               tuple(np.array([-1, -1])): 0.1 - 0.05j}
+    desc = {"cell": [1.0, 1.3], "kind": "scalar", "cutoff": 2,
+            "a": medium.cosine(2.0, [(np.array([1, 0]), 0.4, 0.3), ((np.int64(0), np.int64(1)), 0.2)]),
+            "b": medium.fourier_terms(b_terms)}
+    loaded = json.loads(json.dumps(desc))
+    assert loaded["a"]["harmonics"][0]["n"] == [1, 0]
+    assert medium.medium_from_descriptor(loaded).fingerprint == medium.medium_from_descriptor(desc).fingerprint
+
+
+def test_cosine_halves_add_in_spec_order():
+    cell = Cell((1.0, 1.5))
+    first, second = 0.5 * 0.4 * np.exp(0.3j), 0.5 * 0.2 * np.exp(1.1j)
+    # a repeated harmonic adds both halves at n and both conjugates at -n
+    f = medium.build_field(medium.cosine(2.0, [((1, 0), 0.4, 0.3), ((1, 0), 0.2, 1.1)]), cell, 2)
+    assert f.coeff((1, 0)) == first + second and f.coeff((-1, 0)) == np.conj(first) + np.conj(second)
+    # n and -n: each puts its half at its own index and its conjugate at the other
+    g = medium.build_field(medium.cosine(2.0, [((0, 1), 0.4, 0.3), ((0, -1), 0.2, 1.1)]), cell, 2)
+    assert g.coeff((0, 1)) == first + np.conj(second) and g.coeff((0, -1)) == np.conj(first) + second
+    assert f.mean() == g.mean() == 2.0
+    assert np.count_nonzero(f.coeffs) == np.count_nonzero(g.coeffs) == 3
+    # the fourier spec of the same halves, in the same order, gives the same table
+    terms = medium.fourier_terms({(0, 1): first, (0, -1): np.conj(first), (0, 0): 2.0})
+    terms["terms"] += [{"n": [0, -1], "re": second.real, "im": second.imag},
+                       {"n": [0, 1], "re": second.real, "im": -second.imag}]
+    assert np.array_equal(medium.build_field(terms, cell, 2).coeffs, g.coeffs)
+
+
+@pytest.mark.parametrize("spec, problem", [
+    (medium.cosine(1.0, [((3, 0), 0.2)]), "mode index .* exceeds the declared cutoff"),
+    (medium.cosine(1.0, [((1,), 0.2)]), "mode index .* does not match cell dimension 2"),
+    (medium.fourier_terms({(0, 3): 0.1}), "mode index .* exceeds the declared cutoff"),
+    (medium.fourier_terms({(1, 0, 0): 0.1}), "mode index .* does not match cell dimension 2"),
+    (medium.piecewise([0.0, 0.5], [1.0, 2.0]), "piecewise specs are supported on 1D cells only"),
+    ({"type": "cosine", "harmonics": [{"n": [1.7, 0], "amp": 0.2}]}, "bad value: expected a whole number"),
+    ({"type": "fourier", "terms": [{"n": [0, 0.5], "re": 0.2}]}, "bad value: expected a whole number"),
+], ids=["cosine-cutoff", "cosine-dimension", "fourier-cutoff", "fourier-dimension", "piecewise-2d",
+        "cosine-fraction", "fourier-fraction"])
+def test_refused_spec_names_the_field(spec, problem):
+    # a 1D index on a 2D cell is refused, not added along a whole row of the table, and a
+    # fractional index is refused, not truncated
+    cell = Cell((1.0, 1.5))
+    with pytest.raises(ValidationError, match=rf"^potential: {problem}"):
+        medium.build_field(spec, cell, 2, "potential")
+    with pytest.raises(ValidationError, match=rf"^b: {problem}"):
+        medium.build_scalar_medium(1.0, spec, cell, 2)
 
 
 def test_fingerprint_distinguishes_media(cell1d, two_phase):

@@ -1,6 +1,6 @@
 """Grid products and the batched transport kernel against exact convolutions.
 
-``fourier.to_grid`` / ``fourier.from_grid`` and ``FourierField.__mul__``
+``fourier.to_grid`` on a ``fourier.product_grid``, ``fourier.from_grid`` and ``FourierField.__mul__``
 are compared with ``scipy.signal.convolve`` on random tables.  The private
 ``_oracle_transport`` below is the slot kernel that ``effective._transport``
 replaced: it forms every product conj(V_i) D_p V_k and every integrand as an
@@ -18,7 +18,7 @@ from scipy import signal
 
 from hfh import bloch, effective, medium
 from hfh.errors import ValidationError
-from hfh.fourier import Cell, FourierField, from_grid, product_mean, to_grid
+from hfh.fourier import Cell, FourierField, from_grid, product_grid, product_mean, to_grid
 
 REL = 1e-13
 
@@ -76,7 +76,7 @@ def _oracle_transport(med, left, right, sign, pair):
 ], ids=["1d-2", "1d-3", "2d-2", "2d-3", "3d-2", "3d-3"])
 def test_grid_product_matches_convolve(shapes, rng):
     tables = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
-    values = to_grid(tables, shapes)
+    values = to_grid(tables, product_grid(shapes))
     (got,) = from_grid(np.prod(values, axis=0, keepdims=True),
                        [tuple(sum((s[ax] - 1) // 2 for s in shapes) for ax in range(len(shapes[0])))])
     want = tables[0]
@@ -93,7 +93,7 @@ def test_grid_product_matches_convolve(shapes, rng):
 
 
 def test_grid_refuses_cutoff_it_cannot_hold():
-    values = to_grid([np.ones(3)], [(3,), (3,)])
+    values = to_grid([np.ones(3)], product_grid([(3,), (3,)]))
     assert values.shape == (1, 5)
     with pytest.raises(ValidationError, match="cannot hold"):
         from_grid(values, [(3,)])
